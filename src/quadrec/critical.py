@@ -157,7 +157,7 @@ def estimate_constant(
             residual=str(horner(coeffs, x)),
         )
 
-    residual = abs(horner(coeffs, x))
+    residual = horner(coeffs, x).copy_abs()
     if not (_SANITY_LOW < x < _SANITY_HIGH):
         raise EngineError(
             f"estimated constant {x} fell outside the sanity window "
@@ -233,5 +233,5 @@ def residual_order_check(
         acc = Decimal(0)
         for coefficient in reversed(coeffs):
             acc = ctx.fma(acc, c_dec, coefficient)
-        rows.append((k, PrecReal(abs(ctx.subtract(samples[k], acc)), precision)))
+        rows.append((k, PrecReal(ctx.subtract(samples[k], acc).copy_abs(), precision)))
     return rows

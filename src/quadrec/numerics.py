@@ -160,10 +160,10 @@ class PrecReal:
         return PrecReal(ctx.power(self.value, Decimal(exponent)), self.precision)
 
     def __neg__(self):
-        return PrecReal(-self.value, self.precision)
+        return PrecReal(self.value.copy_negate(), self.precision)
 
     def __abs__(self):
-        return PrecReal(abs(self.value), self.precision)
+        return PrecReal(self.value.copy_abs(), self.precision)
 
     def ln(self) -> "PrecReal":
         if self.value <= 0:

@@ -132,7 +132,7 @@ def _alpha_model(c_dec: Decimal, ctx: Context, levels: int = _MODEL_LEVELS) -> M
         if i > levels or poly.is_zero:
             continue
         value = _poly_at(poly, c_dec, ctx)
-        model[(i, j)] = ctx.divide(-value, Decimal(2))
+        model[(i, j)] = ctx.divide(value.copy_negate(), Decimal(2))
     return model
 
 
@@ -221,11 +221,11 @@ def _error_estimate(value_model: Model, omitted_model: Model, a: Decimal, ctx: C
     level, and Euler--Maclaurin dropped the f'''(a)/720 term.  Both are
     evaluated and inflated by 10.
     """
-    omitted_integral = abs(_model_tail_integral(omitted_model, a, ctx)) if omitted_model else Decimal(0)
+    omitted_integral = _model_tail_integral(omitted_model, a, ctx).copy_abs() if omitted_model else Decimal(0)
     third = value_model
     for _ in range(3):
         third = _model_derivative(third, ctx)
-    em_term = ctx.divide(abs(_model_eval(third, a, ctx)), Decimal(720))
+    em_term = ctx.divide(_model_eval(third, a, ctx).copy_abs(), Decimal(720))
     return ctx.multiply(Decimal(10), ctx.add(omitted_integral, em_term))
 
 

@@ -98,6 +98,16 @@ def test_precreal_comparisons():
     assert a == PrecReal(Fraction(1, 3), 30)
 
 
+def test_precreal_negation_and_abs_keep_every_digit():
+    # the default decimal context holds 28 digits; sign changes must not
+    # round through it
+    x = PrecReal(Fraction(1, 3), 40)
+    digits = "0." + "3" * 40
+    assert str(-x) == "-" + digits
+    assert str(abs(-x)) == digits
+    assert (-x).precision == abs(x).precision == 40
+
+
 def test_digit_string_rounds_half_even_by_default():
     x = PrecReal(Fraction(1, 8), 30)  # 0.125 -> ties-to-even at 2 digits
     assert x.digit_string(2) == "0.12"

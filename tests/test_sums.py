@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
 
 from quadrec.errors import DomainError, ExactCapError, RefusalError
+from quadrec.numerics import PrecReal
 from quadrec.sums import (
     MAX_DIGITS_BOOTSTRAP,
     MAX_DIGITS_POWER,
     MAX_DIGITS_S1,
+    _alpha_model,
+    _tail_table,
     bootstrap_check,
     harmonic_divergence_diagnostic,
     power_sum,
@@ -117,6 +120,17 @@ def test_tail_correction_is_reported_and_small():
     assert result.tail_correction.value != 0
     assert abs(result.tail_correction.value) < Decimal("1e-8")
     assert result.error_estimate.value < Decimal("1e-14")
+
+
+def test_alpha_model_coefficients_keep_the_working_precision():
+    precision = 53
+    c_dec = PrecReal("3.53598757227230810088726881356226466215261911090888889", precision).value
+    model = _alpha_model(c_dec, Context(prec=precision))
+    entries = {key: poly for key, poly in _tail_table().entries.items() if key[0] <= 4}
+    assert set(model) == set(entries)
+    for key, poly in entries.items():
+        exact = -poly(Fraction(c_dec)) / 2
+        assert abs(Fraction(model[key]) - exact) <= Fraction(1, 10**50) * max(1, abs(exact))
 
 
 # ---------------------------------------------------------------------------
