@@ -25,7 +25,7 @@ from .errors import (
     QuadrecError,
     RefusalError,
 )
-from .numerics import BigRational, CPoly, PrecReal, euler_gamma, parse_rational
+from .numerics import CPoly, PrecReal, euler_gamma, parse_rational
 from .rate_constants import (
     RateConstantResult,
     convergence_diagnostic,
@@ -64,16 +64,10 @@ from .sums import (
     sum_of_power_sums,
 )
 
-# Short operation aliases used in some workflows.
-estimate_C = estimate_constant
-little_c = logistic_constant
-table1 = rate_constant_table
-
 __version__ = "0.1.0"
 
 __all__ = [
     "AsymSeries",
-    "BigRational",
     "BootstrapReport",
     "CPoly",
     "CoefficientTable",
@@ -96,7 +90,6 @@ __all__ = [
     "bootstrap_check",
     "classify",
     "convergence_diagnostic",
-    "estimate_C",
     "estimate_constant",
     "eval_series",
     "euler_gamma",
@@ -106,7 +99,6 @@ __all__ = [
     "harmonic_divergence_diagnostic",
     "iterate_exact",
     "iterate_real",
-    "little_c",
     "logistic_constant",
     "logistic_iterate",
     "parse_rational",
@@ -119,5 +111,4 @@ __all__ = [
     "shift",
     "solve_coefficients",
     "sum_of_power_sums",
-    "table1",
 ]

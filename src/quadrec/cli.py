@@ -23,6 +23,7 @@ import io
 import json
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 from .critical import estimate_constant, residual_order_check
@@ -113,11 +114,21 @@ def _cmd_iterate(args):
         raise DomainError("precision must be at least digits + 20")
     if args.exact:
         samples = iterate_exact(params, args.steps)
-        rows = [{"k": s.k, "a": str(s.a)} for s in samples]
+        rows = [{"k": s.k, "a": _exact_text(s.a)} for s in samples]
     else:
         samples = iterate_real(params, args.steps, precision)
         rows = [{"k": s.k, "a": s.a.digit_string(args.digits)} for s in samples]
     return rows, False
+
+
+def _exact_text(value: Fraction) -> str:
+    """``str(value)`` rendered through ``Decimal``, which has no limit on
+    the digits of an integer (``str(int)`` stops at 4300 digits, a length
+    exact orbits pass within 13 steps)."""
+    numerator = str(Decimal(value.numerator))
+    if value.denominator == 1:
+        return numerator
+    return f"{numerator}/{Decimal(value.denominator)}"
 
 
 def _rate_row(result):

@@ -37,9 +37,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, EngineError, NewtonError, RefusalError
-from .numerics import PrecReal
-from .recurrence import classify, final_value
-from .series_engine import CoefficientTable, eval_series_coeffs, solve_coefficients
+from .numerics import PrecReal, horner
+from .recurrence import classify, final_value, iterate_real
+from .series_engine import CoefficientTable, eval_series, eval_series_coeffs, solve_coefficients
 
 _CRITICAL_P = Fraction(1, 2)
 
@@ -119,12 +119,6 @@ def estimate_constant(
     coeffs[0] = ctx.subtract(coeffs[0], a_n)
     deriv = [ctx.multiply(Decimal(t), c) for t, c in enumerate(coeffs)][1:]
 
-    def horner(poly: Sequence[Decimal], x: Decimal) -> Decimal:
-        acc = Decimal(0)
-        for c in reversed(poly):
-            acc = ctx.fma(acc, x, c)
-        return acc
-
     one = Decimal(1)
     ln_n = ctx.ln(Decimal(depth))
     gap = ctx.subtract(one, a_n)
@@ -136,8 +130,8 @@ def estimate_constant(
     iterations = 0
     step = Decimal(1)
     for iterations in range(1, _MAX_NEWTON_ITERATIONS + 1):
-        f_val = horner(coeffs, x)
-        f_prime = horner(deriv, x)
+        f_val = horner(coeffs, x, ctx)
+        f_prime = horner(deriv, x, ctx)
         if f_prime == 0:
             raise NewtonError(
                 "derivative vanished during Newton iteration",
@@ -154,10 +148,10 @@ def estimate_constant(
             "Newton iteration did not converge",
             iterations=_MAX_NEWTON_ITERATIONS,
             last_step=str(step),
-            residual=str(horner(coeffs, x)),
+            residual=str(horner(coeffs, x, ctx)),
         )
 
-    residual = horner(coeffs, x).copy_abs()
+    residual = horner(coeffs, x, ctx).copy_abs()
     if not (_SANITY_LOW < x < _SANITY_HIGH):
         raise EngineError(
             f"estimated constant {x} fell outside the sanity window "
@@ -213,25 +207,6 @@ def residual_order_check(
         table = solve_coefficients(max(order, 2))
     if c_value is None:
         c_value = estimate_constant(10**5, max(order, 4), max(precision, 40), table=None).C
-    c_dec = PrecReal(c_value, precision).value
-
-    ctx = Context(prec=precision)
-    params = classify(_CRITICAL_P)
-    p_dec = PrecReal(params.p, precision).value
-    one_minus_p = PrecReal(1 - params.p, precision).value
-    wanted = set(ks)
-    samples: dict[int, Decimal] = {}
-    a = Decimal(0)
-    for k in range(ks[-1] + 1):
-        if k in wanted:
-            samples[k] = a
-        a = ctx.fma(p_dec, ctx.multiply(a, a), one_minus_p)
-
-    rows = []
-    for k in ks:
-        coeffs = eval_series_coeffs(table, k, precision, order)
-        acc = Decimal(0)
-        for coefficient in reversed(coeffs):
-            acc = ctx.fma(acc, c_dec, coefficient)
-        rows.append((k, PrecReal(ctx.subtract(samples[k], acc).copy_abs(), precision)))
-    return rows
+    c_value = PrecReal(c_value, precision)
+    samples = iterate_real(classify(_CRITICAL_P), ks[-1], precision, sample_ks=ks)
+    return [(s.k, abs(s.a - eval_series(table, s.k, c_value, order))) for s in samples]

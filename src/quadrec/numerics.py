@@ -14,10 +14,12 @@ Three kinds of numbers appear throughout the package:
   coefficient as a ``CPoly`` so that nothing is rounded before a caller asks
   for digits.
 
-The module also owns the Euler--Mascheroni constant (110 verified digits)
-and the double-run confirmation helper used before any digits are reported:
-a computation is repeated with 20 extra guard digits and the two results
-must agree to the requested width, otherwise ``PrecisionError`` is raised.
+The module also owns the Euler--Mascheroni constant (110 verified digits),
+the one Decimal Horner rule (``horner``) that every polynomial-in-C
+evaluation goes through, and the double-run confirmation helper used before
+any digits are reported: a computation is repeated with 20 extra guard
+digits and the two results must agree to the requested width, otherwise
+``PrecisionError`` is raised.
 """
 
 from __future__ import annotations
@@ -25,11 +27,9 @@ from __future__ import annotations
 import decimal
 from decimal import Context, Decimal
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import DomainError, PrecisionError, RefusalError
-
-BigRational = Fraction
 
 #: Guard digits added on top of the requested digit count for working
 #: precision, and again for the confirmation rerun.
@@ -262,6 +262,15 @@ def confirmed_value(
             f"disagree beyond 10^-{digits} (gap {gap:E})"
         )
     return second
+
+
+def horner(coeffs: Sequence[Decimal], x: Decimal, ctx: Context) -> Decimal:
+    """sum_t coeffs[t] * x**t by Horner's rule, one fused multiply-add per
+    coefficient at the precision of ``ctx``."""
+    acc = Decimal(0)
+    for coefficient in reversed(coeffs):
+        acc = ctx.fma(acc, x, coefficient)
+    return acc
 
 
 class CPoly:

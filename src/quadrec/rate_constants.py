@@ -25,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import ROUND_DOWN, Context, Decimal
 from fractions import Fraction
+from itertools import islice
 
-from .errors import RefusalError
+from .errors import DomainError, RefusalError
 from .numerics import GUARD_DIGITS, PrecReal, confirmed_value
-from .recurrence import Params, Regime, classify
+from .recurrence import Params, Regime, classify, iterate_real, orbit_decimals
 
 #: The eight parameter points of the standard reference table.
 TABLE_PS = (
@@ -102,11 +103,13 @@ def _factor_count(params: Params, digits: int) -> int:
 def rate_constant(p, digits: int = 15) -> RateConstantResult:
     """C(p) certified to ``digits`` decimal places.
 
-    Refuses the critical point (no geometric rate exists there) and ratios
-    q > 999/1000.  The product is evaluated at ``digits + 20`` working
+    ``digits < 1`` is a domain error.  Refuses the critical point (no
+    geometric rate exists there) and ratios q > 999/1000.  The product is evaluated at ``digits + 20`` working
     digits and confirmed by a rerun with 20 more; the returned ``PrecReal``
     is the higher-precision run.
     """
+    if digits < 1:
+        raise DomainError("digits must be at least 1")
     params = classify(p)
     if params.regime is Regime.CRITICAL:
         raise RefusalError(
@@ -118,23 +121,17 @@ def rate_constant(p, digits: int = 15) -> RateConstantResult:
             f"contraction ratio q = {params.q} exceeds {Q_MAX}; "
             "the product converges too slowly to certify digits"
         )
-    if digits < 1:
-        raise RefusalError("digits must be at least 1")
 
     k_factors = _factor_count(params, digits)
 
     def compute(precision: int) -> PrecReal:
         ctx = Context(prec=precision)
-        p_dec = PrecReal(params.p, precision).value
-        one_minus_p = PrecReal(1 - params.p, precision).value
         r_dec = PrecReal(params.r, precision).value
         two_r = PrecReal(2 * params.r, precision).value
-        a = Decimal(0)
         log_sum = Decimal(0)
-        for _ in range(k_factors):
+        for a in islice(orbit_decimals(params, precision), k_factors):
             factor = ctx.divide(ctx.add(r_dec, a), two_r)
             log_sum = ctx.add(log_sum, ctx.ln(factor))
-            a = ctx.fma(p_dec, ctx.multiply(a, a), one_minus_p)
         return PrecReal(ctx.multiply(r_dec, ctx.exp(log_sum)), precision)
 
     working = digits + GUARD_DIGITS
@@ -171,18 +168,11 @@ def convergence_diagnostic(p, kmax: int, precision: int) -> list[DiagnosticRow]:
     if params.regime is Regime.CRITICAL:
         raise RefusalError("p = 1/2 has no geometric rate; use the critical-constant module")
     ctx = Context(prec=precision)
-    p_dec = PrecReal(params.p, precision).value
-    one_minus_p = PrecReal(1 - params.p, precision).value
-    r_dec = PrecReal(params.r, precision).value
     q_dec = PrecReal(params.q, precision).value
-    a = Decimal(0)
     q_pow = Decimal(1)
     rows = []
-    for k in range(kmax + 1):
-        b = ctx.subtract(r_dec, a)
-        rows.append(
-            DiagnosticRow(k=k, b=PrecReal(b, precision), ratio=PrecReal(ctx.divide(b, q_pow), precision))
-        )
-        a = ctx.fma(p_dec, ctx.multiply(a, a), one_minus_p)
+    for sample in iterate_real(params, kmax, precision, sample_ks=range(kmax + 1)):
+        ratio = PrecReal(ctx.divide(sample.b.value, q_pow), precision)
+        rows.append(DiagnosticRow(k=sample.k, b=sample.b, ratio=ratio))
         q_pow = ctx.multiply(q_pow, q_dec)
     return rows

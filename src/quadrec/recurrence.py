@@ -26,6 +26,11 @@ memory.  Precision-tracked orbits use two rounded operations per step, so
 after ``n`` steps the accumulated absolute error is below ``3*n*10**(2-P)``
 at working precision ``P`` (the map is a contraction towards r on [0, r],
 so per-step errors do not amplify).
+
+Every Decimal orbit comes from one of two endless streams:
+``orbit_decimals`` (a_k) and ``logistic_decimals`` (alpha_k).  The second is
+not derived from the first: alpha_k ~ 1/k, so forming (1 - a_k)/2 would
+cancel about log10(k) leading digits.
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import enum
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator, Sequence, Union
 
 from .errors import DomainError, ExactCapError
@@ -166,32 +172,35 @@ def iterate_real(
             raise DomainError("sample indices must lie in [0, n]")
     wanted_set = frozenset(wanted)
     ctx = Context(prec=precision)
-    p = PrecReal(params.p, precision).value
-    one_minus_p = PrecReal(1 - params.p, precision).value
     r = PrecReal(params.r, precision).value
-    a = Decimal(0)
-    samples = []
-    for k in range(n + 1):
-        if k in wanted_set:
-            samples.append(
-                OrbitSample(k, PrecReal(a, precision), PrecReal(ctx.subtract(r, a), precision))
-            )
-        if k < n:
-            a = ctx.fma(p, ctx.multiply(a, a), one_minus_p)
-    return samples
+    return [
+        OrbitSample(k, PrecReal(a, precision), PrecReal(ctx.subtract(r, a), precision))
+        for k, a in enumerate(islice(orbit_decimals(params, precision), n + 1))
+        if k in wanted_set
+    ]
 
 
 def final_value(params: Params, n: int, precision: int) -> PrecReal:
     """a_n alone, without storing the orbit (used for large n)."""
     if n < 0:
         raise DomainError("step count must be nonnegative")
+    return PrecReal(next(islice(orbit_decimals(params, precision), n, None)), precision)
+
+
+def orbit_decimals(params: Params, precision: int) -> Iterator[Decimal]:
+    """Endless stream a_0, a_1, ... as raw ``Decimal`` values.
+
+    The one Decimal orbit kernel: a squaring and a fused multiply-add per
+    step at fixed working precision, seeded at a_0 = 0.
+    """
     ctx = Context(prec=precision)
+    fma, multiply = ctx.fma, ctx.multiply
     p = PrecReal(params.p, precision).value
     one_minus_p = PrecReal(1 - params.p, precision).value
     a = Decimal(0)
-    for _ in range(n):
-        a = ctx.fma(p, ctx.multiply(a, a), one_minus_p)
-    return PrecReal(a, precision)
+    while True:
+        yield a
+        a = fma(p, multiply(a, a), one_minus_p)
 
 
 def logistic_iterate(

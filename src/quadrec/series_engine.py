@@ -43,10 +43,10 @@ from dataclasses import dataclass, field
 from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Any, Iterator
 
 from .errors import DomainError, EngineError
-from .numerics import CPoly, PrecReal
+from .numerics import CPoly, PrecReal, horner
 
 Key = tuple[int, int]  # (i, j) indexes the monomial ln(k)**j / k**i
 
@@ -54,39 +54,60 @@ _ZERO = CPoly()
 _ONE = CPoly.constant(1)
 
 
+def _accumulate(out: dict, key: Key, value) -> None:
+    """out[key] += value, keeping only nonzero coefficients."""
+    if key in out:
+        value = out[key] + value
+    if value:
+        out[key] = value
+    else:
+        out.pop(key, None)
+
+
 @dataclass(frozen=True, eq=True)
 class AsymSeries:
     """A truncated series sum c[i][j] * ln(k)**j / k**i, i <= order.
 
-    ``terms`` maps (i, j) to a nonzero ``CPoly``; absent keys mean zero.
-    Instances are immutable by convention; every operation returns a new
-    series truncated at the smaller operand order.
+    ``terms`` maps (i, j) to a nonzero coefficient; absent keys mean zero.
+    The coefficients may come from any ring whose elements support ``+``,
+    ``*`` (by an int or by each other) and truthiness for zero: the solver
+    uses exact ``CPoly`` values, the tail sums ``Decimal`` values (rounded
+    by the active decimal context).  Instances are immutable by convention;
+    every operation returns a new series truncated at the smaller operand
+    order.
     """
 
     order: int
-    terms: dict[Key, CPoly] = field(default_factory=dict)
+    terms: dict[Key, Any] = field(default_factory=dict)
 
     def coefficient(self, i: int, j: int) -> CPoly:
+        """The coefficient of ln(k)**j / k**i in a ``CPoly`` series."""
         return self.terms.get((i, j), _ZERO)
 
     def is_zero_through(self, level: int) -> bool:
         """True when every retained term with i <= level vanishes."""
         return all(i > level for (i, _j) in self.terms)
 
-    def support(self) -> list[Key]:
-        return sorted(self.terms)
+    def truncated(self, order: int) -> "AsymSeries":
+        """The terms with i <= order, as a series of that order.
+
+        An order above ``self.order`` is allowed: products are truncated at
+        the smaller operand order, and a factor without low levels (one
+        starting at 1/k**2, say) keeps the other factor's omitted levels out
+        of reach, so the caller may declare the higher order.
+        """
+        return AsymSeries(order, {k: v for k, v in self.terms.items() if k[0] <= order})
+
+    def level(self, i: int) -> "AsymSeries":
+        """The terms in 1/k**i alone."""
+        return AsymSeries(self.order, {k: v for k, v in self.terms.items() if k[0] == i})
 
     def __add__(self, other: "AsymSeries") -> "AsymSeries":
         order = min(self.order, other.order)
-        out: dict[Key, CPoly] = {k: v for k, v in self.terms.items() if k[0] <= order}
-        for key, poly in other.terms.items():
-            if key[0] > order:
-                continue
-            s = out.get(key, _ZERO) + poly
-            if s.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = s
+        out = self.truncated(order).terms
+        for key, value in other.terms.items():
+            if key[0] <= order:
+                _accumulate(out, key, value)
         return AsymSeries(order, out)
 
     def __neg__(self) -> "AsymSeries":
@@ -96,32 +117,39 @@ class AsymSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CPoly)):
-            out = {}
-            for key, poly in self.terms.items():
-                prod = poly * other
-                if not prod.is_zero:
-                    out[key] = prod
-            return AsymSeries(self.order, out)
+        out: dict = {}
         if not isinstance(other, AsymSeries):
-            return NotImplemented
+            for key, value in self.terms.items():
+                _accumulate(out, key, value * other)
+            return AsymSeries(self.order, out)
         order = min(self.order, other.order)
-        out = {}
-        for (i1, j1), p1 in self.terms.items():
+        for (i1, j1), c1 in self.terms.items():
             if i1 > order:
                 continue
-            for (i2, j2), p2 in other.terms.items():
-                if i1 + i2 > order:
-                    continue
-                key = (i1 + i2, j1 + j2)
-                s = out.get(key, _ZERO) + p1 * p2
-                if s.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+            for (i2, j2), c2 in other.terms.items():
+                if i1 + i2 <= order:
+                    _accumulate(out, (i1 + i2, j1 + j2), c1 * c2)
         return AsymSeries(order, out)
 
     __rmul__ = __mul__
+
+    def __pow__(self, exponent):
+        """Repeated product for exponents >= 1 (the ring's one is unknown)."""
+        if not isinstance(exponent, int) or exponent < 1:
+            return NotImplemented
+        out = self
+        for _ in range(exponent - 1):
+            out = out * self
+        return out
+
+    def derivative(self) -> "AsymSeries":
+        """d/dk termwise: ln^j k / k^i -> (j ln^(j-1) k - i ln^j k) / k^(i+1)."""
+        out: dict = {}
+        for (i, j), value in self.terms.items():
+            if j:
+                _accumulate(out, (i + 1, j - 1), value * j)
+            _accumulate(out, (i + 1, j), value * -i)
+        return AsymSeries(self.order + 1, out)
 
 
 def _series_square(s: AsymSeries) -> AsymSeries:
@@ -129,23 +157,15 @@ def _series_square(s: AsymSeries) -> AsymSeries:
     order = s.order
     items = [(k, v) for k, v in s.terms.items() if k[0] <= order]
     out: dict[Key, CPoly] = {}
-
-    def accumulate(key: Key, poly: CPoly):
-        acc = out.get(key, _ZERO) + poly
-        if acc.is_zero:
-            out.pop(key, None)
-        else:
-            out[key] = acc
-
     for a in range(len(items)):
         (i1, j1), p1 = items[a]
         if 2 * i1 <= order:
-            accumulate((2 * i1, 2 * j1), p1 * p1)
+            _accumulate(out, (2 * i1, 2 * j1), p1 * p1)
         for b in range(a + 1, len(items)):
             (i2, j2), p2 = items[b]
             if i1 + i2 > order:
                 continue
-            accumulate((i1 + i2, j1 + j2), 2 * (p1 * p2))
+            _accumulate(out, (i1 + i2, j1 + j2), 2 * (p1 * p2))
     return AsymSeries(order, out)
 
 
@@ -206,11 +226,7 @@ def shift(series: AsymSeries) -> AsymSeries:
     out: dict[Key, CPoly] = {}
     for (i, j), poly in series.terms.items():
         for key, weight in _shift_table(i, j, series.order):
-            acc = out.get(key, _ZERO) + poly * weight
-            if acc.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = acc
+            _accumulate(out, key, poly * weight)
     return AsymSeries(series.order, out)
 
 
@@ -366,8 +382,4 @@ def eval_series(
     """Numeric value of the truncated expansion at step k with C = c_value."""
     precision = c_value.precision
     coeffs = eval_series_coeffs(table, k, precision, order)
-    ctx = Context(prec=precision)
-    acc = Decimal(0)
-    for coefficient in reversed(coeffs):
-        acc = ctx.fma(acc, c_value.value, coefficient)
-    return PrecReal(acc, precision)
+    return PrecReal(horner(coeffs, c_value.value, Context(prec=precision)), precision)

@@ -37,15 +37,15 @@ the power sums and D <= 8 for the regularized sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Context, Decimal
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
 from .critical import estimate_constant
 from .errors import DomainError, PrecisionError, RefusalError
-from .numerics import GUARD_DIGITS, CPoly, PrecReal, euler_gamma
+from .numerics import GUARD_DIGITS, PrecReal, euler_gamma, horner
 from .recurrence import EXACT_STEP_CAP, logistic_decimals, logistic_iterate
-from .series_engine import solve_coefficients
+from .series_engine import AsymSeries, solve_coefficients
 
 #: Depth schedule for adaptive direct summation.
 _CHECKPOINTS = (10**3, 10**4, 10**5, 10**6, 10**7)
@@ -58,8 +58,6 @@ MAX_DIGITS_BOOTSTRAP = 6
 #: The summand model keeps three series levels; one more feeds the error
 #: estimate.
 _MODEL_LEVELS = 4
-
-Model = dict[tuple[int, int], Decimal]  # (i, j) -> coefficient of ln(x)**j / x**i
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,12 @@ class BootstrapReport:
 
 
 # ---------------------------------------------------------------------------
-# summand models: dictionaries of decimal coefficients over ln(x)**j / x**i
+# summand models: series in ln(x)**j / x**i with Decimal coefficients
+#
+# The algebra (products, powers, derivatives, truncation) is AsymSeries from
+# the series engine; only the numeric evaluators below are specific to the
+# tails.  Series arithmetic rounds in the active decimal context, which
+# _run_sum sets to the working precision.
 # ---------------------------------------------------------------------------
 
 
@@ -116,55 +119,26 @@ def _default_c(precision: int) -> PrecReal:
     return estimate_constant(10**5, 6, max(40, precision), table=_tail_table()).C
 
 
-def _poly_at(poly: CPoly, c_dec: Decimal, ctx: Context) -> Decimal:
-    acc = Decimal(0)
-    for coeff in reversed(poly.coeffs):
-        term = ctx.divide(Decimal(coeff.numerator), Decimal(coeff.denominator))
-        acc = ctx.fma(acc, c_dec, term)
-    return acc
-
-
-def _alpha_model(c_dec: Decimal, ctx: Context, levels: int = _MODEL_LEVELS) -> Model:
+def _alpha_model(c_dec: Decimal, ctx: Context, levels: int = _MODEL_LEVELS) -> AsymSeries:
     """alpha_k ~ sum over 1 <= i <= levels of -c[i][j]/2 * ln(k)**j / k**i."""
-    table = _tail_table()
-    model: Model = {}
-    for (i, j), poly in table.entries.items():
+    terms = {}
+    for (i, j), poly in _tail_table().entries.items():
         if i > levels or poly.is_zero:
             continue
-        value = _poly_at(poly, c_dec, ctx)
-        model[(i, j)] = ctx.divide(value.copy_negate(), Decimal(2))
-    return model
+        coeffs = [ctx.divide(Decimal(c.numerator), Decimal(c.denominator)) for c in poly.coeffs]
+        terms[(i, j)] = ctx.divide(horner(coeffs, c_dec, ctx).copy_negate(), Decimal(2))
+    return AsymSeries(levels, terms)
 
 
-def _model_mul(a: Model, b: Model, max_level: int, ctx: Context) -> Model:
-    out: Model = {}
-    for (i1, j1), c1 in a.items():
-        for (i2, j2), c2 in b.items():
-            if i1 + i2 > max_level:
-                continue
-            key = (i1 + i2, j1 + j2)
-            out[key] = ctx.add(out.get(key, Decimal(0)), ctx.multiply(c1, c2))
-    return out
-
-
-def _model_pow(base: Model, m: int, max_level: int, ctx: Context) -> Model:
-    out: Model = {(0, 0): Decimal(1)}
-    for _ in range(m):
-        out = _model_mul(out, base, max_level, ctx)
-    return out
-
-
-def _split_levels(model: Model, keep_through: int) -> tuple[Model, Model]:
+def _split_levels(model: AsymSeries, keep_through: int) -> tuple[AsymSeries, AsymSeries]:
     """(terms with level <= keep_through, terms at level keep_through + 1)."""
-    kept = {k: v for k, v in model.items() if k[0] <= keep_through}
-    omitted = {k: v for k, v in model.items() if k[0] == keep_through + 1}
-    return kept, omitted
+    return model.truncated(keep_through), model.level(keep_through + 1)
 
 
-def _model_eval(model: Model, x: Decimal, ctx: Context) -> Decimal:
+def _model_eval(model: AsymSeries, x: Decimal, ctx: Context) -> Decimal:
     ln_x = ctx.ln(x)
     total = Decimal(0)
-    for (i, j), coeff in model.items():
+    for (i, j), coeff in model.terms.items():
         term = ctx.divide(coeff, ctx.power(x, Decimal(i)))
         if j:
             term = ctx.multiply(term, ctx.power(ln_x, Decimal(j)))
@@ -172,23 +146,11 @@ def _model_eval(model: Model, x: Decimal, ctx: Context) -> Decimal:
     return total
 
 
-def _model_derivative(model: Model, ctx: Context) -> Model:
-    # d/dx [ln^j x / x^i] = j ln^{j-1} x / x^{i+1} - i ln^j x / x^{i+1}
-    out: Model = {}
-    for (i, j), coeff in model.items():
-        if j:
-            key = (i + 1, j - 1)
-            out[key] = ctx.add(out.get(key, Decimal(0)), ctx.multiply(coeff, Decimal(j)))
-        key = (i + 1, j)
-        out[key] = ctx.add(out.get(key, Decimal(0)), ctx.multiply(coeff, Decimal(-i)))
-    return out
-
-
-def _model_tail_integral(model: Model, a: Decimal, ctx: Context) -> Decimal:
+def _model_tail_integral(model: AsymSeries, a: Decimal, ctx: Context) -> Decimal:
     """integral_a^inf of the model, exactly by parts (needs every i >= 2)."""
     ln_a = ctx.ln(a)
     total = Decimal(0)
-    for (i, j), coeff in model.items():
+    for (i, j), coeff in model.terms.items():
         if i < 2:
             raise DomainError("tail integral requires decay faster than 1/x")
         base = ctx.divide(
@@ -205,26 +167,25 @@ def _model_tail_integral(model: Model, a: Decimal, ctx: Context) -> Decimal:
     return total
 
 
-def _em_tail(model: Model, a: Decimal, ctx: Context) -> Decimal:
+def _em_tail(model: AsymSeries, a: Decimal, ctx: Context) -> Decimal:
     """sum_{k>=a} f(k) ~ integral_a^inf f + f(a)/2 - f'(a)/12."""
     integral = _model_tail_integral(model, a, ctx)
     half = ctx.divide(_model_eval(model, a, ctx), Decimal(2))
-    deriv = _model_derivative(model, ctx)
-    twelfth = ctx.divide(_model_eval(deriv, a, ctx), Decimal(12))
+    twelfth = ctx.divide(_model_eval(model.derivative(), a, ctx), Decimal(12))
     return ctx.subtract(ctx.add(integral, half), twelfth)
 
 
-def _error_estimate(value_model: Model, omitted_model: Model, a: Decimal, ctx: Context) -> Decimal:
+def _error_estimate(
+    value_model: AsymSeries, omitted_model: AsymSeries, a: Decimal, ctx: Context
+) -> Decimal:
     """Safety-scaled size of the first omitted corrections.
 
     Two truncations happened: the summand model dropped its next series
     level, and Euler--Maclaurin dropped the f'''(a)/720 term.  Both are
     evaluated and inflated by 10.
     """
-    omitted_integral = _model_tail_integral(omitted_model, a, ctx).copy_abs() if omitted_model else Decimal(0)
-    third = value_model
-    for _ in range(3):
-        third = _model_derivative(third, ctx)
+    omitted_integral = _model_tail_integral(omitted_model, a, ctx).copy_abs()
+    third = value_model.derivative().derivative().derivative()
     em_term = ctx.divide(_model_eval(third, a, ctx).copy_abs(), Decimal(720))
     return ctx.multiply(Decimal(10), ctx.add(omitted_integral, em_term))
 
@@ -240,28 +201,31 @@ def _run_sum(term, models, digits: int, precision: int, depth: int | None):
     ``term(ctx, k, alpha) -> Decimal`` is the direct summand; ``models(ctx,
     c_dec) -> (value_model, omitted_model)`` builds the tail.  Returns
     ``(total, depth_used, tail, error)`` as raw decimals at ``precision``.
+    The tail models are built and evaluated with ``ctx`` as the active
+    decimal context, so their series arithmetic rounds at ``precision``.
     """
     ctx = Context(prec=precision)
     c_dec = PrecReal(_default_c(precision), precision).value
-    value_model, omitted_model = models(ctx, c_dec)
-    tolerance = Decimal(1).scaleb(-(digits + 2))
-    stream = logistic_decimals(precision)
-    partial = Decimal(0)
-    k = 0
-    # an explicit depth bypasses the adaptive schedule entirely
-    schedule = list(_CHECKPOINTS) if depth is None else [depth]
-    for n in schedule:
-        while k <= n:
-            partial = ctx.add(partial, term(ctx, k, next(stream)))
-            k += 1
-        a = Decimal(n + 1)
-        tail = _em_tail(value_model, a, ctx)
-        error = _error_estimate(value_model, omitted_model, a, ctx)
-        total = ctx.add(partial, tail)
-        if depth is not None and n == depth:
-            return total, n, tail, error
-        if error <= ctx.multiply(tolerance, abs(total)):
-            return total, n, tail, error
+    with localcontext(ctx):
+        value_model, omitted_model = models(ctx, c_dec)
+        tolerance = Decimal(1).scaleb(-(digits + 2))
+        stream = logistic_decimals(precision)
+        partial = Decimal(0)
+        k = 0
+        # an explicit depth bypasses the adaptive schedule entirely
+        schedule = list(_CHECKPOINTS) if depth is None else [depth]
+        for n in schedule:
+            while k <= n:
+                partial = ctx.add(partial, term(ctx, k, next(stream)))
+                k += 1
+            a = Decimal(n + 1)
+            tail = _em_tail(value_model, a, ctx)
+            error = _error_estimate(value_model, omitted_model, a, ctx)
+            total = ctx.add(partial, tail)
+            if depth is not None and n == depth:
+                return total, n, tail, error
+            if error <= ctx.multiply(tolerance, total.copy_abs()):
+                return total, n, tail, error
     raise RefusalError(
         f"no depth up to {_CHECKPOINTS[-1]} brings the tail error below "
         f"10^-{digits + 2} of the sum; request fewer digits"
@@ -333,8 +297,7 @@ def power_sum(m: int, digits: int, *, depth: int | None = None) -> SumResult:
         return _pow_int(ctx, alpha, m)
 
     def models(ctx, c_dec):
-        base = _alpha_model(c_dec, ctx)
-        full = _model_pow(base, m, m + 3, ctx)
+        full = _alpha_model(c_dec, ctx).truncated(m + 3) ** m
         return _split_levels(full, m + 2)
 
     return _ladder_sum(term, models, m, digits, depth)
@@ -364,7 +327,7 @@ def regularized_s1(digits: int, *, depth: int | None = None) -> SumResult:
 
     def models(ctx, c_dec):
         base = _alpha_model(c_dec, ctx)
-        base.pop((1, 0), None)  # cancelled exactly by the 1/k regularizer
+        base = base - base.level(1)  # cancelled exactly by the 1/k regularizer
         return _split_levels(base, 3)
 
     return _ladder_sum(term, models, 1, digits, depth)
@@ -392,15 +355,15 @@ def sum_of_power_sums(digits: int, *, depth: int | None = None) -> SumResult:
 
     def models(ctx, c_dec):
         base = _alpha_model(c_dec, ctx)
-        # alpha^2/(1-alpha) = alpha^2 * (1 + alpha + alpha^2 + alpha^3 + ...)
-        geometric: Model = {(0, 0): Decimal(1)}
-        power: Model = {(0, 0): Decimal(1)}
+        # alpha^2/(1-alpha) = alpha^2 * (1 + alpha + alpha^2 + alpha^3 + ...);
+        # alpha^2 starts at 1/k**2, so the geometric factor through 1/k**3
+        # carries the product through 1/k**5
+        geometric = power = AsymSeries(3, {(0, 0): Decimal(1)})
         for _ in range(3):
-            power = _model_mul(power, base, 3, ctx)
-            for key, value in power.items():
-                geometric[key] = ctx.add(geometric.get(key, Decimal(0)), value)
-        square = _model_mul(base, base, 5, ctx)
-        full = _model_mul(square, geometric, 5, ctx)
+            power = power * base
+            geometric = geometric + power
+        square = base.truncated(5) ** 2
+        full = square * geometric.truncated(5)
         return _split_levels(full, 4)
 
     return _ladder_sum(term, models, 0, digits, depth)

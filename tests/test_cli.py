@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from decimal import Decimal
 
 import pytest
 
@@ -41,6 +42,19 @@ def test_iterate_exact_rows(capsys):
 def test_iterate_rounded_rows(capsys):
     rows = run_json(capsys, "iterate", "--p", "2/5", "--steps", "3", "--digits", "10")
     assert rows[-1] == {"k": 3, "a": "0.8214144000"}
+
+
+def test_iterate_exact_renders_values_past_the_int_string_limit(capsys):
+    # at 14 steps the numerators pass the 4300 digits that str(int) allows;
+    # at p = 1/2, a_k = n/2**e with n' = 4**e + n**2 and e' = 2e + 1
+    rows = run_json(capsys, "iterate", "--p", "1/2", "--steps", "14", "--exact")
+    expected = [{"k": 0, "a": "0"}]
+    n, e = 1, 1
+    for k in range(1, 15):
+        expected.append({"k": k, "a": f"{Decimal(n)}/{Decimal(2**e)}"})
+        n, e = 4**e + n * n, 2 * e + 1
+    assert rows == expected
+    assert len(rows[-1]["a"]) > 4300
 
 
 def test_iterate_rejects_bad_parameter(capsys):
@@ -237,6 +251,25 @@ def test_format_flag_after_subcommand(capsys):
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["m", "value", "terms_summed", "tail_correction", "error_estimate"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["iterate", "--p", "2/5", "--steps", "3"],
+        ["rate-constant", "--p", "2/5"],
+        ["table1"],
+        ["sums", "--m", "3"],
+        ["s1"],
+        ["bootstrap"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_zero_digits_is_a_domain_error_everywhere(capsys, argv):
+    code, out, err = run(capsys, *argv, "--digits", "0")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_unknown_subcommand_is_an_argparse_error(capsys):

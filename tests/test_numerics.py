@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from decimal import ROUND_DOWN, Decimal
+from decimal import ROUND_DOWN, Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -15,6 +15,7 @@ from quadrec.numerics import (
     PrecReal,
     confirmed_value,
     euler_gamma,
+    horner,
     parse_rational,
 )
 
@@ -96,6 +97,16 @@ def test_precreal_comparisons():
     assert b > a
     assert a <= a
     assert a == PrecReal(Fraction(1, 3), 30)
+
+
+def test_horner_matches_exact_polynomial_value():
+    ctx = Context(prec=50)
+    coeffs = [Decimal(-5), Decimal(3), Decimal("0.25")]
+    assert horner(coeffs, Decimal(2), ctx) == Decimal(2)
+    assert horner([], Decimal(7), ctx) == 0
+    third = PrecReal(Fraction(1, 3), 50).value
+    exact = CPoly([Fraction(-5), Fraction(3), Fraction(1, 4)])(Fraction(third))
+    assert abs(Fraction(horner(coeffs, third, ctx)) - exact) < Fraction(1, 10**48)
 
 
 def test_precreal_negation_and_abs_keep_every_digit():

@@ -20,6 +20,7 @@ from quadrec.recurrence import (
     iterate_exact,
     iterate_real,
     logistic_iterate,
+    orbit_decimals,
 )
 
 # ---------------------------------------------------------------------------
@@ -181,6 +182,13 @@ def test_real_orbit_explicit_sample_ks():
     assert [s.k for s in orbit] == [0, 8, 64]
     exact = iterate_exact(params, 8)[8].a
     assert abs(orbit[1].a.value - PrecReal(exact, 25).value) < Decimal("1e-20")
+
+
+def test_orbit_stream_rounds_the_exact_orbit():
+    params = classify(Fraction(2, 5))
+    stream = orbit_decimals(params, 40)
+    for sample in iterate_exact(params, 12):
+        assert abs(Fraction(next(stream)) - sample.a) < Fraction(12, 10**38)
 
 
 def test_final_value_agrees_with_orbit_endpoint():

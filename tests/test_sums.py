@@ -127,10 +127,10 @@ def test_alpha_model_coefficients_keep_the_working_precision():
     c_dec = PrecReal("3.53598757227230810088726881356226466215261911090888889", precision).value
     model = _alpha_model(c_dec, Context(prec=precision))
     entries = {key: poly for key, poly in _tail_table().entries.items() if key[0] <= 4}
-    assert set(model) == set(entries)
+    assert set(model.terms) == set(entries)
     for key, poly in entries.items():
         exact = -poly(Fraction(c_dec)) / 2
-        assert abs(Fraction(model[key]) - exact) <= Fraction(1, 10**50) * max(1, abs(exact))
+        assert abs(Fraction(model.terms[key]) - exact) <= Fraction(1, 10**50) * max(1, abs(exact))
 
 
 # ---------------------------------------------------------------------------
