@@ -104,9 +104,9 @@ def rate_constant(p, digits: int = 15) -> RateConstantResult:
     """C(p) certified to ``digits`` decimal places.
 
     ``digits < 1`` is a domain error.  Refuses the critical point (no
-    geometric rate exists there) and ratios q > 999/1000.  The product is evaluated at ``digits + 20`` working
-    digits and confirmed by a rerun with 20 more; the returned ``PrecReal``
-    is the higher-precision run.
+    geometric rate exists there) and ratios q > 999/1000.  The product is
+    evaluated at ``digits + 20`` working digits and confirmed by a rerun
+    with 20 more; the returned ``PrecReal`` is the higher-precision run.
     """
     if digits < 1:
         raise DomainError("digits must be at least 1")
