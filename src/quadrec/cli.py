@@ -34,6 +34,7 @@ from .recurrence import classify, iterate_exact, iterate_real
 from .series_engine import solve_coefficients
 from .sums import (
     bootstrap_check,
+    divergence_decimals,
     harmonic_divergence_diagnostic,
     power_sum,
     regularized_s1,
@@ -219,10 +220,11 @@ def _cmd_bootstrap(args):
 
 def _cmd_diverge_check(args):
     partial, reference = harmonic_divergence_diagnostic(args.N, args.precision)
+    shown = min(10, divergence_decimals(args.N, args.precision))
     row = {
         "N": args.N,
-        "partial_sum": partial.digit_string(10),
-        "reference": reference.digit_string(10),
+        "partial_sum": partial.digit_string(shown),
+        "reference": reference.digit_string(shown),
         "difference": str(partial - reference),
     }
     return [row], True

@@ -20,17 +20,19 @@ The substitution ``alpha_k = (1 - a_k)/2`` at p = 1/2 turns the recurrence
 into the boundary logistic map ``alpha_k = alpha_{k-1}*(1 - alpha_{k-1})``
 with ``alpha_0 = 1/2``; the tail-sum module works in that coordinate.
 
-Exact orbits double in bit length every step (denominators are squared), so
-the exact drivers refuse past a step cap instead of silently consuming
-memory.  Precision-tracked orbits use two rounded operations per step, so
+``iterate_exact`` is the one exact orbit: ``logistic_iterate`` reads its
+rationals off the p = 1/2 orbit.  Exact values double in bit length every
+step (denominators are squared), so ``iterate_exact`` refuses any request
+whose denominators could pass 2**EXACT_STEP_CAP bits instead of running for
+hours.  Precision-tracked orbits use two rounded operations per step, so
 after ``n`` steps the accumulated absolute error is below ``3*n*10**(2-P)``
 at working precision ``P`` (the map is a contraction towards r on [0, r],
 so per-step errors do not amplify).
 
 Every Decimal orbit comes from one of two endless streams:
-``orbit_decimals`` (a_k) and ``logistic_decimals`` (alpha_k).  The second is
-not derived from the first: alpha_k ~ 1/k, so forming (1 - a_k)/2 would
-cancel about log10(k) leading digits.
+``orbit_decimals`` (a_k) and ``logistic_decimals`` (alpha_k).  Unlike the
+exact logistic orbit, the second is not derived from the first: alpha_k ~
+1/k, so forming (1 - a_k)/2 would cancel about log10(k) leading digits.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ from typing import Iterator, Sequence, Union
 from .errors import DomainError, ExactCapError
 from .numerics import PrecReal
 
-#: Default refusal boundary for exact orbits (bit length doubles per step).
-EXACT_STEP_CAP = 30
+#: Exact orbits are refused past this many steps, and wherever the bound on
+#: their denominators' bit length reaches 2**EXACT_STEP_CAP.
+EXACT_STEP_CAP = 20
 
 Value = Union[Fraction, PrecReal]
 
@@ -98,26 +101,24 @@ def classify(p) -> Params:
     return Params(p=p, regime=regime, r=r, q=2 * r * p)
 
 
-def _check_seed(seed) -> None:
-    if Fraction(seed) != 0:
-        raise DomainError("the orbit seed is fixed at a_0 = 0; other seeds are not supported")
-
-
-def iterate_exact(
-    params: Params, n: int, *, cap: int = EXACT_STEP_CAP, seed=Fraction(0)
-) -> list[OrbitSample]:
+def iterate_exact(params: Params, n: int) -> list[OrbitSample]:
     """Exact orbit samples (k, a_k, r - a_k) for k = 0..n as rationals.
 
-    Refuses when ``n`` exceeds ``cap``: the bit length of a_k doubles each
-    step, so large exact requests are hopeless rather than merely slow.
+    For p = u/v the denominator of a_n divides v**(2**n - 1), so its bit
+    length is at most (2**n - 1) * (v - 1).bit_length().  The request is
+    refused when ``n`` exceeds ``EXACT_STEP_CAP`` or that bound reaches
+    2**EXACT_STEP_CAP bits: such orbits are hopeless rather than merely slow.
     """
-    _check_seed(seed)
     if n < 0:
         raise DomainError("step count must be nonnegative")
-    if n > cap:
+    # the step test comes first, so a huge n never builds 2**n
+    if n > EXACT_STEP_CAP or (
+        (2**n - 1) * (params.p.denominator - 1).bit_length() >= 2**EXACT_STEP_CAP
+    ):
         raise ExactCapError(
-            f"exact orbit of length {n} exceeds the cap of {cap} steps "
-            "(values double in bit length every step); use a precision-tracked orbit"
+            f"exact orbit of length {n} at p = {params.p} exceeds the cap of "
+            f"2**{EXACT_STEP_CAP} bits (denominators square every step); "
+            "use a precision-tracked orbit"
         )
     one_minus_p, p, r = 1 - params.p, params.p, params.r
     a = Fraction(0)
@@ -151,7 +152,6 @@ def iterate_real(
     precision: int,
     *,
     sample_ks: Sequence[int] | None = None,
-    seed=Fraction(0),
 ) -> list[OrbitSample]:
     """Precision-tracked orbit samples (k, a_k, r - a_k).
 
@@ -161,7 +161,6 @@ def iterate_real(
     multiply-add on top of one squaring), so sample k carries absolute
     error below ``3*k*10**(2-P)``.
     """
-    _check_seed(seed)
     if n < 0:
         raise DomainError("step count must be nonnegative")
     if sample_ks is None:
@@ -203,30 +202,14 @@ def orbit_decimals(params: Params, precision: int) -> Iterator[Decimal]:
         a = fma(p, multiply(a, a), one_minus_p)
 
 
-def logistic_iterate(
-    n: int, *, precision: int | None = None, cap: int = EXACT_STEP_CAP
-) -> list[Value]:
-    """Orbit alpha_0..alpha_n of the boundary logistic map from alpha_0 = 1/2.
+def logistic_iterate(n: int) -> list[Fraction]:
+    """Exact orbit alpha_0..alpha_n of the boundary logistic map from alpha_0 = 1/2.
 
-    Exact rationals when ``precision`` is ``None`` (subject to the same
-    doubling cap as the quadratic orbit), ``PrecReal`` values otherwise.
+    Read off the critical orbit as alpha_k = (1 - a_k)/2, half its residual
+    b_k (r = 1 at p = 1/2).  That is exact in rationals; only a rounded
+    stream would cancel digits.  Refused wherever ``iterate_exact`` is.
     """
-    if n < 0:
-        raise DomainError("step count must be nonnegative")
-    if precision is None:
-        if n > cap:
-            raise ExactCapError(
-                f"exact logistic orbit of length {n} exceeds the cap of {cap} steps; "
-                "pass a working precision instead"
-            )
-        a = Fraction(1, 2)
-        out: list[Value] = [a]
-        for _ in range(n):
-            a = a * (1 - a)
-            out.append(a)
-        return out
-    stream = logistic_decimals(precision)
-    return [PrecReal(next(stream), precision) for _ in range(n + 1)]
+    return [s.b / 2 for s in iterate_exact(classify(Fraction(1, 2)), n)]
 
 
 def logistic_decimals(precision: int) -> Iterator[Decimal]:

@@ -44,7 +44,7 @@ from functools import lru_cache
 from .critical import estimate_constant
 from .errors import DomainError, PrecisionError, RefusalError
 from .numerics import GUARD_DIGITS, PrecReal, euler_gamma, horner
-from .recurrence import EXACT_STEP_CAP, logistic_decimals, logistic_iterate
+from .recurrence import logistic_decimals, logistic_iterate
 from .series_engine import AsymSeries, solve_coefficients
 
 #: Depth schedule for adaptive direct summation.
@@ -252,6 +252,17 @@ def _ladder_sum(term, models, m: int, digits: int, depth: int | None) -> SumResu
     )
 
 
+def _check_digits(digits: int, cap: int, quantity: str) -> None:
+    """Reject a digit request below 1 (domain) or above the tail model's cap."""
+    if digits < 1:
+        raise DomainError("digits must be positive")
+    if digits > cap:
+        raise RefusalError(
+            f"the three-term tail model certifies at most {cap} digits "
+            f"for {quantity}, got {digits}"
+        )
+
+
 def _pow_int(ctx: Context, a: Decimal, m: int) -> Decimal:
     out = a
     for _ in range(m - 1):
@@ -264,15 +275,16 @@ def _pow_int(ctx: Context, a: Decimal, m: int) -> Decimal:
 # ---------------------------------------------------------------------------
 
 
-def s2_identity_check(n: int, *, cap: int = EXACT_STEP_CAP) -> S2Witness:
+def s2_identity_check(n: int) -> S2Witness:
     """Exact witness that sum_{k<=n} alpha_k^2 equals 1/2 - alpha_{n+1}.
 
     Pure rational arithmetic end to end; ``holds`` is exact equality, not a
-    tolerance check.
+    tolerance check.  The exact-orbit cap applies to ``n``; alpha_{n+1} is
+    one more logistic step taken here.
     """
-    orbit = logistic_iterate(n + 1, cap=cap + 1)
-    partial = sum((a * a for a in orbit[: n + 1]), Fraction(0))
-    complement = Fraction(1, 2) - orbit[n + 1]
+    orbit = logistic_iterate(n)
+    partial = sum((a * a for a in orbit), Fraction(0))
+    complement = Fraction(1, 2) - orbit[n] * (1 - orbit[n])
     return S2Witness(n=n, partial=partial, complement=complement, holds=partial == complement)
 
 
@@ -285,13 +297,7 @@ def power_sum(m: int, digits: int, *, depth: int | None = None) -> SumResult:
     """
     if m < 2:
         raise DomainError("power sums need m >= 2; the m = 1 sum only exists regularized")
-    if digits < 1:
-        raise DomainError("digits must be positive")
-    if digits > MAX_DIGITS_POWER:
-        raise RefusalError(
-            f"the three-term tail model certifies at most {MAX_DIGITS_POWER} digits "
-            f"for power sums, got {digits}"
-        )
+    _check_digits(digits, MAX_DIGITS_POWER, "power sums")
 
     def term(ctx, k, alpha):
         return _pow_int(ctx, alpha, m)
@@ -310,13 +316,7 @@ def regularized_s1(digits: int, *, depth: int | None = None) -> SumResult:
     cutoffs; the series model (whose 1/k level cancels exactly against the
     regularizer) accelerates it to the supported 8 digits.
     """
-    if digits < 1:
-        raise DomainError("digits must be positive")
-    if digits > MAX_DIGITS_S1:
-        raise RefusalError(
-            f"the three-term tail model certifies at most {MAX_DIGITS_S1} digits "
-            f"for the regularized sum, got {digits}"
-        )
+    _check_digits(digits, MAX_DIGITS_S1, "the regularized sum")
 
     one = Decimal(1)
 
@@ -340,13 +340,7 @@ def sum_of_power_sums(digits: int, *, depth: int | None = None) -> SumResult:
     column sum, so one orbit pass covers every power at once.  Reported
     with ``m = 0`` as the family marker.
     """
-    if digits < 1:
-        raise DomainError("digits must be positive")
-    if digits > MAX_DIGITS_POWER:
-        raise RefusalError(
-            f"the three-term tail model certifies at most {MAX_DIGITS_POWER} digits, "
-            f"got {digits}"
-        )
+    _check_digits(digits, MAX_DIGITS_POWER, "the sum of power sums")
 
     one = Decimal(1)
 
@@ -376,13 +370,7 @@ def bootstrap_check(digits: int) -> BootstrapReport:
     is assembled entirely from orbit sums.  The residual is limited by the
     8-digit cap on s_1, so requests beyond 6 digits are refused.
     """
-    if digits < 1:
-        raise DomainError("digits must be positive")
-    if digits > MAX_DIGITS_BOOTSTRAP:
-        raise RefusalError(
-            f"the bootstrap residual is certified to at most {MAX_DIGITS_BOOTSTRAP} "
-            f"digits (s_1 caps it), got {digits}"
-        )
+    _check_digits(digits, MAX_DIGITS_BOOTSTRAP, "the bootstrap residual (s_1 caps it)")
     precision = digits + 2 * GUARD_DIGITS
     c_half = PrecReal(_default_c(precision), precision) / 2
     gamma = euler_gamma(precision)
@@ -409,6 +397,7 @@ def harmonic_divergence_diagnostic(n: int, precision: int) -> tuple[PrecReal, Pr
     """
     if n < 100:
         raise DomainError("the diagnostic needs n >= 100")
+    divergence_decimals(n, precision)
     ctx = Context(prec=precision)
     stream = logistic_decimals(precision)
     partial = Decimal(0)
@@ -421,3 +410,22 @@ def harmonic_divergence_diagnostic(n: int, precision: int) -> tuple[PrecReal, Pr
         + PrecReal(s1.value, precision)
     )
     return PrecReal(partial, precision), reference
+
+
+def divergence_decimals(n: int, precision: int) -> int:
+    """Decimal places of sum_{k<=n} alpha_k that rounding at ``precision`` keeps.
+
+    alpha_k < 1/(k + 2), so the partial sum stays below ln(n + 2) + 1 (under
+    100 for every n below 10**40), and each of its n + 1 additions rounds by
+    at most half a unit of 10**(2 - precision); the orbit steps, a
+    contraction, add less.  For n below 10**L the rounding error therefore
+    stays below one unit in the (precision - L - 2)-th decimal place.
+    Refused when that leaves no decimal at all.
+    """
+    decimals = precision - len(str(n)) - 2
+    if decimals < 1:
+        raise RefusalError(
+            f"precision {precision} leaves no correct decimal in a sum of {n + 1} "
+            f"terms; raise it to at least {len(str(n)) + 3}"
+        )
+    return decimals

@@ -69,6 +69,14 @@ def test_iterate_exact_cap_exit_code(capsys):
     assert "cap" in err
 
 
+def test_iterate_exact_size_cap_exit_code(capsys):
+    # 17 steps are under the step cap, but at p = 999/1000 the denominators
+    # could reach 10 * (2**17 - 1) bits, past the size cap
+    code, _out, err = run(capsys, "iterate", "--p", "999/1000", "--steps", "17", "--exact")
+    assert code == 3
+    assert "cap" in err
+
+
 def test_iterate_precision_must_cover_digits(capsys):
     code, _out, err = run(
         capsys, "iterate", "--p", "1/2", "--steps", "3", "--digits", "15",
@@ -232,6 +240,17 @@ def test_diverge_check_command(capsys):
     assert set(obj) == {"N", "partial_sum", "reference", "difference"}
     assert obj["partial_sum"] == "3.6568540221"
     assert obj["reference"] == "3.5804210679"
+
+
+def test_diverge_check_shows_only_supported_decimals(capsys):
+    # a sum of 201 terms at 8 digits keeps 3 decimals; at 5 digits none
+    obj = run_json(capsys, "diverge-check", "--N", "200", "--precision", "8")
+    assert obj["partial_sum"] == "4.316"
+    assert obj["reference"] == "4.274"
+    code, out, err = run(capsys, "diverge-check", "--N", "200", "--precision", "5")
+    assert code == 4
+    assert out == ""
+    assert "precision" in err
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from decimal import Decimal
 
 import pytest
 
+import quadrec.critical
 from quadrec.critical import (
     CriticalEstimate,
     estimate_constant,
@@ -122,6 +123,20 @@ def test_residual_check_validates_inputs():
         residual_order_check(2, [5, 20], 40)
     with pytest.raises(DomainError):
         residual_order_check(0, [10, 20], 40)
+
+
+def test_residual_check_solves_its_table_once(monkeypatch):
+    # without a supplied C the check estimates its own, from the same table
+    orders = []
+
+    def counting_solve(order):
+        orders.append(order)
+        return solve_coefficients(order)
+
+    monkeypatch.setattr(quadrec.critical, "solve_coefficients", counting_solve)
+    rows = residual_order_check(3, [10, 20], 40)
+    assert orders == [4]
+    assert [k for k, _ in rows] == [10, 20]
 
 
 def test_residuals_decrease_with_depth(reference_estimate):

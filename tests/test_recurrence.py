@@ -19,6 +19,7 @@ from quadrec.recurrence import (
     final_value,
     iterate_exact,
     iterate_real,
+    logistic_decimals,
     logistic_iterate,
     orbit_decimals,
 )
@@ -119,19 +120,26 @@ def test_exact_orbit_cap_and_domain():
         iterate_exact(params, EXACT_STEP_CAP + 1)
     with pytest.raises(DomainError):
         iterate_exact(params, -1)
-    # the cap is adjustable in both directions (values double in bit length
-    # per step, so raising it far beyond the default is hopeless, not slow)
+
+
+@pytest.mark.parametrize(
+    "p, largest",
+    [
+        ("1/2", 20),
+        ("1/3", 19),
+        ("2/5", 18),
+        ("9/10", 18),
+        ("999/1000", 16),
+        ("1/1000000000", 15),
+    ],
+)
+def test_exact_orbit_is_refused_by_size(p, largest):
+    # the bound on the denominators' bit length, (2**n - 1)*(v - 1).bit_length()
+    # for p = u/v, admits fewer steps the larger v is
+    params = classify(p)
+    assert len(iterate_exact(params, largest)) == largest + 1
     with pytest.raises(ExactCapError):
-        iterate_exact(params, 5, cap=4)
-    assert len(iterate_exact(params, 5, cap=5)) == 6
-
-
-def test_orbit_seed_is_pinned_at_zero():
-    params = classify(Fraction(1, 2))
-    with pytest.raises(DomainError):
-        iterate_exact(params, 2, seed=Fraction(1, 2))
-    with pytest.raises(DomainError):
-        iterate_real(params, 2, 30, seed=Fraction(1, 3))
+        iterate_exact(params, largest + 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -242,15 +250,12 @@ def test_logistic_is_half_complement_of_critical_orbit():
         assert alpha == (1 - sample.a) / 2
 
 
-def test_logistic_precision_mode_matches_exact():
+def test_logistic_decimals_match_exact():
     exact = logistic_iterate(10)
-    real = logistic_iterate(10, precision=30)
-    for e, r in zip(exact, real):
-        assert abs(r.value - PrecReal(e, 30).value) < Decimal("1e-25")
+    for e, r in zip(exact, logistic_decimals(30)):
+        assert abs(r - PrecReal(e, 30).value) < Decimal("1e-25")
 
 
 def test_logistic_cap():
     with pytest.raises(ExactCapError):
         logistic_iterate(EXACT_STEP_CAP + 1)
-    # precision mode has no cap
-    assert len(logistic_iterate(EXACT_STEP_CAP + 1, precision=20)) == EXACT_STEP_CAP + 2
