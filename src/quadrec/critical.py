@@ -204,11 +204,10 @@ def residual_order_check(
     ks = sorted(set(int(k) for k in ks))
     if ks[0] < 10:
         raise DomainError("step indices must be >= 10")
-    estimate_order = max(order, 4)
     if table is None:
-        table = solve_coefficients(max(order, 2) if c_value is not None else estimate_order)
+        table = solve_coefficients(max(order, 4))
     if c_value is None:
-        c_value = estimate_constant(10**5, estimate_order, max(precision, 40), table=table).C
+        c_value = estimate_constant(10**5, max(order, 4), max(precision, 40), table=table).C
     c_value = PrecReal(c_value, precision)
     samples = iterate_real(classify(_CRITICAL_P), ks[-1], precision, sample_ks=ks)
     return [(s.k, abs(s.a - eval_series(table, s.k, c_value, order))) for s in samples]
