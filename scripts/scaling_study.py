@@ -14,7 +14,7 @@ import argparse
 import time
 
 from quadrec.critical import estimate_constant
-from quadrec.series_engine import solve_coefficients
+from quadrec.series_engine import MAX_ORDER, solve_coefficients
 
 
 def main() -> int:
@@ -22,13 +22,18 @@ def main() -> int:
     parser.add_argument("--max-order", type=int, default=14)
     parser.add_argument("--max-depth-exp", type=int, default=5)
     args = parser.parse_args()
+    if args.max_order > MAX_ORDER:
+        parser.error(f"--max-order is at most {MAX_ORDER}, the solver's limit")
 
     print("solver cost by truncation order")
     print(f"{'order':>6} {'entries':>8} {'seconds':>8}")
+    # each order extends the table already derived, so the steps are summed:
+    # the column is the cost of deriving that order from scratch
+    elapsed = 0.0
     for order in range(4, args.max_order + 1, 2):
         t0 = time.perf_counter()
         table = solve_coefficients(order)
-        elapsed = time.perf_counter() - t0
+        elapsed += time.perf_counter() - t0
         entries = sum(1 for _ in table.iter_entries())
         print(f"{order:>6} {entries:>8} {elapsed:>8.3f}")
 

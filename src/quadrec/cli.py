@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .critical import estimate_constant, residual_order_check
 from .errors import DomainError, ExactCapError, QuadrecError, RefusalError
-from .numerics import CPoly, parse_rational
+from .numerics import parse_rational
 from .rate_constants import rate_constant, rate_constant_table
 from .recurrence import classify, iterate_exact, iterate_real
 from .series_engine import solve_coefficients
@@ -225,7 +225,7 @@ def _cmd_diverge_check(args):
         "N": args.N,
         "partial_sum": partial.digit_string(shown),
         "reference": reference.digit_string(shown),
-        "difference": str(partial - reference),
+        "difference": (partial - reference).digit_string(shown),
     }
     return [row], True
 
@@ -270,14 +270,9 @@ def _csv_cell(value):
     return value
 
 
-def _render_text(rows, command):
-    if command == "derive":
-        # reconstruct the display form "c[i][j] = ..." from exact coefficients
-        lines = []
-        for row in rows:
-            poly = CPoly(Fraction(s) for s in row["coeffs"])
-            lines.append(f"c[{row['i']}][{row['j']}] = {poly.format_str()}")
-        return "\n".join(lines)
+def _render_text(rows, args):
+    if args.command == "derive":
+        return "\n".join(solve_coefficients(args.order).format_text_lines())
     keys = list(rows[0].keys())
     cells = [[_text_cell(row[k]) for k in keys] for row in rows]
     widths = [max(len(keys[i]), *(len(r[i]) for r in cells)) for i in range(len(keys))]
@@ -317,7 +312,7 @@ def main(argv=None) -> int:
     elif args.format == "csv":
         print(_render_csv(rows))
     else:
-        print(_render_text(rows, args.command))
+        print(_render_text(rows, args))
     if args.verbose:
         print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return 0

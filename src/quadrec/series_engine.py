@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Any, Iterator
 
-from .errors import DomainError, EngineError
+from .errors import DomainError, EngineError, RefusalError
 from .numerics import CPoly, PrecReal, horner
 
 Key = tuple[int, int]  # (i, j) indexes the monomial ln(k)**j / k**i
@@ -282,6 +282,14 @@ _SEEDS: dict[Key, CPoly] = {
     (2, 0): CPoly.variable(),
 }
 
+#: The highest order ``solve_coefficients`` derives: the cost grows about
+#: 1.8x per two orders, and order 20 already takes seconds.
+MAX_ORDER = 20
+
+#: Every c[i][j] derived in this process, in derivation order (the seeds,
+#: then i ascending, j descending); a table is a prefix of the next order's.
+_DERIVED: dict[Key, CPoly] = dict(_SEEDS)
+
 
 def solve_coefficients(max_order: int) -> CoefficientTable:
     """Derive every c[i][j] with i <= max_order by formal matching.
@@ -294,12 +302,16 @@ def solve_coefficients(max_order: int) -> CoefficientTable:
         slot(i+1, j-1) += j * c[i][j].
 
     Every slot that the theory forces to vanish is checked; a nonzero
-    forced slot raises ``EngineError``.
+    forced slot raises ``EngineError``.  Orders already derived in this
+    process are looked up, not solved again; an order above ``MAX_ORDER``
+    raises ``RefusalError``.
     """
     if max_order < 2:
         raise DomainError("the expansion starts at order 2; max_order must be >= 2")
-    entries = dict(_SEEDS)
-    for i in range(3, max_order + 1):
+    if max_order > MAX_ORDER:
+        raise RefusalError(f"order {max_order} exceeds the solver's limit of {MAX_ORDER}")
+    entries = dict(_DERIVED)
+    for i in range(next(reversed(entries))[0] + 1, max_order + 1):
         truncation = i + 1
         partial = CoefficientTable(i - 1, entries).as_series(order=truncation)
         residual = shift(partial) - apply_map(partial)
@@ -320,7 +332,9 @@ def solve_coefficients(max_order: int) -> CoefficientTable:
             entries[(i, j)] = value
             if j >= 1:
                 slots[j - 1] = slots[j - 1] + value * j
-    return CoefficientTable(max_order, entries)
+    # published in one update, so an interrupted solve leaves no partial order
+    _DERIVED.update(entries)
+    return CoefficientTable(max_order, {k: v for k, v in entries.items() if k[0] <= max_order})
 
 
 def fixed_point_defect(table: CoefficientTable, order: int | None = None) -> AsymSeries:

@@ -104,11 +104,6 @@ class BootstrapReport:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _tail_table():
-    return solve_coefficients(6)
-
-
 @lru_cache(maxsize=8)
 def _default_c(precision: int) -> PrecReal:
     """A fresh moderate-depth estimate of the critical constant.
@@ -116,14 +111,14 @@ def _default_c(precision: int) -> PrecReal:
     Depth 10**5 at order 6 carries a truncation bound near 10**-18, far
     beyond what any supported digit request needs.
     """
-    return estimate_constant(10**5, 6, max(40, precision), table=_tail_table()).C
+    return estimate_constant(10**5, 6, max(40, precision)).C
 
 
 def _alpha_model(c_dec: Decimal, ctx: Context, levels: int = _MODEL_LEVELS) -> AsymSeries:
     """alpha_k ~ sum over 1 <= i <= levels of -c[i][j]/2 * ln(k)**j / k**i."""
     terms = {}
-    for (i, j), poly in _tail_table().entries.items():
-        if i > levels or poly.is_zero:
+    for (i, j), poly in solve_coefficients(levels).entries.items():
+        if poly.is_zero:
             continue
         coeffs = [ctx.divide(Decimal(c.numerator), Decimal(c.denominator)) for c in poly.coeffs]
         terms[(i, j)] = ctx.divide(horner(coeffs, c_dec, ctx).copy_negate(), Decimal(2))

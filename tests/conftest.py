@@ -23,6 +23,6 @@ def table10():
 
 
 @pytest.fixture(scope="session")
-def reference_estimate(table6):
+def reference_estimate():
     """Moderate-depth critical estimate, good to ~17 digits."""
-    return estimate_constant(10**5, 6, 60, table=table6)
+    return estimate_constant(10**5, 6, 60)

@@ -184,6 +184,21 @@ def test_critical_c_refuses_starved_precision(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("command", ["derive", "critical-c", "residual-check"])
+def test_orders_past_the_solver_limit_are_refused(capsys, command):
+    code, out, err = run(capsys, command, "--order", "21")
+    assert code == 4
+    assert out == ""
+    assert "order 21" in err
+
+
+def test_critical_c_refuses_depth_past_the_limit(capsys):
+    code, out, err = run(capsys, "critical-c", "--N", str(10**7 + 1))
+    assert code == 4
+    assert out == ""
+    assert "depth" in err
+
+
 def test_residual_check_rows_decrease(capsys):
     rows = run_json(
         capsys, "residual-check", "--order", "2", "--N", "160", "--precision", "40"
@@ -247,6 +262,7 @@ def test_diverge_check_shows_only_supported_decimals(capsys):
     obj = run_json(capsys, "diverge-check", "--N", "200", "--precision", "8")
     assert obj["partial_sum"] == "4.316"
     assert obj["reference"] == "4.274"
+    assert obj["difference"] == "0.042"
     code, out, err = run(capsys, "diverge-check", "--N", "200", "--precision", "5")
     assert code == 4
     assert out == ""

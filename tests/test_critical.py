@@ -6,7 +6,7 @@ from decimal import Decimal
 
 import pytest
 
-import quadrec.critical
+import quadrec.series_engine as series_engine
 from quadrec.critical import (
     CriticalEstimate,
     estimate_constant,
@@ -16,7 +16,7 @@ from quadrec.critical import (
 from quadrec.errors import DomainError, RefusalError
 from quadrec.numerics import PrecReal
 from quadrec.recurrence import classify
-from quadrec.series_engine import eval_series, solve_coefficients
+from quadrec.series_engine import eval_series, fixed_point_defect, solve_coefficients
 
 # Cross-validated by deep runs (depth 10**6 and 4*10**6 at orders 5/6 agree
 # through ~17 digits); digits beyond that are not certified here.
@@ -62,12 +62,6 @@ def test_estimate_order_stability():
 def test_newton_diagnostics_are_small(reference_estimate):
     assert reference_estimate.newton_iterations <= 10
     assert reference_estimate.newton_residual < Decimal("1e-40")
-
-
-def test_estimate_accepts_a_prebuilt_table(table6):
-    a = estimate_constant(10**3, 4, 40, table=table6)
-    b = estimate_constant(10**3, 4, 40)
-    assert a.C.value == b.C.value
 
 
 def test_estimate_refuses_insufficient_precision():
@@ -125,18 +119,26 @@ def test_residual_check_validates_inputs():
         residual_order_check(0, [10, 20], 40)
 
 
-def test_residual_check_solves_its_table_once(monkeypatch):
-    # without a supplied C the check estimates its own, from the same table
-    orders = []
-
-    def counting_solve(order):
-        orders.append(order)
-        return solve_coefficients(order)
-
-    monkeypatch.setattr(quadrec.critical, "solve_coefficients", counting_solve)
+def test_solved_orders_are_looked_up_not_derived_again(monkeypatch):
+    # holds whatever earlier tests solved: after order 12 is derived, every
+    # order up to it, and the residual check, are lookups in the one table
+    solve_coefficients(12)
+    derived = []
+    apply_map = series_engine.apply_map
+    monkeypatch.setattr(
+        series_engine, "apply_map", lambda series: derived.append(series.order) or apply_map(series)
+    )
+    tables = {order: solve_coefficients(order) for order in range(3, 13)}
     rows = residual_order_check(3, [10, 20], 40)
-    assert orders == [4]
+    assert derived == []
     assert [k for k, _ in rows] == [10, 20]
+    monkeypatch.undo()
+    for order, table in tables.items():
+        fresh_solve_order = [(1, 0), (2, 1), (2, 0)] + [
+            (i, j) for i in range(3, order + 1) for j in range(i - 1, -1, -1)
+        ]
+        assert list(table.entries) == fresh_solve_order
+        assert fixed_point_defect(table).terms == {}
 
 
 def test_residuals_decrease_with_depth(reference_estimate):
@@ -150,9 +152,7 @@ def test_residuals_decrease_with_depth(reference_estimate):
 def test_residual_matches_direct_series_comparison(table6, reference_estimate):
     from quadrec.recurrence import final_value
 
-    rows = residual_order_check(
-        3, [50], 40, c_value=reference_estimate.C, table=table6
-    )
+    rows = residual_order_check(3, [50], 40, c_value=reference_estimate.C)
     k, residual = rows[0]
     a_k = final_value(classify("1/2"), k, 40)
     series = eval_series(table6, k, reference_estimate.C, 3)

@@ -9,12 +9,12 @@ import pytest
 
 from quadrec.errors import DomainError, ExactCapError, RefusalError
 from quadrec.numerics import PrecReal
+from quadrec.series_engine import solve_coefficients
 from quadrec.sums import (
     MAX_DIGITS_BOOTSTRAP,
     MAX_DIGITS_POWER,
     MAX_DIGITS_S1,
     _alpha_model,
-    _tail_table,
     bootstrap_check,
     harmonic_divergence_diagnostic,
     power_sum,
@@ -123,7 +123,7 @@ def test_alpha_model_coefficients_keep_the_working_precision():
     precision = 53
     c_dec = PrecReal("3.53598757227230810088726881356226466215261911090888889", precision).value
     model = _alpha_model(c_dec, Context(prec=precision))
-    entries = {key: poly for key, poly in _tail_table().entries.items() if key[0] <= 4}
+    entries = {key: poly for key, poly in solve_coefficients(6).entries.items() if key[0] <= 4}
     assert set(model.terms) == set(entries)
     for key, poly in entries.items():
         exact = -poly(Fraction(c_dec)) / 2
