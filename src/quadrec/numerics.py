@@ -27,7 +27,7 @@ from __future__ import annotations
 import decimal
 from decimal import Context, Decimal
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 from .errors import DomainError, PrecisionError, RefusalError
 
@@ -46,6 +46,7 @@ _EULER_GAMMA_110 = (
 _GAMMA_MAX_PRECISION = 105
 
 Scalar = Union[int, Fraction, Decimal]
+T = TypeVar("T")
 
 
 def parse_rational(text: str) -> Fraction:
@@ -215,8 +216,8 @@ class PrecReal:
             return NotImplemented
         return pair[0] >= pair[1]
 
-    def __hash__(self):
-        return hash(self.value)
+    # No __hash__: equality is taken at the lower of two precisions, so equal
+    # values may differ in their trailing digits and no hash can agree with it.
 
     # -- rendering ---------------------------------------------------------------
 
@@ -243,12 +244,11 @@ class PrecReal:
         return f"PrecReal({str(self.value)!r}, precision={self.precision})"
 
 
-def confirmed_value(
-    compute: Callable[[int], PrecReal], digits: int, precision: int
-) -> PrecReal:
+def confirmed_value(compute: Callable[[int], T], digits: int, precision: int) -> T:
     """Run ``compute`` at ``precision`` and ``precision + 20`` and compare.
 
-    The two results must agree to within one unit in the ``digits``-th
+    ``compute`` returns a ``PrecReal``, or a result whose ``.value`` is one;
+    the two values must agree to within one unit in the ``digits``-th
     decimal place; the higher-precision result is returned.  Disagreement
     raises ``PrecisionError`` -- no value is ever reported on the strength
     of a single run.

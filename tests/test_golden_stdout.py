@@ -149,9 +149,9 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
 {
   "m": 4,
   "value": "0.0689777061",
-  "terms_summed": 1001,
-  "tail_correction": "3.2407583257136517052685508633071878319809448205774E-10",
-  "error_estimate": "2.0317961881564612042914088183703041148219202672149E-14"
+  "terms_summed": 10001,
+  "tail_correction": "3.3216313251077054045690424808087182936452064805278E-13",
+  "error_estimate": "1.6607495894440855205534059050571636154459281283606E-37"
 }
 """,
     ),
@@ -161,9 +161,9 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
 {
   "m": 1,
   "value": "-1.602",
-  "terms_summed": 1001,
-  "tail_correction": "-0.009633561773315919031126864529045252944287722",
-  "error_estimate": "0.000001837781926922084193112954375821054859275663"
+  "terms_summed": 10001,
+  "tail_correction": "-0.0011971738476497290473402011277008985469423",
+  "error_estimate": "2.385470130457859843700675298600083605966313E-37"
 }
 """,
     ),

@@ -119,6 +119,17 @@ def test_precreal_negation_and_abs_keep_every_digit():
     assert (-x).precision == abs(x).precision == 40
 
 
+def test_precreal_is_unhashable():
+    # equality holds at the lower precision, so two equal values can differ
+    # in their trailing digits and no hash could agree with ==
+    a, b = PrecReal("0.1234", 10), PrecReal("0.123", 3)
+    assert a == b
+    with pytest.raises(TypeError):
+        hash(a)
+    with pytest.raises(TypeError):
+        {a, b}
+
+
 def test_digit_string_rounds_half_even_by_default():
     x = PrecReal(Fraction(1, 8), 30)  # 0.125 -> ties-to-even at 2 digits
     assert x.digit_string(2) == "0.12"

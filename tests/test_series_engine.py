@@ -242,38 +242,3 @@ def test_is_zero_through_levels():
     s = AsymSeries(5, {(3, 1): CPoly.constant(1)})
     assert s.is_zero_through(2)
     assert not s.is_zero_through(3)
-
-
-def test_truncated_and_level_split_a_series():
-    s = AsymSeries(5, {(1, 0): CPoly.constant(1), (3, 2): CPoly.constant(2), (4, 0): _c()})
-    low = s.truncated(3)
-    assert low.order == 3 and low.terms == {(1, 0): CPoly.constant(1), (3, 2): CPoly.constant(2)}
-    assert s.level(4).terms == {(4, 0): _c()}
-    # raising the order keeps every term and lets later products reach it
-    assert s.truncated(8).order == 8 and s.truncated(8).terms == s.terms
-
-
-def test_power_is_repeated_product():
-    s = AsymSeries(4, {(1, 0): CPoly.constant(2), (2, 1): _c()})
-    assert (s**3).terms == (s * s * s).terms
-    assert (s**1).terms == s.terms
-    with pytest.raises(TypeError):
-        s**0
-
-
-def test_derivative_of_log_monomials():
-    # d/dk [3 ln^2 k / k] = 6 ln k / k^2 - 3 ln^2 k / k^2
-    s = AsymSeries(2, {(1, 2): CPoly.constant(3)})
-    d = s.derivative()
-    assert d.order == 3
-    assert d.terms == {(2, 1): CPoly.constant(6), (2, 2): CPoly.constant(-3)}
-
-
-def test_series_algebra_over_decimal_coefficients():
-    # the same operations with Decimal coefficients, rounded by the context
-    s = AsymSeries(4, {(1, 0): Decimal(-2), (2, 1): Decimal("0.5")})
-    square = s * s
-    assert square.terms == {(2, 0): Decimal(4), (3, 1): Decimal(-2), (4, 2): Decimal("0.25")}
-    assert (s - s).terms == {}
-    assert (s * Decimal(2)).terms == {(1, 0): Decimal(-4), (2, 1): Decimal(1)}
-    assert s.derivative().terms == {(2, 0): Decimal(2), (3, 0): Decimal("0.5"), (3, 1): Decimal(-1)}

@@ -7,14 +7,21 @@ from fractions import Fraction
 
 import pytest
 
+from quadrec.critical import estimate_constant
 from quadrec.errors import DomainError, ExactCapError, RefusalError
-from quadrec.numerics import PrecReal
-from quadrec.series_engine import solve_coefficients
+from quadrec.numerics import GUARD_DIGITS
+from quadrec.recurrence import logistic_decimals, logistic_iterate
 from quadrec.sums import (
+    _FAMILY,
+    _LOG_REST,
+    DEPTH,
     MAX_DIGITS_BOOTSTRAP,
     MAX_DIGITS_POWER,
     MAX_DIGITS_S1,
-    _alpha_model,
+    ORDER,
+    _polynomial,
+    _tail_bound,
+    _telescope,
     bootstrap_check,
     harmonic_divergence_diagnostic,
     power_sum,
@@ -100,16 +107,45 @@ def test_power_sum_rejects_small_m_and_caps_digits():
 
 
 def test_deeper_direct_sums_stay_inside_the_error_estimate():
-    base = power_sum(3, 10, depth=10**4)
-    deeper = power_sum(3, 10, depth=2 * 10**4)
-    assert base.terms_summed < deeper.terms_summed
-    assert abs(base.value.value - deeper.value.value) < base.error_estimate.value
+    # the true sum is S_n + G(alpha_{n+1}) - sum_{k>n} R(alpha_k) at every n,
+    # so moving the cut from N to 2N may shift the telescoped value by no
+    # more than the bound reported at N; at precision 60 rounding adds less
+    # than 1e-50
+    precision = 60
+    ctx = Context(prec=precision)
+    stream = logistic_decimals(precision)
+    alphas = [next(stream) for _ in range(2 * DEPTH + 2)]
 
+    def cube(a):
+        return ctx.multiply(a, ctx.multiply(a, a))
 
-def test_error_estimate_dominates_true_tail_shift_for_s1():
-    base = regularized_s1(6, depth=10**5)
-    deeper = regularized_s1(6, depth=2 * 10**5)
-    assert abs(base.value.value - deeper.value.value) < base.error_estimate.value
+    def geometric(a):
+        return ctx.divide(ctx.multiply(a, a), ctx.subtract(1, a))
+
+    def plain(a):
+        return a
+
+    def telescoped(n, term, G, with_log):
+        partial = Decimal(0)
+        for alpha in alphas[: n + 1]:
+            partial = ctx.add(partial, term(alpha))
+        x = alphas[n + 1]
+        tail = _polynomial(G, x, ctx)
+        if with_log:
+            tail = ctx.add(tail, ctx.ln(x))
+        return ctx.add(partial, tail)
+
+    cases = [
+        (power_sum(3, 13), cube, _telescope([0, 0, 0, 1])[0], False),
+        (sum_of_power_sums(10), geometric, _telescope(_FAMILY)[0], False),
+        # s_1 differs from sum alpha_k + ln(alpha_{n+1}) + H(alpha_{n+1}) by
+        # the constant gamma, which drops out of the comparison
+        (regularized_s1(8), plain, _telescope(_LOG_REST)[0], True),
+    ]
+    for result, *summand in cases:
+        assert result.terms_summed == DEPTH + 1
+        shift = abs(telescoped(DEPTH, *summand) - telescoped(2 * DEPTH, *summand))
+        assert shift <= result.error_estimate.value + Decimal("1e-50")
 
 
 def test_tail_correction_is_reported_and_small():
@@ -119,15 +155,29 @@ def test_tail_correction_is_reported_and_small():
     assert result.error_estimate.value < Decimal("1e-14")
 
 
-def test_alpha_model_coefficients_keep_the_working_precision():
-    precision = 53
-    c_dec = PrecReal("3.53598757227230810088726881356226466215261911090888889", precision).value
-    model = _alpha_model(c_dec, Context(prec=precision))
-    entries = {key: poly for key, poly in solve_coefficients(6).entries.items() if key[0] <= 4}
-    assert set(model.terms) == set(entries)
-    for key, poly in entries.items():
-        exact = -poly(Fraction(c_dec)) / 2
-        assert abs(Fraction(model.terms[key]) - exact) <= Fraction(1, 10**50) * max(1, abs(exact))
+@pytest.mark.parametrize(
+    "g",
+    [[0] * m + [1] for m in range(2, 2 * ORDER + 4)] + [_FAMILY, _LOG_REST],
+    ids=[f"x^{m}" for m in range(2, 2 * ORDER + 4)] + ["family", "log"],
+)
+def test_telescoped_residual_starts_past_the_order(g):
+    G, R = _telescope(g)
+    assert not any(R[: ORDER + 2])
+
+    def value(coeffs, x):
+        return sum((c * x**n for n, c in enumerate(coeffs)), Fraction(0))
+
+    for x in (Fraction(1, 7), Fraction(2, 5)):
+        assert value(G, x) - value(G, x - x * x) == value(g, x) + value(R, x)
+
+
+def test_s2_is_the_smallest_telescope():
+    # G = x solves G(x) - G(x - x^2) = x^2 with no residual at all
+    G, R = _telescope([0, 0, 1])
+    assert G == [0, 1]
+    assert not any(R)
+    assert _tail_bound(R) == 0
+    assert power_sum(2, 15).error_estimate.value == 0
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +232,22 @@ def test_bootstrap_residual_is_tiny():
     report = bootstrap_check(6)
     assert abs(report.residual.value) < Decimal("1e-6")
     assert report.digits == 6
+
+
+def test_bootstrap_residual_is_inside_the_c_estimate_bound():
+    # the orbit sums carry bounds near 1e-37, so the residual is the error of
+    # the estimate of C that bootstrap_check compares against
+    report = bootstrap_check(6)
+    estimate = estimate_constant(10**5, 6, 6 + 2 * GUARD_DIGITS)
+    assert abs(report.residual.value) <= estimate.truncation_bound.value
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_reciprocal_orbit_telescopes_exactly(n):
+    # 1/alpha_{k+1} - 1/alpha_k = 1/(1 - alpha_k), the identity behind the
+    # bootstrap: 1/alpha_n = 2 + n + sum_{k<n} alpha_k/(1 - alpha_k)
+    orbit = logistic_iterate(n)
+    assert 1 / orbit[n] == 2 + n + sum((a / (1 - a) for a in orbit[:n]), Fraction(0))
 
 
 def test_bootstrap_components():
