@@ -106,15 +106,39 @@ def test_power_sum_rejects_small_m_and_caps_digits():
         power_sum(3, MAX_DIGITS_POWER + 1)
 
 
-def test_deeper_direct_sums_stay_inside_the_error_estimate():
-    # the true sum is S_n + G(alpha_{n+1}) - sum_{k>n} R(alpha_k) at every n,
-    # so moving the cut from N to 2N may shift the telescoped value by no
-    # more than the bound reported at N; at precision 60 rounding adds less
-    # than 1e-50
-    precision = 60
-    ctx = Context(prec=precision)
-    stream = logistic_decimals(precision)
-    alphas = [next(stream) for _ in range(2 * DEPTH + 2)]
+# the true sum is S_n + G(alpha_{n+1}) - sum_{k>n} R(alpha_k) at every n, so
+# moving the cut from N to 2N may shift the telescoped value by no more than
+# the bound reported at N; at precision 60 rounding adds less than 1e-50
+_DEEP_PRECISION = 60
+_DEEP_CTX = Context(prec=_DEEP_PRECISION)
+
+
+@pytest.fixture(scope="module")
+def deep_orbit():
+    stream = logistic_decimals(_DEEP_PRECISION)
+    return [next(stream) for _ in range(2 * DEPTH + 2)]
+
+
+def _telescoped(alphas, n, term, G, with_log=False):
+    ctx = _DEEP_CTX
+    partial = Decimal(0)
+    for alpha in alphas[: n + 1]:
+        partial = ctx.add(partial, term(alpha))
+    x = alphas[n + 1]
+    tail = _polynomial(G, x, ctx)
+    if with_log:
+        tail = ctx.add(tail, ctx.ln(x))
+    return ctx.add(partial, tail)
+
+
+def _assert_cut_shift_inside_estimate(alphas, result, *summand):
+    assert result.terms_summed == DEPTH + 1
+    shift = abs(_telescoped(alphas, DEPTH, *summand) - _telescoped(alphas, 2 * DEPTH, *summand))
+    assert shift <= result.error_estimate.value + Decimal("1e-50")
+
+
+def test_deeper_direct_sums_stay_inside_the_error_estimate(deep_orbit):
+    ctx = _DEEP_CTX
 
     def cube(a):
         return ctx.multiply(a, ctx.multiply(a, a))
@@ -122,30 +146,20 @@ def test_deeper_direct_sums_stay_inside_the_error_estimate():
     def geometric(a):
         return ctx.divide(ctx.multiply(a, a), ctx.subtract(1, a))
 
-    def plain(a):
-        return a
-
-    def telescoped(n, term, G, with_log):
-        partial = Decimal(0)
-        for alpha in alphas[: n + 1]:
-            partial = ctx.add(partial, term(alpha))
-        x = alphas[n + 1]
-        tail = _polynomial(G, x, ctx)
-        if with_log:
-            tail = ctx.add(tail, ctx.ln(x))
-        return ctx.add(partial, tail)
-
     cases = [
-        (power_sum(3, 13), cube, _telescope([0, 0, 0, 1])[0], False),
-        (sum_of_power_sums(10), geometric, _telescope(_FAMILY)[0], False),
-        # s_1 differs from sum alpha_k + ln(alpha_{n+1}) + H(alpha_{n+1}) by
-        # the constant gamma, which drops out of the comparison
-        (regularized_s1(8), plain, _telescope(_LOG_REST)[0], True),
+        (power_sum(3, 13), cube, _telescope([0, 0, 0, 1])[0]),
+        (sum_of_power_sums(10), geometric, _telescope(_FAMILY)[0]),
     ]
-    for result, *summand in cases:
-        assert result.terms_summed == DEPTH + 1
-        shift = abs(telescoped(DEPTH, *summand) - telescoped(2 * DEPTH, *summand))
-        assert shift <= result.error_estimate.value + Decimal("1e-50")
+    for result, term, G in cases:
+        _assert_cut_shift_inside_estimate(deep_orbit, result, term, G)
+
+
+def test_error_estimate_dominates_true_tail_shift_for_s1(deep_orbit):
+    # s_1 differs from sum alpha_k + ln(alpha_{n+1}) + H(alpha_{n+1}) by the
+    # constant gamma, which drops out of the comparison
+    _assert_cut_shift_inside_estimate(
+        deep_orbit, regularized_s1(8), lambda a: a, _telescope(_LOG_REST)[0], True
+    )
 
 
 def test_tail_correction_is_reported_and_small():
