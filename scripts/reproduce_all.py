@@ -58,12 +58,12 @@ def main() -> int:
     defect = fixed_point_defect(table)
     print(f"fixed-point defect through order 7: {'identically zero' if not defect.terms else defect.terms}")
 
-    section("Critical constant C (series inversion + Newton at depth 10^6)")
+    section("Critical constant C (Abel coordinate at depth 10^6)")
     t0 = time.perf_counter()
     est = estimate_constant(10**6, 6, 60)
     elapsed = time.perf_counter() - t0
     print(f"C = {est.C.digit_string(21)}  ({elapsed:.1f}s)")
-    print(f"truncation bound {est.truncation_bound.value:.2E}, newton residual {est.newton_residual:.1E}")
+    print(f"truncation bound {est.truncation_bound.value:.2E}")
     depth = 4 * 10**6 if args.deep else 2 * 10**6
     stability = estimate_constant(depth, 6, 60)
     print(f"depth {depth:.0e} rerun moves C by {abs(est.C.value - stability.C.value):.1E}")
@@ -85,9 +85,9 @@ def main() -> int:
     print(f"s_2 = {power_sum(2, 15).value.digit_string(15)}")
     for m in range(3, 9):
         result = power_sum(m, 13)
-        print(f"s_{m} = {result.value.digit_string(13)}   [N = {result.terms_summed}]")
+        print(f"s_{m} = {result.value.digit_string(13)}   [{result.terms_summed} terms]")
     s1 = regularized_s1(8)
-    print(f"s_1 = {s1.value.digit_string(8)}   [N = {s1.terms_summed}]")
+    print(f"s_1 = {s1.value.digit_string(8)}   [{s1.terms_summed} terms]")
     sigma = sum_of_power_sums(10)
     print(f"sum of s_m for m >= 2: {sigma.value.digit_string(10)}")
 

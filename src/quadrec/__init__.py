@@ -20,7 +20,6 @@ from .errors import (
     DomainError,
     EngineError,
     ExactCapError,
-    NewtonError,
     PrecisionError,
     QuadrecError,
     RefusalError,
@@ -75,7 +74,6 @@ __all__ = [
     "DomainError",
     "EngineError",
     "ExactCapError",
-    "NewtonError",
     "OrbitSample",
     "Params",
     "PrecReal",

@@ -73,9 +73,9 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = add_parser("derive", "critical-series coefficients c[i][j]")
     cmd.add_argument("--order", type=int, default=4)
 
-    cmd = add_parser("critical-c", "critical constant via series inversion")
+    cmd = add_parser("critical-c", "critical constant from the Abel coordinate")
     cmd.add_argument("--N", type=int, default=10**6, help="orbit depth")
-    cmd.add_argument("--order", type=int, default=6)
+    cmd.add_argument("--order", type=int, default=6, help="degree M of the Abel series H")
     cmd.add_argument("--precision", type=int, default=60)
 
     cmd = add_parser("residual-check", "|a_k - series(k)| at doubling k")
@@ -166,7 +166,6 @@ def _cmd_critical(args):
         "N": est.depth,
         "order": est.order,
         "truncation_bound": str(est.truncation_bound),
-        "newton_residual": str(est.newton_residual),
     }
     return [row], True
 

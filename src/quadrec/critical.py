@@ -1,56 +1,71 @@
 """Numeric determination of the critical constants.
 
 The formal expansion at p = 1/2 (see ``series_engine``) leaves exactly one
-constant undetermined: C = c[2][0].  Its value for the actual orbit seeded
-at a_0 = 0 is pinned numerically by running the orbit to a large depth N,
-truncating the expansion at order I, and solving
+constant undetermined: C = c[2][0].  It is pinned here by the Abel (Fatou)
+coordinate of the parabolic fixed point.  In alpha = (1 - a)/2 the critical
+map is x -> x - x**2 from alpha_0 = 1/2, and
 
-    eval_series(table, N, C~) = a_N
+    phi(x) = 1/x + ln x + H(x),    H(x) = sum_{n>=1} h_n x**n,
 
-for C~.  The truncated expansion is a *polynomial* in C~ with decimal
-coefficients, so the solve is plain Newton iteration; the seed comes from
-inverting the two leading terms,
+turns it into a translation, phi(x - x**2) = phi(x) + 1.  Because
+1/(x - x**2) - 1/x = 1/(1 - x) and ln(x - x**2) - ln x = ln(1 - x), that
+is the telescoping equation
 
-    C~_0 = 2 * (2/(1 - a_N) - N - ln N),
+    H(x) - H(x - x**2) = sum_{n>=2} (1 - 1/n) x**n,
 
-which is already within O(ln(N)/N) of the root.  Two error sources remain
-and both are reported or guarded:
+which ``series_engine.telescope`` solves exactly (h_1 = 1/2, h_2 = 1/3,
+h_3 = 13/36, ...).  Along the orbit phi(alpha_k) = k + c with c = C/2, so
+with H_M the degree-M truncation and R its exact residual polynomial,
 
-* truncation: the first omitted term is O(ln(N)**I / N**(I+1)) in orbit
-  units; the map from orbit units to C units multiplies by roughly N**2
-  (the derivative of the series in C is 1/N**2 + smaller), giving the
-  reported ``truncation_bound`` 10 * ln(N)**I / N**(I-1);
-* rounding: the orbit carries at most 3*N*10**(2-P) absolute error, i.e.
-  3*N**3*10**(2-P) in C units; the estimator refuses precisions where that
-  is not comfortably below the truncation bound.
+    c = phi_M(alpha_N) - N + sum_{k>=N} rho(alpha_k),
+    rho(x) = phi_M(x - x**2) - phi_M(x) - 1
+           = sum_{n>=M+2} (1 - 1/n) x**n - R(x).
 
-The same machinery serves the logistic change of variables
-alpha = (1 - a)/2: its tail constant is c = C/2, and exp(c - 1) is the
-limit comparison constant for the product form of the orbit.
+The reported ``truncation_bound`` is in C units and covers both errors:
+
+* truncation: twice ``series_engine.tail_bound`` of R from k = N on, with
+  the omitted terms of the series from x**(M+2) on;
+* rounding: each orbit step rounds twice, and x -> x - x**2 carries a
+  relative error with the factor 1 - x/(1 - x), which lies in [0, 1] on
+  [0, 1/2]; so alpha_N is off by a relative N * 10**(1-P) at most.  phi
+  turns that into an absolute error of at most 1/alpha_N <= N + 3 + ln N
+  times as much (1/alpha_n = 2 + n + sum_{k<n} alpha_k/(1 - alpha_k)), and
+  evaluating phi_M adds a few rounding units of N.  In C units all of it
+  stays below 2 (N + 4)(N + 2 + bit_length(N)) 10**(1-P).
+
+alpha_N comes from the logistic stream itself: forming (1 - a_N)/2 would
+cancel about log10(N) digits.  The logistic tail constant is c = C/2, and
+exp(c - 1) is the limit comparison constant for the product form of the
+orbit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Context, Decimal
+from decimal import Context
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
-from .errors import DomainError, EngineError, NewtonError, RefusalError
-from .numerics import PrecReal, horner
-from .recurrence import classify, final_value, iterate_real
-from .series_engine import eval_series, eval_series_coeffs, solve_coefficients
+from .errors import DomainError, RefusalError
+from .numerics import PrecReal
+from .recurrence import classify, iterate_real, logistic_decimals
+from .series_engine import (
+    MAX_ORDER,
+    eval_polynomial,
+    eval_series,
+    solve_coefficients,
+    tail_bound,
+    telescope,
+)
+
+# Not used here: the benchmark's tracer wraps these names in this module.
+from .recurrence import final_value  # noqa: F401
+from .series_engine import eval_series_coeffs  # noqa: F401
 
 _CRITICAL_P = Fraction(1, 2)
 
-#: Sanity window for the estimated constant; leaving it signals a bug, not
-#: a user error (every valid depth/order combination lands well inside).
-_SANITY_LOW = Decimal("3.5")
-_SANITY_HIGH = Decimal("3.6")
-
-_MAX_NEWTON_ITERATIONS = 50
-
-#: The deepest orbit an estimate runs: about 12 s at precision 60 on a
+#: The deepest orbit an estimate runs: about 7 s at precision 60 on a
 #: 2-core Intel Xeon with Python 3.11.
 MAX_DEPTH = 10**7
 
@@ -64,30 +79,29 @@ class CriticalEstimate:
     order: int
     precision: int
     truncation_bound: PrecReal
-    newton_residual: PrecReal
-    newton_iterations: int
+
+    @property
+    def newton_iterations(self) -> int:
+        """Always 0: the estimate iterates nothing.  The benchmark's tracer
+        still reads this name (ROADMAP item 8)."""
+        return 0
 
 
-def _truncation_bound_c(depth: int, order: int, precision: int) -> Decimal:
-    """10 * ln(depth)**order / depth**(order - 1), the C-unit truncation bound."""
-    ctx = Context(prec=precision)
-    ln_n = ctx.ln(Decimal(depth))
-    return ctx.multiply(
-        Decimal(10),
-        ctx.divide(ctx.power(ln_n, Decimal(order)), ctx.power(Decimal(depth), Decimal(order - 1))),
-    )
+def _abel_summand(order: int) -> list[Fraction]:
+    """sum_{n>=2} (1 - 1/n) x**n through x**(order + 1): the family summand
+    x**2/(1 - x) of ``sums`` plus its s_1 summand x + ln(1 - x)."""
+    return [Fraction(0)] * 2 + [1 - Fraction(1, n) for n in range(2, order + 2)]
 
 
 def estimate_constant(depth: int = 10**6, order: int = 6, precision: int = 60) -> CriticalEstimate:
-    """Estimate C by matching the order-``order`` expansion to a_depth.
+    """Estimate C = 2 (phi_M(alpha_depth) - depth), with M = ``order``.
 
-    ``depth >= 100`` and ``order >= 3`` are required; the precision must
-    leave the orbit's rounding error well below the truncation bound, else
-    the run is refused (a bigger ``precision`` always fixes that), and so
-    are depths above ``MAX_DEPTH`` and orders above
-    ``series_engine.MAX_ORDER``, as too costly.  The returned
-    ``truncation_bound`` is the honest accuracy statement: depth/order
-    sensitivity is visible through it, not hidden.
+    ``depth >= 100``, ``order >= 3`` and ``precision >= 20`` are required.
+    Depths above ``MAX_DEPTH`` are refused as too costly, and orders above
+    ``series_engine.MAX_ORDER`` as every series command refuses them.  The
+    returned ``truncation_bound`` covers the truncation of H and the
+    rounding at ``precision`` (see the module docstring), so a low
+    precision widens the bound instead of being refused.
     """
     if depth < 100:
         raise DomainError(f"depth must be at least 100, got {depth}")
@@ -97,71 +111,22 @@ def estimate_constant(depth: int = 10**6, order: int = 6, precision: int = 60) -
         raise DomainError(f"precision must be at least 20, got {precision}")
     if depth > MAX_DEPTH:
         raise RefusalError(f"depth {depth} exceeds the limit of {MAX_DEPTH}")
-    table = solve_coefficients(order)
+    if order > MAX_ORDER:
+        raise RefusalError(f"order {order} exceeds the limit of {MAX_ORDER}")
+    g = _abel_summand(order)
+    H, R = telescope(g, order)
+    truncation = 2 * tail_bound(R, depth, len(g))
+    rounding = Fraction(2 * (depth + 4) * (depth + 2 + depth.bit_length()), 10 ** (precision - 1))
 
     ctx = Context(prec=precision)
-    truncation = _truncation_bound_c(depth, order, precision)
-    rounding = ctx.multiply(
-        Decimal(3) * Decimal(depth) ** 3, Decimal(1).scaleb(2 - precision)
-    )
-    if rounding * 10 > truncation:
-        raise RefusalError(
-            f"precision {precision} leaves rounding error {rounding:E} too close to "
-            f"the truncation bound {truncation:E} at depth {depth}; raise the precision"
-        )
-
-    a_n = final_value(classify(_CRITICAL_P), depth, precision).value
-    coeffs = eval_series_coeffs(table, depth, precision, order)
-    coeffs = list(coeffs)
-    coeffs[0] = ctx.subtract(coeffs[0], a_n)
-    deriv = [ctx.multiply(Decimal(t), c) for t, c in enumerate(coeffs)][1:]
-
-    one = Decimal(1)
-    ln_n = ctx.ln(Decimal(depth))
-    gap = ctx.subtract(one, a_n)
-    x = ctx.multiply(
-        Decimal(2),
-        ctx.subtract(ctx.subtract(ctx.divide(Decimal(2), gap), Decimal(depth)), ln_n),
-    )
-    tolerance = Decimal(1).scaleb(-(precision - 5))
-    iterations = 0
-    step = Decimal(1)
-    for iterations in range(1, _MAX_NEWTON_ITERATIONS + 1):
-        f_val = horner(coeffs, x, ctx)
-        f_prime = horner(deriv, x, ctx)
-        if f_prime == 0:
-            raise NewtonError(
-                "derivative vanished during Newton iteration",
-                iterations=iterations,
-                last_step=str(step),
-                residual=str(f_val),
-            )
-        step = ctx.divide(f_val, f_prime)
-        x = ctx.subtract(x, step)
-        if abs(step) <= tolerance * max(one, abs(x)):
-            break
-    else:
-        raise NewtonError(
-            "Newton iteration did not converge",
-            iterations=_MAX_NEWTON_ITERATIONS,
-            last_step=str(step),
-            residual=str(horner(coeffs, x, ctx)),
-        )
-
-    residual = horner(coeffs, x, ctx).copy_abs()
-    if not (_SANITY_LOW < x < _SANITY_HIGH):
-        raise EngineError(
-            f"estimated constant {x} fell outside the sanity window "
-            f"({_SANITY_LOW}, {_SANITY_HIGH}); this indicates an internal error"
-        )
+    x = next(islice(logistic_decimals(precision), depth, None))
+    phi = ctx.add(ctx.add(ctx.divide(1, x), ctx.ln(x)), eval_polynomial(H, x, ctx))
     return CriticalEstimate(
-        C=PrecReal(x, precision),
+        C=PrecReal(ctx.multiply(2, ctx.subtract(phi, depth)), precision),
         depth=depth,
         order=order,
         precision=precision,
-        truncation_bound=PrecReal(truncation, precision),
-        newton_residual=PrecReal(residual, precision),
-        newton_iterations=iterations,
+        truncation_bound=PrecReal(truncation + rounding, precision),
     )
 
 

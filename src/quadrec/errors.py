@@ -43,15 +43,3 @@ class PrecisionError(RefusalError):
 
 class EngineError(QuadrecError):
     """Raised when the series engine meets an inconsistent matching system."""
-
-
-class NewtonError(QuadrecError):
-    """Raised when the Newton stage fails to converge; carries diagnostics."""
-
-    def __init__(self, message: str, *, iterations: int, last_step: str, residual: str):
-        super().__init__(
-            f"{message} (iterations={iterations}, last_step={last_step}, residual={residual})"
-        )
-        self.iterations = iterations
-        self.last_step = last_step
-        self.residual = residual

@@ -219,8 +219,9 @@ def logistic_decimals(precision: int) -> Iterator[Decimal]:
     multiplication per step at fixed working precision.
     """
     ctx = Context(prec=precision)
+    multiply, subtract = ctx.multiply, ctx.subtract
     one = Decimal(1)
     a = Decimal("0.5")
     while True:
         yield a
-        a = ctx.multiply(a, ctx.subtract(one, a))
+        a = multiply(a, subtract(one, a))

@@ -34,6 +34,12 @@ j = i-1 downward determines every c[i][j] exactly; the seeds are
 Order 3 onward is derived, never transcribed: the solver raises
 ``EngineError`` if any slot that must vanish fails to, so a green run *is*
 the derivation.
+
+The same map in the coordinate alpha = (1 - a)/2 is x -> x - x**2, and
+``telescope`` solves its one exact functional equation,
+G(x) - G(x - x**2) = g(x), as a polynomial with a residual that
+``tail_bound`` sums along the orbit.  The logistic tail sums (``sums``)
+and the Abel coordinate that pins C (``critical``) both rest on it.
 """
 
 from __future__ import annotations
@@ -361,3 +367,61 @@ def eval_series(
     precision = c_value.precision
     coeffs = eval_series_coeffs(table, k, precision, order)
     return PrecReal(horner(coeffs, c_value.value, Context(prec=precision)), precision)
+
+
+def telescope(g: list[Fraction], order: int) -> tuple[list[Fraction], list[Fraction]]:
+    """(G, R) with G(x) - G(x - x**2) = g(x) + R(x), as coefficient lists.
+
+    ``g`` lists the coefficients of x**0, x**1, ... and starts at x**2.
+    G has terms up to x**order (trailing zeros dropped): the x**(n+1)
+    coefficient of the left side is n*G_n plus terms in G_1..G_{n-1}, so
+    the system is triangular.  R is exact and, because G_n is solved from
+    the x**(n+1) coefficient, has no term below x**(order + 2).
+    """
+    # x**n - (x - x**2)**n = sum_{j>=1} (-1)**(j+1) binom(n, j) x**(n+j)
+    def difference(n: int, degree: int) -> Fraction:
+        j = degree - n
+        return Fraction((-1) ** (j + 1) * math.comb(n, j)) if j >= 1 else Fraction(0)
+
+    G = [Fraction(0)] * (order + 1)
+    for n in range(1, order + 1):
+        target = g[n + 1] if n + 1 < len(g) else Fraction(0)
+        lower = sum((G[t] * difference(t, n + 1) for t in range(1, n)), Fraction(0))
+        G[n] = (target - lower) / n
+    while G and not G[-1]:
+        G.pop()
+    degree = max(2 * order, len(g) - 1)
+    R = [
+        sum((G[t] * difference(t, d) for t in range(1, len(G))), Fraction(0))
+        - (g[d] if d < len(g) else 0)
+        for d in range(degree + 1)
+    ]
+    return G, R
+
+
+def tail_bound(R: list[Fraction], start: int, omitted_from: int | None = None) -> Fraction:
+    """A bound on |sum_{k>=start} R(alpha_k)| along the orbit from alpha_0 = 1/2.
+
+    alpha_k <= 1/(k+2) (induction: x - x**2 increases on [0, 1/2] and
+    (k+1)(k+3) <= (k+2)**2), so with base = start + 1
+    sum_{k>=start} alpha_k**d <= integral_base^inf t**-d dt = base**(1-d)/(d-1).
+    ``omitted_from`` = L marks a summand whose series continues past its
+    list with coefficients of size at most 1, from x**L on; those terms add
+    at most sum_{k>=start} alpha_k**L/(1 - alpha_k), with 1/(1 - alpha_k) <=
+    (base+1)/base.
+    """
+    base = start + 1
+    bound = sum(
+        (abs(r) / (Fraction(base) ** (d - 1) * (d - 1)) for d, r in enumerate(R) if r),
+        Fraction(0),
+    )
+    if omitted_from is not None:
+        bound += Fraction(base + 1, base) / (
+            Fraction(base) ** (omitted_from - 1) * (omitted_from - 1)
+        )
+    return bound
+
+
+def eval_polynomial(coeffs: list[Fraction], x: Decimal, ctx: Context) -> Decimal:
+    """sum_n coeffs[n] * x**n for exact coefficients, at the precision of ``ctx``."""
+    return horner([ctx.divide(Decimal(c.numerator), Decimal(c.denominator)) for c in coeffs], x, ctx)

@@ -20,19 +20,17 @@ numerics: sum_{m>=2} s_m = sum_k alpha_k**2/(1 - alpha_k), removing one
 limit process.
 
 Numerically every sum is "direct part + telescoped tail", the s_2 identity
-generalised.  For a summand g(x) = O(x**2) the polynomial
-G(x) = sum_{n=1..M} G_n x**n solving G(x) - G(x - x**2) = g(x) through
-x**(M+1) is found exactly: the x**(n+1) coefficient of the left side is
-n*G_n plus terms in G_1..G_{n-1}, so the system is triangular.  Then
+generalised.  For a summand g(x) = O(x**2), ``series_engine.telescope``
+finds the exact polynomial G(x) = sum_{n=1..M} G_n x**n solving
+G(x) - G(x - x**2) = g(x) through x**(M+1).  Then
 
     sum_{k>N} g(alpha_k) = G(alpha_{N+1}) - sum_{k>N} R(alpha_k),
 
 where R = G(x) - G(x - x**2) - g(x) is exact and starts at x**(M+2).
-Since alpha_k <= 1/(k+2) (induction: x - x**2 increases on [0, 1/2] and
-(k+1)(k+3) <= (k+2)**2), the reported ``error_estimate`` is the derived
-bound sum_d |r_d| (N+2)**(1-d)/(d-1).  The orbit is streamed to the fixed
-depth N = DEPTH and G has the fixed order M = ORDER; the bound is far below
-every digit request the caps allow.
+Since alpha_k <= 1/(k+2), the reported ``error_estimate`` is the derived
+bound sum_d |r_d| (N+2)**(1-d)/(d-1) (``series_engine.tail_bound``).  The
+orbit is streamed to the fixed depth N = DEPTH and G has the fixed order
+M = ORDER; the bound is far below every digit request the caps allow.
 """
 
 from __future__ import annotations
@@ -40,12 +38,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
-from math import comb
 
 from .critical import estimate_constant
 from .errors import DomainError, RefusalError
-from .numerics import GUARD_DIGITS, PrecReal, confirmed_value, euler_gamma, horner
+from .numerics import GUARD_DIGITS, PrecReal, confirmed_value, euler_gamma
 from .recurrence import logistic_decimals, logistic_iterate
+from .series_engine import eval_polynomial, tail_bound, telescope
 
 # Not used here: the benchmark's tracer wraps this name in this module.
 from .series_engine import solve_coefficients  # noqa: F401
@@ -96,63 +94,13 @@ class BootstrapReport:
 
 
 # ---------------------------------------------------------------------------
-# telescoping: exact polynomials and the derived tail bound
+# telescoped summands and the direct/tail split
 # ---------------------------------------------------------------------------
 
 #: x**2/(1 - x) = sum_{n>=2} x**n and x + ln(1 - x) = -sum_{n>=2} x**n/n,
 #: through x**(ORDER + 1); the coefficients past the list are at most 1.
 _FAMILY = [Fraction(0)] * 2 + [Fraction(1)] * ORDER
 _LOG_REST = [Fraction(0)] * 2 + [Fraction(-1, n) for n in range(2, ORDER + 2)]
-
-
-def _telescope(g: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    """(G, R) with G(x) - G(x - x**2) = g(x) + R(x), as coefficient lists.
-
-    ``g`` lists the coefficients of x**0, x**1, ... and starts at x**2.
-    G has terms up to x**ORDER (trailing zeros dropped); R is exact and,
-    because G_n is solved from the x**(n+1) coefficient, has no term below
-    x**(ORDER + 2).
-    """
-    # x**n - (x - x**2)**n = sum_{j>=1} (-1)**(j+1) binom(n, j) x**(n+j)
-    def difference(n: int, degree: int) -> Fraction:
-        j = degree - n
-        return Fraction((-1) ** (j + 1) * comb(n, j)) if j >= 1 else Fraction(0)
-
-    G = [Fraction(0)] * (ORDER + 1)
-    for n in range(1, ORDER + 1):
-        target = g[n + 1] if n + 1 < len(g) else Fraction(0)
-        lower = sum((G[t] * difference(t, n + 1) for t in range(1, n)), Fraction(0))
-        G[n] = (target - lower) / n
-    while G and not G[-1]:
-        G.pop()
-    degree = max(2 * ORDER, len(g) - 1)
-    R = [
-        sum((G[t] * difference(t, d) for t in range(1, len(G))), Fraction(0))
-        - (g[d] if d < len(g) else 0)
-        for d in range(degree + 1)
-    ]
-    return G, R
-
-
-def _tail_bound(R: list[Fraction], omitted_from: int | None = None) -> Fraction:
-    """A bound on |sum_{k>DEPTH} R(alpha_k)|, from alpha_k <= 1/(k+2).
-
-    sum_{k>N} alpha_k**d <= integral_{N+2}^inf t**-d dt = (N+2)**(1-d)/(d-1).
-    ``omitted_from`` = L marks a summand whose series continues past its
-    list with coefficients of size at most 1, from x**L on; those terms add
-    at most sum_{k>N} alpha_k**L/(1 - alpha_k), with 1/(1 - alpha_k) <=
-    (N+3)/(N+2).
-    """
-    base = DEPTH + 2
-    bound = sum(
-        (abs(r) / (Fraction(base) ** (d - 1) * (d - 1)) for d, r in enumerate(R) if r),
-        Fraction(0),
-    )
-    if omitted_from is not None:
-        bound += Fraction(base + 1, base) / (
-            Fraction(base) ** (omitted_from - 1) * (omitted_from - 1)
-        )
-    return bound
 
 
 def _telescoped_sum(m: int, digits: int, term, tail, bound: Fraction) -> SumResult:
@@ -186,10 +134,6 @@ def _telescoped_sum(m: int, digits: int, term, tail, bound: Fraction) -> SumResu
         )
 
     return confirmed_value(compute, digits, digits + GUARD_DIGITS)
-
-
-def _polynomial(G: list[Fraction], x: Decimal, ctx: Context) -> Decimal:
-    return horner([ctx.divide(Decimal(c.numerator), Decimal(c.denominator)) for c in G], x, ctx)
 
 
 def _check_digits(digits: int, cap: int, quantity: str) -> None:
@@ -234,15 +178,15 @@ def power_sum(m: int, digits: int) -> SumResult:
     if m < 2:
         raise DomainError("power sums need m >= 2; the m = 1 sum only exists regularized")
     _check_digits(digits, MAX_DIGITS_POWER, "power sums")
-    G, R = _telescope([Fraction(0)] * m + [Fraction(1)])
+    G, R = telescope([Fraction(0)] * m + [Fraction(1)], ORDER)
 
     def term(ctx, k, alpha):
         return _pow_int(ctx, alpha, m)
 
     def tail(ctx, x):
-        return _polynomial(G, x, ctx)
+        return eval_polynomial(G, x, ctx)
 
-    return _telescoped_sum(m, digits, term, tail, _tail_bound(R))
+    return _telescoped_sum(m, digits, term, tail, tail_bound(R, DEPTH + 1))
 
 
 def regularized_s1(digits: int) -> SumResult:
@@ -255,7 +199,7 @@ def regularized_s1(digits: int) -> SumResult:
     G_1(alpha_{N+1}) + H_N - gamma.
     """
     _check_digits(digits, MAX_DIGITS_S1, "the regularized sum")
-    H, R = _telescope(_LOG_REST)
+    H, R = telescope(_LOG_REST, ORDER)
     one = Decimal(1)
 
     def term(ctx, k, alpha):
@@ -267,10 +211,10 @@ def regularized_s1(digits: int) -> SumResult:
         harmonic = Decimal(0)
         for k in range(1, DEPTH + 1):
             harmonic = ctx.add(harmonic, ctx.divide(one, Decimal(k)))
-        log_part = ctx.add(ctx.ln(x), _polynomial(H, x, ctx))
+        log_part = ctx.add(ctx.ln(x), eval_polynomial(H, x, ctx))
         return ctx.subtract(ctx.add(log_part, harmonic), euler_gamma(ctx.prec).value)
 
-    return _telescoped_sum(1, digits, term, tail, _tail_bound(R, len(_LOG_REST)))
+    return _telescoped_sum(1, digits, term, tail, tail_bound(R, DEPTH + 1, len(_LOG_REST)))
 
 
 def sum_of_power_sums(digits: int) -> SumResult:
@@ -281,16 +225,16 @@ def sum_of_power_sums(digits: int) -> SumResult:
     with ``m = 0`` as the family marker.
     """
     _check_digits(digits, MAX_DIGITS_POWER, "the sum of power sums")
-    G, R = _telescope(_FAMILY)
+    G, R = telescope(_FAMILY, ORDER)
     one = Decimal(1)
 
     def term(ctx, k, alpha):
         return ctx.divide(ctx.multiply(alpha, alpha), ctx.subtract(one, alpha))
 
     def tail(ctx, x):
-        return _polynomial(G, x, ctx)
+        return eval_polynomial(G, x, ctx)
 
-    return _telescoped_sum(0, digits, term, tail, _tail_bound(R, len(_FAMILY)))
+    return _telescoped_sum(0, digits, term, tail, tail_bound(R, DEPTH + 1, len(_FAMILY)))
 
 
 def bootstrap_check(digits: int) -> BootstrapReport:

@@ -104,11 +104,10 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
         "critical-c --N 2000 --order 8 --precision 50",
         """\
 {
-  "C": "3.5359875722723079181622595419865354475469712052921",
+  "C": "3.5359875722723081008872688135574593575587895712",
   "N": 2000,
   "order": 8,
-  "truncation_bound": "8.7038481456385699075833143593328868402517793854531E-16",
-  "newton_residual": "6.64873917448579357939914269533295873869270305136E-58"
+  "truncation_bound": "5.0406038268268128732314426028525628009912403619115E-30"
 }
 """,
     ),
@@ -118,27 +117,27 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
 [
   {
     "k": 10,
-    "residual": "0.0056847016874163139675573822035552815122"
+    "residual": "0.0056847016872893228832378938370348290445"
   },
   {
     "k": 20,
-    "residual": "0.0006761554012072932107464402135119231833"
+    "residual": "0.0006761554011435912305362573422791256652"
   },
   {
     "k": 40,
-    "residual": "0.0000720429422191527508135454006065912590"
+    "residual": "0.0000720429421982707947493979840996759990"
   },
   {
     "k": 80,
-    "residual": "0.0000070609938363618252799629141115270476"
+    "residual": "0.0000070609938304015055286867412414112063"
   },
   {
     "k": 160,
-    "residual": "6.496646378256594354722722301644016E-7"
+    "residual": "6.496646362280665171496758689561203E-7"
   },
   {
     "k": 320,
-    "residual": "5.69648117536417871798318974300864E-8"
+    "residual": "5.69648113389251677114088765736081E-8"
   }
 ]
 """,

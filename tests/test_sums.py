@@ -7,10 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from quadrec.critical import estimate_constant
+from quadrec.critical import _abel_summand, estimate_constant
 from quadrec.errors import DomainError, ExactCapError, RefusalError
 from quadrec.numerics import GUARD_DIGITS
 from quadrec.recurrence import logistic_decimals, logistic_iterate
+from quadrec.series_engine import eval_polynomial, tail_bound, telescope
 from quadrec.sums import (
     _FAMILY,
     _LOG_REST,
@@ -19,9 +20,6 @@ from quadrec.sums import (
     MAX_DIGITS_POWER,
     MAX_DIGITS_S1,
     ORDER,
-    _polynomial,
-    _tail_bound,
-    _telescope,
     bootstrap_check,
     harmonic_divergence_diagnostic,
     power_sum,
@@ -125,7 +123,7 @@ def _telescoped(alphas, n, term, G, with_log=False):
     for alpha in alphas[: n + 1]:
         partial = ctx.add(partial, term(alpha))
     x = alphas[n + 1]
-    tail = _polynomial(G, x, ctx)
+    tail = eval_polynomial(G, x, ctx)
     if with_log:
         tail = ctx.add(tail, ctx.ln(x))
     return ctx.add(partial, tail)
@@ -147,8 +145,8 @@ def test_deeper_direct_sums_stay_inside_the_error_estimate(deep_orbit):
         return ctx.divide(ctx.multiply(a, a), ctx.subtract(1, a))
 
     cases = [
-        (power_sum(3, 13), cube, _telescope([0, 0, 0, 1])[0]),
-        (sum_of_power_sums(10), geometric, _telescope(_FAMILY)[0]),
+        (power_sum(3, 13), cube, telescope([0, 0, 0, 1], ORDER)[0]),
+        (sum_of_power_sums(10), geometric, telescope(_FAMILY, ORDER)[0]),
     ]
     for result, term, G in cases:
         _assert_cut_shift_inside_estimate(deep_orbit, result, term, G)
@@ -158,7 +156,7 @@ def test_error_estimate_dominates_true_tail_shift_for_s1(deep_orbit):
     # s_1 differs from sum alpha_k + ln(alpha_{n+1}) + H(alpha_{n+1}) by the
     # constant gamma, which drops out of the comparison
     _assert_cut_shift_inside_estimate(
-        deep_orbit, regularized_s1(8), lambda a: a, _telescope(_LOG_REST)[0], True
+        deep_orbit, regularized_s1(8), lambda a: a, telescope(_LOG_REST, ORDER)[0], True
     )
 
 
@@ -171,11 +169,12 @@ def test_tail_correction_is_reported_and_small():
 
 @pytest.mark.parametrize(
     "g",
-    [[0] * m + [1] for m in range(2, 2 * ORDER + 4)] + [_FAMILY, _LOG_REST],
-    ids=[f"x^{m}" for m in range(2, 2 * ORDER + 4)] + ["family", "log"],
+    [[0] * m + [1] for m in range(2, 2 * ORDER + 4)]
+    + [_FAMILY, _LOG_REST, _abel_summand(ORDER)],
+    ids=[f"x^{m}" for m in range(2, 2 * ORDER + 4)] + ["family", "log", "abel"],
 )
 def test_telescoped_residual_starts_past_the_order(g):
-    G, R = _telescope(g)
+    G, R = telescope(g, ORDER)
     assert not any(R[: ORDER + 2])
 
     def value(coeffs, x):
@@ -187,10 +186,10 @@ def test_telescoped_residual_starts_past_the_order(g):
 
 def test_s2_is_the_smallest_telescope():
     # G = x solves G(x) - G(x - x^2) = x^2 with no residual at all
-    G, R = _telescope([0, 0, 1])
+    G, R = telescope([0, 0, 1], ORDER)
     assert G == [0, 1]
     assert not any(R)
-    assert _tail_bound(R) == 0
+    assert tail_bound(R, DEPTH + 1) == 0
     assert power_sum(2, 15).error_estimate.value == 0
 
 
