@@ -177,6 +177,15 @@ def test_critical_c_shallow_run(capsys):
     assert obj["N"] == 1000
 
 
+def test_critical_c_refuses_starved_precision(capsys):
+    code, out, err = run(
+        capsys, "critical-c", "--N", "1000000", "--order", "6", "--precision", "19"
+    )
+    assert code == 2
+    assert out == ""
+    assert "precision" in err
+
+
 def test_critical_c_low_precision_widens_the_bound(capsys):
     # at depth 10**6 a 30-digit orbit rounds far more than the series
     # truncates; the bound grows to cover the rounding instead of refusing

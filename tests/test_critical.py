@@ -90,6 +90,13 @@ def test_abel_constant_fits_the_matched_series():
     assert abs(a_k - series.value) < Decimal("1e-50")
 
 
+def test_estimate_refuses_insufficient_precision():
+    # the bound absorbs rounding, so only the precision floor of 20 digits
+    # is refused; it is checked before the orbit is run
+    with pytest.raises(DomainError, match="precision"):
+        estimate_constant(10**6, 6, 19)
+
+
 @pytest.mark.parametrize(
     "depth, order, precision",
     [(99, 4, 40), (10**3, 2, 40), (10**3, 4, 19)],
