@@ -74,6 +74,44 @@ def euler_gamma(precision: int) -> "PrecReal":
     return PrecReal(_EULER_GAMMA_110, precision)
 
 
+def _divide(n: int, d: int, ctx: Context) -> Decimal:
+    """``ctx.divide(Decimal(n), Decimal(d))`` for d > 0, by integer division.
+
+    Converting n and d to ``Decimal`` first costs time quadratic in their
+    length; here the quotient is taken to a few digits past ``ctx.prec``
+    and rounded half-even.  An exact quotient keeps the exponent closest to
+    the ideal exponent 0, as ``Context.divide`` does ("0.25", "12" and not
+    "12.00"), so the result is the same ``Decimal``, exponent included.
+    """
+    if n == 0:
+        return Decimal(0)
+    precision = ctx.prec
+    # log10|n/d| lies within 0.61 above (bits(n) - bits(d) - 1)*log10(2), and
+    # 0.30103 is a hair above log10(2), so 10**shift * |n|/d has at least
+    # precision + 2 digits and rarely more than precision + 4
+    shift = precision + 2 - (abs(n).bit_length() - d.bit_length() - 1) * 30103 // 100000
+    if shift >= 0:
+        coeff, rest = divmod(abs(n) * 10**shift, d)
+    else:
+        coeff, rest = divmod(abs(n), d * 10**-shift)
+    drop, limit = 2, 10 ** (precision + 2)
+    while coeff >= limit:
+        drop, limit = drop + 1, limit * 10
+    head, tail = divmod(coeff, 10**drop)
+    half = 5 * 10 ** (drop - 1)
+    exponent = drop - shift
+    if tail > half or (tail == half and (rest or head & 1)):
+        head += 1
+        if head == 10**precision:
+            head, exponent = head // 10, exponent + 1
+    elif not (tail or rest):
+        # exact: drop trailing zeros towards the ideal exponent 0
+        while exponent < 0 and head % 10 == 0:
+            head, exponent = head // 10, exponent + 1
+    dec = ctx.scaleb(Decimal(head), exponent)
+    return dec.copy_negate() if n < 0 else dec
+
+
 class PrecReal:
     """A real number bundled with its decimal working precision.
 
@@ -96,7 +134,7 @@ class PrecReal:
             raise DomainError(f"precision must be a positive integer, got {precision!r}")
         ctx = Context(prec=precision)
         if isinstance(value, Fraction):
-            dec = ctx.divide(Decimal(value.numerator), Decimal(value.denominator))
+            dec = _divide(value.numerator, value.denominator, ctx)
         elif isinstance(value, (int, str, Decimal)):
             dec = ctx.plus(Decimal(value))
         else:

@@ -13,7 +13,14 @@ satisfies b_k ~ C(p) * q**k.  Each factor lies in (1/2, 1) and differs from
 1 by b_j/(2r) <= q**j / 2, so the tail of the product after K factors is
 bounded:  partial_K >= C >= partial_K * (1 - q**K/(1 - q)).  Choosing the
 smallest K with q**K/(1 - q) <= 10**-(D+2) therefore pins the first D
-digits, and the product is accumulated in log space to keep rounding flat.
+digits.  The K-th partial product is evaluated as b_K / q**K, iterating the
+residual itself (q - p*b_k = p*(r + a_k)),
+
+    b_0 = r,   b_{k+1} = b_k * (q - p*b_k),
+
+with one fused multiply-add and one multiplication per step and a single
+division by q**K at the end.  Both factors are positive, so nothing cancels,
+and no logarithm is taken.
 
 Digits of these constants are conventionally reported *truncated* (round
 toward zero), and ``RateConstantResult.digit_string`` follows that
@@ -25,11 +32,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import ROUND_DOWN, Context, Decimal
 from fractions import Fraction
-from itertools import islice
 
 from .errors import DomainError, RefusalError
 from .numerics import GUARD_DIGITS, PrecReal, confirmed_value
-from .recurrence import Params, Regime, classify, iterate_real, orbit_decimals
+from .recurrence import Params, Regime, classify, iterate_real
 
 #: The eight parameter points of the standard reference table.
 TABLE_PS = (
@@ -73,31 +79,34 @@ class DiagnosticRow:
     ratio: PrecReal
 
 
-def _factor_count(params: Params, digits: int) -> int:
-    """Smallest K with q**K / (1 - q) <= 10**-(digits + 2).
+def _factor_count(params: Params, digits: int) -> tuple[int, Fraction]:
+    """Smallest K with q**K / (1 - q) <= 10**-(digits + 2), and q**K exactly.
 
-    Computed from decimal logarithms at fixed precision (deterministic
-    across platforms), then verified and nudged by direct comparison.
+    A 30-digit logarithm estimate gives the start; exact rational
+    comparisons then step K by one factor of q to the smallest K that
+    passes, so K does not depend on any rounding.
     """
     ctx = Context(prec=30)
     q = ctx.divide(Decimal(params.q.numerator), Decimal(params.q.denominator))
-    one_minus_q = ctx.subtract(Decimal(1), q)
     # K >= ((digits+2)*ln 10 - ln(1 - q)) / (-ln q)
     needed = ctx.divide(
-        ctx.subtract(ctx.multiply(Decimal(digits + 2), ctx.ln(Decimal(10))), ctx.ln(one_minus_q)),
+        ctx.subtract(
+            ctx.multiply(Decimal(digits + 2), ctx.ln(Decimal(10))),
+            ctx.ln(ctx.subtract(Decimal(1), q)),
+        ),
         ctx.minus(ctx.ln(q)),
     )
     k = max(1, int(needed.to_integral_value(rounding=ROUND_DOWN)))
-    target = ctx.multiply(Decimal(1).scaleb(-(digits + 2)), one_minus_q)
-
-    def q_power(n: int) -> Decimal:
-        return ctx.exp(ctx.multiply(Decimal(n), ctx.ln(q)))
-
-    while q_power(k) > target:
+    q = params.q
+    target = (1 - q) / 10 ** (digits + 2)
+    q_power = q**k
+    while q_power > target:
+        q_power *= q
         k += 1
-    while k > 1 and q_power(k - 1) <= target:
+    while k > 1 and q_power / q <= target:
+        q_power /= q
         k -= 1
-    return k
+    return k, q_power
 
 
 def rate_constant(p, digits: int = 15) -> RateConstantResult:
@@ -122,21 +131,21 @@ def rate_constant(p, digits: int = 15) -> RateConstantResult:
             "the product converges too slowly to certify digits"
         )
 
-    k_factors = _factor_count(params, digits)
+    k_factors, q_power = _factor_count(params, digits)
 
     def compute(precision: int) -> PrecReal:
         ctx = Context(prec=precision)
-        r_dec = PrecReal(params.r, precision).value
-        two_r = PrecReal(2 * params.r, precision).value
-        log_sum = Decimal(0)
-        for a in islice(orbit_decimals(params, precision), k_factors):
-            factor = ctx.divide(ctx.add(r_dec, a), two_r)
-            log_sum = ctx.add(log_sum, ctx.ln(factor))
-        return PrecReal(ctx.multiply(r_dec, ctx.exp(log_sum)), precision)
+        fma, multiply = ctx.fma, ctx.multiply
+        q = PrecReal(params.q, precision).value
+        minus_p = PrecReal(-params.p, precision).value
+        b = PrecReal(params.r, precision).value
+        for _ in range(k_factors):
+            b = multiply(b, fma(minus_p, b, q))
+        return PrecReal(ctx.divide(b, ctx.power(q, k_factors)), precision)
 
     working = digits + GUARD_DIGITS
     value = confirmed_value(compute, digits, working)
-    tail = PrecReal(params.q ** k_factors / (1 - params.q), working)
+    tail = PrecReal(q_power / (1 - params.q), working)
     return RateConstantResult(
         p=params.p,
         q=params.q,

@@ -24,10 +24,16 @@ with ``alpha_0 = 1/2``; the tail-sum module works in that coordinate.
 rationals off the p = 1/2 orbit.  Exact values double in bit length every
 step (denominators are squared), so ``iterate_exact`` refuses any request
 whose denominators could pass 2**EXACT_STEP_CAP bits instead of running for
-hours.  Precision-tracked orbits use two rounded operations per step, so
-after ``n`` steps the accumulated absolute error is below ``3*n*10**(2-P)``
-at working precision ``P`` (the map is a contraction towards r on [0, r],
-so per-step errors do not amplify).
+hours.  The step is written ``one_minus_p + p * a**2``: an integer power of
+a reduced ``Fraction`` raises numerator and denominator separately and skips
+the gcd (powers of coprime integers stay coprime), while ``a * a`` runs gcds
+on operands of up to 2**EXACT_STEP_CAP bits.  Every other operation of the
+step has one small operand, so its gcds are cheap.
+
+Precision-tracked orbits use two rounded operations per step, so after
+``n`` steps the accumulated absolute error is below ``3*n*10**(2-P)`` at
+working precision ``P`` (the map is a contraction towards r on [0, r], so
+per-step errors do not amplify).
 
 Every Decimal orbit comes from one of two endless streams:
 ``orbit_decimals`` (a_k) and ``logistic_decimals`` (alpha_k).  Unlike the
@@ -124,7 +130,8 @@ def iterate_exact(params: Params, n: int) -> list[OrbitSample]:
     a = Fraction(0)
     samples = [OrbitSample(0, a, r - a)]
     for k in range(1, n + 1):
-        a = one_minus_p + p * a * a
+        # a**2, not a * a: see the module docstring
+        a = one_minus_p + p * a**2
         samples.append(OrbitSample(k, a, r - a))
     return samples
 

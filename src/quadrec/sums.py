@@ -159,13 +159,28 @@ def _pow_int(ctx: Context, a: Decimal, m: int) -> Decimal:
 def s2_identity_check(n: int) -> S2Witness:
     """Exact witness that sum_{k<=n} alpha_k^2 equals 1/2 - alpha_{n+1}.
 
-    Pure rational arithmetic end to end; ``holds`` is exact equality, not a
-    tolerance check.  The exact-orbit cap applies to ``n``; alpha_{n+1} is
-    one more logistic step taken here.
+    Exact end to end; ``holds`` is exact equality, not a tolerance check.
+    The exact-orbit cap applies to ``n``; alpha_{n+1} is one more logistic
+    step taken here.
+
+    Every alpha_k is m_k/2**(2**k) with m_k odd, so the squares are summed
+    as integers over the common denominator 2**(2**(n+1)): each m_k**2 is
+    shifted into place and only the k = n term is odd, so the sum is
+    already reduced.  Adding ``Fraction`` squares instead would run gcds on
+    numbers of up to 2**(n+1) bits.  The complement is built as
+    (1 + (1 - 2*alpha_n)**2)/4, whose operations meet only small gcds, and
+    the reduced pairs are compared; a mismatch falls back to comparing the
+    two rationals.
     """
     orbit = logistic_iterate(n)
-    partial = sum((a * a for a in orbit), Fraction(0))
-    complement = Fraction(1, 2) - orbit[n] * (1 - orbit[n])
+    top = 2 * (orbit[n].denominator.bit_length() - 1)
+    numerator = sum(
+        a.numerator**2 << (top - 2 * (a.denominator.bit_length() - 1)) for a in orbit
+    )
+    complement = (1 + (1 - 2 * orbit[n]) ** 2) / 4
+    if numerator == complement.numerator and (1 << top) == complement.denominator:
+        return S2Witness(n=n, partial=complement, complement=complement, holds=True)
+    partial = Fraction(numerator, 1 << top)
     return S2Witness(n=n, partial=partial, complement=complement, holds=partial == complement)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from decimal import ROUND_DOWN, Context, Decimal
 from fractions import Fraction
 
@@ -53,6 +54,63 @@ def test_precreal_carries_explicit_precision():
     x = PrecReal(Fraction(1, 3), 30)
     assert x.precision == 30
     assert str(x.value).startswith("0.33333333333333333333333333333")
+
+
+def _big_int(bits_and_seed):
+    bits, seed = bits_and_seed
+    return random.Random(seed).getrandbits(bits) | 1
+
+
+# numerators and denominators up to 10**5 bits, of any relative size
+_operands = st.one_of(
+    st.integers(min_value=1, max_value=10**30),
+    st.tuples(st.integers(1, 10**5), st.integers(0, 2**32)).map(_big_int),
+)
+
+
+def _tie(head_exp_sign):
+    # head followed by a 5 at 10**exp: half-way between two values with
+    # len(str(head)) digits
+    head, exp, sign = head_exp_sign
+    return sign * Fraction(10 * head + 5) * Fraction(10) ** exp
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    value=st.one_of(
+        st.builds(Fraction, st.integers(-(10**40), 10**40), _operands),
+        st.builds(lambda n, d, sign: sign * Fraction(n, d), _operands, _operands, st.sampled_from([1, -1])),
+        # exact quotients: a terminating decimal times a power of ten
+        st.builds(
+            lambda n, e, sign: sign * Fraction(n) * Fraction(2) ** e * Fraction(5) ** (e // 2),
+            st.integers(1, 10**50), st.integers(-200, 40), st.sampled_from([1, -1]),
+        ),
+        st.tuples(st.integers(1, 10**30), st.integers(-40, 40), st.sampled_from([1, -1])).map(_tie),
+    ),
+    precision=st.integers(1, 120),
+)
+def test_precreal_of_a_fraction_is_the_decimal_quotient(value, precision):
+    # same digits, same rounding (half-even) and the same exponent, so an
+    # exact quotient keeps the ideal exponent 0 ("0.25", "12", "1.0E+2")
+    ctx = Context(prec=precision)
+    expected = ctx.divide(Decimal(value.numerator), Decimal(value.denominator))
+    assert str(PrecReal(value, precision)) == str(expected)
+
+
+@pytest.mark.parametrize(
+    "value, precision, text",
+    [
+        (Fraction(1, 4), 10, "0.25"),
+        (Fraction(1194592, 100), 10, "11945.92"),
+        (Fraction(100), 2, "1.0E+2"),
+        (Fraction(-25, 2), 2, "-12"),
+        (Fraction(-35, 2), 2, "-18"),
+        (Fraction(999, 1000), 2, "1.0"),
+        (Fraction(0), 5, "0"),
+    ],
+)
+def test_precreal_of_a_fraction_examples(value, precision, text):
+    assert str(PrecReal(value, precision)) == text
 
 
 def test_precreal_binary_ops_take_min_precision():

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -66,6 +66,33 @@ def test_tail_bound_is_certified_below_target():
     for row in rate_constant_table(15):
         assert row.tail_bound < Fraction(1, 10**15)
         assert row.tail_bound > 0
+
+
+def _direct_partial_product(p: Fraction, factors: int, precision: int) -> Decimal:
+    """r * prod_{j<K} (r + a_j)/(2r), with its own orbit loop."""
+    ctx = Context(prec=precision)
+    params = classify(p)
+    r = ctx.divide(Decimal(params.r.numerator), Decimal(params.r.denominator))
+    p_dec = ctx.divide(Decimal(p.numerator), Decimal(p.denominator))
+    two_r, a, product = ctx.multiply(2, r), Decimal(0), r
+    for _ in range(factors):
+        product = ctx.multiply(product, ctx.divide(ctx.add(r, a), two_r))
+        a = ctx.add(ctx.subtract(1, p_dec), ctx.multiply(p_dec, ctx.multiply(a, a)))
+    return product
+
+
+@pytest.mark.parametrize(
+    "p, digits",
+    [(p, d) for p in TABLE_PS for d in (15, 50)]
+    + [(Q_MAX / 2, 15), (1 - Q_MAX / 2, 15)],
+)
+def test_rate_constant_is_the_direct_partial_product(p, digits):
+    # the residual iteration b_K/q**K against the product of the factors
+    # themselves, at the same K and 25 extra digits
+    result = rate_constant(p, digits)
+    assert result.q <= Q_MAX
+    direct = _direct_partial_product(Fraction(p), result.factors_used, digits + 25)
+    assert abs(result.C.value - direct) < Decimal(10) ** -(digits + 10)
 
 
 def test_rate_constant_refuses_critical_point():

@@ -142,6 +142,19 @@ def test_exact_orbit_is_refused_by_size(p, largest):
         iterate_exact(params, largest + 1)
 
 
+@pytest.mark.parametrize("p, largest", [("1/3", 19), ("2/5", 18), ("3/4", 19), ("999/1000", 16)])
+def test_exact_orbit_is_the_coprime_integer_recurrence(p, largest):
+    # a = n/d with p = u/v gives a' = ((v - u)*d**2 + u*n**2) / (v*d**2); the
+    # pair stays coprime (every prime of v divides d but not u*n**2), so the
+    # reduced Fraction must carry exactly these integers
+    u, v = Fraction(p).numerator, Fraction(p).denominator
+    orbit = iterate_exact(classify(p), largest)
+    n, d = 0, 1
+    for sample in orbit:
+        assert (sample.a.numerator, sample.a.denominator) == (n, d)
+        n, d = (v - u) * d * d + u * n * n, v * d * d
+
+
 @settings(max_examples=40, deadline=None)
 @given(probabilities)
 def test_orbit_is_monotone_and_bounded(p):

@@ -51,6 +51,17 @@ def test_s2_identity_holds_exactly(n):
     assert witness.partial == witness.complement
 
 
+@pytest.mark.parametrize("n", [*range(11), 16])
+def test_s2_partial_sum_is_reduced_over_the_dyadic_denominator(n):
+    # alpha_k = m_k/2**(2**k) with m_k odd, so the sum of squares has
+    # denominator 2**(2**(n+1)) and an odd numerator
+    witness = s2_identity_check(n)
+    assert witness.partial.denominator == 2 ** (2 ** (n + 1))
+    assert witness.partial.numerator % 2 == 1
+    if n <= 10:
+        assert witness.partial == sum((a * a for a in logistic_iterate(n)), Fraction(0))
+
+
 def test_s2_identity_witness_values():
     witness = s2_identity_check(2)
     assert witness.partial == Fraction(89, 256)
