@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import io
 import json
 import sys
@@ -123,13 +124,50 @@ def _cmd_iterate(args):
 
 
 def _exact_text(value: Fraction) -> str:
-    """``str(value)`` rendered through ``Decimal``, which has no limit on
-    the digits of an integer (``str(int)`` stops at 4300 digits, a length
-    exact orbits pass within 13 steps)."""
-    numerator = str(Decimal(value.numerator))
+    """``str(value)`` with no limit on the digits of an integer (``str(int)``
+    stops at 4300 digits, a length exact orbits pass within 13 steps)."""
+    numerator = _int_text(value.numerator)
     if value.denominator == 1:
         return numerator
-    return f"{numerator}/{Decimal(value.denominator)}"
+    return f"{numerator}/{_int_text(value.denominator)}"
+
+
+#: Exact integer arithmetic: no rounding at any length.
+_EXACT = decimal.Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=[decimal.Inexact]
+)
+
+#: Integers below 2**_SPLIT_BITS go through ``Decimal(int)`` directly.
+_SPLIT_BITS = 2048
+
+
+def _int_text(n: int) -> str:
+    """The decimal digits of ``n``, in subquadratic time.
+
+    ``Decimal(int)`` is quadratic in the length.  Split on the bits,
+    n = high * 2**h + low, convert both halves recursively, and recombine
+    in exact ``Decimal`` arithmetic, whose multiplication of long numbers
+    is subquadratic.
+    """
+    powers: dict[int, Decimal] = {}
+
+    def power(bits: int) -> Decimal:  # 2**bits, exactly
+        if bits not in powers:
+            if bits <= _SPLIT_BITS:
+                powers[bits] = Decimal(1 << bits)
+            else:
+                powers[bits] = _EXACT.multiply(power(bits // 2), power(bits - bits // 2))
+        return powers[bits]
+
+    def digits(m: int, bits: int) -> Decimal:  # 0 <= m < 2**bits
+        if bits <= _SPLIT_BITS:
+            return Decimal(m)
+        low_bits = bits // 2
+        high, low = m >> low_bits, m & ((1 << low_bits) - 1)
+        return _EXACT.fma(digits(high, bits - low_bits), power(low_bits), digits(low, low_bits))
+
+    text = str(digits(abs(n), n.bit_length()))
+    return f"-{text}" if n < 0 else text
 
 
 def _rate_row(result):

@@ -10,7 +10,8 @@ Three kinds of numbers appear throughout the package:
   (the minimum of the operand precisions), so a single operation contributes
   relative error at most ``10**(2 - P)`` at precision ``P``;
 * ``CPoly``, a dense polynomial in one formal symbol ``C`` with exact
-  rational coefficients.  The asymptotic-series engine keeps every derived
+  rational coefficients, held as integer numerators over one shared
+  denominator.  The asymptotic-series engine keeps every derived
   coefficient as a ``CPoly`` so that nothing is rounded before a caller asks
   for digits.
 
@@ -25,6 +26,7 @@ digits and the two results must agree to the requested width, otherwise
 from __future__ import annotations
 
 import decimal
+import math
 from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, TypeVar, Union
@@ -314,18 +316,38 @@ def horner(coeffs: Sequence[Decimal], x: Decimal, ctx: Context) -> Decimal:
 class CPoly:
     """Dense polynomial in the formal constant ``C`` over the rationals.
 
-    Coefficients are stored in ascending order of the power of ``C`` and
-    normalised (no trailing zeros), so equality of tuples is equality of
-    polynomials.  Instances are immutable and hashable.
+    Stored as integer numerators, in ascending order of the power of ``C``,
+    over one shared positive denominator.  The pair is normalised -- no
+    trailing zero numerators, and one ``math.gcd`` divides out every common
+    factor -- so equal polynomials have equal pairs.  ``coeffs`` gives the
+    coefficients as a tuple of reduced ``Fraction`` objects.  Instances are
+    immutable and hashable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_numerators", "_denominator")
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         items = [Fraction(c) for c in coeffs]
-        while items and items[-1] == 0:
-            items.pop()
-        object.__setattr__(self, "coeffs", tuple(items))
+        denominator = math.lcm(*(c.denominator for c in items))
+        numerators = [c.numerator * (denominator // c.denominator) for c in items]
+        self._store(numerators, denominator)
+
+    def _store(self, numerators: list[int], denominator: int) -> None:
+        while numerators and not numerators[-1]:
+            numerators.pop()
+        common = math.gcd(denominator, *numerators)
+        if common != 1:
+            numerators = [n // common for n in numerators]
+            denominator //= common
+        object.__setattr__(self, "_numerators", tuple(numerators))
+        object.__setattr__(self, "_denominator", denominator)
+
+    @classmethod
+    def _over(cls, numerators: list[int], denominator: int) -> "CPoly":
+        """The polynomial sum_t numerators[t]/denominator * C**t (denominator > 0)."""
+        poly = object.__new__(cls)
+        poly._store(numerators, denominator)
+        return poly
 
     def __setattr__(self, name, value):
         raise AttributeError("CPoly instances are immutable")
@@ -340,30 +362,40 @@ class CPoly:
         return cls((0, 1))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self._denominator) for n in self._numerators)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._numerators) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._numerators
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._numerators)
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CPoly.constant(other)
         if not isinstance(other, CPoly):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = list(self.coeffs) + [Fraction(0)] * (n - len(self.coeffs))
-        b = list(other.coeffs) + [Fraction(0)] * (n - len(other.coeffs))
-        return CPoly(x + y for x, y in zip(a, b))
+        a, b = self._numerators, other._numerators
+        common = math.gcd(self._denominator, other._denominator)
+        scale_a, scale_b = other._denominator // common, self._denominator // common
+        denominator = self._denominator * scale_a
+        if len(a) < len(b):
+            a, b, scale_a, scale_b = b, a, scale_b, scale_a
+        out = [n * scale_a for n in a]
+        for t, n in enumerate(b):
+            out[t] += n * scale_b
+        return CPoly._over(out, denominator)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CPoly(-c for c in self.coeffs)
+        return CPoly._over([-n for n in self._numerators], self._denominator)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -377,18 +409,22 @@ class CPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CPoly(c * other for c in self.coeffs)
+            other = Fraction(other)
+            return CPoly._over(
+                [n * other.numerator for n in self._numerators],
+                self._denominator * other.denominator,
+            )
         if not isinstance(other, CPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        a, b = self._numerators, other._numerators
+        if not (a and b):
             return CPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return CPoly(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for s, x in enumerate(a):
+            if x:
+                for t, y in enumerate(b):
+                    out[s + t] += x * y
+        return CPoly._over(out, self._denominator * other._denominator)
 
     __rmul__ = __mul__
 
@@ -403,20 +439,22 @@ class CPoly:
     def __truediv__(self, scalar):
         if not isinstance(scalar, (int, Fraction)):
             return NotImplemented
-        return CPoly(c / Fraction(scalar) for c in self.coeffs)
+        return self * (1 / Fraction(scalar))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CPoly.constant(other)
         if not isinstance(other, CPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return (self._numerators, self._denominator) == (other._numerators, other._denominator)
 
     def __hash__(self):
         return hash(self.coeffs)
 
     def derivative(self) -> "CPoly":
-        return CPoly(k * c for k, c in enumerate(self.coeffs) if k >= 1)
+        return CPoly._over(
+            [k * n for k, n in enumerate(self._numerators) if k >= 1], self._denominator
+        )
 
     def __call__(self, x):
         """Evaluate by Horner's rule; exact for ``Fraction``, rounded for
@@ -441,8 +479,9 @@ class CPoly:
         if self.is_zero:
             return "0"
         parts: list[str] = []
+        coeffs = self.coeffs
         for power in range(self.degree, -1, -1):
-            c = self.coeffs[power]
+            c = coeffs[power]
             if c == 0:
                 continue
             mag = abs(c)

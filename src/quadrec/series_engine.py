@@ -33,7 +33,9 @@ j = i-1 downward determines every c[i][j] exactly; the seeds are
 
 Order 3 onward is derived, never transcribed: the solver raises
 ``EngineError`` if any slot that must vanish fails to, so a green run *is*
-the derivation.
+the derivation.  The solver builds only the two levels of the residual
+that it reads (``_residual_level``); `shift` and `apply_map` build the
+whole residual, the independent route that `fixed_point_defect` takes.
 
 The same map in the coordinate alpha = (1 - a)/2 is x -> x - x**2, and
 ``telescope`` solves its one exact functional equation,
@@ -140,47 +142,56 @@ def _series_square(s: AsymSeries) -> AsymSeries:
 
 
 @lru_cache(maxsize=None)
-def _shift_table(i: int, j: int, order: int) -> tuple[tuple[Key, Fraction], ...]:
-    """Expansion of ln(k+1)**j / (k+1)**i over the (ln k, 1/k) basis.
+def _log_power(t: int, m: int) -> Fraction:
+    """The coefficient of x**m in ln(1 + x)**t."""
+    if t == 0:
+        return Fraction(m == 0)
+    return sum(
+        (Fraction((-1) ** (s + 1), s) * _log_power(t - 1, m - s) for s in range(1, m - t + 2)),
+        Fraction(0),
+    )
 
-    Returns ((i', j'), weight) pairs with i <= i' <= order.  Uses
-    ln(k+1) = ln k + u with u = sum_{m>=1} (-1)**(m+1) k**-m / m, the
-    binomial theorem on (ln k + u)**j, and the negative binomial series
-    for (1 + 1/k)**-i.
+
+@lru_cache(maxsize=None)
+def _log_binomial(i: int, t: int, m: int) -> Fraction:
+    """The coefficient of x**m in ln(1 + x)**t * (1 + x)**-i."""
+    return sum(
+        (
+            _log_power(t, s) * (-1) ** (m - s) * math.comb(i + m - s - 1, m - s)
+            for s in range(t, m)
+        ),
+        _log_power(t, m),
+    )
+
+
+@lru_cache(maxsize=None)
+def _shift_level(i: int, j: int, level: int) -> tuple[tuple[int, Fraction], ...]:
+    """The level-``level`` part of ln(k+1)**j / (k+1)**i over the (ln k, 1/k) basis.
+
+    Returns (j', weight) pairs, j' ascending, for the terms
+    weight * ln(k)**j' / k**level.  Uses ln(k+1) = ln k + u with
+    u = ln(1 + 1/k), the binomial theorem on (ln k + u)**j, and the negative
+    binomial series for (1 + 1/k)**-i: with m = level - i, the weight of
+    ln(k)**(j-t) is binom(j, t) * [x**m] u**t * (1 + x)**-i.  The key holds
+    no truncation order, so each weight is computed once, when first asked.
     """
-    budget = order - i
-    if budget < 0:
-        return ()
-    # u and (1 + 1/k)**-i as plain 1/k power series, index = power of 1/k
-    u = [Fraction(0)] + [Fraction((-1) ** (m + 1), m) for m in range(1, budget + 1)]
-    binom = [Fraction(1)] + [
-        Fraction((-1) ** m * math.comb(i + m - 1, m)) for m in range(1, budget + 1)
-    ]
+    m = level - i
+    out = []
+    for t in range(min(j, m), -1, -1):
+        weight = _log_binomial(i, t, m)
+        if weight:
+            out.append((j - t, math.comb(j, t) * weight))
+    return tuple(out)
 
-    def convolve(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-        out = [Fraction(0)] * (budget + 1)
-        for m1, c1 in enumerate(a):
-            if c1 == 0:
-                continue
-            for m2 in range(min(budget - m1, len(b) - 1) + 1):
-                out[m1 + m2] += c1 * b[m2]
-        return out
 
-    weights: dict[Key, Fraction] = {}
-    u_power = [Fraction(1)] + [Fraction(0)] * budget  # u**0
-    for t in range(j + 1):
-        if t > 0:
-            u_power = convolve(u_power, u)
-        if t > budget and t > 0:
-            break  # u**t starts at k**-t: nothing left within budget
-        choose = math.comb(j, t)
-        mixed = convolve(u_power, binom)
-        for m, coef in enumerate(mixed):
-            if coef == 0:
-                continue
-            key = (i + m, j - t)
-            weights[key] = weights.get(key, Fraction(0)) + choose * coef
-    return tuple(sorted((k, v) for k, v in weights.items() if v != 0))
+def _shift_table(i: int, j: int, order: int) -> tuple[tuple[Key, Fraction], ...]:
+    """Expansion of ln(k+1)**j / (k+1)**i through level ``order``:
+    ((i', j'), weight) pairs with i <= i' <= order, sorted."""
+    return tuple(
+        ((level, j2), weight)
+        for level in range(i, order + 1)
+        for j2, weight in _shift_level(i, j, level)
+    )
 
 
 def expand_log_power(j: int, i: int, order: int) -> AsymSeries:
@@ -253,7 +264,7 @@ _SEEDS: dict[Key, CPoly] = {
 }
 
 #: The highest order ``solve_coefficients`` derives: the cost grows about
-#: 1.8x per two orders, and order 20 already takes seconds.
+#: 1.5x per two orders, and order 20 takes about a third of a second.
 MAX_ORDER = 20
 
 #: Every c[i][j] derived in this process, in derivation order (the seeds,
@@ -261,20 +272,56 @@ MAX_ORDER = 20
 _DERIVED: dict[Key, CPoly] = dict(_SEEDS)
 
 
+def _residual_level(entries: dict[Key, CPoly], level: int) -> dict[int, CPoly]:
+    """The level-``level`` slots of shift(S) - apply_map(S), as {j: slot}.
+
+    S = 1 + T with T = sum entries[(i, j)] ln(k)**j / k**i.  Since
+    apply_map(S) = 1 + T + T**2/2, the residual is shift(T) - T - T**2/2;
+    at level n the leading term of each shifted monomial of level n cancels
+    its copy in T, so only entries with i < n contribute -- through their
+    shift weights, and through the pairs of T**2 whose levels add up to n.
+    Zero slots are left out.
+    """
+    slots: dict[int, CPoly] = {}
+    rows: dict[int, list[tuple[int, CPoly]]] = {}
+    for (i, j), poly in entries.items():
+        if i < level:
+            rows.setdefault(i, []).append((j, poly))
+            for j2, weight in _shift_level(i, j, level):
+                _accumulate(slots, j2, poly * weight)
+    # -T**2/2: each pair of distinct terms once, a term with itself at half weight
+    for i1, row1 in rows.items():
+        i2 = level - i1
+        if i2 < i1 or i2 not in rows:
+            continue
+        for a, (j1, p1) in enumerate(row1):
+            if i1 == i2:
+                _accumulate(slots, 2 * j1, p1 * p1 / -2)
+                partners = row1[a + 1 :]
+            else:
+                partners = rows[i2]
+            for j2, p2 in partners:
+                _accumulate(slots, j1 + j2, -(p1 * p2))
+    return slots
+
+
 def solve_coefficients(max_order: int) -> CoefficientTable:
     """Derive every c[i][j] with i <= max_order by formal matching.
 
-    For each order i >= 3 the residual shift(S) - apply_map(S) of the
-    partial ansatz S (orders < i, truncated at i+1) is computed; its level
-    i+1 slots form a triangular system solved from j = i-1 downward:
+    The residual shift(S) - apply_map(S) of the partial ansatz S (orders
+    < i) is read at two levels only, by ``_residual_level``.  Its level-i
+    slots must vanish; its level-(i+1) slots form a triangular system,
+    solved from j = i-1 downward:
 
         c[i][j] = slot(i+1, j) / (i - 2),
         slot(i+1, j-1) += j * c[i][j].
 
-    Every slot that the theory forces to vanish is checked; a nonzero
-    forced slot raises ``EngineError``.  Orders already derived in this
-    process are looked up, not solved again; an order above ``MAX_ORDER``
-    raises ``RefusalError``.
+    Levels below i read no entry of order i - 1 or higher, so each was
+    checked when it was the top level; the first solve from the seeds also
+    checks levels 1 and 2.  A nonzero forced slot -- at level i, or the
+    slot (i+1, i), which has no unknown -- raises ``EngineError``.  Orders
+    already derived in this process are looked up, not solved again; an
+    order above ``MAX_ORDER`` raises ``RefusalError``.
     """
     if max_order < 2:
         raise DomainError("the expansion starts at order 2; max_order must be >= 2")
@@ -282,26 +329,23 @@ def solve_coefficients(max_order: int) -> CoefficientTable:
         raise RefusalError(f"order {max_order} exceeds the solver's limit of {MAX_ORDER}")
     entries = dict(_DERIVED)
     for i in range(next(reversed(entries))[0] + 1, max_order + 1):
-        truncation = i + 1
-        partial = CoefficientTable(i - 1, entries).as_series(order=truncation)
-        residual = shift(partial) - apply_map(partial)
-        for (i2, j2), poly in residual.terms.items():
-            if i2 <= i and not poly.is_zero:
+        for level in range(1 if i == 3 else i, i + 1):
+            for j, poly in _residual_level(entries, level).items():
                 raise EngineError(
-                    f"slot ({i2}, {j2}) should vanish before solving order {i}, "
+                    f"slot ({level}, {j}) should vanish before solving order {i}, "
                     f"got {poly.format_str()}"
                 )
-        top = residual.coefficient(truncation, i)
+        slots = _residual_level(entries, i + 1)
+        top = slots.get(i, _ZERO)
         if not top.is_zero:
             raise EngineError(
-                f"slot ({truncation}, {i}) has no matching unknown but equals {top.format_str()}"
+                f"slot ({i + 1}, {i}) has no matching unknown but equals {top.format_str()}"
             )
-        slots = {j: residual.coefficient(truncation, j) for j in range(i)}
         for j in range(i - 1, -1, -1):
-            value = slots[j] / (i - 2)
+            value = slots.get(j, _ZERO) / (i - 2)
             entries[(i, j)] = value
             if j >= 1:
-                slots[j - 1] = slots[j - 1] + value * j
+                slots[j - 1] = slots.get(j - 1, _ZERO) + value * j
     # published in one update, so an interrupted solve leaves no partial order
     _DERIVED.update(entries)
     return CoefficientTable(max_order, {k: v for k, v in entries.items() if k[0] <= max_order})

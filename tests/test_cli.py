@@ -5,11 +5,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import random
+import sys
 from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
-from quadrec.cli import main
+from quadrec.cli import _exact_text, _int_text, main
 
 
 def run(capsys, *argv):
@@ -55,6 +58,23 @@ def test_iterate_exact_renders_values_past_the_int_string_limit(capsys):
         n, e = 4**e + n * n, 2 * e + 1
     assert rows == expected
     assert len(rows[-1]["a"]) > 4300
+
+
+def test_exact_text_matches_str_past_the_int_string_limit():
+    # the split-and-recombine rendering against str(int), with the limit lifted
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rng = random.Random(7)
+        values = [3**40000, -(7**9000) + 1, 1 << 30000, (1 << 30000) - 1]
+        values += [rng.getrandbits(bits) for bits in (4096, 14500, 60001)]
+        for value in values:
+            assert len(str(value)) > 1200
+            assert _int_text(value) == str(value)
+        assert len(str(values[0])) > 4300
+        assert _exact_text(Fraction(values[0], values[2])) == f"{values[0]}/{values[2]}"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_iterate_rejects_bad_parameter(capsys):

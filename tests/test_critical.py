@@ -149,14 +149,20 @@ def test_solved_orders_are_looked_up_not_derived_again(monkeypatch):
     # order up to it, and the residual check, are lookups in the one table
     solve_coefficients(12)
     derived = []
-    apply_map = series_engine.apply_map
+    residual_level = series_engine._residual_level
     monkeypatch.setattr(
-        series_engine, "apply_map", lambda series: derived.append(series.order) or apply_map(series)
+        series_engine,
+        "_residual_level",
+        lambda entries, level: derived.append(level) or residual_level(entries, level),
     )
     tables = {order: solve_coefficients(order) for order in range(3, 13)}
     rows = residual_order_check(3, [10, 20], 40)
     assert derived == []
     assert [k for k, _ in rows] == [10, 20]
+    # the spy sees a derivation: from the seeds alone, order 3 reads levels 1-4
+    monkeypatch.setattr(series_engine, "_DERIVED", dict(series_engine._SEEDS))
+    solve_coefficients(3)
+    assert derived == [1, 2, 3, 4]
     monkeypatch.undo()
     for order, table in tables.items():
         fresh_solve_order = [(1, 0), (2, 1), (2, 0)] + [

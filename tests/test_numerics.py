@@ -338,3 +338,75 @@ def test_cpoly_derivative_is_linear_in_shifts(p, x):
     # (p + C)' == p' + 1 where C is the variable
     c = CPoly.variable()
     assert (p + c).derivative()(x) == p.derivative()(x) + 1
+
+
+# reference arithmetic on plain lists of Fraction coefficients
+def _trimmed(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def _padded(a, b):
+    n = max(len(a), len(b))
+    return list(a) + [Fraction(0)] * (n - len(a)), list(b) + [Fraction(0)] * (n - len(b))
+
+
+def _reference_product(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for s, x in enumerate(a):
+        for t, y in enumerate(b):
+            out[s + t] += x * y
+    return _trimmed(out)
+
+
+wide_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=60)
+coefficient_lists = st.lists(wide_rationals, max_size=5)
+nonzero_scalars = st.one_of(
+    st.integers(-30, 30), wide_rationals
+).filter(lambda s: s != 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coefficient_lists, coefficient_lists, nonzero_scalars)
+def test_cpoly_arithmetic_matches_fraction_coefficients(a, b, scalar):
+    p, q = CPoly(a), CPoly(b)
+    x, y = _padded(a, b)
+    assert (p + q).coeffs == _trimmed(u + v for u, v in zip(x, y))
+    assert (p - q).coeffs == _trimmed(u - v for u, v in zip(x, y))
+    assert (-p).coeffs == _trimmed(-u for u in a)
+    assert (p * q).coeffs == _reference_product(a, b)
+    assert (p * scalar).coeffs == _trimmed(u * scalar for u in a)
+    assert (p / scalar).coeffs == _trimmed(u / Fraction(scalar) for u in a)
+    assert p.derivative().coeffs == _trimmed(k * u for k, u in enumerate(a) if k >= 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(coefficient_lists, coefficient_lists)
+def test_cpoly_coeffs_come_out_normalised(a, b):
+    for poly in (CPoly(a + [0, 0]), CPoly(a) + CPoly(b), CPoly(a) * CPoly(b), CPoly(a) - CPoly(a)):
+        coeffs = poly.coeffs
+        assert all(type(c) is Fraction for c in coeffs)
+        assert not coeffs or coeffs[-1] != 0
+        assert poly.degree == len(coeffs) - 1
+        assert CPoly(coeffs) == poly
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficient_lists, coefficient_lists, nonzero_scalars)
+def test_equal_cpolys_hash_equally(a, b, scalar):
+    p, q = CPoly(a), CPoly(b)
+    for other in ((p + q) - q, p * scalar / scalar, CPoly(c * 6 for c in a) / 6):
+        assert other == p
+        assert hash(other) == hash(p)
+
+
+def test_cpoly_equal_fractions_in_any_form_are_one_polynomial():
+    half = CPoly([Fraction(2, 4)])
+    assert half == CPoly([Fraction(1, 2)]) == Fraction(1, 2)
+    assert hash(half) == hash(CPoly([Fraction(1, 2)]))
+    assert CPoly([Fraction(2, 4), 0]).coeffs == (Fraction(1, 2),)
+    assert CPoly([Fraction(3, 6), Fraction(4, 6)]).coeff_strings() == ["1/2", "2/3"]
+    with pytest.raises(ZeroDivisionError):
+        CPoly.variable() / 0

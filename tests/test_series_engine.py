@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import random
 from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
 
-from quadrec.errors import DomainError
+import quadrec.series_engine as series_engine
+from quadrec.errors import DomainError, EngineError
 from quadrec.numerics import CPoly, PrecReal
 from quadrec.recurrence import classify, final_value
 from quadrec.series_engine import (
@@ -126,6 +128,62 @@ def test_constant_series_is_a_fixed_point():
     one = AsymSeries(4, {(0, 0): CPoly.constant(1)})
     assert shift(one).terms == one.terms
     assert apply_map(one).terms == one.terms
+
+
+# ---------------------------------------------------------------------------
+# the level-by-level residual the solver reads
+# ---------------------------------------------------------------------------
+
+
+def _arbitrary_entries(order, seed):
+    # any c[i][j] in Q[C], zeros included: the level identity is algebraic
+    rng = random.Random(seed)
+    return {
+        (i, j): CPoly(
+            Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(rng.randint(0, 3))
+        )
+        for i in range(1, order + 1)
+        for j in range(i)
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_residual_level_matches_the_reference_route(seed):
+    order = 12
+    entries = _arbitrary_entries(order, seed)
+    terms = {(0, 0): CPoly.constant(1)}
+    terms.update((key, poly) for key, poly in entries.items() if poly)
+    series = AsymSeries(order, terms)
+    reference = shift(series) - apply_map(series)
+    for level in range(1, order + 1):
+        expected = {j: poly for (i, j), poly in reference.terms.items() if i == level}
+        assert bool(expected) == (level > 1), level  # level 1 cancels for any ansatz
+        assert series_engine._residual_level(entries, level) == expected, level
+
+
+def test_residual_level_vanishes_on_the_solved_table():
+    entries = solve_coefficients(12).entries
+    for level in range(1, 14):
+        assert series_engine._residual_level(entries, level) == {}, level
+
+
+@pytest.mark.parametrize(
+    "key, top",
+    # c[2][0] is the free constant C: only the orders derived from it pin it
+    [((1, 0), 2), ((2, 1), 2)]
+    + [(key, 5) for key in [(1, 0), (2, 1), (2, 0), (3, 1), (4, 0), (5, 4), (5, 0)]],
+)
+def test_solver_refuses_a_corrupted_lower_coefficient(monkeypatch, key, top):
+    table = solve_coefficients(5)
+    corrupted = {k: v for k, v in table.entries.items() if k[0] <= top}
+    corrupted[key] = corrupted[key] + CPoly.variable() / 7
+    monkeypatch.setattr(series_engine, "_DERIVED", corrupted)
+    with pytest.raises(EngineError):
+        solve_coefficients(top + 2)
+    monkeypatch.undo()
+    # the process-wide table was never touched
+    assert solve_coefficients(5).entries == table.entries
+    assert fixed_point_defect(solve_coefficients(7)).terms == {}
 
 
 # ---------------------------------------------------------------------------
