@@ -39,6 +39,10 @@ Every Decimal orbit comes from one of two endless streams:
 ``orbit_decimals`` (a_k) and ``logistic_decimals`` (alpha_k).  Unlike the
 exact logistic orbit, the second is not derived from the first: alpha_k ~
 1/k, so forming (1 - a_k)/2 would cancel about log10(k) leading digits.
+The one endpoint-only use, the deep alpha_N of the critical constant, comes
+from ``logistic_point`` instead: the same map on a binary fixed-point
+integer, rounded into a Decimal once at the end.  The sums keep the stream,
+because converting every term would cost more than the Decimal step saves.
 """
 
 from __future__ import annotations
@@ -232,3 +236,44 @@ def logistic_decimals(precision: int) -> Iterator[Decimal]:
     while True:
         yield a
         a = multiply(a, subtract(one, a))
+
+
+def logistic_point(n: int, precision: int) -> Decimal:
+    """alpha_n alone, with relative error below 10**(1 - precision).
+
+    The orbit runs on an integer X = x * 2**B, rounding each square down:
+    X <- X - ((X*X) >> B) from X = 2**(B - 1), and X / 2**B is rounded once
+    into a ``precision``-digit Decimal.  The bound is derived as follows.
+
+    * One-sided orbit error.  With x_k = X_k / 2**B the step is
+      x_{k+1} = f(x_k) + d_k, f(x) = x - x**2, where the floored part d_k
+      lies in [0, 2**-B).  f has slope 1 - 2x in [0, 1] on [0, 1/2], so
+      e_k = x_k - alpha_k obeys 0 <= e_{k+1} <= e_k + d_k, and
+      0 <= x_n - alpha_n < n * 2**-B (n >= 1; x_0 = alpha_0 = 1/2).
+    * Relative error.  1/alpha_n = 2 + n + sum_{k<n} alpha_k/(1 - alpha_k)
+      is at most m = n + 3 + bit_length(n) (the sum is below 1 + ln n).
+      B = ceil((P - 1) log2 10) + 2 bit_length(2m) gives
+      2**B > 4 m**2 10**(P-1), so (x_n - alpha_n)/alpha_n < n m 2**-B,
+      which is below a quarter unit of the P-th digit, 10**(1-P)/4.
+    * The final division rounds once, by at most half a unit, so the
+      result is off by less than 3/4 unit plus a second-order term: inside
+      the budget n 10**(1-P) that ``critical`` assumes, for every n >= 1.
+    """
+    x, bits = _logistic_fixed(n, precision)
+    return Context(prec=precision).divide(Decimal(x), Decimal(1 << bits))
+
+
+def _logistic_fixed(n: int, precision: int) -> tuple[int, int]:
+    """(X_n, B) of ``logistic_point``: 0 <= X_n/2**B - alpha_n < n 2**-B."""
+    if n < 0:
+        raise DomainError("step count must be nonnegative")
+    if precision < 1:
+        raise DomainError("precision must be at least 1")
+    # 2**B >= 10**(P-1) * 4**bit_length(2m), m = n + 3 + bit_length(n)
+    bits = (10 ** (precision - 1) - 1).bit_length() + 2 * (
+        2 * (n + 3 + n.bit_length())
+    ).bit_length()
+    x = 1 << (bits - 1)
+    for _ in range(n):
+        x -= (x * x) >> bits
+    return x, bits

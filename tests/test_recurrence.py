@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from decimal import Decimal
+from itertools import islice
 from fractions import Fraction
 
 import pytest
@@ -15,12 +16,14 @@ from quadrec.recurrence import (
     EXACT_STEP_CAP,
     Params,
     Regime,
+    _logistic_fixed,
     classify,
     final_value,
     iterate_exact,
     iterate_real,
     logistic_decimals,
     logistic_iterate,
+    logistic_point,
     orbit_decimals,
 )
 
@@ -272,3 +275,52 @@ def test_logistic_decimals_match_exact():
 def test_logistic_cap():
     with pytest.raises(ExactCapError):
         logistic_iterate(EXACT_STEP_CAP + 1)
+
+
+# ---------------------------------------------------------------------------
+# the fixed-point endpoint kernel
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("precision", [20, 35, 60, 100])
+def test_logistic_fixed_point_error_is_one_sided(precision):
+    # exact check of 0 <= X_n/2**B - alpha_n < n 2**-B: the floored squares
+    # push the orbit up, and the slope of x - x**2 on [0, 1/2] keeps it there
+    exact = logistic_iterate(20)
+    for n, alpha in enumerate(exact):
+        x, bits = _logistic_fixed(n, precision)
+        error = Fraction(x, 2**bits) - alpha
+        # messages name n alone: alpha_20 has a million-bit denominator
+        assert 0 <= error <= Fraction(n, 2**bits), n
+        if n:
+            assert error < Fraction(n, 2**bits), n
+        rounded = Fraction(logistic_point(n, precision))
+        assert abs(rounded - alpha) < Fraction(1, 10 ** (precision - 1)) * alpha, n
+
+
+def _relative_error(n: int, precision: int) -> Fraction:
+    """|logistic_point - alpha_n| / alpha_n against a Decimal stream at 2P + 20."""
+    reference = Fraction(next(islice(logistic_decimals(2 * precision + 20), n, None)))
+    return abs(Fraction(logistic_point(n, precision)) - reference) / reference
+
+
+@pytest.mark.parametrize("n", [10**4, 10**5])
+@pytest.mark.parametrize("precision", [20, 60])
+def test_logistic_point_within_relative_budget(n, precision):
+    # within one unit of the last digit, far inside the budget n 10**(1-P)
+    # that the critical constant's rounding term assumes; the reference's
+    # own error is some 10**-(P+19) of a unit
+    assert _relative_error(n, precision) < Fraction(1, 10 ** (precision - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=3000), st.integers(min_value=20, max_value=120))
+def test_logistic_point_budget_property(n, precision):
+    assert _relative_error(n, precision) < Fraction(1, 10 ** (precision - 1))
+
+
+def test_logistic_point_domain_checks():
+    with pytest.raises(DomainError):
+        logistic_point(-1, 40)
+    with pytest.raises(DomainError):
+        logistic_point(10, 0)
