@@ -25,15 +25,18 @@ The reported ``truncation_bound`` is in C units and covers both errors:
 
 * truncation: twice ``series_engine.tail_bound`` of R from k = N on, with
   the omitted terms of the series from x**(M+2) on;
-* rounding: each orbit step rounds twice, and x -> x - x**2 carries a
-  relative error with the factor 1 - x/(1 - x), which lies in [0, 1] on
-  [0, 1/2]; so alpha_N is off by a relative N * 10**(1-P) at most.  phi
+* rounding: ``recurrence.logistic_point`` runs the orbit in binary fixed
+  point with B bits, flooring each square.  x -> x - x**2 has slope in
+  [0, 1] on [0, 1/2], so the floors add up to a one-sided error below
+  N * 2**-B; B is chosen from P and N so that, with the one final rounding
+  to P digits, alpha_N is off by less than a relative 10**(1-P), and the
+  bound keeps the wider budget of a relative N * 10**(1-P).  phi
   turns that into an absolute error of at most 1/alpha_N <= N + 3 + ln N
   times as much (1/alpha_n = 2 + n + sum_{k<n} alpha_k/(1 - alpha_k)), and
   evaluating phi_M adds a few rounding units of N.  In C units all of it
   stays below 2 (N + 4)(N + 2 + bit_length(N)) 10**(1-P).
 
-alpha_N comes from the logistic stream itself: forming (1 - a_N)/2 would
+alpha_N comes from the logistic map itself: forming (1 - a_N)/2 would
 cancel about log10(N) digits.  The logistic tail constant is c = C/2, and
 exp(c - 1) is the limit comparison constant for the product form of the
 orbit.
@@ -44,12 +47,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Context
 from fractions import Fraction
-from itertools import islice
 from typing import Sequence
 
 from .errors import DomainError, RefusalError
 from .numerics import PrecReal
-from .recurrence import classify, iterate_real, logistic_decimals
+from .recurrence import classify, iterate_real, logistic_point
 from .series_engine import (
     MAX_ORDER,
     eval_polynomial,
@@ -65,8 +67,8 @@ from .series_engine import eval_series_coeffs  # noqa: F401
 
 _CRITICAL_P = Fraction(1, 2)
 
-#: The deepest orbit an estimate runs: about 7 s at precision 60 on a
-#: 2-core Intel Xeon with Python 3.11.
+#: The deepest orbit an estimate runs: the whole `critical-c --N 10**7` takes
+#: about 3 s at precision 60 on a 2-core Intel Xeon with Python 3.11.
 MAX_DEPTH = 10**7
 
 
@@ -119,7 +121,7 @@ def estimate_constant(depth: int = 10**6, order: int = 6, precision: int = 60) -
     rounding = Fraction(2 * (depth + 4) * (depth + 2 + depth.bit_length()), 10 ** (precision - 1))
 
     ctx = Context(prec=precision)
-    x = next(islice(logistic_decimals(precision), depth, None))
+    x = logistic_point(depth, precision)
     phi = ctx.add(ctx.add(ctx.divide(1, x), ctx.ln(x)), eval_polynomial(H, x, ctx))
     return CriticalEstimate(
         C=PrecReal(ctx.multiply(2, ctx.subtract(phi, depth)), precision),

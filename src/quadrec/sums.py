@@ -256,7 +256,8 @@ def bootstrap_check(digits: int) -> BootstrapReport:
     """Evaluate both sides of c = 2 + gamma + s_1 + sum_{m>=2} s_m.
 
     The left side is the critical-module constant c = C/2, from a depth
-    10**5, order 6 estimate (truncation bound near 2e-18); the right side
+    10**5, order 6 estimate at precision digits + 2*GUARD_DIGITS (its bound,
+    truncation plus rounding, is 4.5e-35 at 6 digits); the right side
     is assembled entirely from orbit sums.  Requests beyond 6 digits are
     refused.
     """

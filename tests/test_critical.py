@@ -75,6 +75,15 @@ def test_abel_estimate_is_inside_its_bound(depth, order, precision):
     assert abs(est.C.value - C_REF) <= est.truncation_bound.value + C_REF_ERROR
 
 
+def test_rounding_dominated_estimate_is_inside_its_bound():
+    # at 22 digits the rounding term (about 8e-13) is nearly the whole
+    # bound, so this checks the error budget of the orbit point alpha_N
+    est = estimate_constant(2 * 10**4, 6, 22)
+    at_60_digits = estimate_constant(2 * 10**4, 6, 60)
+    assert at_60_digits.truncation_bound.value * 10**6 < est.truncation_bound.value
+    assert abs(est.C.value - C_REF) <= est.truncation_bound.value
+
+
 def test_abel_series_starts_with_known_coefficients():
     H, _R = telescope(_abel_summand(3), 3)
     assert H == [0, Fraction(1, 2), Fraction(1, 3), Fraction(13, 36)]

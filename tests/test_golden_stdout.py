@@ -104,7 +104,7 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
         "critical-c --N 2000 --order 8 --precision 50",
         """\
 {
-  "C": "3.5359875722723081008872688135574593575587895712",
+  "C": "3.5359875722723081008872688135574593575587895708",
   "N": 2000,
   "order": 8,
   "truncation_bound": "5.0406038268268128732314426028525628009912403619115E-30"
@@ -117,27 +117,27 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
 [
   {
     "k": 10,
-    "residual": "0.0056847016872893228832378938370348290445"
+    "residual": "0.0056847016872893228832378938370348353340"
   },
   {
     "k": 20,
-    "residual": "0.0006761554011435912305362573422791256652"
+    "residual": "0.0006761554011435912305362573422791288201"
   },
   {
     "k": 40,
-    "residual": "0.0000720429421982707947493979840996759990"
+    "residual": "0.0000720429421982707947493979840996770332"
   },
   {
     "k": 80,
-    "residual": "0.0000070609938304015055286867412414112063"
+    "residual": "0.0000070609938304015055286867412414115014"
   },
   {
     "k": 160,
-    "residual": "6.496646362280665171496758689561203E-7"
+    "residual": "6.496646362280665171496758689561995E-7"
   },
   {
     "k": 320,
-    "residual": "5.69648113389251677114088765736081E-8"
+    "residual": "5.69648113389251677114088765736287E-8"
   }
 ]
 """,
