@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from decimal import Decimal
-from itertools import islice
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -291,9 +291,7 @@ def test_logistic_fixed_point_error_is_one_sided(precision):
         x, bits = _logistic_fixed(n, precision)
         error = Fraction(x, 2**bits) - alpha
         # messages name n alone: alpha_20 has a million-bit denominator
-        assert 0 <= error <= Fraction(n, 2**bits), n
-        if n:
-            assert error < Fraction(n, 2**bits), n
+        assert 0 <= error < Fraction(max(n, 1), 2**bits), n
         rounded = Fraction(logistic_point(n, precision))
         assert abs(rounded - alpha) < Fraction(1, 10 ** (precision - 1)) * alpha, n
 
@@ -309,7 +307,7 @@ def _relative_error(n: int, precision: int) -> Fraction:
 def test_logistic_point_within_relative_budget(n, precision):
     # within one unit of the last digit, far inside the budget n 10**(1-P)
     # that the critical constant's rounding term assumes; the reference's
-    # own error is some 10**-(P+19) of a unit
+    # own relative error, below n 10**(-2P-19), is negligible
     assert _relative_error(n, precision) < Fraction(1, 10 ** (precision - 1))
 
 
