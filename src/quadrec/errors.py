@@ -11,8 +11,9 @@ distinctions matter:
                        its accuracy contract for them (precision too low,
                        contraction ratio too close to 1, ...), exit code 4.
 
-``PrecisionError`` is a refusal: the double-precision ladder failed to
-confirm the requested digits, so no value is reported.  ``EngineError``
+``PrecisionError`` is a refusal: the two runs of a rate constant at
+different precisions failed to confirm the requested digits, so no value is
+reported.  ``EngineError``
 signals an internal inconsistency in the symbolic series engine (a matching
 slot that should be forced but is not); it is a bug indicator, not a user
 error, and deliberately maps to a plain failure.

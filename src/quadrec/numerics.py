@@ -17,10 +17,10 @@ Three kinds of numbers appear throughout the package:
 
 The module also owns the Euler--Mascheroni constant (110 verified digits),
 the one Decimal Horner rule (``horner``) that every polynomial-in-C
-evaluation goes through, and the double-run confirmation helper used before
-any digits are reported: a computation is repeated with 20 extra guard
-digits and the two results must agree to the requested width, otherwise
-``PrecisionError`` is raised.
+evaluation goes through, and the double-run confirmation helper of the rate
+constants: a computation is repeated with 20 extra guard digits and the two
+results must agree to the requested width, otherwise ``PrecisionError`` is
+raised.  The tail sums derive their rounding bound instead (``sums``).
 """
 
 from __future__ import annotations

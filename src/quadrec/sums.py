@@ -27,23 +27,33 @@ G(x) - G(x - x**2) = g(x) through x**(M+1).  Then
     sum_{k>N} g(alpha_k) = G(alpha_{N+1}) - sum_{k>N} R(alpha_k),
 
 where R = G(x) - G(x - x**2) - g(x) is exact and starts at x**(M+2).
-Since alpha_k <= 1/(k+2), the reported ``error_estimate`` is the derived
-bound sum_d |r_d| (N+2)**(1-d)/(d-1) (``series_engine.tail_bound``).  The
-orbit is streamed to the fixed depth N = DEPTH and G has the fixed order
-M = ORDER; the bound is far below every digit request the caps allow.
+Since alpha_k <= 1/(k+2), the tail error is at most the derived bound
+sum_d |r_d| (N+2)**(1-d)/(d-1) (``series_engine.tail_bound``).  The depth
+N = DEPTH and the order M = ORDER are fixed; the bound is far below every
+digit request the caps allow.
+
+The direct part is one pass over the floored fixed-point orbit of
+``recurrence.logistic_integers``: each summand is added as the integer
+floor(2**B g(x_k)) to one Python int, G(x_{N+1}) is evaluated exactly, and
+the total is rounded into a Decimal once.  The rounding of that pass is
+derived, not confirmed by a rerun (``_rounding_coefficient``), so the
+reported ``error_estimate`` is the tail bound plus the rounding bound.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
+from itertools import islice
+from typing import Callable
 
 from .critical import estimate_constant
 from .errors import DomainError, RefusalError
-from .numerics import GUARD_DIGITS, PrecReal, confirmed_value, euler_gamma
-from .recurrence import logistic_decimals, logistic_iterate
-from .series_engine import eval_polynomial, tail_bound, telescope
+from .numerics import GUARD_DIGITS, PrecReal, euler_gamma
+from .recurrence import logistic_decimals, logistic_integers, logistic_iterate
+from .series_engine import tail_bound, telescope
 
 # Not used here: the benchmark's tracer wraps this name in this module.
 from .series_engine import solve_coefficients  # noqa: F401
@@ -103,37 +113,160 @@ _FAMILY = [Fraction(0)] * 2 + [Fraction(1)] * ORDER
 _LOG_REST = [Fraction(0)] * 2 + [Fraction(-1, n) for n in range(2, ORDER + 2)]
 
 
-def _telescoped_sum(m: int, digits: int, term, tail, bound: Fraction) -> SumResult:
-    """sum_{k<=DEPTH} term + tail(alpha_{DEPTH+1}), confirmed by a rerun.
+@dataclass(frozen=True)
+class _Summand:
+    """A summand g, telescoped, with what its one-pass sum needs.
 
-    ``term(ctx, k, alpha)`` is the direct summand and ``tail(ctx, x)`` the
-    telescoped rest of the sum; ``bound`` is its derived error.  A bound above
-    10**-(digits+2) of the sum is refused.
+    ``floor(X, B)`` is floor(2**B g(X / 2**B)).  G and R solve
+    G(x) - G(x - x**2) = g(x) + R(x) through the listed coefficients;
+    ``omitted_from`` is as in ``tail_bound``.  ``step`` bounds
+    |G'(xi) d + e| 2**B for one orbit step d and one floored summand e;
+    ``harmonic`` marks s_1, whose telescoped tail is ln x + G and whose
+    G' also holds 1/x (see ``_rounding_coefficient``).
     """
 
-    def compute(precision: int) -> SumResult:
-        ctx = Context(prec=precision)
-        stream = logistic_decimals(precision)
-        partial = Decimal(0)
-        for k in range(DEPTH + 1):
-            partial = ctx.add(partial, term(ctx, k, next(stream)))
-        correction = tail(ctx, next(stream))
-        total = ctx.add(partial, correction)
-        error = PrecReal(bound, precision)
-        if error.value > Decimal(1).scaleb(-(digits + 2)) * total.copy_abs():
-            raise RefusalError(
-                f"the tail bound {error.value:E} exceeds 10^-{digits + 2} of the sum; "
-                "request fewer digits"
-            )
-        return SumResult(
-            m=m,
-            value=PrecReal(total, precision),
-            terms_summed=DEPTH + 1,
-            tail_correction=PrecReal(correction, precision),
-            error_estimate=error,
-        )
+    m: int
+    floor: Callable[[int, int], int]
+    G: list[Fraction]
+    R: list[Fraction]
+    omitted_from: int | None
+    step: Fraction
+    harmonic: bool = False
 
-    return confirmed_value(compute, digits, digits + GUARD_DIGITS)
+
+def _slope(coeffs: list[Fraction]) -> Fraction:
+    """sum_n n |c_n| 2**(1-n): a bound on |P'| over [0, 1/2]."""
+    return sum((n * abs(c) / 2 ** (n - 1) for n, c in enumerate(coeffs) if n and c), Fraction(0))
+
+
+def _power_summand(m: int) -> _Summand:
+    G, R = telescope([Fraction(0)] * m + [Fraction(1)], ORDER)
+    # for m = 2, floor(X**2 / 2**B) is the orbit's own decrement
+    step = Fraction(0) if m == 2 else _slope(G) + 1
+    return _Summand(m, lambda x, bits: x**m >> (m - 1) * bits, G, R, None, step)
+
+
+def _family_summand() -> _Summand:
+    G, R = telescope(_FAMILY, ORDER)
+    # 2**B x**2/(1 - x) = X**2/(2**B - X)
+    return _Summand(0, lambda x, bits: x * x // ((1 << bits) - x), G, R, len(_FAMILY), _slope(G) + 1)
+
+
+def _s1_summand() -> _Summand:
+    H, R = telescope(_LOG_REST, ORDER)
+    # floor(2**B x) = X exactly, so e_k = 0; the 1/x of G' is the harmonic term
+    return _Summand(1, lambda x, bits: x, H, R, len(_LOG_REST), _slope(H), harmonic=True)
+
+
+def _rounding_coefficient(s: _Summand, depth: int) -> Fraction:
+    """K with |pass - exact pass| <= K 2**-B at every B, for depth N.
+
+    The pass adds floor(2**B g(x_k)) = 2**B (g(x_k) + e_k), e_k in
+    (-2**-B, 0], over the floored orbit x_{k+1} = x_k - x_k**2 + d_k,
+    d_k in [0, 2**-B), and adds G(x_{N+1}).  The exact pass is
+    sum_{k<=N} g(alpha_k) + G(alpha_{N+1}).  Since G(x_k) - G(x_{k+1}) =
+    g(x_k) + R(x_k) - G'(xi_k) d_k, with xi_k between x_k - x_k**2 and
+    x_{k+1}, and x_0 = alpha_0, their difference is
+
+        sum_{k<=N} [R(alpha_k) - R(x_k)] + sum_{k<=N} [G'(xi_k) d_k + e_k].
+
+    * 0 <= x_k - alpha_k < k 2**-B (``recurrence.logistic_point``) and
+      every point lies in [0, 1/2], where |R'| is at most ``_slope(R)``,
+      plus (L + 1) 2**(2 - L) for terms omitted from x**L on with
+      coefficients of size at most 1.  The first sum is below
+      |R'| N (N + 1)/2 2**-B.
+    * Each term of the second is below ``step`` 2**-B, which is
+      ``_slope(G)`` + 1 in general and 0 for g = x**2: there the floored
+      summand is the orbit's own decrement, so G' d_k + e_k = d_k + e_k = 0.
+    * For s_1, G' = 1/x + H' and xi_k >= alpha_{k+1} (x - x**2 increases on
+      [0, 1/2]), with 1/alpha_j <= j + 3 + bit_length(j).  That adds
+      sum_{j<=N+1} 1/alpha_j <= (N+1)(N+2)/2 + (N+1)(3 + bit_length(N+1)).
+    """
+    slope = _slope(s.R)
+    if s.omitted_from is not None:
+        slope += Fraction(s.omitted_from + 1, 2 ** (s.omitted_from - 2))
+    coefficient = slope * depth * (depth + 1) / 2 + s.step * (depth + 1)
+    if s.harmonic:
+        coefficient += (depth + 1) * (depth + 2) // 2 + (depth + 1) * (3 + (depth + 1).bit_length())
+    return coefficient
+
+
+def _bits(coefficient: Fraction, precision: int) -> int:
+    """B with coefficient 2**-B and (DEPTH + 1) 2**-B below 10**-precision.
+
+    The second keeps x_{N+1}, the point behind the reported tail
+    correction, within 10**-precision of alpha_{N+1}; for s_2, whose
+    rounding coefficient is 0, it alone sets B.
+    """
+    return (max(math.ceil(coefficient), DEPTH + 1) * 10**precision).bit_length()
+
+
+def _one_pass(s: _Summand, depth: int, bits: int) -> tuple[Fraction, Fraction, int]:
+    """(direct part, G(x_{N+1}), X_{N+1}) of the floored pass at B = ``bits``.
+
+    The direct part sums k = 0..depth.  For s_1 its -1/k terms and the
+    harmonic number H_N of the tail are the same integers floor(2**B/k), so
+    they cancel exactly; the tail then holds G(x) + H_N, not yet ln x - gamma.
+    """
+    orbit = logistic_integers(bits)
+    direct = sum(s.floor(x, bits) for x in islice(orbit, depth + 1))
+    x_last = next(orbit)
+    x = Fraction(x_last, 1 << bits)
+    tail = Fraction(0)
+    for c in reversed(s.G):
+        tail = tail * x + c
+    if s.harmonic:
+        harmonic = sum((1 << bits) // k for k in range(1, depth + 1))
+        direct -= harmonic
+        tail += Fraction(harmonic, 1 << bits)
+    return Fraction(direct, 1 << bits), tail, x_last
+
+
+def _telescoped_sum(s: _Summand, digits: int) -> SumResult:
+    """sum_{k<=DEPTH} g(alpha_k) + G(alpha_{DEPTH+1}) in one floored pass.
+
+    The working precision is P = digits + 2*GUARD_DIGITS, and ``_bits``
+    keeps the rounding of the pass below 10**-P.  For s_1, ln x_{N+1} is
+    rounded correctly to P digits and gamma to within one unit.  The total
+    is rounded once, and its conversion error is measured exactly.  A bound
+    above 10**-(digits+2) of the sum is refused.
+    """
+    precision = digits + 2 * GUARD_DIGITS
+    coefficient = _rounding_coefficient(s, DEPTH)
+    bits = _bits(coefficient, precision)
+    direct, tail, x_last = _one_pass(s, DEPTH, bits)
+    bound = tail_bound(s.R, DEPTH + 1, s.omitted_from) + coefficient / (1 << bits)
+    correction = PrecReal(tail, precision).value
+    if s.harmonic:
+        ctx = Context(prec=precision)
+        log = ctx.ln(Decimal(f"{x_last * 5**bits}E-{bits}"))
+        gamma = euler_gamma(precision).value
+        tail += Fraction(log) - Fraction(gamma)
+        bound += _unit(log, precision) / 2 + _unit(gamma, precision)
+        # added from its P-digit parts, the correction keeps only the
+        # decimals that the rounding of ln x leaves
+        correction = ctx.subtract(ctx.add(correction, log), gamma)
+    total = direct + tail
+    value = PrecReal(total, precision)
+    bound += abs(Fraction(value.value) - total)
+    error = PrecReal(bound, precision)
+    if error.value > Decimal(1).scaleb(-(digits + 2)) * value.value.copy_abs():
+        raise RefusalError(
+            f"the error bound {error.value:E} exceeds 10^-{digits + 2} of the sum; "
+            "request fewer digits"
+        )
+    return SumResult(
+        m=s.m,
+        value=value,
+        terms_summed=DEPTH + 1,
+        tail_correction=PrecReal(correction, precision),
+        error_estimate=error,
+    )
+
+
+def _unit(value: Decimal, precision: int) -> Fraction:
+    """One unit in the last of ``precision`` significant digits of ``value``."""
+    return Fraction(10) ** (value.adjusted() + 1 - precision)
 
 
 def _check_digits(digits: int, cap: int, quantity: str) -> None:
@@ -142,13 +275,6 @@ def _check_digits(digits: int, cap: int, quantity: str) -> None:
         raise DomainError("digits must be positive")
     if digits > cap:
         raise RefusalError(f"at most {cap} digits are certified for {quantity}, got {digits}")
-
-
-def _pow_int(ctx: Context, a: Decimal, m: int) -> Decimal:
-    out = a
-    for _ in range(m - 1):
-        out = ctx.multiply(out, a)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -188,20 +314,12 @@ def power_sum(m: int, digits: int) -> SumResult:
     """s_m = sum alpha_k^m for m >= 2, certified to ``digits`` places.
 
     The tail telescopes with g = x**m; for m = 2 that gives G = x and R = 0,
-    the s_2 identity itself.
+    the s_2 identity itself, and the pass returns 1/2 exactly.
     """
     if m < 2:
         raise DomainError("power sums need m >= 2; the m = 1 sum only exists regularized")
     _check_digits(digits, MAX_DIGITS_POWER, "power sums")
-    G, R = telescope([Fraction(0)] * m + [Fraction(1)], ORDER)
-
-    def term(ctx, k, alpha):
-        return _pow_int(ctx, alpha, m)
-
-    def tail(ctx, x):
-        return eval_polynomial(G, x, ctx)
-
-    return _telescoped_sum(m, digits, term, tail, tail_bound(R, DEPTH + 1))
+    return _telescoped_sum(_power_summand(m), digits)
 
 
 def regularized_s1(digits: int) -> SumResult:
@@ -214,22 +332,7 @@ def regularized_s1(digits: int) -> SumResult:
     G_1(alpha_{N+1}) + H_N - gamma.
     """
     _check_digits(digits, MAX_DIGITS_S1, "the regularized sum")
-    H, R = telescope(_LOG_REST, ORDER)
-    one = Decimal(1)
-
-    def term(ctx, k, alpha):
-        if k == 0:
-            return alpha
-        return ctx.subtract(alpha, ctx.divide(one, Decimal(k)))
-
-    def tail(ctx, x):
-        harmonic = Decimal(0)
-        for k in range(1, DEPTH + 1):
-            harmonic = ctx.add(harmonic, ctx.divide(one, Decimal(k)))
-        log_part = ctx.add(ctx.ln(x), eval_polynomial(H, x, ctx))
-        return ctx.subtract(ctx.add(log_part, harmonic), euler_gamma(ctx.prec).value)
-
-    return _telescoped_sum(1, digits, term, tail, tail_bound(R, DEPTH + 1, len(_LOG_REST)))
+    return _telescoped_sum(_s1_summand(), digits)
 
 
 def sum_of_power_sums(digits: int) -> SumResult:
@@ -240,16 +343,7 @@ def sum_of_power_sums(digits: int) -> SumResult:
     with ``m = 0`` as the family marker.
     """
     _check_digits(digits, MAX_DIGITS_POWER, "the sum of power sums")
-    G, R = telescope(_FAMILY, ORDER)
-    one = Decimal(1)
-
-    def term(ctx, k, alpha):
-        return ctx.divide(ctx.multiply(alpha, alpha), ctx.subtract(one, alpha))
-
-    def tail(ctx, x):
-        return eval_polynomial(G, x, ctx)
-
-    return _telescoped_sum(0, digits, term, tail, tail_bound(R, DEPTH + 1, len(_FAMILY)))
+    return _telescoped_sum(_family_summand(), digits)
 
 
 def bootstrap_check(digits: int) -> BootstrapReport:

@@ -22,6 +22,7 @@ from quadrec.recurrence import (
     iterate_exact,
     iterate_real,
     logistic_decimals,
+    logistic_integers,
     logistic_iterate,
     logistic_point,
     orbit_decimals,
@@ -294,6 +295,19 @@ def test_logistic_fixed_point_error_is_one_sided(precision):
         assert 0 <= error < Fraction(max(n, 1), 2**bits), n
         rounded = Fraction(logistic_point(n, precision))
         assert abs(rounded - alpha) < Fraction(1, 10 ** (precision - 1)) * alpha, n
+
+
+@pytest.mark.parametrize("bits", [3, 40, 200])
+def test_logistic_integers_are_the_floored_orbit(bits):
+    # the stream is the orbit of logistic_point, with the same one-sided error
+    exact = logistic_iterate(16)
+    for k, (x, alpha) in enumerate(zip(logistic_integers(bits), exact)):
+        error = Fraction(x, 2**bits) - alpha
+        assert 0 <= error < Fraction(max(k, 1), 2**bits), k
+    x, bits = _logistic_fixed(1000, 40)
+    assert next(islice(logistic_integers(bits), 1000, None)) == x
+    with pytest.raises(DomainError):
+        next(logistic_integers(0))
 
 
 def _relative_error(n: int, precision: int) -> Fraction:

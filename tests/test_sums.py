@@ -6,10 +6,12 @@ from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadrec.critical import _abel_summand, estimate_constant
 from quadrec.errors import DomainError, ExactCapError, RefusalError
-from quadrec.numerics import GUARD_DIGITS
+from quadrec.numerics import GUARD_DIGITS, euler_gamma
 from quadrec.recurrence import logistic_decimals, logistic_iterate
 from quadrec.series_engine import eval_polynomial, tail_bound, telescope
 from quadrec.sums import (
@@ -20,6 +22,12 @@ from quadrec.sums import (
     MAX_DIGITS_POWER,
     MAX_DIGITS_S1,
     ORDER,
+    _bits,
+    _family_summand,
+    _one_pass,
+    _power_summand,
+    _rounding_coefficient,
+    _s1_summand,
     bootstrap_check,
     harmonic_divergence_diagnostic,
     power_sum,
@@ -202,6 +210,99 @@ def test_s2_is_the_smallest_telescope():
     assert not any(R)
     assert tail_bound(R, DEPTH + 1) == 0
     assert power_sum(2, 15).error_estimate.value == 0
+
+
+# ---------------------------------------------------------------------------
+# the one floored pass and its derived rounding bound
+# ---------------------------------------------------------------------------
+
+_SUMMANDS = {
+    "x^3": (_power_summand(3), lambda x: x**3),
+    "x^8": (_power_summand(8), lambda x: x**8),
+    "family": (_family_summand(), lambda x: x * x / (1 - x)),
+    "x": (_s1_summand(), lambda x: x),
+}
+
+
+def _poly(coeffs, x):
+    return sum((c * x**n for n, c in enumerate(coeffs)), Fraction(0))
+
+
+@pytest.mark.parametrize("name", sorted(_SUMMANDS))
+def test_floored_summands_round_down(name):
+    summand, g = _SUMMANDS[name]
+    for bits in (5, 64, 190):
+        for x in (1, 3, 2 ** (bits - 2) + 7, 2 ** (bits - 1)):
+            exact = 2**bits * g(Fraction(x, 2**bits))
+            assert summand.floor(x, bits) <= exact < summand.floor(x, bits) + 1
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 5, 12])
+@pytest.mark.parametrize("bits", [20, 64])
+@pytest.mark.parametrize("name", sorted(_SUMMANDS))
+def test_pass_replays_the_exact_orbit_within_its_rounding_term(name, bits, depth):
+    # against sum_{k<=N} g(alpha_k) + G(alpha_{N+1}) on the exact rationals;
+    # for g = x the tail also holds ln x, and 0 <= ln(x/alpha) <= (x - alpha)/alpha
+    summand, g = _SUMMANDS[name]
+    alphas = logistic_iterate(depth + 1)
+    exact = sum((g(a) for a in alphas[:-1]), Fraction(0)) + _poly(summand.G, alphas[-1])
+    direct, tail, x_last = _one_pass(summand, depth, bits)
+    gap = direct + tail - exact
+    log_gap = Fraction(0)
+    if summand.harmonic:
+        x = Fraction(x_last, 2**bits)
+        log_gap = (x - alphas[-1]) / alphas[-1]
+    bound = _rounding_coefficient(summand, depth) / 2**bits
+    assert -bound <= gap and gap + log_gap <= bound
+
+
+_CAPPED = {
+    **{f"s{m}": (_power_summand(m), lambda m=m: power_sum(m, MAX_DIGITS_POWER)) for m in range(2, 9)},
+    "family": (_family_summand(), lambda: sum_of_power_sums(MAX_DIGITS_POWER)),
+    "s1": (_s1_summand(), lambda: regularized_s1(MAX_DIGITS_S1)),
+}
+
+
+@pytest.mark.parametrize("name", list(_CAPPED))
+def test_capped_sums_agree_with_a_finer_pass(name):
+    # the same pass 128 bits finer moves the value by no more than the
+    # rounding part of the reported bound (the tail part is common to both),
+    # and B keeps that rounding part near one unit of the working precision
+    summand, compute = _CAPPED[name]
+    result = compute()
+    precision = result.value.precision
+    coefficient = _rounding_coefficient(summand, DEPTH)
+    bits = _bits(coefficient, precision) + 128
+    direct, tail, x_last = _one_pass(summand, DEPTH, bits)
+    finer = direct + tail
+    slack = Fraction(1, 10 ** (precision + 30))
+    if summand.harmonic:
+        ctx = Context(prec=precision + 40)
+        finer += Fraction(ctx.ln(Decimal(f"{x_last * 5**bits}E-{bits}")))
+        finer -= Fraction(euler_gamma(precision + 40).value)
+    rounding = Fraction(result.error_estimate.value) - tail_bound(
+        summand.R, DEPTH + 1, summand.omitted_from
+    )
+    assert 0 <= rounding < Fraction(2, 10 ** (precision - 1))
+    gap = abs(Fraction(result.value.value) - finer)
+    assert gap <= rounding + coefficient / 2**bits + slack
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=15))
+def test_power_sum_property(m, digits):
+    result = power_sum(m, digits)
+    value = Fraction(result.value.value)
+    error = Fraction(result.error_estimate.value)
+    assert result.m == m and result.terms_summed == DEPTH + 1
+    assert error >= tail_bound(_power_summand(m).R, DEPTH + 1)
+    assert error <= Fraction(1, 10 ** (digits + 2)) * value
+    if m == 2:
+        assert value == Fraction(1, 2) and error == 0
+    else:
+        # the published digits are truncated: s_m lies in [ref, ref + 1e-15)
+        reference = Fraction(POWER_SUM_STRINGS[m])
+        assert reference - error <= value < reference + Fraction(1, 10**15) + error
 
 
 # ---------------------------------------------------------------------------
