@@ -149,8 +149,8 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
   "m": 4,
   "value": "0.0689777061",
   "terms_summed": 10001,
-  "tail_correction": "3.3216313251077054045690424808087182936452064805278E-13",
-  "error_estimate": "1.6607495894440855205534059050571636154459281283606E-37"
+  "tail_correction": "3.3216313251077054045690424808087182936452064805058E-13",
+  "error_estimate": "1.6607495894441621022095729335282214557469203878033E-37"
 }
 """,
     ),
@@ -161,8 +161,8 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
   "m": 1,
   "value": "-1.602",
   "terms_summed": 10001,
-  "tail_correction": "-0.0011971738476497290473402011277008985469423",
-  "error_estimate": "2.385470130457859843700675298600083605966313E-37"
+  "tail_correction": "-0.0011971738476497290473402011277008985469813",
+  "error_estimate": "2.385481215669771511843066091517290380402520E-37"
 }
 """,
     ),
