@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import islice
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .critical import estimate_constant
 from .errors import DomainError, RefusalError
@@ -113,8 +113,7 @@ _FAMILY = [Fraction(0)] * 2 + [Fraction(1)] * ORDER
 _LOG_REST = [Fraction(0)] * 2 + [Fraction(-1, n) for n in range(2, ORDER + 2)]
 
 
-@dataclass(frozen=True)
-class _Summand:
+class _Summand(NamedTuple):
     """A summand g, telescoped, with what its one-pass sum needs.
 
     ``floor(X, B)`` is floor(2**B g(X / 2**B)).  G and R solve
