@@ -142,13 +142,15 @@ def _power_summand(m: int) -> _Summand:
     G, R = telescope([Fraction(0)] * m + [Fraction(1)], ORDER)
     # for m = 2, floor(X**2 / 2**B) is the orbit's own decrement
     step = Fraction(0) if m == 2 else _slope(G) + 1
-    return _Summand(m, lambda x, bits: x**m >> (m - 1) * bits, G, R, None, step)
+    return _Summand(m, lambda x, bits: x**m >> ((m - 1) * bits), G, R, None, step)
 
 
 def _family_summand() -> _Summand:
     G, R = telescope(_FAMILY, ORDER)
     # 2**B x**2/(1 - x) = X**2/(2**B - X)
-    return _Summand(0, lambda x, bits: x * x // ((1 << bits) - x), G, R, len(_FAMILY), _slope(G) + 1)
+    return _Summand(
+        0, lambda x, bits: x * x // ((1 << bits) - x), G, R, len(_FAMILY), _slope(G) + 1
+    )
 
 
 def _s1_summand() -> _Summand:
@@ -186,7 +188,8 @@ def _rounding_coefficient(s: _Summand, depth: int) -> Fraction:
         slope += Fraction(s.omitted_from + 1, 2 ** (s.omitted_from - 2))
     coefficient = slope * depth * (depth + 1) / 2 + s.step * (depth + 1)
     if s.harmonic:
-        coefficient += (depth + 1) * (depth + 2) // 2 + (depth + 1) * (3 + (depth + 1).bit_length())
+        top = depth + 1
+        coefficient += top * (top + 1) // 2 + top * (3 + top.bit_length())
     return coefficient
 
 

@@ -257,7 +257,10 @@ def test_pass_replays_the_exact_orbit_within_its_rounding_term(name, bits, depth
 
 
 _CAPPED = {
-    **{f"s{m}": (_power_summand(m), lambda m=m: power_sum(m, MAX_DIGITS_POWER)) for m in range(2, 9)},
+    **{
+        f"s{m}": (_power_summand(m), lambda m=m: power_sum(m, MAX_DIGITS_POWER))
+        for m in range(2, 9)
+    },
     "family": (_family_summand(), lambda: sum_of_power_sums(MAX_DIGITS_POWER)),
     "s1": (_s1_summand(), lambda: regularized_s1(MAX_DIGITS_S1)),
 }
