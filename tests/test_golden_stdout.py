@@ -81,6 +81,28 @@ k  a
 """,
     ),
     (
+        "rate-constant --p 499/1000",
+        """\
+{
+  "p": "499/1000",
+  "C": "0.003944476201135",
+  "factors_used": 22657,
+  "tail_bound": "9.9918050584994803464878436593162399E-18"
+}
+""",
+    ),
+    (
+        "rate-constant --p 501/1000",
+        """\
+{
+  "p": "501/1000",
+  "C": "0.003928729789155",
+  "factors_used": 22657,
+  "tail_bound": "9.9918050584994803464878436593162399E-18"
+}
+""",
+    ),
+    (
         "derive --order 5 --format text",
         """\
 c[1][0] = -2
