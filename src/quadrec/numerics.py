@@ -15,12 +15,13 @@ Three kinds of numbers appear throughout the package:
   coefficient as a ``CPoly`` so that nothing is rounded before a caller asks
   for digits.
 
-The module also owns the Euler--Mascheroni constant (110 verified digits),
-the one Decimal Horner rule (``horner``) that every polynomial-in-C
-evaluation goes through, and the double-run confirmation helper of the rate
-constants: a computation is repeated with 20 extra guard digits and the two
-results must agree to the requested width, otherwise ``PrecisionError`` is
-raised.  The tail sums derive their rounding bound instead (``sums``).
+The module also owns the Euler--Mascheroni constant (110 verified digits)
+and the one Decimal Horner rule (``horner``) that every polynomial-in-C
+evaluation goes through.  ``confirmed_value`` repeats a computation with 20
+extra guard digits and raises ``PrecisionError`` unless the two results
+agree to the requested width.  No library computation calls it: the rate
+constants, the tail sums and the critical constant each run once and derive
+their rounding bound; it remains only for the benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -33,8 +34,10 @@ from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 from .errors import DomainError, PrecisionError, RefusalError
 
-#: Guard digits added on top of the requested digit count for working
-#: precision, and again for the confirmation rerun.
+#: Guard digits on top of the requested digit count.  The rate constants and
+#: the tail sums run once at digits + 2*GUARD_DIGITS, where their derived
+#: rounding bounds lie far below the last requested digit; ``confirmed_value``
+#: reruns this many digits higher.
 GUARD_DIGITS = 20
 
 #: First 110 decimal digits of the Euler--Mascheroni constant.  The trailing

@@ -291,9 +291,4 @@ def _logistic_fixed(n: int, precision: int) -> tuple[int, int]:
     bits = (10 ** (precision - 1) - 1).bit_length() + 2 * (
         2 * (n + 3 + n.bit_length())
     ).bit_length()
-    # the step of logistic_integers, kept as a plain loop: resuming a
-    # generator adds about 5% per step at this depth
-    x = 1 << (bits - 1)
-    for _ in range(n):
-        x -= (x * x) >> bits
-    return x, bits
+    return next(islice(logistic_integers(bits), n, None)), bits

@@ -81,11 +81,14 @@ def _direct_partial_product(p: Fraction, factors: int, precision: int) -> Decima
     return product
 
 
-@pytest.mark.parametrize(
-    "p, digits",
-    [(p, d) for p in TABLE_PS for d in (15, 50)]
-    + [(Q_MAX / 2, 15), (1 - Q_MAX / 2, 15)],
-)
+#: The table points at 15 and 50 digits, and both points with q = Q_MAX.
+PRODUCT_CASES = [(p, d) for p in TABLE_PS for d in (15, 50)] + [
+    (Q_MAX / 2, 15),
+    (1 - Q_MAX / 2, 15),
+]
+
+
+@pytest.mark.parametrize("p, digits", PRODUCT_CASES)
 def test_rate_constant_is_the_direct_partial_product(p, digits):
     # the residual iteration b_K/q**K against the product of the factors
     # themselves, at the same K and 25 extra digits
@@ -93,6 +96,61 @@ def test_rate_constant_is_the_direct_partial_product(p, digits):
     assert result.q <= Q_MAX
     direct = _direct_partial_product(Fraction(p), result.factors_used, digits + 25)
     assert abs(result.C.value - direct) < Decimal(10) ** -(digits + 10)
+
+
+def _residual_quotient(p: Fraction, factors: int, precision: int) -> Decimal:
+    """b_K / q**K from b_0 = r, b_{k+1} = b_k (q - p b_k), at ``precision``."""
+    ctx = Context(prec=precision)
+    params = classify(p)
+    q = ctx.divide(Decimal(params.q.numerator), Decimal(params.q.denominator))
+    minus_p = ctx.divide(Decimal(-p.numerator), Decimal(p.denominator))
+    b = ctx.divide(Decimal(params.r.numerator), Decimal(params.r.denominator))
+    for _ in range(factors):
+        b = ctx.multiply(b, ctx.fma(minus_p, b, q))
+    return ctx.divide(b, ctx.power(q, factors))
+
+
+def _rounding_bound(factors: int, precision: int) -> Decimal:
+    """The relative rounding bound (3.02 K + 2.01) 10**(1 - P) that
+    ``rate_constant`` derives for its one pass at P working digits."""
+    return (Decimal("3.02") * factors + Decimal("2.01")) * Decimal(10) ** (1 - precision)
+
+
+@pytest.mark.parametrize("p, digits", PRODUCT_CASES)
+def test_one_pass_stays_inside_its_derived_rounding_bound(p, digits):
+    # the one run at P = digits + 40 against the same iteration at 2P + 20,
+    # whose own rounding error is about 10**-(P + 20) times smaller
+    result = rate_constant(p, digits)
+    precision = digits + 40
+    assert result.C.precision == precision
+    factors = result.factors_used
+    reference = _residual_quotient(Fraction(p), factors, 2 * precision + 20)
+    bound = _rounding_bound(factors, precision) + _rounding_bound(factors, 2 * precision + 20)
+    assert abs(result.C.value - reference) <= bound * reference
+
+
+@pytest.mark.parametrize(
+    "p, digits",
+    [(p, d) for p in TABLE_PS for d in (1, 15, 50)]
+    + [(p, d) for p in (Q_MAX / 2, 1 - Q_MAX / 2) for d in (1, 15)],
+)
+def test_factor_count_is_the_least_that_meets_the_target(p, digits):
+    # q**K/(1 - q) <= 10**-(D+2) < q**(K-1)/(1 - q), in exact rationals
+    result = rate_constant(p, digits)
+    q, k = result.q, result.factors_used
+    target = Fraction(1, 10 ** (digits + 2))
+    assert q**k / (1 - q) <= target < q ** (k - 1) / (1 - q)
+
+
+@pytest.mark.parametrize(
+    "p", [Fraction(1, 10**400), 1 - Fraction(1, 10**400)], ids=["1/10^400", "1-1/10^400"]
+)
+def test_factor_count_survives_a_ratio_that_underflows_a_float(p):
+    # q = 2/10**400 is 0.0 as a float; one factor already meets the target
+    result = rate_constant(p, 10)
+    assert float(result.q) == 0.0
+    assert result.factors_used == 1
+    assert result.tail_bound == Fraction(2, 10**400) / (1 - result.q)
 
 
 def test_rate_constant_refuses_critical_point():
