@@ -99,7 +99,7 @@ def main() -> int:
 
     section("Divergence of sum alpha_k (grows like ln n + gamma + s_1)")
     for n in (10**3, 10**4):
-        partial, reference = harmonic_divergence_diagnostic(n, 30)
+        partial, reference = harmonic_divergence_diagnostic(n)
         print(
             f"n = {n}: partial {partial.digit_string(10)} vs "
             f"ln n + gamma + s_1 = {reference.digit_string(10)} "

@@ -29,13 +29,13 @@ from fractions import Fraction
 
 from .critical import estimate_constant, residual_order_check
 from .errors import DomainError, ExactCapError, QuadrecError, RefusalError
-from .numerics import parse_rational
+from .numerics import GUARD_DIGITS, parse_rational
 from .rate_constants import rate_constant, rate_constant_table
 from .recurrence import classify, iterate_exact, iterate_real
 from .series_engine import solve_coefficients
 from .sums import (
+    DIVERGENCE_DECIMALS,
     bootstrap_check,
-    divergence_decimals,
     harmonic_divergence_diagnostic,
     power_sum,
     regularized_s1,
@@ -62,7 +62,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--steps", type=int, required=True)
     cmd.add_argument("--exact", action="store_true", help="exact rationals (capped step count)")
     cmd.add_argument("--digits", type=int, default=15)
-    cmd.add_argument("--precision", type=int, default=None)
 
     cmd = add_parser("rate-constant", "C(p) from the infinite product")
     cmd.add_argument("--p", required=True)
@@ -82,7 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd = add_parser("residual-check", "|a_k - series(k)| at doubling k")
     cmd.add_argument("--order", type=int, default=4)
     cmd.add_argument("--N", type=int, default=10240, help="largest step index")
-    cmd.add_argument("--precision", type=int, default=40)
 
     cmd = add_parser("sums", "power sum s_m of the logistic orbit")
     cmd.add_argument("--m", type=int, default=2)
@@ -96,7 +94,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     cmd = add_parser("diverge-check", "harmonic-style divergence diagnostic")
     cmd.add_argument("--N", type=int, default=10**4)
-    cmd.add_argument("--precision", type=int, default=30)
     return parser
 
 
@@ -109,16 +106,11 @@ def _cmd_iterate(args):
     params = classify(parse_rational(args.p))
     if args.digits < 1:
         raise DomainError("digits must be at least 1")
-    precision = args.precision
-    if precision is None:
-        precision = args.digits + 20
-    if precision < args.digits + 20:
-        raise DomainError("precision must be at least digits + 20")
     if args.exact:
         samples = iterate_exact(params, args.steps)
         rows = [{"k": s.k, "a": _exact_text(s.a)} for s in samples]
     else:
-        samples = iterate_real(params, args.steps, precision)
+        samples = iterate_real(params, args.steps, args.digits + GUARD_DIGITS)
         rows = [{"k": s.k, "a": s.a.digit_string(args.digits)} for s in samples]
     return rows, False
 
@@ -208,6 +200,11 @@ def _cmd_critical(args):
     return [row], True
 
 
+#: Working precision of residual-check, the least at which
+#: ``residual_order_check`` estimates C.
+_RESIDUAL_PRECISION = 40
+
+
 def _cmd_residual_check(args):
     if args.N < 10:
         raise DomainError("residual-check needs N >= 10 (indices start at 10)")
@@ -218,7 +215,7 @@ def _cmd_residual_check(args):
         k *= 2
     rows = [
         {"k": k, "residual": str(res)}
-        for k, res in residual_order_check(args.order, ks, args.precision)
+        for k, res in residual_order_check(args.order, ks, _RESIDUAL_PRECISION)
     ]
     return rows, False
 
@@ -256,13 +253,12 @@ def _cmd_bootstrap(args):
 
 
 def _cmd_diverge_check(args):
-    partial, reference = harmonic_divergence_diagnostic(args.N, args.precision)
-    shown = min(10, divergence_decimals(args.N, args.precision))
+    partial, reference = harmonic_divergence_diagnostic(args.N)
     row = {
         "N": args.N,
-        "partial_sum": partial.digit_string(shown),
-        "reference": reference.digit_string(shown),
-        "difference": (partial - reference).digit_string(shown),
+        "partial_sum": partial.digit_string(DIVERGENCE_DECIMALS),
+        "reference": reference.digit_string(DIVERGENCE_DECIMALS),
+        "difference": (partial - reference).digit_string(DIVERGENCE_DECIMALS),
     }
     return [row], True
 

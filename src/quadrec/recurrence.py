@@ -44,8 +44,8 @@ instead: the same map on a binary fixed-point integer with floored squares,
 rounded into a Decimal once at the end.  The logistic tail sums read that
 floored orbit as a stream of integers (``logistic_integers``) and add their
 floored summands as integers, so no term is ever converted to a Decimal.
-``logistic_decimals`` remains for the divergence diagnostic, whose refusal
-contract is stated in Decimal rounding.
+``logistic_decimals`` remains for the divergence diagnostic, whose working
+precision is derived from Decimal rounding.
 """
 
 from __future__ import annotations

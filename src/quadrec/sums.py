@@ -68,6 +68,9 @@ MAX_DIGITS_POWER = 15
 MAX_DIGITS_S1 = 8
 MAX_DIGITS_BOOTSTRAP = 6
 
+#: Decimal places of the divergence diagnostic's sums.
+DIVERGENCE_DECIMALS = 10
+
 
 @dataclass(frozen=True)
 class SumResult:
@@ -274,7 +277,7 @@ def _unit(value: Decimal, precision: int) -> Fraction:
 def _check_digits(digits: int, cap: int, quantity: str) -> None:
     """Reject a digit request below 1 (domain) or above the documented cap."""
     if digits < 1:
-        raise DomainError("digits must be positive")
+        raise DomainError("digits must be at least 1")
     if digits > cap:
         raise RefusalError(f"at most {cap} digits are certified for {quantity}, got {digits}")
 
@@ -376,15 +379,16 @@ def bootstrap_check(digits: int) -> BootstrapReport:
     )
 
 
-def harmonic_divergence_diagnostic(n: int, precision: int) -> tuple[PrecReal, PrecReal]:
+def harmonic_divergence_diagnostic(n: int) -> tuple[PrecReal, PrecReal]:
     """(sum_{k<=n} alpha_k, ln n + gamma + s_1): the divergence pattern.
 
     The partial sums of the logistic orbit drift like the harmonic series;
-    their gap to the reference tends to 0 (empirically like ln(n)/n).
+    their gap to the reference tends to 0 (empirically like ln(n)/n).  Both
+    are computed at the precision of ``_divergence_precision``.
     """
     if n < 100:
         raise DomainError("the diagnostic needs n >= 100")
-    divergence_decimals(n, precision)
+    precision = _divergence_precision(n)
     ctx = Context(prec=precision)
     stream = logistic_decimals(precision)
     partial = Decimal(0)
@@ -399,20 +403,13 @@ def harmonic_divergence_diagnostic(n: int, precision: int) -> tuple[PrecReal, Pr
     return PrecReal(partial, precision), reference
 
 
-def divergence_decimals(n: int, precision: int) -> int:
-    """Decimal places of sum_{k<=n} alpha_k that rounding at ``precision`` keeps.
+def _divergence_precision(n: int) -> int:
+    """Precision P at which sum_{k<=n} alpha_k keeps DIVERGENCE_DECIMALS decimals.
 
     alpha_k < 1/(k + 2), so the partial sum stays below ln(n + 2) + 1 (under
-    100 for every n below 10**40), and each of its n + 1 additions rounds by
-    at most half a unit of 10**(2 - precision); the orbit steps, a
-    contraction, add less.  For n below 10**L the rounding error therefore
-    stays below one unit in the (precision - L - 2)-th decimal place.
-    Refused when that leaves no decimal at all.
+    100 for every n up to 10**40), and each of its n + 1 additions rounds by
+    at most half a unit of 10**(2 - P); the orbit steps, a contraction, add
+    less.  For n below 10**L the rounding error therefore stays below one
+    unit in the (P - L - 2)-th decimal place.
     """
-    decimals = precision - len(str(n)) - 2
-    if decimals < 1:
-        raise RefusalError(
-            f"precision {precision} leaves no correct decimal in a sum of {n + 1} "
-            f"terms; raise it to at least {len(str(n)) + 3}"
-        )
-    return decimals
+    return DIVERGENCE_DECIMALS + len(str(n)) + 2

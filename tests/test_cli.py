@@ -97,14 +97,6 @@ def test_iterate_exact_size_cap_exit_code(capsys):
     assert "cap" in err
 
 
-def test_iterate_precision_must_cover_digits(capsys):
-    code, _out, err = run(
-        capsys, "iterate", "--p", "1/2", "--steps", "3", "--digits", "15",
-        "--precision", "20",
-    )
-    assert code == 2
-
-
 # ---------------------------------------------------------------------------
 # rate-constant and table1
 # ---------------------------------------------------------------------------
@@ -232,9 +224,7 @@ def test_critical_c_refuses_depth_past_the_limit(capsys):
 
 
 def test_residual_check_rows_decrease(capsys):
-    rows = run_json(
-        capsys, "residual-check", "--order", "2", "--N", "160", "--precision", "40"
-    )
+    rows = run_json(capsys, "residual-check", "--order", "2", "--N", "160")
     assert [r["k"] for r in rows] == [10, 20, 40, 80, 160]
     residuals = [float(r["residual"]) for r in rows]
     assert all(a > b for a, b in zip(residuals, residuals[1:]))
@@ -289,16 +279,27 @@ def test_diverge_check_command(capsys):
     assert obj["reference"] == "3.5804210679"
 
 
-def test_diverge_check_shows_only_supported_decimals(capsys):
-    # a sum of 201 terms at 8 digits keeps 3 decimals; at 5 digits none
-    obj = run_json(capsys, "diverge-check", "--N", "200", "--precision", "8")
-    assert obj["partial_sum"] == "4.316"
-    assert obj["reference"] == "4.274"
-    assert obj["difference"] == "0.042"
-    code, out, err = run(capsys, "diverge-check", "--N", "200", "--precision", "5")
-    assert code == 4
-    assert out == ""
-    assert "precision" in err
+def test_diverge_check_shows_ten_decimals(capsys):
+    obj = run_json(capsys, "diverge-check", "--N", "200")
+    assert obj["partial_sum"] == "4.3156935216"
+    assert obj["reference"] == "4.2735682485"
+    assert obj["difference"] == "0.0421252731"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["iterate", "--p", "1/2", "--steps", "3"],
+        ["residual-check", "--N", "20"],
+        ["diverge-check", "--N", "100"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_precision_is_not_an_option(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--precision", "40"])
+    assert exc.value.code == 2
+    assert "--precision" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +334,11 @@ def test_format_flag_after_subcommand(capsys):
     ids=lambda argv: argv[0],
 )
 def test_zero_digits_is_a_domain_error_everywhere(capsys, argv):
-    code, out, err = run(capsys, *argv, "--digits", "0")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
+    for digits in ("0", "-3"):
+        code, out, err = run(capsys, *argv, "--digits", digits)
+        assert code == 2
+        assert out == ""
+        assert err == "error: digits must be at least 1\n"
 
 
 def test_unknown_subcommand_is_an_argparse_error(capsys):

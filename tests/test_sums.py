@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from decimal import Context, Decimal
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from quadrec.sums import (
     MAX_DIGITS_S1,
     ORDER,
     _bits,
+    _divergence_precision,
     _family_summand,
     _one_pass,
     _power_summand,
@@ -402,15 +404,25 @@ def test_bootstrap_digit_cap():
 
 
 def test_harmonic_divergence_reference_tracks_partial_sums():
-    partial, reference = harmonic_divergence_diagnostic(10**3, 30)
+    partial, reference = harmonic_divergence_diagnostic(10**3)
     assert partial.digit_string(10) == "5.8931398224"
     assert reference.digit_string(10) == "5.8830061609"
     assert abs(partial.value - reference.value) < Decimal("2e-2")
     # the gap shrinks roughly like ln(n)/n
-    partial4, reference4 = harmonic_divergence_diagnostic(10**4, 30)
+    partial4, reference4 = harmonic_divergence_diagnostic(10**4)
     assert abs(partial4.value - reference4.value) < Decimal("2e-3")
 
 
 def test_harmonic_divergence_requires_a_deep_orbit():
     with pytest.raises(DomainError):
-        harmonic_divergence_diagnostic(99, 30)
+        harmonic_divergence_diagnostic(99)
+
+
+def test_divergence_precision_keeps_ten_decimals():
+    # the partial sum stays below ln(n + 2) + 1 < 100, so each of its n + 1
+    # additions at P digits rounds by at most half a unit of 10**(2 - P)
+    for j in range(2, 41):
+        n = 10**j
+        assert math.log(n + 2) + 1 < 100
+        rounding = Fraction(n + 1, 2) * Fraction(10) ** (2 - _divergence_precision(n))
+        assert rounding < Fraction(1, 10**10), n
