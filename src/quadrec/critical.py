@@ -50,7 +50,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, RefusalError
-from .numerics import PrecReal
+from .numerics import CPoly, PrecReal
 from .recurrence import classify, iterate_real, logistic_point
 from .series_engine import (
     MAX_ORDER,
@@ -61,15 +61,15 @@ from .series_engine import (
     telescope,
 )
 
+# Not used here: the depth limit of ``estimate_constant``, refused by
+# ``logistic_point``.
+from .recurrence import MAX_DEPTH  # noqa: F401
+
 # Not used here: the benchmark's tracer wraps these names in this module.
 from .recurrence import final_value  # noqa: F401
 from .series_engine import eval_series_coeffs  # noqa: F401
 
 _CRITICAL_P = Fraction(1, 2)
-
-#: The deepest orbit an estimate runs: the whole `critical-c --N 10**7` takes
-#: about 3 s at precision 60 on a 2-core Intel Xeon with Python 3.11.
-MAX_DEPTH = 10**7
 
 
 @dataclass(frozen=True)
@@ -89,17 +89,18 @@ class CriticalEstimate:
         return 0
 
 
-def _abel_summand(order: int) -> list[Fraction]:
+def _abel_summand(order: int) -> CPoly:
     """sum_{n>=2} (1 - 1/n) x**n through x**(order + 1): the family summand
     x**2/(1 - x) of ``sums`` plus its s_1 summand x + ln(1 - x)."""
-    return [Fraction(0)] * 2 + [1 - Fraction(1, n) for n in range(2, order + 2)]
+    return CPoly([0, 0] + [1 - Fraction(1, n) for n in range(2, order + 2)])
 
 
 def estimate_constant(depth: int = 10**6, order: int = 6, precision: int = 60) -> CriticalEstimate:
     """Estimate C = 2 (phi_M(alpha_depth) - depth), with M = ``order``.
 
     ``depth >= 100``, ``order >= 3`` and ``precision >= 20`` are required.
-    Depths above ``MAX_DEPTH`` are refused as too costly, and orders above
+    Depths above ``recurrence.MAX_DEPTH`` are refused as every orbit walk
+    refuses them (here by ``logistic_point``), and orders above
     ``series_engine.MAX_ORDER`` as every series command refuses them.  The
     returned ``truncation_bound`` covers the truncation of H and the
     rounding at ``precision`` (see the module docstring), so a low
@@ -111,13 +112,11 @@ def estimate_constant(depth: int = 10**6, order: int = 6, precision: int = 60) -
         raise DomainError(f"order must be at least 3, got {order}")
     if precision < 20:
         raise DomainError(f"precision must be at least 20, got {precision}")
-    if depth > MAX_DEPTH:
-        raise RefusalError(f"depth {depth} exceeds the limit of {MAX_DEPTH}")
     if order > MAX_ORDER:
         raise RefusalError(f"order {order} exceeds the limit of {MAX_ORDER}")
     g = _abel_summand(order)
     H, R = telescope(g, order)
-    truncation = 2 * tail_bound(R, depth, len(g))
+    truncation = 2 * tail_bound(R, depth, g.degree + 1)
     rounding = Fraction(2 * (depth + 4) * (depth + 2 + depth.bit_length()), 10 ** (precision - 1))
 
     ctx = Context(prec=precision)

@@ -9,15 +9,18 @@ Three kinds of numbers appear throughout the package:
   precision with it.  Every operation rounds at the precision of its result
   (the minimum of the operand precisions), so a single operation contributes
   relative error at most ``10**(2 - P)`` at precision ``P``;
-* ``CPoly``, a dense polynomial in one formal symbol ``C`` with exact
-  rational coefficients, held as integer numerators over one shared
-  denominator.  The asymptotic-series engine keeps every derived
-  coefficient as a ``CPoly`` so that nothing is rounded before a caller asks
-  for digits.
+* ``CPoly``, a dense polynomial in one formal symbol with exact rational
+  coefficients, held as integer numerators over one shared denominator.
+  The symbol is the constant ``C`` in the asymptotic-series engine, which
+  keeps every derived coefficient as a ``CPoly`` so that nothing is rounded
+  before a caller asks for digits, and the orbit point ``x`` in
+  ``series_engine.telescope``, whose polynomials G, g and R are ``CPoly``
+  too.
 
 The module also owns the Euler--Mascheroni constant (110 verified digits)
-and the one Decimal Horner rule (``horner``) that every polynomial-in-C
-evaluation goes through.  ``confirmed_value`` repeats a computation with 20
+and the one Decimal Horner rule (``horner``) that every Decimal polynomial
+evaluation goes through, in C or in x (``CPoly.decimals`` rounds the
+coefficients it takes).  ``confirmed_value`` repeats a computation with 20
 extra guard digits and raises ``PrecisionError`` unless the two results
 agree to the requested width.  No library computation calls it: the rate
 constants, the tail sums and the critical constant each run once and derive
@@ -317,12 +320,14 @@ def horner(coeffs: Sequence[Decimal], x: Decimal, ctx: Context) -> Decimal:
 
 
 class CPoly:
-    """Dense polynomial in the formal constant ``C`` over the rationals.
+    """Dense polynomial in one formal symbol over the rationals.
 
-    Stored as integer numerators, in ascending order of the power of ``C``,
-    over one shared positive denominator.  The pair is normalised -- no
-    trailing zero numerators, and one ``math.gcd`` divides out every common
-    factor -- so equal polynomials have equal pairs.  ``coeffs`` gives the
+    The symbol is ``C`` in the series engine and ``x`` in ``telescope``;
+    ``format_str`` always writes ``C``.  Stored as integer numerators, in
+    ascending order of the power of the symbol, over one shared positive
+    denominator.  The pair is normalised -- no trailing zero numerators, and
+    one ``math.gcd`` divides out every common factor -- so equal polynomials
+    have equal pairs.  ``coeffs`` gives the
     coefficients as a tuple of reduced ``Fraction`` objects.  Instances are
     immutable and hashable.
     """
@@ -367,6 +372,16 @@ class CPoly:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self._denominator) for n in self._numerators)
+
+    def coefficient(self, power: int) -> Fraction:
+        """The coefficient of the symbol to ``power`` (0 past the degree)."""
+        if 0 <= power < len(self._numerators):
+            return Fraction(self._numerators[power], self._denominator)
+        return Fraction(0)
+
+    def decimals(self, ctx: Context) -> list[Decimal]:
+        """The coefficients, each rounded once by ``ctx``, in ascending order."""
+        return [ctx.divide(Decimal(c.numerator), Decimal(c.denominator)) for c in self.coeffs]
 
     @property
     def degree(self) -> int:

@@ -40,8 +40,10 @@ whole residual, the independent route that `fixed_point_defect` takes.
 The same map in the coordinate alpha = (1 - a)/2 is x -> x - x**2, and
 ``telescope`` solves its one exact functional equation,
 G(x) - G(x - x**2) = g(x), as a polynomial with a residual that
-``tail_bound`` sums along the orbit.  The logistic tail sums (``sums``)
-and the Abel coordinate that pins C (``critical``) both rest on it.
+``tail_bound`` sums along the orbit.  G, g and R are ``CPoly`` in x, the
+type of the Q[C] coefficients, so both solvers share one exact arithmetic.
+The logistic tail sums (``sums``) and the Abel coordinate that pins C
+(``critical``) both rest on it.
 """
 
 from __future__ import annotations
@@ -124,23 +126,6 @@ class AsymSeries:
     __rmul__ = __mul__
 
 
-def _series_square(s: AsymSeries) -> AsymSeries:
-    """s * s using pair symmetry (half the coefficient multiplications)."""
-    order = s.order
-    items = [(k, v) for k, v in s.terms.items() if k[0] <= order]
-    out: dict[Key, CPoly] = {}
-    for a in range(len(items)):
-        (i1, j1), p1 = items[a]
-        if 2 * i1 <= order:
-            _accumulate(out, (2 * i1, 2 * j1), p1 * p1)
-        for b in range(a + 1, len(items)):
-            (i2, j2), p2 = items[b]
-            if i1 + i2 > order:
-                continue
-            _accumulate(out, (i1 + i2, j1 + j2), 2 * (p1 * p2))
-    return AsymSeries(order, out)
-
-
 @lru_cache(maxsize=None)
 def _log_power(t: int, m: int) -> Fraction:
     """The coefficient of x**m in ln(1 + x)**t."""
@@ -213,9 +198,8 @@ def shift(series: AsymSeries) -> AsymSeries:
 
 def apply_map(series: AsymSeries) -> AsymSeries:
     """The critical map (1 + S**2) / 2 applied to the series."""
-    squared = _series_square(series)
     one = AsymSeries(series.order, {(0, 0): _ONE})
-    return (squared + one) * Fraction(1, 2)
+    return (series * series + one) * Fraction(1, 2)
 
 
 @dataclass(frozen=True, eq=True)
@@ -396,11 +380,9 @@ def eval_series_coeffs(
         if i > order or poly.is_zero:
             continue
         weight = ctx.multiply(ln_pows[j], inv_pows[i])
-        for t, frac in enumerate(poly.coeffs):
-            if frac == 0:
-                continue
-            frac_dec = ctx.divide(Decimal(frac.numerator), Decimal(frac.denominator))
-            coeffs[t] = ctx.add(coeffs[t], ctx.multiply(frac_dec, weight))
+        for t, coefficient in enumerate(poly.decimals(ctx)):
+            if coefficient:
+                coeffs[t] = ctx.add(coeffs[t], ctx.multiply(coefficient, weight))
     return coeffs
 
 
@@ -413,50 +395,42 @@ def eval_series(
     return PrecReal(horner(coeffs, c_value.value, Context(prec=precision)), precision)
 
 
-def telescope(g: list[Fraction], order: int) -> tuple[list[Fraction], list[Fraction]]:
-    """(G, R) with G(x) - G(x - x**2) = g(x) + R(x), as coefficient lists.
+def telescope(g: CPoly, order: int) -> tuple[CPoly, CPoly]:
+    """(G, R) with G(x) - G(x - x**2) = g(x) + R(x), as polynomials in x.
 
-    ``g`` lists the coefficients of x**0, x**1, ... and starts at x**2.
-    G has terms up to x**order (trailing zeros dropped): the x**(n+1)
-    coefficient of the left side is n*G_n plus terms in G_1..G_{n-1}, so
-    the system is triangular.  R is exact and, because G_n is solved from
-    the x**(n+1) coefficient, has no term below x**(order + 2).
+    ``g`` starts at x**2, and G has terms up to x**order.  Adding G_n x**n
+    to G adds G_n (x**n - (x - x**2)**n) = G_n (n x**(n+1) - ...) to the
+    left side D = G(x) - G(x - x**2), so the system is triangular: G_n is
+    solved from the x**(n+1) coefficient of D = g, with D and (x - x**2)**n
+    kept current as G grows.  R = D - g is exact and, because of that
+    solve, has no term below x**(order + 2).
     """
-    # x**n - (x - x**2)**n = sum_{j>=1} (-1)**(j+1) binom(n, j) x**(n+j)
-    def difference(n: int, degree: int) -> Fraction:
-        j = degree - n
-        return Fraction((-1) ** (j + 1) * math.comb(n, j)) if j >= 1 else Fraction(0)
-
-    G = [Fraction(0)] * (order + 1)
+    x = CPoly.variable()
+    step = x - x * x
+    G = D = CPoly()
+    monomial = power = _ONE
     for n in range(1, order + 1):
-        target = g[n + 1] if n + 1 < len(g) else Fraction(0)
-        lower = sum((G[t] * difference(t, n + 1) for t in range(1, n)), Fraction(0))
-        G[n] = (target - lower) / n
-    while G and not G[-1]:
-        G.pop()
-    degree = max(2 * order, len(g) - 1)
-    R = [
-        sum((G[t] * difference(t, d) for t in range(1, len(G))), Fraction(0))
-        - (g[d] if d < len(g) else 0)
-        for d in range(degree + 1)
-    ]
-    return G, R
+        monomial, power = monomial * x, power * step
+        coefficient = (g.coefficient(n + 1) - D.coefficient(n + 1)) / n
+        G += monomial * coefficient
+        D += (monomial - power) * coefficient
+    return G, D - g
 
 
-def tail_bound(R: list[Fraction], start: int, omitted_from: int | None = None) -> Fraction:
+def tail_bound(R: CPoly, start: int, omitted_from: int | None = None) -> Fraction:
     """A bound on |sum_{k>=start} R(alpha_k)| along the orbit from alpha_0 = 1/2.
 
     alpha_k <= 1/(k+2) (induction: x - x**2 increases on [0, 1/2] and
     (k+1)(k+3) <= (k+2)**2), so with base = start + 1
     sum_{k>=start} alpha_k**d <= integral_base^inf t**-d dt = base**(1-d)/(d-1).
     ``omitted_from`` = L marks a summand whose series continues past its
-    list with coefficients of size at most 1, from x**L on; those terms add
-    at most sum_{k>=start} alpha_k**L/(1 - alpha_k), with 1/(1 - alpha_k) <=
-    (base+1)/base.
+    degree with coefficients of size at most 1, from x**L on; those terms
+    add at most sum_{k>=start} alpha_k**L/(1 - alpha_k), with
+    1/(1 - alpha_k) <= (base+1)/base.
     """
     base = start + 1
     bound = sum(
-        (abs(r) / (Fraction(base) ** (d - 1) * (d - 1)) for d, r in enumerate(R) if r),
+        (abs(r) / (Fraction(base) ** (d - 1) * (d - 1)) for d, r in enumerate(R.coeffs) if r),
         Fraction(0),
     )
     if omitted_from is not None:
@@ -466,6 +440,6 @@ def tail_bound(R: list[Fraction], start: int, omitted_from: int | None = None) -
     return bound
 
 
-def eval_polynomial(coeffs: list[Fraction], x: Decimal, ctx: Context) -> Decimal:
-    """sum_n coeffs[n] * x**n for exact coefficients, at the precision of ``ctx``."""
-    return horner([ctx.divide(Decimal(c.numerator), Decimal(c.denominator)) for c in coeffs], x, ctx)
+def eval_polynomial(poly: CPoly, x: Decimal, ctx: Context) -> Decimal:
+    """poly(x) for exact coefficients, at the precision of ``ctx``."""
+    return horner(poly.decimals(ctx), x, ctx)

@@ -22,7 +22,8 @@ limit process.
 Numerically every sum is "direct part + telescoped tail", the s_2 identity
 generalised.  For a summand g(x) = O(x**2), ``series_engine.telescope``
 finds the exact polynomial G(x) = sum_{n=1..M} G_n x**n solving
-G(x) - G(x - x**2) = g(x) through x**(M+1).  Then
+G(x) - G(x - x**2) = g(x) through x**(M+1); g, G and R below are
+``CPoly`` polynomials in x.  Then
 
     sum_{k>N} g(alpha_k) = G(alpha_{N+1}) - sum_{k>N} R(alpha_k),
 
@@ -34,8 +35,9 @@ digit request the caps allow.
 
 The direct part is one pass over the floored fixed-point orbit of
 ``recurrence.logistic_integers``: each summand is added as the integer
-floor(2**B g(x_k)) to one Python int, G(x_{N+1}) is evaluated exactly, and
-the total is rounded into a Decimal once.  The rounding of that pass is
+floor(2**B g(x_k)) to one Python int, G(x_{N+1}) is evaluated exactly
+(``CPoly.__call__`` on a ``Fraction``), and the total is rounded into a
+Decimal once.  The rounding of that pass is
 derived, not confirmed by a rerun (``_rounding_coefficient``), so the
 reported ``error_estimate`` is the tail bound plus the rounding bound.
 """
@@ -51,8 +53,8 @@ from typing import Callable, NamedTuple
 
 from .critical import estimate_constant
 from .errors import DomainError, RefusalError
-from .numerics import GUARD_DIGITS, PrecReal, euler_gamma
-from .recurrence import logistic_decimals, logistic_integers, logistic_iterate
+from .numerics import GUARD_DIGITS, CPoly, PrecReal, euler_gamma
+from .recurrence import check_depth, logistic_decimals, logistic_integers, logistic_iterate
 from .series_engine import tail_bound, telescope
 
 # Not used here: the benchmark's tracer wraps this name in this module.
@@ -111,16 +113,16 @@ class BootstrapReport:
 # ---------------------------------------------------------------------------
 
 #: x**2/(1 - x) = sum_{n>=2} x**n and x + ln(1 - x) = -sum_{n>=2} x**n/n,
-#: through x**(ORDER + 1); the coefficients past the list are at most 1.
-_FAMILY = [Fraction(0)] * 2 + [Fraction(1)] * ORDER
-_LOG_REST = [Fraction(0)] * 2 + [Fraction(-1, n) for n in range(2, ORDER + 2)]
+#: through x**(ORDER + 1); the coefficients past the degree are at most 1.
+_FAMILY = CPoly([0, 0] + [1] * ORDER)
+_LOG_REST = CPoly([0, 0] + [Fraction(-1, n) for n in range(2, ORDER + 2)])
 
 
 class _Summand(NamedTuple):
     """A summand g, telescoped, with what its one-pass sum needs.
 
     ``floor(X, B)`` is floor(2**B g(X / 2**B)).  G and R solve
-    G(x) - G(x - x**2) = g(x) + R(x) through the listed coefficients;
+    G(x) - G(x - x**2) = g(x) + R(x) through x**(ORDER + 1);
     ``omitted_from`` is as in ``tail_bound``.  ``step`` bounds
     |G'(xi) d + e| 2**B for one orbit step d and one floored summand e;
     ``harmonic`` marks s_1, whose telescoped tail is ln x + G and whose
@@ -129,20 +131,22 @@ class _Summand(NamedTuple):
 
     m: int
     floor: Callable[[int, int], int]
-    G: list[Fraction]
-    R: list[Fraction]
+    G: CPoly
+    R: CPoly
     omitted_from: int | None
     step: Fraction
     harmonic: bool = False
 
 
-def _slope(coeffs: list[Fraction]) -> Fraction:
+def _slope(poly: CPoly) -> Fraction:
     """sum_n n |c_n| 2**(1-n): a bound on |P'| over [0, 1/2]."""
-    return sum((n * abs(c) / 2 ** (n - 1) for n, c in enumerate(coeffs) if n and c), Fraction(0))
+    return sum(
+        (n * abs(c) / 2 ** (n - 1) for n, c in enumerate(poly.coeffs) if n and c), Fraction(0)
+    )
 
 
 def _power_summand(m: int) -> _Summand:
-    G, R = telescope([Fraction(0)] * m + [Fraction(1)], ORDER)
+    G, R = telescope(CPoly.variable() ** m, ORDER)
     # for m = 2, floor(X**2 / 2**B) is the orbit's own decrement
     step = Fraction(0) if m == 2 else _slope(G) + 1
     return _Summand(m, lambda x, bits: x**m >> ((m - 1) * bits), G, R, None, step)
@@ -152,14 +156,14 @@ def _family_summand() -> _Summand:
     G, R = telescope(_FAMILY, ORDER)
     # 2**B x**2/(1 - x) = X**2/(2**B - X)
     return _Summand(
-        0, lambda x, bits: x * x // ((1 << bits) - x), G, R, len(_FAMILY), _slope(G) + 1
+        0, lambda x, bits: x * x // ((1 << bits) - x), G, R, _FAMILY.degree + 1, _slope(G) + 1
     )
 
 
 def _s1_summand() -> _Summand:
     H, R = telescope(_LOG_REST, ORDER)
     # floor(2**B x) = X exactly, so e_k = 0; the 1/x of G' is the harmonic term
-    return _Summand(1, lambda x, bits: x, H, R, len(_LOG_REST), _slope(H), harmonic=True)
+    return _Summand(1, lambda x, bits: x, H, R, _LOG_REST.degree + 1, _slope(H), harmonic=True)
 
 
 def _rounding_coefficient(s: _Summand, depth: int) -> Fraction:
@@ -216,10 +220,7 @@ def _one_pass(s: _Summand, depth: int, bits: int) -> tuple[Fraction, Fraction, i
     orbit = logistic_integers(bits)
     direct = sum(s.floor(x, bits) for x in islice(orbit, depth + 1))
     x_last = next(orbit)
-    x = Fraction(x_last, 1 << bits)
-    tail = Fraction(0)
-    for c in reversed(s.G):
-        tail = tail * x + c
+    tail = s.G(Fraction(x_last, 1 << bits))
     if s.harmonic:
         harmonic = sum((1 << bits) // k for k in range(1, depth + 1))
         direct -= harmonic
@@ -388,6 +389,7 @@ def harmonic_divergence_diagnostic(n: int) -> tuple[PrecReal, PrecReal]:
     """
     if n < 100:
         raise DomainError("the diagnostic needs n >= 100")
+    check_depth(n)
     precision = _divergence_precision(n)
     ctx = Context(prec=precision)
     stream = logistic_decimals(precision)

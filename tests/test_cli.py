@@ -223,6 +223,23 @@ def test_critical_c_refuses_depth_past_the_limit(capsys):
     assert "depth" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["iterate", "--p", "2/5", "--steps", str(10**7 + 1)],
+        ["diverge-check", "--N", str(10**7 + 1)],
+        # the deepest sample of --N 2*10**7 is 10 * 2**20 = 10 485 760
+        ["residual-check", "--N", str(2 * 10**7)],
+    ],
+    ids=["iterate", "diverge-check", "residual-check"],
+)
+def test_orbit_walks_past_the_depth_limit_are_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert "depth" in err
+
+
 def test_residual_check_rows_decrease(capsys):
     rows = run_json(capsys, "residual-check", "--order", "2", "--N", "160")
     assert [r["k"] for r in rows] == [10, 20, 40, 80, 160]

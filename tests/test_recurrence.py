@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadrec.errors import DomainError, ExactCapError
+from quadrec.errors import DomainError, ExactCapError, RefusalError
 from quadrec.numerics import PrecReal
 from quadrec.recurrence import (
     EXACT_STEP_CAP,
+    MAX_DEPTH,
     Params,
     Regime,
     _logistic_fixed,
@@ -336,3 +337,10 @@ def test_logistic_point_domain_checks():
         logistic_point(-1, 40)
     with pytest.raises(DomainError):
         logistic_point(10, 0)
+
+
+def test_final_value_refuses_depth_past_the_limit():
+    # refused before the first step, like every walk the CLI reaches
+    # (tests/test_cli.py); the Decimal orbit runs about 1 us a step
+    with pytest.raises(RefusalError, match="depth"):
+        final_value(classify("1/2"), MAX_DEPTH + 1, 30)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from quadrec.critical import _abel_summand, estimate_constant
 from quadrec.errors import DomainError, ExactCapError, RefusalError
-from quadrec.numerics import GUARD_DIGITS, euler_gamma
+from quadrec.numerics import GUARD_DIGITS, CPoly, euler_gamma
 from quadrec.recurrence import logistic_decimals, logistic_iterate
 from quadrec.series_engine import eval_polynomial, tail_bound, telescope
 from quadrec.sums import (
@@ -166,7 +166,7 @@ def test_deeper_direct_sums_stay_inside_the_error_estimate(deep_orbit):
         return ctx.divide(ctx.multiply(a, a), ctx.subtract(1, a))
 
     cases = [
-        (power_sum(3, 13), cube, telescope([0, 0, 0, 1], ORDER)[0]),
+        (power_sum(3, 13), cube, telescope(CPoly([0, 0, 0, 1]), ORDER)[0]),
         (sum_of_power_sums(10), geometric, telescope(_FAMILY, ORDER)[0]),
     ]
     for result, term, G in cases:
@@ -190,26 +190,46 @@ def test_tail_correction_is_reported_and_small():
 
 @pytest.mark.parametrize(
     "g",
-    [[0] * m + [1] for m in range(2, 2 * ORDER + 4)]
+    [CPoly([0] * m + [1]) for m in range(2, 2 * ORDER + 4)]
     + [_FAMILY, _LOG_REST, _abel_summand(ORDER)],
     ids=[f"x^{m}" for m in range(2, 2 * ORDER + 4)] + ["family", "log", "abel"],
 )
 def test_telescoped_residual_starts_past_the_order(g):
     G, R = telescope(g, ORDER)
-    assert not any(R[: ORDER + 2])
+    assert not any(R.coeffs[: ORDER + 2])
 
-    def value(coeffs, x):
-        return sum((c * x**n for n, c in enumerate(coeffs)), Fraction(0))
+    def value(poly, x):
+        return sum((c * x**n for n, c in enumerate(poly.coeffs)), Fraction(0))
 
     for x in (Fraction(1, 7), Fraction(2, 5)):
         assert value(G, x) - value(G, x - x * x) == value(g, x) + value(R, x)
 
 
+_IDENTITY_CASES = (
+    [(f"x^{m}", CPoly.variable() ** m, ORDER) for m in range(2, 20)]
+    + [("family", _FAMILY, ORDER), ("log", _LOG_REST, ORDER)]
+    + [(f"abel-{order}", _abel_summand(order), order) for order in range(3, 21)]
+)
+
+
+@pytest.mark.parametrize(
+    "g, order", [case[1:] for case in _IDENTITY_CASES], ids=[case[0] for case in _IDENTITY_CASES]
+)
+def test_telescoping_identity_holds_exactly(g, order):
+    # G(x - x^2) = sum_n G_n (x - x^2)**n, built term by term as polynomials
+    G, R = telescope(g, order)
+    step = CPoly.variable() - CPoly.variable() ** 2
+    shifted = sum((G.coefficient(n) * step**n for n in range(G.degree + 1)), CPoly())
+    assert G.degree <= order
+    assert G - shifted - g == R
+    assert all(R.coefficient(d) == 0 for d in range(order + 2))
+
+
 def test_s2_is_the_smallest_telescope():
     # G = x solves G(x) - G(x - x^2) = x^2 with no residual at all
-    G, R = telescope([0, 0, 1], ORDER)
-    assert G == [0, 1]
-    assert not any(R)
+    G, R = telescope(CPoly([0, 0, 1]), ORDER)
+    assert G == CPoly([0, 1])
+    assert not any(R.coeffs)
     assert tail_bound(R, DEPTH + 1) == 0
     assert power_sum(2, 15).error_estimate.value == 0
 
@@ -247,7 +267,7 @@ def test_pass_replays_the_exact_orbit_within_its_rounding_term(name, bits, depth
     # for g = x the tail also holds ln x, and 0 <= ln(x/alpha) <= (x - alpha)/alpha
     summand, g = _SUMMANDS[name]
     alphas = logistic_iterate(depth + 1)
-    exact = sum((g(a) for a in alphas[:-1]), Fraction(0)) + _poly(summand.G, alphas[-1])
+    exact = sum((g(a) for a in alphas[:-1]), Fraction(0)) + _poly(summand.G.coeffs, alphas[-1])
     direct, tail, x_last = _one_pass(summand, depth, bits)
     gap = direct + tail - exact
     log_gap = Fraction(0)
