@@ -183,9 +183,7 @@ def _cmd_derive(args):
     if args.order < 3:
         raise DomainError("derive needs order >= 3 (orders 1 and 2 are the seeds)")
     table = solve_coefficients(args.order)
-    rows = [
-        {"i": row["i"], "j": row["j"], "coeffs": row["coeffs"]} for row in table.rows()
-    ]
+    rows = [{"i": i, "j": j, "coeffs": poly.coeff_strings()} for i, j, poly in table.iter_entries()]
     return rows, False
 
 

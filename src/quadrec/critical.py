@@ -51,7 +51,7 @@ from typing import Sequence
 
 from .errors import DomainError, RefusalError
 from .numerics import CPoly, PrecReal
-from .recurrence import classify, iterate_real, logistic_point
+from .recurrence import check_depth, classify, iterate_real, logistic_point
 from .series_engine import (
     MAX_ORDER,
     eval_polynomial,
@@ -156,7 +156,9 @@ def residual_order_check(
     so on a log-log plot against k the points fall near slope -(I+1) (up to
     the slowly varying log factor).  ``c_value`` defaults to a fresh
     moderate-depth estimate so the check never needs externally supplied
-    constants; that estimate works at order ``max(order, 4)``.
+    constants; that estimate works at order ``max(order, 4)``.  A sample
+    deeper than ``recurrence.MAX_DEPTH`` is refused before anything is
+    solved or estimated.
     """
     if order < 1:
         raise DomainError("the residual check needs a truncation order >= 1")
@@ -165,6 +167,7 @@ def residual_order_check(
     ks = sorted(set(int(k) for k in ks))
     if ks[0] < 10:
         raise DomainError("step indices must be >= 10")
+    check_depth(ks[-1])
     table = solve_coefficients(max(order, 2))
     if c_value is None:
         c_value = estimate_constant(10**5, max(order, 4), max(precision, 40)).C

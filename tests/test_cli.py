@@ -240,6 +240,20 @@ def test_orbit_walks_past_the_depth_limit_are_refused(capsys, argv):
     assert "depth" in err
 
 
+def test_residual_check_refuses_a_deep_sample_before_solving(capsys, monkeypatch):
+    import quadrec.critical as critical
+
+    def fail(*args, **kwargs):
+        raise AssertionError("called before the depth refusal")
+
+    monkeypatch.setattr(critical, "solve_coefficients", fail)
+    monkeypatch.setattr(critical, "estimate_constant", fail)
+    code, out, err = run(capsys, "residual-check", "--N", str(2 * 10**7))
+    assert code == 4
+    assert out == ""
+    assert "depth 10485760 exceeds the limit of 10000000" in err
+
+
 def test_residual_check_rows_decrease(capsys):
     rows = run_json(capsys, "residual-check", "--order", "2", "--N", "160")
     assert [r["k"] for r in rows] == [10, 20, 40, 80, 160]

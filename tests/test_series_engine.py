@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 import random
 from decimal import Context, Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -167,6 +169,42 @@ def test_residual_level_vanishes_on_the_solved_table():
         assert series_engine._residual_level(entries, level) == {}, level
 
 
+def test_defect_vanishes_at_the_highest_order():
+    assert fixed_point_defect(solve_coefficients(series_engine.MAX_ORDER)).terms == {}
+
+
+def test_a_straight_solve_matches_the_order_by_order_solve(monkeypatch):
+    monkeypatch.setattr(series_engine, "_DERIVED", dict(series_engine._SEEDS))
+    straight = solve_coefficients(series_engine.MAX_ORDER).entries
+    monkeypatch.setattr(series_engine, "_DERIVED", dict(series_engine._SEEDS))
+    for order in range(3, series_engine.MAX_ORDER + 1):
+        stepwise = solve_coefficients(order).entries
+    assert stepwise == straight
+    assert list(stepwise) == list(straight)
+
+
+def test_the_in_run_check_catches_a_perturbed_weight(monkeypatch):
+    # the weight of c[5][2] at level 6 is read only by the check after
+    # order 5 is solved: level 6 is built before any order-5 entry exists
+    shift_level = series_engine._shift_level
+    read = []
+
+    def perturbed(i, j, level):
+        pairs = shift_level(i, j, level)
+        if (i, j, level) != (5, 2, 6):
+            return pairs
+        read.append((i, j, level))
+        (j2, weight), *rest = pairs
+        return ((j2, weight + 1), *rest)
+
+    monkeypatch.setattr(series_engine, "_DERIVED", dict(series_engine._SEEDS))
+    monkeypatch.setattr(series_engine, "_shift_level", perturbed)
+    with pytest.raises(EngineError):
+        solve_coefficients(8)
+    assert read == [(5, 2, 6)]
+    assert list(series_engine._DERIVED) == list(series_engine._SEEDS)
+
+
 @pytest.mark.parametrize(
     "key, top",
     # c[2][0] is the free constant C: only the orders derived from it pin it
@@ -189,6 +227,32 @@ def test_solver_refuses_a_corrupted_lower_coefficient(monkeypatch, key, top):
 # ---------------------------------------------------------------------------
 # shift expansion numerics
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _log_power(t, m):
+    # the coefficient of x**m in ln(1 + x)**t, by the Fraction recursion
+    # ln(1 + x)**t = ln(1 + x)**(t - 1) * sum_s (-1)**(s + 1) x**s / s
+    if t == 0:
+        return Fraction(m == 0)
+    return sum(
+        (Fraction((-1) ** (s + 1), s) * _log_power(t - 1, m - s) for s in range(1, m - t + 2)),
+        Fraction(0),
+    )
+
+
+def test_stirling_weights_match_the_fraction_recursion():
+    # every (i, t, m) the solver reads through level MAX_ORDER + 1, and the
+    # i = 0 weights that `shift` reads for the constant term
+    top = series_engine.MAX_ORDER + 1
+    for i in range(0, top):
+        for m in range(0, top - i + 1):
+            for t in range(0, m + 1):
+                expected = _log_power(t, m) + sum(
+                    _log_power(t, s) * (-1) ** (m - s) * math.comb(i + m - s - 1, m - s)
+                    for s in range(t, m)
+                )
+                assert series_engine._log_binomial(i, t, m) == expected, (i, t, m)
 
 
 def _eval_terms(terms, k, precision):
