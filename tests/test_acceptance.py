@@ -267,12 +267,18 @@ def test_criterion_9_value_free_properties(report):
     checks.append(("geometric envelope", envelope))
 
     # (c) partial products decrease and sandwich the reported constant
+    # (row K and C are two roundings of the K-th partial product, so the
+    # upper side compares their intervals; see test_rate_constants.py)
     result = rate_constant(Fraction(2, 5), digits=12)
-    rows = convergence_diagnostic(Fraction(2, 5), result.factors_used, 70)
+    k = result.factors_used
+    rows = convergence_diagnostic(Fraction(2, 5), k, 70)
     ratios = [row.ratio.value for row in rows[1:]]
     decreasing = all(a > b for a, b in zip(ratios, ratios[1:]))
     tail = result.tail_bound.value
-    sandwich = ratios[-1] >= result.C.value >= ratios[-1] * (1 - tail) - Decimal("1e-40")
+    bound = Fraction(302 * k + 201, 100)
+    upper = Fraction(ratios[-1]) * (1 + (bound + k + 1) / 10**69)
+    lower = Fraction(result.C.value) * (1 - bound / 10 ** (result.C.precision - 1))
+    sandwich = upper >= lower and result.C.value >= ratios[-1] * (1 - tail) - Decimal("1e-40")
     checks.append(("partial-product sandwich", decreasing and sandwich))
 
     # (d) residuals of the order-I truncation scale like k^-(I+1) once the

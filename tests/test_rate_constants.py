@@ -202,14 +202,22 @@ def test_diagnostic_first_ratio_is_half_of_fixed_point():
 
 
 def test_sandwich_bound_brackets_the_constant():
-    # partial * (1 - tail) <= C <= partial for the certified tail.  The
-    # diagnostic needs headroom beyond the ~k*log10(1/q) digits lost to
-    # cancellation in r - a_k, hence the generous precision.
+    # partial * (1 - tail) <= C <= partial for the exact K-th partial
+    # product b_K/q^K.  Row K and C are two roundings of that one product,
+    # so the upper side compares intervals: C is within the relative bound
+    # (3.02K + 2.01) 10**(1-P) of ``rate_constant``, and row K within the
+    # same bound at its own P plus one unit 10**(1-P) for each of its K
+    # multiplications by q = 4/5 (exact) and its division.
     result = rate_constant(Fraction(2, 5), digits=12)
-    rows = convergence_diagnostic(Fraction(2, 5), result.factors_used, 70)
+    k = result.factors_used
+    rows = convergence_diagnostic(Fraction(2, 5), k, 70)
     partial = rows[-1].ratio.value
+    bound = Fraction(302 * k + 201, 100)
+    upper = Fraction(partial) * (1 + (bound + k + 1) / 10**69)
+    lower = Fraction(result.C.value) * (1 - bound / 10 ** (result.C.precision - 1))
+    assert upper >= lower
     tail = result.tail_bound.value
-    assert partial >= result.C.value >= partial * (1 - tail) - Decimal("1e-30")
+    assert result.C.value >= partial * (1 - tail) - Decimal("1e-30")
 
 
 @settings(max_examples=30, deadline=None)
