@@ -61,10 +61,6 @@ from .series_engine import (
     telescope,
 )
 
-# Not used here: the depth limit of ``estimate_constant``, refused by
-# ``logistic_point``.
-from .recurrence import MAX_DEPTH  # noqa: F401
-
 # Not used here: the benchmark's tracer wraps these names in this module.
 from .recurrence import final_value  # noqa: F401
 from .series_engine import eval_series_coeffs  # noqa: F401

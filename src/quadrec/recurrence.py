@@ -30,22 +30,23 @@ the gcd (powers of coprime integers stay coprime), while ``a * a`` runs gcds
 on operands of up to 2**EXACT_STEP_CAP bits.  Every other operation of the
 step has one small operand, so its gcds are cheap.
 
-Precision-tracked orbits use two rounded operations per step, so after
-``n`` steps the accumulated absolute error is below ``3*n*10**(2-P)`` at
-working precision ``P`` (the map is a contraction towards r on [0, r], so
-per-step errors do not amplify).
+Every precision-tracked orbit of a_k reads one Decimal stream,
+``residual_decimals``: the residual b_k = r - a_k in its own coordinate,
 
-Every Decimal orbit comes from one of two endless streams:
-``orbit_decimals`` (a_k) and ``logistic_decimals`` (alpha_k).  Unlike the
-exact logistic orbit, the second is not derived from the first: alpha_k ~
-1/k, so forming (1 - a_k)/2 would cancel about log10(k) leading digits.
-The deep alpha_N of the critical constant comes from ``logistic_point``
-instead: the same map on a binary fixed-point integer with floored squares,
-rounded into a Decimal once at the end.  The logistic tail sums read that
-floored orbit as a stream of integers (``logistic_integers``) and add their
-floored summands as integers, so no term is ever converted to a Decimal.
-``logistic_decimals`` remains for the divergence diagnostic, whose working
-precision is derived from Decimal rounding.
+    b_0 = r,   b_{k+1} = b_k * (q - p*b_k),
+
+where q - p*b_k = p*(r + a_k) is positive, so nothing cancels and the
+relative rounding error has a derived bound (see there).  ``iterate_real``
+forms a_k = r - b_k with one rounding; ``rate_constants`` divides b_K by
+q**K and reads b_k for its diagnostic.
+
+The deep alpha_N of the critical constant comes from ``logistic_point``:
+the logistic map on a binary fixed-point integer with floored squares,
+rounded into a Decimal once at the end.  The logistic tail sums and the
+divergence diagnostic read that floored orbit as a stream of integers
+(``logistic_integers``) and add their floored summands as integers, so no
+term is ever converted to a Decimal.  ``logistic_decimals`` (alpha_k as
+Decimals) serves no library path; it remains as a Decimal oracle.
 """
 
 from __future__ import annotations
@@ -65,10 +66,10 @@ from .numerics import PrecReal
 EXACT_STEP_CAP = 20
 
 #: The deepest orbit any walk runs; deeper requests are refused before the
-#: first step.  At 10**7 steps the Decimal orbits of ``iterate``,
-#: ``residual-check`` and ``diverge-check`` take about 9-12 s, and the whole
-#: ``critical-c --N 10**7`` about 3 s at precision 60, on a 2-core Intel Xeon
-#: with Python 3.11.
+#: first step.  At 10**7 steps the Decimal orbits of ``iterate`` and
+#: ``residual-check`` take about 8 s, and the integer orbits of the whole
+#: ``diverge-check --N 10**7`` and ``critical-c --N 10**7`` (precision 60)
+#: about 3 s each, on a 2-core Intel Xeon with Python 3.11.
 MAX_DEPTH = 10**7
 
 Value = Union[Fraction, PrecReal]
@@ -184,9 +185,11 @@ def iterate_real(
 
     By default every step up to 10_000 is kept; deeper runs keep powers of
     two plus the endpoint, so memory stays O(log n).  Pass ``sample_ks``
-    for explicit indices.  Two rounded operations per step (a fused
-    multiply-add on top of one squaring), so sample k carries absolute
-    error below ``3*k*10**(2-P)``.
+    for explicit indices.  b_k comes from ``residual_decimals`` and a_k is
+    r - b_k, rounded once, with r itself rounded to P = ``precision``
+    digits.  Since a_k and b_k lie in [0, r] and r <= 1, a_k carries an
+    absolute error below (3.02 k + 3.01) 10**(1 - P): the stream's relative
+    bound on b_k plus half a unit each for r and the subtraction.
     """
     if n < 0:
         raise DomainError("step count must be nonnegative")
@@ -201,42 +204,69 @@ def iterate_real(
     ctx = Context(prec=precision)
     r = PrecReal(params.r, precision).value
     return [
-        OrbitSample(k, PrecReal(a, precision), PrecReal(ctx.subtract(r, a), precision))
-        for k, a in enumerate(islice(orbit_decimals(params, precision), n + 1))
+        OrbitSample(k, PrecReal(ctx.subtract(r, b), precision), PrecReal(b, precision))
+        for k, b in enumerate(islice(residual_decimals(params, precision), n + 1))
         if k in wanted_set
     ]
 
 
 def final_value(params: Params, n: int, precision: int) -> PrecReal:
-    """a_n alone, without storing the orbit (used for large n)."""
-    if n < 0:
-        raise DomainError("step count must be nonnegative")
-    check_depth(n)
-    return PrecReal(next(islice(orbit_decimals(params, precision), n, None)), precision)
+    """a_n alone, without storing the orbit: the one sample k = n of ``iterate_real``."""
+    return iterate_real(params, n, precision, sample_ks=[n])[0].a
 
 
-def orbit_decimals(params: Params, precision: int) -> Iterator[Decimal]:
-    """Endless stream a_0, a_1, ... as raw ``Decimal`` values.
+def residual_decimals(params: Params, precision: int) -> Iterator[Decimal]:
+    """Endless stream b_0, b_1, ... of the residual b_k = r - a_k as raw ``Decimal``s.
 
-    The one Decimal orbit kernel: a squaring and a fused multiply-add per
-    step at fixed working precision, seeded at a_0 = 0.
+    The one Decimal orbit kernel: b_0 = r and b_{k+1} = b_k (q - p b_k),
+    one fused multiply-add and one multiplication per step at P =
+    ``precision`` working digits.  The relative error of b_k is derived
+    (a running-error analysis: Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3).  Every rounding at P digits is off by a
+    relative u = 10**(1 - P)/2 at most.
+
+    * Inputs.  q, p and b_0 = r are rounded once each, to q(1 + t_q),
+      p(1 + t_p) and r(1 + e_0), with |t_q|, |t_p|, |e_0| <= u.
+    * One step.  Write the computed residual as b_k(1 + e_k), with b_k the
+      exact one in (0, r].  Then q - p b_k >= q - p r = p r > 0, so
+      A = q/(q - p b_k) lies in [1, 2] and B = p b_k/(q - p b_k) = A - 1
+      in [0, 1].  With d_1, d_2 the roundings of the fma and the multiply,
+      the step gives exactly
+
+          1 + e_{k+1} = [1 + (1 - B) e_k - B e_k**2
+                         + (1 + e_k)(A t_q - B t_p (1 + e_k))] (1 + d_1)(1 + d_2).
+
+      The step's relative condition 1 - B = (q - 2 p b_k)/(q - p b_k)
+      lies in [0, 1], and |(1 - B) e - B e**2| <= |e| for |e| <= 1: an
+      error already in b_k is never amplified.  The step adds u for each
+      rounding, 2u through q and u through p, so for u <= 10**-6 and
+      |e_k| <= 10**-3, |e_{k+1}| <= (1 + 8u)|e_k| + 5.01u.  By induction
+      |e_k| <= exp(8ku)(5.01k + 1)u, which stays below 10**-3 while
+      8ku <= 10**-3.
+    * The bound.  For u <= 10**-6 and 8ku <= 10**-3, b_k is within the
+      relative (3.02 k + 2.01) 10**(1 - P) = (6.04 k + 4.02)u.  That leaves
+      room for one division by q**k as ``rate_constant`` forms it:
+      ``ctx.power`` raises q(1 + t_q), off from q**k by about k u, and
+      squares at P + len(str(k)) + 2 digits with one final rounding
+      within 2u; the division rounds by u more.  With the second-order
+      terms, b_k/q**k stays inside the same bound.
     """
     ctx = Context(prec=precision)
     fma, multiply = ctx.fma, ctx.multiply
-    p = PrecReal(params.p, precision).value
-    one_minus_p = PrecReal(1 - params.p, precision).value
-    a = Decimal(0)
+    q = PrecReal(params.q, precision).value
+    minus_p = PrecReal(-params.p, precision).value
+    b = PrecReal(params.r, precision).value
     while True:
-        yield a
-        a = fma(p, multiply(a, a), one_minus_p)
+        yield b
+        b = multiply(b, fma(minus_p, b, q))
 
 
 def logistic_iterate(n: int) -> list[Fraction]:
     """Exact orbit alpha_0..alpha_n of the boundary logistic map from alpha_0 = 1/2.
 
     Read off the critical orbit as alpha_k = (1 - a_k)/2, half its residual
-    b_k (r = 1 at p = 1/2).  That is exact in rationals; only a rounded
-    stream would cancel digits.  Refused wherever ``iterate_exact`` is.
+    b_k (r = 1 at p = 1/2).  That is exact in rationals; a rounded a_k
+    would cancel digits.  Refused wherever ``iterate_exact`` is.
     """
     return [s.b / 2 for s in iterate_exact(classify(Fraction(1, 2)), n)]
 
@@ -244,8 +274,9 @@ def logistic_iterate(n: int) -> list[Fraction]:
 def logistic_decimals(precision: int) -> Iterator[Decimal]:
     """Endless stream alpha_0, alpha_1, ... as raw ``Decimal`` values.
 
-    The low-level feeder for tail-sum accumulation: one subtraction and one
-    multiplication per step at fixed working precision.
+    One subtraction and one multiplication per step at fixed working
+    precision.  No library path draws it: it is the Decimal oracle of the
+    floored ``logistic_integers``.
     """
     ctx = Context(prec=precision)
     multiply, subtract = ctx.multiply, ctx.subtract

@@ -236,13 +236,6 @@ class CoefficientTable:
     def format_text_lines(self) -> list[str]:
         return [f"c[{i}][{j}] = {poly.format_str()}" for i, j, poly in self.iter_entries()]
 
-    def rows(self) -> list[dict]:
-        """JSON-ready rows: exact coefficient strings, ascending powers of C."""
-        return [
-            {"i": i, "j": j, "coeffs": poly.coeff_strings(), "text": poly.format_str()}
-            for i, j, poly in self.iter_entries()
-        ]
-
 
 _SEEDS: dict[Key, CPoly] = {
     (1, 0): CPoly.constant(-2),

@@ -54,10 +54,11 @@ from typing import Callable, NamedTuple
 from .critical import estimate_constant
 from .errors import DomainError, RefusalError
 from .numerics import GUARD_DIGITS, CPoly, PrecReal, euler_gamma
-from .recurrence import check_depth, logistic_decimals, logistic_integers, logistic_iterate
+from .recurrence import check_depth, logistic_integers, logistic_iterate
 from .series_engine import tail_bound, telescope
 
-# Not used here: the benchmark's tracer wraps this name in this module.
+# Not used here: the benchmark's tracer wraps or counts these names in this module.
+from .recurrence import logistic_decimals  # noqa: F401
 from .series_engine import solve_coefficients  # noqa: F401
 
 #: Orbit terms summed directly (k = 0..DEPTH) and the order of the
@@ -384,34 +385,37 @@ def harmonic_divergence_diagnostic(n: int) -> tuple[PrecReal, PrecReal]:
     """(sum_{k<=n} alpha_k, ln n + gamma + s_1): the divergence pattern.
 
     The partial sums of the logistic orbit drift like the harmonic series;
-    their gap to the reference tends to 0 (empirically like ln(n)/n).  Both
-    are computed at the precision of ``_divergence_precision``.
+    their gap to the reference tends to 0 (empirically like ln(n)/n).  The
+    partial sum adds the floored orbit of ``logistic_integers`` as one
+    exact integer and rounds it once; ``_divergence_precision`` derives its
+    bits and the precision of both values.
     """
     if n < 100:
         raise DomainError("the diagnostic needs n >= 100")
     check_depth(n)
-    precision = _divergence_precision(n)
-    ctx = Context(prec=precision)
-    stream = logistic_decimals(precision)
-    partial = Decimal(0)
-    for _ in range(n + 1):
-        partial = ctx.add(partial, next(stream))
+    precision, bits = _divergence_precision(n)
+    partial = Fraction(sum(islice(logistic_integers(bits), n + 1)), 1 << bits)
     s1 = regularized_s1(MAX_DIGITS_S1)
     reference = (
-        PrecReal(ctx.ln(Decimal(n)), precision)
+        PrecReal(Context(prec=precision).ln(Decimal(n)), precision)
         + euler_gamma(precision)
         + PrecReal(s1.value, precision)
     )
     return PrecReal(partial, precision), reference
 
 
-def _divergence_precision(n: int) -> int:
-    """Precision P at which sum_{k<=n} alpha_k keeps DIVERGENCE_DECIMALS decimals.
+def _divergence_precision(n: int) -> tuple[int, int]:
+    """(P, B) at which sum_{k<=n} alpha_k keeps DIVERGENCE_DECIMALS decimals.
 
-    alpha_k < 1/(k + 2), so the partial sum stays below ln(n + 2) + 1 (under
-    100 for every n up to 10**40), and each of its n + 1 additions rounds by
-    at most half a unit of 10**(2 - P); the orbit steps, a contraction, add
-    less.  For n below 10**L the rounding error therefore stays below one
-    unit in the (P - L - 2)-th decimal place.
+    The sum runs over the floored orbit x_k = X_k / 2**B, and
+    0 <= x_k - alpha_k < k 2**-B (``recurrence.logistic_point``), so it is
+    high by less than n (n + 1)/2 2**-B.  B = bit_length(n (n + 1) 10**P)
+    keeps that below 10**-P / 2.  alpha_k < 1/(k + 2), so the sum stays
+    below ln(n + 2) + 1 (under 100 for every n up to 10**40), and its one
+    rounding to P digits is off by at most half a unit of 10**(2 - P).
+    With P = DIVERGENCE_DECIMALS + L + 2 for n below 10**L, the working
+    precision of the reference as well, both together stay below one unit
+    in the (DIVERGENCE_DECIMALS + L)-th decimal place.
     """
-    return DIVERGENCE_DECIMALS + len(str(n)) + 2
+    precision = DIVERGENCE_DECIMALS + len(str(n)) + 2
+    return precision, (n * (n + 1) * 10**precision).bit_length()

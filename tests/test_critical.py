@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 
@@ -18,7 +17,7 @@ from quadrec.critical import (
 )
 from quadrec.errors import DomainError
 from quadrec.numerics import PrecReal
-from quadrec.recurrence import classify, orbit_decimals
+from quadrec.recurrence import classify, final_value
 from quadrec.series_engine import eval_series, fixed_point_defect, solve_coefficients, telescope
 
 # C from two order-18 series-matching estimates at depths 10**5 and 2*10**5
@@ -94,7 +93,7 @@ def test_abel_constant_fits_the_matched_series():
     # reproduce a_k; an error d in C would show up as d/k**2
     k = 10**4
     est = estimate_constant(k, 16, 80)
-    a_k = next(islice(orbit_decimals(classify("1/2"), 80), k, None))
+    a_k = final_value(classify("1/2"), k, 80).value
     series = eval_series(solve_coefficients(16), k, est.C)
     assert abs(a_k - series.value) < Decimal("1e-50")
 
@@ -190,8 +189,6 @@ def test_residuals_decrease_with_depth(reference_estimate):
 
 
 def test_residual_matches_direct_series_comparison(table6, reference_estimate):
-    from quadrec.recurrence import final_value
-
     rows = residual_order_check(3, [50], 40, c_value=reference_estimate.C)
     k, residual = rows[0]
     a_k = final_value(classify("1/2"), k, 40)

@@ -139,7 +139,7 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
 [
   {
     "k": 10,
-    "residual": "0.0056847016872893228832378938370348353340"
+    "residual": "0.0056847016872893228832378938370348353341"
   },
   {
     "k": 20,
@@ -151,15 +151,15 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
   },
   {
     "k": 80,
-    "residual": "0.0000070609938304015055286867412414115014"
+    "residual": "0.0000070609938304015055286867412414115012"
   },
   {
     "k": 160,
-    "residual": "6.496646362280665171496758689561995E-7"
+    "residual": "6.496646362280665171496758689561991E-7"
   },
   {
     "k": 320,
-    "residual": "5.69648113389251677114088765736287E-8"
+    "residual": "5.69648113389251677114088765736283E-8"
   }
 ]
 """,

@@ -26,7 +26,7 @@ from quadrec.recurrence import (
     logistic_integers,
     logistic_iterate,
     logistic_point,
-    orbit_decimals,
+    residual_decimals,
 )
 
 # ---------------------------------------------------------------------------
@@ -210,11 +210,16 @@ def test_real_orbit_explicit_sample_ks():
     assert abs(orbit[1].a.value - PrecReal(exact, 25).value) < Decimal("1e-20")
 
 
-def test_orbit_stream_rounds_the_exact_orbit():
-    params = classify(Fraction(2, 5))
-    stream = orbit_decimals(params, 40)
-    for sample in iterate_exact(params, 12):
-        assert abs(Fraction(next(stream)) - sample.a) < Fraction(12, 10**38)
+def test_residual_stream_rounds_the_exact_orbit():
+    # b_k within the derived relative bound (3.02 k + 2.01) 10**(1-P) of the
+    # exact residual r - a_k, in every regime
+    for p in (Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(3, 5)):
+        params = classify(p)
+        for precision in (20, 40):
+            stream = residual_decimals(params, precision)
+            for sample, b in zip(iterate_exact(params, 12), stream):
+                bound = Fraction(302 * sample.k + 201, 100) / 10 ** (precision - 1)
+                assert abs(Fraction(b) - sample.b) <= bound * sample.b, (p, precision, sample.k)
 
 
 def test_final_value_agrees_with_orbit_endpoint():

@@ -97,11 +97,6 @@ def test_table_text_rendering(table6):
     assert "c[4][1] = 3/2*C^2 - 5*C + 5" in lines
 
 
-def test_table_rows_shape(table6):
-    row = table6.rows()[0]
-    assert row == {"i": 1, "j": 0, "coeffs": ["-2"], "text": "-2"}
-
-
 # ---------------------------------------------------------------------------
 # fixed-point defect
 # ---------------------------------------------------------------------------

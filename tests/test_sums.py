@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from decimal import Context, Decimal
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +13,14 @@ from hypothesis import strategies as st
 
 from quadrec.critical import _abel_summand, estimate_constant
 from quadrec.errors import DomainError, ExactCapError, RefusalError
-from quadrec.numerics import GUARD_DIGITS, CPoly, euler_gamma
-from quadrec.recurrence import logistic_decimals, logistic_iterate
+from quadrec.numerics import GUARD_DIGITS, CPoly, PrecReal, euler_gamma
+from quadrec.recurrence import MAX_DEPTH, logistic_decimals, logistic_integers, logistic_iterate
 from quadrec.series_engine import eval_polynomial, tail_bound, telescope
 from quadrec.sums import (
     _FAMILY,
     _LOG_REST,
     DEPTH,
+    DIVERGENCE_DECIMALS,
     MAX_DIGITS_BOOTSTRAP,
     MAX_DIGITS_POWER,
     MAX_DIGITS_S1,
@@ -439,10 +441,28 @@ def test_harmonic_divergence_requires_a_deep_orbit():
 
 
 def test_divergence_precision_keeps_ten_decimals():
-    # the partial sum stays below ln(n + 2) + 1 < 100, so each of its n + 1
-    # additions at P digits rounds by at most half a unit of 10**(2 - P)
-    for j in range(2, 41):
+    # the floored orbit makes the integer sum high by less than
+    # n (n + 1)/2 2**-B; the sum stays below ln(n + 2) + 1 < 100, so its one
+    # rounding to P digits is off by at most half a unit of 10**(2 - P)
+    j = 2
+    while 10**j <= MAX_DEPTH:
         n = 10**j
         assert math.log(n + 2) + 1 < 100
-        rounding = Fraction(n + 1, 2) * Fraction(10) ** (2 - _divergence_precision(n))
-        assert rounding < Fraction(1, 10**10), n
+        precision, bits = _divergence_precision(n)
+        floors = Fraction(n * (n + 1), 2 ** (bits + 1))
+        rounding = Fraction(1, 2) * Fraction(10) ** (2 - precision)
+        assert floors + rounding < Fraction(1, 10**DIVERGENCE_DECIMALS), n
+        j += 1
+
+
+@pytest.mark.parametrize("n", [100, 1000, 10**4])
+def test_divergence_integer_sum_within_its_bound(n):
+    # the exact integer partial sum against the Decimal orbit at 60 digits,
+    # whose own error, below n 10**-57, the 1e-50 absorbs
+    precision, bits = _divergence_precision(n)
+    total = Fraction(sum(islice(logistic_integers(bits), n + 1)), 2**bits)
+    oracle = sum(Fraction(alpha) for alpha in islice(logistic_decimals(60), n + 1))
+    slack = Fraction(1, 10**50)
+    assert -slack <= total - oracle < Fraction(n * (n + 1), 2 ** (bits + 1)) + slack
+    partial, _ = harmonic_divergence_diagnostic(n)
+    assert partial.value == PrecReal(total, precision).value
