@@ -444,15 +444,14 @@ def test_divergence_precision_keeps_ten_decimals():
     # the floored orbit makes the integer sum high by less than
     # n (n + 1)/2 2**-B; the sum stays below ln(n + 2) + 1 < 100, so its one
     # rounding to P digits is off by at most half a unit of 10**(2 - P)
-    j = 2
-    while 10**j <= MAX_DEPTH:
-        n = 10**j
+    n = 100
+    while n <= MAX_DEPTH:
         assert math.log(n + 2) + 1 < 100
         precision, bits = _divergence_precision(n)
         floors = Fraction(n * (n + 1), 2 ** (bits + 1))
         rounding = Fraction(1, 2) * Fraction(10) ** (2 - precision)
         assert floors + rounding < Fraction(1, 10**DIVERGENCE_DECIMALS), n
-        j += 1
+        n *= 10
 
 
 @pytest.mark.parametrize("n", [100, 1000, 10**4])
