@@ -29,7 +29,7 @@ from fractions import Fraction
 
 from .critical import estimate_constant, residual_order_check
 from .errors import DomainError, ExactCapError, QuadrecError, RefusalError
-from .numerics import GUARD_DIGITS, parse_rational
+from .numerics import GUARD_DIGITS, PrecReal, parse_rational
 from .rate_constants import rate_constant, rate_constant_table
 from .recurrence import classify, iterate_exact, iterate_real
 from .series_engine import solve_coefficients
@@ -183,6 +183,8 @@ def _cmd_derive(args):
     if args.order < 3:
         raise DomainError("derive needs order >= 3 (orders 1 and 2 are the seeds)")
     table = solve_coefficients(args.order)
+    if args.format == "text":
+        return table.format_text_lines(), False
     rows = [{"i": i, "j": j, "coeffs": poly.coeff_strings()} for i, j, poly in table.iter_entries()]
     return rows, False
 
@@ -252,11 +254,12 @@ def _cmd_bootstrap(args):
 
 def _cmd_diverge_check(args):
     partial, reference = harmonic_divergence_diagnostic(args.N)
+    difference = decimal.Context(prec=partial.precision).subtract(partial.value, reference.value)
     row = {
         "N": args.N,
         "partial_sum": partial.digit_string(DIVERGENCE_DECIMALS),
         "reference": reference.digit_string(DIVERGENCE_DECIMALS),
-        "difference": (partial - reference).digit_string(DIVERGENCE_DECIMALS),
+        "difference": PrecReal(difference, partial.precision).digit_string(DIVERGENCE_DECIMALS),
     }
     return [row], True
 
@@ -302,8 +305,8 @@ def _csv_cell(value):
 
 
 def _render_text(rows, args):
-    if args.command == "derive":
-        return "\n".join(solve_coefficients(args.order).format_text_lines())
+    if args.command == "derive":  # its handler returns the text lines
+        return "\n".join(rows)
     keys = list(rows[0].keys())
     cells = [[_text_cell(row[k]) for k in keys] for row in rows]
     widths = [max(len(keys[i]), *(len(r[i]) for r in cells)) for i in range(len(keys))]

@@ -50,16 +50,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DomainError, RefusalError
-from .numerics import CPoly, PrecReal
+from .numerics import CPoly, PrecReal, horner
 from .recurrence import check_depth, classify, iterate_real, logistic_point
-from .series_engine import (
-    MAX_ORDER,
-    eval_polynomial,
-    eval_series,
-    solve_coefficients,
-    tail_bound,
-    telescope,
-)
+from .series_engine import MAX_ORDER, eval_series, solve_coefficients, tail_bound, telescope
 
 # Not used here: the benchmark's tracer wraps these names in this module.
 from .recurrence import final_value  # noqa: F401
@@ -117,7 +110,7 @@ def estimate_constant(depth: int = 10**6, order: int = 6, precision: int = 60) -
 
     ctx = Context(prec=precision)
     x = logistic_point(depth, precision)
-    phi = ctx.add(ctx.add(ctx.divide(1, x), ctx.ln(x)), eval_polynomial(H, x, ctx))
+    phi = ctx.add(ctx.add(ctx.divide(1, x), ctx.ln(x)), horner(H.decimals(ctx), x, ctx))
     return CriticalEstimate(
         C=PrecReal(ctx.multiply(2, ctx.subtract(phi, depth)), precision),
         depth=depth,
@@ -133,10 +126,12 @@ def logistic_constant(estimate: CriticalEstimate) -> tuple[PrecReal, PrecReal]:
     Under alpha = (1 - a)/2 the critical orbit becomes the boundary
     logistic map and its tail expansion carries the constant c = C/2;
     exp(c - 1) is the associated limit of k * alpha_k * prod-form
-    comparisons.  Both inherit the estimate's precision.
+    comparisons.  Both are computed at the precision of ``estimate.C``.
     """
-    c = estimate.C / 2
-    return c, (c - 1).exp()
+    precision = estimate.C.precision
+    ctx = Context(prec=precision)
+    c = ctx.divide(estimate.C.value, 2)
+    return PrecReal(c, precision), PrecReal(ctx.exp(ctx.subtract(c, 1)), precision)
 
 
 def residual_order_check(
@@ -169,4 +164,9 @@ def residual_order_check(
         c_value = estimate_constant(10**5, max(order, 4), max(precision, 40)).C
     c_value = PrecReal(c_value, precision)
     samples = iterate_real(classify(_CRITICAL_P), ks[-1], precision, sample_ks=ks)
-    return [(s.k, abs(s.a - eval_series(table, s.k, c_value, order))) for s in samples]
+    ctx = Context(prec=precision)
+    residuals = []
+    for s in samples:
+        series = eval_series(table, s.k, c_value, order).value
+        residuals.append((s.k, PrecReal(ctx.subtract(s.a.value, series).copy_abs(), precision)))
+    return residuals

@@ -1,14 +1,15 @@
-"""Arithmetic substrate: exact rationals, tracked-precision reals, C-polynomials.
+"""Arithmetic substrate: exact rationals, rounded decimals, C-polynomials.
 
 Three kinds of numbers appear throughout the package:
 
 * exact rationals (``fractions.Fraction``), used whenever a quantity is a
   ratio of integers by construction -- recurrence parameters, orbit values
   for small step counts, series coefficients;
-* ``PrecReal``, a decimal floating-point value that carries its working
-  precision with it.  Every operation rounds at the precision of its result
-  (the minimum of the operand precisions), so a single operation contributes
-  relative error at most ``10**(2 - P)`` at precision ``P``;
+* ``PrecReal``, a ``Decimal`` rounded to P significant digits, with P kept
+  beside it, and its digit renderer.  It has no arithmetic of its own:
+  callers compute on ``value`` with the methods of a ``Context(prec=P)``
+  that they name, so each result is rounded by that context and never by
+  the thread's 28-digit default context;
 * ``CPoly``, a dense polynomial in one formal symbol with exact rational
   coefficients, held as integer numerators over one shared denominator.
   The symbol is the constant ``C`` in the asymptotic-series engine, which
@@ -121,12 +122,14 @@ def _divide(n: int, d: int, ctx: Context) -> Decimal:
 
 
 class PrecReal:
-    """A real number bundled with its decimal working precision.
+    """A ``Decimal`` rounded to ``precision`` significant digits, and its
+    digit renderer.
 
-    Instances are immutable by convention: no method mutates ``value`` or
-    ``precision`` after construction.  Binary operations take the *minimum*
-    of the two precisions, so precision can only be lost explicitly, never
-    gained by accident.
+    The constructor rounds once, by ``Context(prec=precision)``: a
+    ``Fraction`` through ``_divide``, an int, string or ``Decimal`` through
+    ``Context.plus``.  There is no arithmetic here: a caller computes on
+    ``value`` with the methods of a ``Context`` it names, and wraps the
+    result.  Instances are immutable by convention.
     """
 
     __slots__ = ("value", "precision")
@@ -149,123 +152,6 @@ class PrecReal:
             raise DomainError(f"cannot build PrecReal from {type(value).__name__}")
         self.value = dec
         self.precision = precision
-
-    # -- construction helpers -------------------------------------------------
-
-    def _coerce(self, other) -> "PrecReal":
-        if isinstance(other, PrecReal):
-            return other
-        if isinstance(other, (int, Fraction, Decimal)):
-            return PrecReal(other, self.precision)
-        return NotImplemented  # type: ignore[return-value]
-
-    # -- arithmetic ------------------------------------------------------------
-
-    def _binary(self, other, op: str):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        prec = min(self.precision, other.precision)
-        ctx = Context(prec=prec)
-        result = getattr(ctx, op)(self.value, other.value)
-        return PrecReal(result, prec)
-
-    def __add__(self, other):
-        return self._binary(other, "add")
-
-    def __radd__(self, other):
-        return self._binary(other, "add")
-
-    def __sub__(self, other):
-        return self._binary(other, "subtract")
-
-    def __rsub__(self, other):
-        coerced = self._coerce(other)
-        if coerced is NotImplemented:
-            return NotImplemented
-        return coerced._binary(self, "subtract")
-
-    def __mul__(self, other):
-        return self._binary(other, "multiply")
-
-    def __rmul__(self, other):
-        return self._binary(other, "multiply")
-
-    def __truediv__(self, other):
-        return self._binary(other, "divide")
-
-    def __rtruediv__(self, other):
-        coerced = self._coerce(other)
-        if coerced is NotImplemented:
-            return NotImplemented
-        return coerced._binary(self, "divide")
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, int):
-            return NotImplemented
-        ctx = Context(prec=self.precision)
-        return PrecReal(ctx.power(self.value, Decimal(exponent)), self.precision)
-
-    def __neg__(self):
-        return PrecReal(self.value.copy_negate(), self.precision)
-
-    def __abs__(self):
-        return PrecReal(self.value.copy_abs(), self.precision)
-
-    def ln(self) -> "PrecReal":
-        if self.value <= 0:
-            raise DomainError("ln requires a positive argument")
-        ctx = Context(prec=self.precision)
-        return PrecReal(ctx.ln(self.value), self.precision)
-
-    def exp(self) -> "PrecReal":
-        ctx = Context(prec=self.precision)
-        return PrecReal(ctx.exp(self.value), self.precision)
-
-    # -- comparisons (at the lower of the two precisions) -----------------------
-
-    def _compared(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return None
-        prec = min(self.precision, other.precision)
-        ctx = Context(prec=prec)
-        return ctx.plus(self.value), ctx.plus(other.value)
-
-    def __eq__(self, other):
-        pair = self._compared(other)
-        if pair is None:
-            return NotImplemented
-        return pair[0] == pair[1]
-
-    def __lt__(self, other):
-        pair = self._compared(other)
-        if pair is None:
-            return NotImplemented
-        return pair[0] < pair[1]
-
-    def __le__(self, other):
-        pair = self._compared(other)
-        if pair is None:
-            return NotImplemented
-        return pair[0] <= pair[1]
-
-    def __gt__(self, other):
-        pair = self._compared(other)
-        if pair is None:
-            return NotImplemented
-        return pair[0] > pair[1]
-
-    def __ge__(self, other):
-        pair = self._compared(other)
-        if pair is None:
-            return NotImplemented
-        return pair[0] >= pair[1]
-
-    # No __hash__: equality is taken at the lower of two precisions, so equal
-    # values may differ in their trailing digits and no hash can agree with it.
-
-    # -- rendering ---------------------------------------------------------------
 
     def digit_string(self, digits: int, rounding: str = decimal.ROUND_HALF_EVEN) -> str:
         """Fixed-point rendering with exactly ``digits`` decimal places.
@@ -380,8 +266,9 @@ class CPoly:
         return Fraction(0)
 
     def decimals(self, ctx: Context) -> list[Decimal]:
-        """The coefficients, each rounded once by ``ctx``, in ascending order."""
-        return [ctx.divide(Decimal(c.numerator), Decimal(c.denominator)) for c in self.coeffs]
+        """The coefficients in ascending order, each rounded once by ``ctx``
+        from its stored numerator (``_divide``)."""
+        return [_divide(n, self._denominator, ctx) for n in self._numerators]
 
     @property
     def degree(self) -> int:
@@ -475,13 +362,7 @@ class CPoly:
         )
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; exact for ``Fraction``, rounded for
-        ``PrecReal`` (one rounding per step)."""
-        if isinstance(x, PrecReal):
-            acc = PrecReal(0, x.precision)
-            for c in reversed(self.coeffs):
-                acc = acc * x + c
-            return acc
+        """The exact value at a rational ``x``, by Horner's rule."""
         x = Fraction(x)
         acc = Fraction(0)
         for c in reversed(self.coeffs):

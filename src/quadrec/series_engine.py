@@ -479,8 +479,3 @@ def tail_bound(R: CPoly, start: int, omitted_from: int | None = None) -> Fractio
             Fraction(base) ** (omitted_from - 1) * (omitted_from - 1)
         )
     return bound
-
-
-def eval_polynomial(poly: CPoly, x: Decimal, ctx: Context) -> Decimal:
-    """poly(x) for exact coefficients, at the precision of ``ctx``."""
-    return horner(poly.decimals(ctx), x, ctx)

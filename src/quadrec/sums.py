@@ -364,20 +364,21 @@ def bootstrap_check(digits: int) -> BootstrapReport:
     """
     _check_digits(digits, MAX_DIGITS_BOOTSTRAP, "the bootstrap residual")
     precision = digits + 2 * GUARD_DIGITS
-    c_half = PrecReal(estimate_constant(10**5, 6, max(40, precision)).C, precision) / 2
+    ctx = Context(prec=precision)
+    c_half = ctx.divide(ctx.plus(estimate_constant(10**5, 6, max(40, precision)).C.value), 2)
     gamma = euler_gamma(precision)
     s1 = regularized_s1(MAX_DIGITS_S1)
     tail_family = sum_of_power_sums(10)
-    formula = 2 + gamma + PrecReal(s1.value, precision) + PrecReal(tail_family.value, precision)
-    residual = c_half - formula
+    formula = ctx.add(ctx.add(2, gamma.value), ctx.plus(s1.value.value))
+    formula = ctx.add(formula, ctx.plus(tail_family.value.value))
     return BootstrapReport(
         digits=digits,
-        c=c_half,
+        c=PrecReal(c_half, precision),
         gamma=gamma,
         s1=s1.value,
         sum_m_ge_2=tail_family.value,
-        formula_value=formula,
-        residual=residual,
+        formula_value=PrecReal(formula, precision),
+        residual=PrecReal(ctx.subtract(c_half, formula), precision),
     )
 
 
@@ -396,12 +397,10 @@ def harmonic_divergence_diagnostic(n: int) -> tuple[PrecReal, PrecReal]:
     precision, bits = _divergence_precision(n)
     partial = Fraction(sum(islice(logistic_integers(bits), n + 1)), 1 << bits)
     s1 = regularized_s1(MAX_DIGITS_S1)
-    reference = (
-        PrecReal(Context(prec=precision).ln(Decimal(n)), precision)
-        + euler_gamma(precision)
-        + PrecReal(s1.value, precision)
-    )
-    return PrecReal(partial, precision), reference
+    ctx = Context(prec=precision)
+    reference = ctx.add(ctx.ln(n), euler_gamma(precision).value)
+    reference = ctx.add(reference, ctx.plus(s1.value.value))
+    return PrecReal(partial, precision), PrecReal(reference, precision)
 
 
 def _divergence_precision(n: int) -> tuple[int, int]:

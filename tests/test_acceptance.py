@@ -120,19 +120,20 @@ def test_criterion_3_critical_constant(report):
     higher = estimate_constant(10**6, 8, 60)
     depth_delta = abs(base.C.value - deeper.C.value)
     order_delta = abs(base.C.value - higher.C.value)
-    stable = depth_delta < base.truncation_bound and order_delta < base.truncation_bound
+    bound = base.truncation_bound.value
+    stable = depth_delta < bound and order_delta < bound
     ok = err <= Decimal("5e-15") and elapsed < 120.0 and stable
     report(
         "criterion 3 (critical constant)",
         ok,
         f"|C - 3.535987572272308| = {err:.2E} in {elapsed:.1f}s; "
         f"depth/order deltas {depth_delta:.1E}/{order_delta:.1E} "
-        f"vs bound {base.truncation_bound.value:.1E}",
+        f"vs bound {bound:.1E}",
     )
     assert err <= Decimal("5e-15")
     assert elapsed < 120.0
-    assert depth_delta < base.truncation_bound
-    assert order_delta < base.truncation_bound
+    assert depth_delta < bound
+    assert order_delta < bound
 
 
 def test_criterion_4_fixed_point_identity(report):

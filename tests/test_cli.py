@@ -163,6 +163,22 @@ def test_derive_text_lines(capsys):
     assert "c[4][2] = 3*C - 5" in out
 
 
+def test_derive_text_solves_the_table_once(capsys, monkeypatch):
+    import quadrec.cli as cli
+
+    orders = []
+    original = cli.solve_coefficients
+
+    def solve(order):
+        orders.append(order)
+        return original(order)
+
+    monkeypatch.setattr(cli, "solve_coefficients", solve)
+    code, _out, _err = run(capsys, "derive", "--order", "4", "--format", "text")
+    assert code == 0
+    assert orders == [4]
+
+
 def test_derive_json_rows_are_exact_coefficient_lists(capsys):
     rows = run_json(capsys, "derive", "--order", "3")
     assert all(set(r) == {"i", "j", "coeffs"} for r in rows)

@@ -31,7 +31,7 @@ def test_moderate_depth_estimate_hits_reference(reference_estimate):
     est = reference_estimate
     assert est.C.digit_string(15) == "3.535987572272308"
     assert abs(est.C.value - C_REF) < Decimal("1e-16")
-    assert est.truncation_bound < Decimal("1e-17")
+    assert est.truncation_bound.value < Decimal("1e-17")
     assert est.depth == 10**5 and est.order == 6
 
 
@@ -47,20 +47,20 @@ def test_estimate_reports_honest_truncation_bounds():
     for depth, order, frozen_bound in cases:
         est = estimate_constant(depth, order, 40)
         err = abs(est.C.value - C_REF)
-        assert err < est.truncation_bound, (depth, order, err)
+        assert err < est.truncation_bound.value, (depth, order, err)
         assert err < frozen_bound, (depth, order, err)
 
 
 def test_estimate_depth_stability():
     base = estimate_constant(10**4, 4, 40)
     deeper = estimate_constant(4 * 10**4, 4, 40)
-    assert abs(base.C.value - deeper.C.value) < base.truncation_bound
+    assert abs(base.C.value - deeper.C.value) < base.truncation_bound.value
 
 
 def test_estimate_order_stability():
     base = estimate_constant(10**4, 4, 40)
     higher = estimate_constant(10**4, 6, 40)
-    assert abs(base.C.value - higher.C.value) < base.truncation_bound
+    assert abs(base.C.value - higher.C.value) < base.truncation_bound.value
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadrec.critical import estimate_constant, logistic_constant, residual_order_check
 from quadrec.errors import DomainError, PrecisionError, RefusalError
 from quadrec.numerics import (
     CPoly,
@@ -19,6 +20,9 @@ from quadrec.numerics import (
     horner,
     parse_rational,
 )
+from quadrec.recurrence import classify, iterate_real
+from quadrec.series_engine import eval_series, solve_coefficients
+from quadrec.sums import bootstrap_check, harmonic_divergence_diagnostic, regularized_s1
 
 # ---------------------------------------------------------------------------
 # parse_rational
@@ -113,50 +117,6 @@ def test_precreal_of_a_fraction_examples(value, precision, text):
     assert str(PrecReal(value, precision)) == text
 
 
-def test_precreal_binary_ops_take_min_precision():
-    a = PrecReal(1, 40)
-    b = PrecReal(3, 25)
-    assert (a / b).precision == 25
-    assert (a + b).precision == 25
-    assert (a * b).precision == 25
-
-
-def test_precreal_arithmetic_matches_decimal():
-    third = PrecReal(1, 30) / PrecReal(3, 30)
-    # 1/3 + 1/3 + 1/3 rounds back to 1 within one ulp at 30 digits
-    total = third + third + third
-    assert abs(total.value - 1) < Decimal("1e-28")
-
-
-def test_precreal_ln_exp_roundtrip():
-    x = PrecReal(Fraction(7, 2), 40)
-    y = x.ln().exp()
-    assert abs(y.value - x.value) < Decimal("1e-37")
-
-
-def test_precreal_ln_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        PrecReal(0, 20).ln()
-    with pytest.raises(DomainError):
-        PrecReal(-3, 20).ln()
-
-
-def test_precreal_integer_powers_only():
-    x = PrecReal(2, 30)
-    assert abs((x**10).value - 1024) < Decimal("1e-25")
-    with pytest.raises(TypeError):
-        x**0.5
-
-
-def test_precreal_comparisons():
-    a = PrecReal(Fraction(1, 3), 30)
-    b = PrecReal(Fraction(1, 2), 30)
-    assert a < b
-    assert b > a
-    assert a <= a
-    assert a == PrecReal(Fraction(1, 3), 30)
-
-
 def test_horner_matches_exact_polynomial_value():
     ctx = Context(prec=50)
     coeffs = [Decimal(-5), Decimal(3), Decimal("0.25")]
@@ -167,25 +127,39 @@ def test_horner_matches_exact_polynomial_value():
     assert abs(Fraction(horner(coeffs, third, ctx)) - exact) < Fraction(1, 10**48)
 
 
-def test_precreal_negation_and_abs_keep_every_digit():
-    # the default decimal context holds 28 digits; sign changes must not
-    # round through it
-    x = PrecReal(Fraction(1, 3), 40)
-    digits = "0." + "3" * 40
-    assert str(-x) == "-" + digits
-    assert str(abs(-x)) == digits
-    assert (-x).precision == abs(x).precision == 40
+def test_library_glue_rounds_on_a_context_of_its_precision():
+    # each value must carry its working precision P and equal the same
+    # operations done on a Context(prec=P); an operation that slipped into
+    # the thread's 28-digit default context would round differently
+    estimate = estimate_constant(10**4, 6, 60)
+    ctx = Context(prec=60)
+    c = ctx.divide(estimate.C.value, 2)
+    checks = [(60, logistic_constant(estimate), [c, ctx.exp(ctx.subtract(c, 1))])]
 
+    ctx = Context(prec=40)
+    table = solve_coefficients(3)
+    c_value = PrecReal(estimate_constant(10**5, 4, 40).C, 40)
+    samples = iterate_real(classify(Fraction(1, 2)), 20, 40, sample_ks=[10, 20])
+    series = [eval_series(table, s.k, c_value, 3).value for s in samples]
+    residuals = [ctx.subtract(s.a.value, v).copy_abs() for s, v in zip(samples, series)]
+    checks.append((40, [r for _k, r in residual_order_check(3, [10, 20], 40)], residuals))
 
-def test_precreal_is_unhashable():
-    # equality holds at the lower precision, so two equal values can differ
-    # in their trailing digits and no hash could agree with ==
-    a, b = PrecReal("0.1234", 10), PrecReal("0.123", 3)
-    assert a == b
-    with pytest.raises(TypeError):
-        hash(a)
-    with pytest.raises(TypeError):
-        {a, b}
+    report = bootstrap_check(6)
+    ctx = Context(prec=46)
+    c_half = ctx.divide(ctx.plus(estimate_constant(10**5, 6, 46).C.value), 2)
+    formula = ctx.add(ctx.add(2, report.gamma.value), ctx.plus(report.s1.value))
+    formula = ctx.add(formula, ctx.plus(report.sum_m_ge_2.value))
+    checks.append((46, [report.residual], [ctx.subtract(c_half, formula)]))
+
+    _partial, reference = harmonic_divergence_diagnostic(1000)
+    ctx = Context(prec=16)
+    value = ctx.add(ctx.ln(1000), euler_gamma(16).value)
+    value = ctx.add(value, ctx.plus(regularized_s1(8).value.value))
+    checks.append((16, [reference], [value]))
+
+    for precision, got, want in checks:
+        assert [x.precision for x in got] == [precision] * len(want)
+        assert [x.value for x in got] == want
 
 
 def test_digit_string_rounds_half_even_by_default():
@@ -237,7 +211,7 @@ def test_confirmed_value_returns_higher_precision_run():
 
     def compute(precision):
         calls.append(precision)
-        return PrecReal(1, precision) / PrecReal(3, precision)
+        return PrecReal(Context(prec=precision).divide(1, 3), precision)
 
     out = confirmed_value(compute, digits=15, precision=35)
     assert calls == [35, 55]
@@ -307,15 +281,6 @@ def test_cpoly_format_str(build, text):
 def test_cpoly_coeff_strings_ascending():
     c = CPoly.variable()
     assert (3 * c * c - c / 2 + 7).coeff_strings() == ["7", "-1/2", "3"]
-
-
-def test_cpoly_evaluates_with_precreal():
-    c = CPoly.variable()
-    p = c * c - 2 * c + 1
-    x = PrecReal(Fraction(3, 2), 30)
-    got = p(x)
-    assert isinstance(got, PrecReal)
-    assert abs(got.value - Decimal("0.25")) < Decimal("1e-27")
 
 
 small_rationals = st.fractions(

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadrec.errors import DomainError, RefusalError
+from quadrec.numerics import PrecReal
 from quadrec.rate_constants import (
     Q_MAX,
     TABLE_PS,
@@ -64,8 +65,9 @@ def test_factor_count_is_deterministic_and_symmetric_in_q():
 
 def test_tail_bound_is_certified_below_target():
     for row in rate_constant_table(15):
-        assert row.tail_bound < Fraction(1, 10**15)
-        assert row.tail_bound > 0
+        bound = row.tail_bound
+        assert bound.value < PrecReal(Fraction(1, 10**15), bound.precision).value
+        assert bound.value > 0
 
 
 def _direct_partial_product(p: Fraction, factors: int, precision: int) -> Decimal:
@@ -150,7 +152,8 @@ def test_factor_count_survives_a_ratio_that_underflows_a_float(p):
     result = rate_constant(p, 10)
     assert float(result.q) == 0.0
     assert result.factors_used == 1
-    assert result.tail_bound == Fraction(2, 10**400) / (1 - result.q)
+    bound = result.tail_bound
+    assert bound.value == PrecReal(Fraction(2, 10**400) / (1 - result.q), bound.precision).value
 
 
 def test_rate_constant_refuses_critical_point():

@@ -223,10 +223,16 @@ def test_residual_stream_rounds_the_exact_orbit():
 
 
 def test_final_value_agrees_with_orbit_endpoint():
-    params = classify(Fraction(2, 5))
-    lone = final_value(params, 200, 30)
-    orbit = iterate_real(params, 200, 30)
-    assert lone.value == orbit[-1].a.value
+    # a_n = r - b_n against the exact orbit, within the absolute bound
+    # (3.02 n + 3.01) 10**(1-P) derived in the iterate_real docstring
+    for p in (Fraction(2, 5), Fraction(1, 3)):
+        params = classify(p)
+        for sample in iterate_exact(params, 18):
+            for precision in (30, 50):
+                a_n = final_value(params, sample.k, precision)
+                bound = Fraction(302 * sample.k + 301, 100) / 10 ** (precision - 1)
+                assert a_n.precision == precision
+                assert abs(Fraction(a_n.value) - sample.a) <= bound, (p, precision, sample.k)
 
 
 @settings(max_examples=25, deadline=None)

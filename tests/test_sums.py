@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from quadrec.critical import _abel_summand, estimate_constant
 from quadrec.errors import DomainError, ExactCapError, RefusalError
-from quadrec.numerics import GUARD_DIGITS, CPoly, PrecReal, euler_gamma
+from quadrec.numerics import GUARD_DIGITS, CPoly, PrecReal, euler_gamma, horner
 from quadrec.recurrence import MAX_DEPTH, logistic_decimals, logistic_integers, logistic_iterate
-from quadrec.series_engine import eval_polynomial, tail_bound, telescope
+from quadrec.series_engine import tail_bound, telescope
 from quadrec.sums import (
     _FAMILY,
     _LOG_REST,
@@ -146,7 +146,7 @@ def _telescoped(alphas, n, term, G, with_log=False):
     for alpha in alphas[: n + 1]:
         partial = ctx.add(partial, term(alpha))
     x = alphas[n + 1]
-    tail = eval_polynomial(G, x, ctx)
+    tail = horner(G.decimals(ctx), x, ctx)
     if with_log:
         tail = ctx.add(tail, ctx.ln(x))
     return ctx.add(partial, tail)
