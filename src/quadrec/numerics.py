@@ -129,7 +129,9 @@ class PrecReal:
     ``Fraction`` through ``_divide``, an int, string or ``Decimal`` through
     ``Context.plus``.  There is no arithmetic here: a caller computes on
     ``value`` with the methods of a ``Context`` it names, and wraps the
-    result.  Instances are immutable by convention.
+    result.  Nor is there comparison: ``==`` and ``!=`` raise ``TypeError``
+    as ``<`` does, so a caller compares ``value``s, and instances are
+    unhashable.  Instances are immutable by convention.
     """
 
     __slots__ = ("value", "precision")
@@ -165,6 +167,11 @@ class PrecReal:
         quantum = Decimal(1).scaleb(-digits)
         ctx = Context(prec=self.precision + digits + 10)
         return format(self.value.quantize(quantum, rounding=rounding, context=ctx), "f")
+
+    def __eq__(self, other):
+        raise TypeError("PrecReal values do not compare; compare their .value")
+
+    __ne__ = __eq__
 
     def __str__(self):
         return str(self.value)

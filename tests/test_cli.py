@@ -240,6 +240,28 @@ def test_critical_c_refuses_depth_past_the_limit(capsys):
 
 
 @pytest.mark.parametrize(
+    "option, message",
+    [
+        (["--N", str(10**7 + 1)], "depth 10000001 exceeds the limit of 10000000"),
+        (["--precision", "201"], "precision 201 exceeds the limit of 200"),
+    ],
+    ids=["depth", "precision"],
+)
+def test_critical_c_refuses_before_any_work(capsys, monkeypatch, option, message):
+    import quadrec.critical as critical
+
+    def fail(*args, **kwargs):
+        raise AssertionError("called before the refusal")
+
+    monkeypatch.setattr(critical, "telescope", fail)
+    monkeypatch.setattr(critical, "orbit_point", fail)
+    code, out, err = run(capsys, "critical-c", *option)
+    assert code == 4
+    assert out == ""
+    assert message in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["iterate", "--p", "2/5", "--steps", str(10**7 + 1)],

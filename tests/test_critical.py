@@ -4,20 +4,25 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+import quadrec.critical as critical
 import quadrec.series_engine as series_engine
 from quadrec.critical import (
+    MAX_PRECISION,
+    WALK_DEPTH,
     CriticalEstimate,
     _abel_summand,
     estimate_constant,
     logistic_constant,
+    orbit_point,
     residual_order_check,
 )
-from quadrec.errors import DomainError
-from quadrec.numerics import PrecReal
-from quadrec.recurrence import classify, final_value
+from quadrec.errors import DomainError, EngineError, RefusalError
+from quadrec.numerics import CPoly, PrecReal
+from quadrec.recurrence import MAX_DEPTH, classify, final_value, logistic_point
 from quadrec.series_engine import eval_series, fixed_point_defect, solve_coefficients, telescope
 
 # C from two order-18 series-matching estimates at depths 10**5 and 2*10**5
@@ -83,6 +88,19 @@ def test_rounding_dominated_estimate_is_inside_its_bound():
     assert abs(est.C.value - C_REF) <= est.truncation_bound.value
 
 
+def test_deepest_estimate_is_inside_its_bound():
+    # depth 10**7 is transported; the walk took about 3 s there
+    est = estimate_constant(MAX_DEPTH, 6, 60)
+    assert est.newton_iterations > 0
+    assert abs(est.C.value - C_REF) <= est.truncation_bound.value + C_REF_ERROR
+
+
+def test_estimate_refuses_precision_past_the_limit(monkeypatch):
+    monkeypatch.setattr(critical, "orbit_point", lambda *args: pytest.fail("walked"))
+    with pytest.raises(RefusalError, match=f"precision {MAX_PRECISION + 1} exceeds"):
+        estimate_constant(10**3, 4, MAX_PRECISION + 1)
+
+
 def test_abel_series_starts_with_known_coefficients():
     H, _R = telescope(_abel_summand(3), 3)
     assert H.coeffs == (0, Fraction(1, 2), Fraction(1, 3), Fraction(13, 36))
@@ -112,6 +130,70 @@ def test_estimate_refuses_insufficient_precision():
 def test_estimate_domain_checks(depth, order, precision):
     with pytest.raises(DomainError):
         estimate_constant(depth, order, precision)
+
+
+# ---------------------------------------------------------------------------
+# the orbit point: walked up to WALK_DEPTH, transported past it
+# ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _walked(n: int) -> Fraction:
+    """alpha_n from the floored walk at 130 digits: relative error below 10**-129."""
+    return Fraction(logistic_point(n, 130))
+
+
+@pytest.mark.parametrize("n", [WALK_DEPTH + 1, 3 * WALK_DEPTH, 10**5, 10**6])
+@pytest.mark.parametrize("precision", [20, 40, 60, 100])
+def test_transported_point_matches_the_walk(n, precision):
+    # the contract of logistic_point: below a relative 3/4 unit of the last digit
+    y, steps = orbit_point(n, precision)
+    reference = _walked(n)
+    assert steps > 0
+    budget = Fraction(3, 4 * 10 ** (precision - 1)) + Fraction(1, 10**129)
+    assert abs(Fraction(y) - reference) < budget * reference
+
+
+@pytest.mark.parametrize("n", [100, 4321, WALK_DEPTH])
+def test_orbit_point_is_the_walk_up_to_the_walk_depth(n):
+    for precision in (20, 60):
+        y, steps = orbit_point(n, precision)
+        assert steps == 0
+        assert y.as_tuple() == logistic_point(n, precision).as_tuple()
+    assert estimate_constant(max(n, 100), 4, 30).newton_iterations == 0
+
+
+def test_bracket_rejects_a_perturbed_inverse(monkeypatch):
+    # with the tail forced to 0 the slack is at its tightest, and Newton on
+    # the same phi still passes; Newton on a phi whose h_1 is off by 1e-40
+    # lands about 1e-52 of y away, past the bracket of 1.25e-60 at P = 60
+    monkeypatch.setattr(critical, "tail_bound", lambda *args: Fraction(0))
+    orbit_point(10**6, 60)
+    solve = critical._abel_inverse
+    nudge = CPoly([0, Fraction(1, 10**40)])
+    monkeypatch.setattr(critical, "_abel_inverse", lambda H, *args: solve(H + nudge, *args))
+    with pytest.raises(EngineError, match="bracket"):
+        orbit_point(10**6, 60)
+
+
+def test_abel_series_is_small_past_the_walk_depth(monkeypatch):
+    # orbit_point's monotonicity and rounding rules need, for x <= 1/(W + 1),
+    # sum |h_k| x**k <= x and sum k |h_k| x**(k-1) <= 1 at every order it
+    # uses; both sums grow with x and with the order, and the least budget
+    # (n = W + 1 at the highest precision) takes the highest order
+    orders = []
+
+    def recording(g, order):
+        orders.append(order)
+        return telescope(g, order)
+
+    monkeypatch.setattr(critical, "telescope", recording)
+    orbit_point(WALK_DEPTH + 1, MAX_PRECISION)
+    assert max(orders) <= 80
+    H, _R = telescope(_abel_summand(80), 80)
+    x = Fraction(1, WALK_DEPTH + 1)
+    assert sum(abs(h) * x**k for k, h in enumerate(H.coeffs)) <= x
+    assert sum(k * abs(h) * x ** (k - 1) for k, h in enumerate(H.coeffs) if k) <= 1
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 import random
 from decimal import ROUND_DOWN, Context, Decimal
 from fractions import Fraction
@@ -58,6 +59,22 @@ def test_precreal_carries_explicit_precision():
     x = PrecReal(Fraction(1, 3), 30)
     assert x.precision == 30
     assert str(x.value).startswith("0.33333333333333333333333333333")
+
+
+@pytest.mark.parametrize("compare", [operator.eq, operator.ne, operator.lt])
+def test_precreal_does_not_compare(compare):
+    # equal values would read unequal under identity; a caller compares .value
+    a, b = PrecReal(1, 30), PrecReal(1, 30)
+    with pytest.raises(TypeError):
+        compare(a, b)
+    with pytest.raises(TypeError):
+        compare(a, Fraction(1))
+    assert compare(a.value, b.value) is compare(1, 1)
+
+
+def test_precreal_is_unhashable():
+    with pytest.raises(TypeError):
+        hash(PrecReal(1, 30))
 
 
 def _big_int(bits_and_seed):
