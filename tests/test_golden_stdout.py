@@ -139,27 +139,27 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
 [
   {
     "k": 10,
-    "residual": "0.0056847016872893228832378938370348353341"
+    "residual": "0.0056847016872893228832378938370348347623"
   },
   {
     "k": 20,
-    "residual": "0.0006761554011435912305362573422791288201"
+    "residual": "0.0006761554011435912305362573422791285333"
   },
   {
     "k": 40,
-    "residual": "0.0000720429421982707947493979840996770332"
+    "residual": "0.0000720429421982707947493979840996769392"
   },
   {
     "k": 80,
-    "residual": "0.0000070609938304015055286867412414115012"
+    "residual": "0.0000070609938304015055286867412414114744"
   },
   {
     "k": 160,
-    "residual": "6.496646362280665171496758689561991E-7"
+    "residual": "6.496646362280665171496758689561919E-7"
   },
   {
     "k": 320,
-    "residual": "5.69648113389251677114088765736283E-8"
+    "residual": "5.69648113389251677114088765736264E-8"
   }
 ]
 """,
