@@ -25,16 +25,18 @@ The reported ``truncation_bound`` is in C units and covers both errors:
 
 * truncation: twice ``series_engine.tail_bound`` of R from k = N on, with
   the omitted terms of the series from x**(M+2) on;
-* rounding: ``recurrence.logistic_point`` runs the orbit in binary fixed
-  point with B bits, flooring each square.  x -> x - x**2 has slope in
-  [0, 1] on [0, 1/2], so the floors add up to a one-sided error below
-  N * 2**-B; B is chosen from P and N so that, with the one final rounding
-  to P digits, alpha_N is off by less than a relative 10**(1-P), and the
-  bound keeps the wider budget of a relative N * 10**(1-P).  phi
-  turns that into an absolute error of at most 1/alpha_N <= N + 3 + ln N
-  times as much (1/alpha_n = 2 + n + sum_{k<n} alpha_k/(1 - alpha_k)), and
-  evaluating phi_M adds a few rounding units of N.  In C units all of it
-  stays below 2 (N + 4)(N + 2 + bit_length(N)) 10**(1-P).
+* rounding: ``orbit_point`` gives alpha_N off by less than a relative 3/4
+  unit of its P-th digit.  Up to ``WALK_DEPTH`` steps it is
+  ``recurrence.logistic_point``, the orbit in binary fixed point with
+  floored squares and one final rounding.  Deeper, it walks
+  ``WALK_DEPTH`` steps at P + 5 digits and transports the point the rest
+  of the way by phi itself, at an order whose tail bound is at most
+  N 10**(1-P)/32, and keeps it only inside a verified bracket (see
+  there).  The bound keeps the wider budget of a relative N * 10**(1-P).
+  phi turns that into an absolute error of at most 1/alpha_N <= N + 3 +
+  ln N times as much (1/alpha_n = 2 + n + sum_{k<n} alpha_k/(1 - alpha_k)),
+  and evaluating phi_M adds a few rounding units of N.  In C units all of
+  it stays below 2 (N + 4)(N + 2 + bit_length(N)) 10**(1-P).
 
 alpha_N comes from the logistic map itself: forming (1 - a_N)/2 would
 cancel about log10(N) digits.  The logistic tail constant is c = C/2, and
@@ -73,8 +75,6 @@ _GUARD_DIGITS = 5
 #: the least truncation bound, at order 20 and depth 10**7, is about
 #: 8e-144, and the rounding term at precision 200 is below 1e-184.
 MAX_PRECISION = 200
-
-_NO_RESIDUAL = CPoly()
 
 
 @dataclass(frozen=True)
@@ -170,7 +170,7 @@ def orbit_point(n: int, precision: int) -> tuple[Decimal, int]:
     delta = Fraction(1, 8 * 10 ** (precision - 1))
     budget = delta * n / 4
     order = 3
-    while tail_bound(_NO_RESIDUAL, walk, order + 2) > budget:
+    while tail_bound(CPoly(), walk, order + 2) > budget:
         order += 1
     while True:
         g = _abel_summand(order)
