@@ -184,9 +184,11 @@ def test_error_estimate_dominates_true_tail_shift_for_s1(deep_orbit):
 
 
 def test_tail_correction_is_reported_and_small():
+    # for g = x^3, G(x) = x^2/2 + O(x^3) and alpha_{N+1} <= 1/(N+3), so the
+    # correction G(alpha_{N+1}) stays below 1/(N+2)^2
     result = power_sum(3, 12)
     assert result.tail_correction.value != 0
-    assert abs(result.tail_correction.value) < Decimal("1e-8")
+    assert abs(Fraction(result.tail_correction.value)) < Fraction(1, (DEPTH + 2) ** 2)
     assert result.error_estimate.value < Decimal("1e-14")
 
 
@@ -315,6 +317,37 @@ def test_capped_sums_agree_with_a_finer_pass(name):
     assert gap <= rounding + coefficient / 2**bits + slack
 
 
+# Values (rounded to 45 decimals) and error bounds (rounded up) of the sums
+# at their digit caps, from an independent pass at depth 10^4 and order 8.
+_DEEPER_PASS = {
+    "s3": ("0.159488853036112597469390748938005194492790801", "8.304E-38"),
+    "s4": ("0.068977706072225194938781497876010388985581602", "1.661E-37"),
+    "s5": ("0.032622409767106002306343819098307216151848588", "1.119E-37"),
+    "s6": ("0.015934111084642422102686963666890481498800960", "1.628E-37"),
+    "s7": ("0.007884618832013486579813872957190796485604040", "5.086E-37"),
+    "s8": ("0.003923447888623422928508986220649161557004754", "6.102E-37"),
+    "s1": ("-1.601964782946687989829738948749005814823814698", "2.386E-37"),
+    "family": ("0.792742904181309179666861265447735713590191173", "1.420E-36"),
+}
+
+
+@pytest.mark.parametrize("name", list(_DEEPER_PASS))
+def test_sums_agree_with_a_deeper_lower_order_pass(name):
+    # two rigorous enclosures of the same sum must overlap; the frozen value
+    # is off by at most half a unit in its 45th decimal
+    frozen, frozen_bound = (Fraction(text) for text in _DEEPER_PASS[name])
+    result = _CAPPED[name][1]()
+    gap = abs(Fraction(result.value.value) - frozen)
+    assert gap <= frozen_bound + Fraction(result.error_estimate.value) + Fraction(1, 2 * 10**45)
+
+
+@pytest.mark.parametrize("name", list(_CAPPED))
+def test_capped_bounds_keep_their_margin(name):
+    # DEPTH and ORDER give bounds of at most 7.8e-48 at the caps; a cut in
+    # either that gives back most of that margin fails here
+    assert _CAPPED[name][1]().error_estimate.value <= Decimal("1e-45")
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=15))
 def test_power_sum_property(m, digits):
@@ -387,7 +420,7 @@ def test_bootstrap_residual_is_tiny():
 
 
 def test_bootstrap_residual_is_inside_the_c_estimate_bound():
-    # the orbit sums carry bounds near 1e-37, so the residual is the error of
+    # the orbit sums carry bounds below 1e-47, so the residual is the error of
     # the estimate of C that bootstrap_check compares against
     report = bootstrap_check(6)
     estimate = estimate_constant(10**5, 6, 6 + 2 * GUARD_DIGITS)
