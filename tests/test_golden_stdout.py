@@ -170,9 +170,9 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
 {
   "m": 4,
   "value": "0.0689777061",
-  "terms_summed": 10001,
-  "tail_correction": "3.3216313251077054045690424808087182936452064805058E-13",
-  "error_estimate": "1.6607495894441621022095729335282214557469203878033E-37"
+  "terms_summed": 1001,
+  "tail_correction": "3.2407381881550057579025106870980089463243324988822E-10",
+  "error_estimate": "3.3689816284972748418351927939695794319291863389678E-50"
 }
 """,
     ),
@@ -182,9 +182,9 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
 {
   "m": 1,
   "value": "-1.602",
-  "terms_summed": 10001,
-  "tail_correction": "-0.0011971738476497290473402011277008985469813",
-  "error_estimate": "2.385481215669771511843066091517290380402520E-37"
+  "terms_summed": 1001,
+  "tail_correction": "-0.0096337448411449084172269477262007865491853",
+  "error_estimate": "7.672284046577941178570115069646386148874440E-43"
 }
 """,
     ),
