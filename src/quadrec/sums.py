@@ -32,13 +32,13 @@ Since alpha_k <= 1/(k+2), the tail error is at most the derived bound
 sum_d |r_d| (N+2)**(1-d)/(d-1) (``series_engine.tail_bound``).  The depth
 N = DEPTH = 1000 and the order M = ORDER = 16 are fixed.  Each sum walks
 N + 1 floored steps, while each order adds only a little to one exact
-telescope per sum, so order buys digits more cheaply than depth.  At (1000, 16)
-every tail bound is below 3e-49, and the worst bound at the digit caps is
-s_1's rounding at P = 48 digits; a deeper or higher pair no longer lowers
-it.  Measured on a 2-core Intel Xeon with Python 3.11.7: the worst bound
-over s_2..s_11 and the family sum at 15 digits and s_1 at 8, and the time
-of six ``sums --digits 13``, ``s1``, ``bootstrap`` and ``diverge-check``
-in one process (median of 7 fresh processes):
+telescope per sum, so order buys digits more cheaply than depth.  At
+(1000, 16) every tail bound is below 3e-49, and the worst bound at the
+digit caps is s_1's rounding at P = 48 digits; a deeper or higher pair no
+longer lowers it.  Measured on a 2-core Intel Xeon with Python 3.11.7:
+the worst bound over s_2..s_11 and the family sum at 15 digits and s_1
+at 8, and the time of six ``sums --digits 13``, ``s1``, ``bootstrap``
+and ``diverge-check`` in one process (median of 7 fresh processes):
 
     (N, M)        worst bound   time
     (10**4, 8)    1.4e-36       166 ms
