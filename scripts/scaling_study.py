@@ -1,8 +1,13 @@
 #!/usr/bin/env python3
-"""Empirical scaling tables: solver cost vs order, estimator error vs depth.
+"""Empirical scaling tables: solver cost vs order, telescope build cost vs
+order, estimator error vs depth.
 
 Usage:
     python scripts/scaling_study.py [--max-order 14] [--max-depth-exp 5]
+
+The telescope table times one ``series_engine.telescope`` build of the Abel
+summand at the fixed orders 6, 16, 56 and 120; orders past the solver's
+limit are allowed there, as the deep critical orbit point uses them.
 
 The reference value for the error column is a depth-10^6 run, so shallow
 rows display their true error next to the bound they reported themselves.
@@ -13,8 +18,8 @@ from __future__ import annotations
 import argparse
 import time
 
-from quadrec.critical import estimate_constant
-from quadrec.series_engine import MAX_ORDER, solve_coefficients
+from quadrec.critical import _abel_summand, estimate_constant
+from quadrec.series_engine import MAX_ORDER, solve_coefficients, telescope
 
 
 def main() -> int:
@@ -36,6 +41,15 @@ def main() -> int:
         elapsed += time.perf_counter() - t0
         entries = sum(1 for _ in table.iter_entries())
         print(f"{order:>6} {entries:>8} {elapsed:>8.3f}")
+
+    print()
+    print("telescope build by order (Abel summand)")
+    print(f"{'order':>6} {'seconds':>8}")
+    for order in (6, 16, 56, 120):
+        summand = _abel_summand(order)
+        t0 = time.perf_counter()
+        telescope(summand, order)
+        print(f"{order:>6} {time.perf_counter() - t0:>8.4f}")
 
     reference = estimate_constant(10**6, 6, 60).C.value
     print()

@@ -369,12 +369,16 @@ class CPoly:
         )
 
     def __call__(self, x):
-        """The exact value at a rational ``x``, by Horner's rule."""
+        """The exact value at a rational ``x`` = p/q: Horner's rule on the
+        integer sum_t n_t p**t q**(d - t), divided by the denominator times
+        q**d once."""
         x = Fraction(x)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        p, q = x.numerator, x.denominator
+        total, power = 0, 1
+        for n in reversed(self._numerators):
+            total = total * p + n * power
+            power *= q
+        return Fraction(total * q, self._denominator * power)
 
     def coeff_strings(self) -> list[str]:
         """Ascending coefficient strings, e.g. ``["-5", "3"]`` for 3*C - 5."""

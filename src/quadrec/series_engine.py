@@ -41,8 +41,14 @@ the derivation.  The solver builds one level of the residual per order
 The same map in the coordinate alpha = (1 - a)/2 is x -> x - x**2, and
 ``telescope`` solves its one exact functional equation,
 G(x) - G(x - x**2) = g(x), as a polynomial with a residual that
-``tail_bound`` sums along the orbit.  G, g and R are ``CPoly`` in x, the
-type of the Q[C] coefficients, so both solvers share one exact arithmetic.
+``tail_bound`` sums along the orbit.  Since x**k - (x - x**2)**k =
+sum_{j>=1} (-1)**(j+1) C(k, j) x**(k+j), the x**m coefficient of the left
+side is a half sum over m/2 <= k < m whose top term is (m - 1) G_{m-1}, so
+each G_n follows from g_{n+1} and the G_k with k < n by one division by n.
+Every G_n is kept as an integer over the one denominator den(g) M!, for
+order M, and every such division is exact, since G_n den(g) n! is an
+integer (induction on n).  G, g and R are ``CPoly`` in x, the type of the
+Q[C] coefficients, so both solvers share one exact arithmetic.
 The logistic tail sums (``sums``) and the Abel coordinate that pins C
 (``critical``) both rest on it.
 """
@@ -436,26 +442,57 @@ def eval_series(
     return PrecReal(horner(coeffs, c_value.value, Context(prec=precision)), precision)
 
 
+def _half_sum(G: list[int], m: int) -> int:
+    """[x**m] of sum_k G[k] (x**k - (x - x**2)**k), over the scale of ``G``.
+
+    x**k - (x - x**2)**k = sum_{j>=1} (-1)**(j+1) C(k, j) x**(k+j), so the
+    sum runs over m/2 <= k < m (and k < len(G)) with j = m - k.  Along that
+    diagonal each binomial comes from the one before it by one multiply and
+    one exact division: C(k-1, j+1) = C(k, j) (k-j)(k-j-1) / (k (j+1)).
+    """
+    k = min(m - 1, len(G) - 1)
+    j = m - k
+    total, sign, binomial = 0, 1 if j % 2 else -1, math.comb(k, j)
+    while k >= j:
+        total += sign * binomial * G[k]
+        binomial = binomial * (k - j) * (k - j - 1) // (k * (j + 1))
+        k, j, sign = k - 1, j + 1, -sign
+    return total
+
+
 def telescope(g: CPoly, order: int) -> tuple[CPoly, CPoly]:
     """(G, R) with G(x) - G(x - x**2) = g(x) + R(x), as polynomials in x.
 
-    ``g`` starts at x**2, and G has terms up to x**order.  Adding G_n x**n
-    to G adds G_n (x**n - (x - x**2)**n) = G_n (n x**(n+1) - ...) to the
-    left side D = G(x) - G(x - x**2), so the system is triangular: G_n is
-    solved from the x**(n+1) coefficient of D = g, with D and (x - x**2)**n
-    kept current as G grows.  R = D - g is exact and, because of that
-    solve, has no term below x**(order + 2).
+    ``g`` starts at x**2, and G has terms up to x**order.  The x**m
+    coefficient of D = G(x) - G(x - x**2) is the half sum
+
+        D_m = sum_{m/2 <= k < m} (-1)**(m-k+1) C(k, m-k) G_k,
+
+    whose k = m - 1 term is (m - 1) G_{m-1}.  So the system is triangular:
+    D_{n+1} = g_{n+1} gives
+
+        G_n = (g_{n+1} - sum_{(n+1)/2 <= k < n} (-1)**(n-k) C(k, n+1-k) G_k) / n.
+
+    Every G_n is held as an integer over the one denominator den(g) order!,
+    and each division by n is exact: n G_n den(g) (n-1)! is an integer
+    combination of g_{n+1} den(g) and the G_k den(g) k! with k < n, so by
+    induction G_n den(g) n! is an integer.  R = D - g is exact and, because
+    of that solve, has no term from x**2 through x**(order + 1); from
+    x**(order + 2) to x**(2 order) it is D_m - g_m, and past that (and
+    below x**2) it is -g_m.
     """
-    x = CPoly.variable()
-    step = x - x * x
-    G = D = CPoly()
-    monomial = power = _ONE
+    scale = math.factorial(order)
+    target = [n * scale for n in g._numerators]
+    target += [0] * (2 * order + 1 - len(target))
+    G = [0] * (order + 1)
     for n in range(1, order + 1):
-        monomial, power = monomial * x, power * step
-        coefficient = (g.coefficient(n + 1) - D.coefficient(n + 1)) / n
-        G += monomial * coefficient
-        D += (monomial - power) * coefficient
-    return G, D - g
+        G[n] = (target[n + 1] - _half_sum(G, n + 1)) // n
+    residual = [-t for t in target]
+    residual[2 : order + 2] = [0] * order
+    for m in range(order + 2, 2 * order + 1):
+        residual[m] += _half_sum(G, m)
+    denominator = g._denominator * scale
+    return CPoly._over(G, denominator), CPoly._over(residual, denominator)
 
 
 def tail_bound(R: CPoly, start: int, omitted_from: int | None = None) -> Fraction:
@@ -464,18 +501,21 @@ def tail_bound(R: CPoly, start: int, omitted_from: int | None = None) -> Fractio
     alpha_k <= 1/(k+2) (induction: x - x**2 increases on [0, 1/2] and
     (k+1)(k+3) <= (k+2)**2), so with base = start + 1
     sum_{k>=start} alpha_k**d <= integral_base^inf t**-d dt = base**(1-d)/(d-1).
+    R starts at x**2, and the terms are summed as one integer over
+    den(R) base**(deg - 1) lcm(1..deg - 1), with deg the degree of R.
     ``omitted_from`` = L marks a summand whose series continues past its
     degree with coefficients of size at most 1, from x**L on; those terms
     add at most sum_{k>=start} alpha_k**L/(1 - alpha_k), with
     1/(1 - alpha_k) <= (base+1)/base.
     """
-    base = start + 1
-    bound = sum(
-        (abs(r) / (Fraction(base) ** (d - 1) * (d - 1)) for d, r in enumerate(R.coeffs) if r),
-        Fraction(0),
-    )
+    numerators, top, base = R._numerators, R.degree, start + 1
+    if any(numerators[:2]):
+        raise DomainError("the residual must start at x**2")
+    scale = math.lcm(*range(1, top))
+    total = 0
+    for d in range(2, top + 1):  # Horner in base: the x**d term carries base**(top - d)
+        total = total * base + abs(numerators[d]) * (scale // (d - 1))
+    bound = Fraction(total, R._denominator * base ** (top - 1) * scale) if total else Fraction(0)
     if omitted_from is not None:
-        bound += Fraction(base + 1, base) / (
-            Fraction(base) ** (omitted_from - 1) * (omitted_from - 1)
-        )
+        bound += Fraction(base + 1, base**omitted_from * (omitted_from - 1))
     return bound

@@ -392,3 +392,32 @@ def test_cpoly_equal_fractions_in_any_form_are_one_polynomial():
     assert CPoly([Fraction(3, 6), Fraction(4, 6)]).coeff_strings() == ["1/2", "2/3"]
     with pytest.raises(ZeroDivisionError):
         CPoly.variable() / 0
+
+
+def _fraction_horner(poly, x):
+    """The reference evaluation: Horner's rule on ``Fraction`` coefficients."""
+    x = Fraction(x)
+    acc = Fraction(0)
+    for c in reversed(poly.coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _random_cpoly(rng, degree):
+    return CPoly(
+        Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**4)) if rng.random() < 0.8 else 0
+        for _ in range(degree + 1)
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_cpoly_call_matches_fraction_horner(seed):
+    rng = random.Random(seed)
+    points = [0, Fraction(0), -3, Fraction(-5, 7), Fraction(1, 2), Fraction(-1, 3)]
+    points += [Fraction(rng.getrandbits(300) | 1, 1 << 301), Fraction(6, 1 << 40), Fraction(22, 7)]
+    for degree in range(41):
+        poly = _random_cpoly(rng, degree)
+        for x in points:
+            assert poly(x) == _fraction_horner(poly, x)
+    for x in points:
+        assert CPoly()(x) == 0

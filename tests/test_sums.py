@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import islice
@@ -32,6 +33,7 @@ from quadrec.sums import (
     _power_summand,
     _rounding_coefficient,
     _s1_summand,
+    _slope,
     bootstrap_check,
     harmonic_divergence_diagnostic,
     power_sum,
@@ -212,7 +214,7 @@ def test_telescoped_residual_starts_past_the_order(g):
 _IDENTITY_CASES = (
     [(f"x^{m}", CPoly.variable() ** m, ORDER) for m in range(2, 20)]
     + [("family", _FAMILY, ORDER), ("log", _LOG_REST, ORDER)]
-    + [(f"abel-{order}", _abel_summand(order), order) for order in range(3, 21)]
+    + [(f"abel-{order}", _abel_summand(order), order) for order in [*range(3, 21), 40, 80]]
 )
 
 
@@ -236,6 +238,86 @@ def test_s2_is_the_smallest_telescope():
     assert not any(R.coeffs)
     assert tail_bound(R, DEPTH + 1) == 0
     assert power_sum(2, 15).error_estimate.value == 0
+
+
+@pytest.mark.parametrize("order", [16, 56])
+def test_telescope_at_a_higher_order_extends_g(order):
+    # G_n depends only on g_2..g_{n+1}, so G at order M is G at order M + 8
+    # truncated to degree M
+    G, _R = telescope(_abel_summand(order), order)
+    longer, _R = telescope(_abel_summand(order + 8), order + 8)
+    assert G == CPoly(longer.coeffs[: order + 1])
+
+
+# the Fraction forms of tail_bound and _slope, kept as reference oracles
+def _fraction_tail_bound(R, start, omitted_from=None):
+    base = start + 1
+    bound = sum(
+        (abs(r) / (Fraction(base) ** (d - 1) * (d - 1)) for d, r in enumerate(R.coeffs) if r),
+        Fraction(0),
+    )
+    if omitted_from is not None:
+        bound += Fraction(base + 1, base) / (
+            Fraction(base) ** (omitted_from - 1) * (omitted_from - 1)
+        )
+    return bound
+
+
+def _fraction_slope(poly):
+    return sum(
+        (n * abs(c) / 2 ** (n - 1) for n, c in enumerate(poly.coeffs) if n and c), Fraction(0)
+    )
+
+
+def _random_cpoly(rng, degree, low=0):
+    """Seeded random coefficients, about a fifth of them 0, on x**low..x**degree."""
+    return CPoly(
+        Fraction(rng.randint(-(10**6), 10**6), rng.randint(1, 10**4))
+        if n >= low and rng.random() < 0.8
+        else 0
+        for n in range(degree + 1)
+    )
+
+
+_STARTS = [DEPTH + 1, 10**4 + 1, 10**7 + 1]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_tail_bound_matches_its_fraction_form(seed):
+    rng = random.Random(seed)
+    for degree in range(41):
+        R = _random_cpoly(rng, degree, low=2)
+        for start in _STARTS:
+            for omitted_from in (None, 18, degree + 2):
+                assert tail_bound(R, start, omitted_from) == _fraction_tail_bound(
+                    R, start, omitted_from
+                )
+
+
+@pytest.mark.parametrize("order", [3, 6, 16, 20, 56])
+def test_tail_bound_of_abel_residuals_matches_its_fraction_form(order):
+    _G, R = telescope(_abel_summand(order), order)
+    for start in _STARTS:
+        for omitted_from in (None, 18, order + 2):
+            assert tail_bound(R, start, omitted_from) == _fraction_tail_bound(
+                R, start, omitted_from
+            )
+
+
+def test_tail_bound_refuses_a_residual_below_x_squared():
+    with pytest.raises(DomainError):
+        tail_bound(CPoly([0, 1, 1]), DEPTH + 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_slope_matches_its_fraction_form(seed):
+    rng = random.Random(seed)
+    for degree in range(41):
+        poly = _random_cpoly(rng, degree)
+        assert _slope(poly) == _fraction_slope(poly)
+    for summand in (_power_summand(5), _family_summand(), _s1_summand()):
+        assert _slope(summand.G) == _fraction_slope(summand.G)
+        assert _slope(summand.R) == _fraction_slope(summand.R)
 
 
 # ---------------------------------------------------------------------------
