@@ -44,12 +44,12 @@ def main() -> int:
 
     print()
     print("telescope build by order (Abel summand)")
-    print(f"{'order':>6} {'seconds':>8}")
+    print(f"{'order':>6} {'seconds':>9}")
     for order in (6, 16, 56, 120):
         summand = _abel_summand(order)
         t0 = time.perf_counter()
         telescope(summand, order)
-        print(f"{order:>6} {time.perf_counter() - t0:>8.4f}")
+        print(f"{order:>6} {time.perf_counter() - t0:>9.5f}")
 
     reference = estimate_constant(10**6, 6, 60).C.value
     print()
