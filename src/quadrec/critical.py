@@ -25,18 +25,20 @@ The reported ``truncation_bound`` is in C units and covers both errors:
 
 * truncation: twice ``series_engine.tail_bound`` of R from k = N on, with
   the omitted terms of the series from x**(M+2) on;
-* rounding: ``orbit_point`` gives alpha_N off by less than a relative 3/4
-  unit of its P-th digit.  Up to ``WALK_DEPTH`` steps it is
-  ``recurrence.logistic_point``, the orbit in binary fixed point with
-  floored squares and one final rounding.  Deeper, it walks
-  ``WALK_DEPTH`` steps at P + 5 digits and transports the point the rest
-  of the way by phi itself, at an order whose tail bound is at most
-  N 10**(1-P)/32, and keeps it only inside a verified bracket (see
-  there).  The bound keeps the wider budget of a relative N * 10**(1-P).
+* rounding: alpha_N is ``recurrence.logistic_point``, the orbit in binary
+  fixed point with floored squares and one final rounding, off by less
+  than a relative 3/4 unit of its P-th digit.  The bound keeps the wider
+  budget of a relative N * 10**(1-P).
   phi turns that into an absolute error of at most 1/alpha_N <= N + 3 +
   ln N times as much (1/alpha_n = 2 + n + sum_{k<n} alpha_k/(1 - alpha_k)),
   and evaluating phi_M adds a few rounding units of N.  In C units all of
   it stays below 2 (N + 4)(N + 2 + bit_length(N)) 10**(1-P).
+
+A request deeper than W = ``WALK_DEPTH`` keeps its own bound B, computed
+as above at (N, M, P), and is answered by the walk-depth estimate
+2 (phi_M'(alpha_W) - W), at the least order M' whose own bound at
+(W, M', P) is at most B.  That estimate lies within its own bound of C,
+so within B; only its digits below B differ from those of a walk to N.
 
 alpha_N comes from the logistic map itself: forming (1 - a_N)/2 would
 cancel about log10(N) digits.  The logistic tail constant is c = C/2, and
@@ -51,9 +53,9 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError, EngineError, RefusalError
+from .errors import DomainError, RefusalError
 from .numerics import CPoly, PrecReal, horner
-from .recurrence import _logistic_fixed, check_depth, classify, iterate_real, logistic_point
+from .recurrence import check_depth, classify, iterate_real, logistic_point
 from .series_engine import MAX_ORDER, eval_series, solve_coefficients, tail_bound, telescope
 
 # Not used here: the benchmark's tracer wraps these names in this module.
@@ -62,13 +64,10 @@ from .series_engine import eval_series_coeffs  # noqa: F401
 
 _CRITICAL_P = Fraction(1, 2)
 
-#: ``orbit_point`` walks at most this many steps and transports a deeper
-#: point the rest of the way.  Walking 10**4 steps costs about one transport
-#: (a few ms each at precision 60 on a 2-core Intel Xeon with Python 3.11).
+#: The deepest orbit point ``estimate_constant`` walks; a deeper request is
+#: answered at this depth, within its own bound.  Walking 10**4 steps takes
+#: a few ms at precision 60 on a 2-core Intel Xeon with Python 3.11.
 WALK_DEPTH = 10**4
-
-#: The transport works this many digits past the requested precision.
-_GUARD_DIGITS = 5
 
 #: The highest precision ``estimate_constant`` accepts.  Past it no request
 #: within ``MAX_ORDER`` and ``recurrence.MAX_DEPTH`` certifies another digit:
@@ -81,8 +80,11 @@ MAX_PRECISION = 200
 class CriticalEstimate:
     """The constant C~ with the run parameters and error evidence.
 
-    ``newton_iterations`` counts the Newton steps of the transported orbit
-    point (``orbit_point``); it is 0 when alpha_N is walked.
+    ``depth``, ``order`` and ``precision`` are the request's, also when a
+    request deeper than ``WALK_DEPTH`` is answered at that depth.
+    ``newton_iterations`` is always 0: nothing is solved by Newton's method
+    any more, and the field stays only because the benchmark's tracer reads
+    it.
     """
 
     C: PrecReal
@@ -99,107 +101,14 @@ def _abel_summand(order: int) -> CPoly:
     return CPoly([0, 0] + [1 - Fraction(1, n) for n in range(2, order + 2)])
 
 
+def _rounding(depth: int, precision: int) -> Fraction:
+    """The rounding term of the bound at (depth, precision), in C units."""
+    return Fraction(2 * (depth + 4) * (depth + 2 + depth.bit_length()), 10 ** (precision - 1))
+
+
 def _phi(h: Sequence[Decimal], x: Decimal, ctx: Context) -> Decimal:
     """phi(x) = 1/x + ln x + H(x) on ``ctx``, with ``h`` the coefficients of H."""
     return ctx.add(ctx.add(ctx.divide(1, x), ctx.ln(x)), horner(h, x, ctx))
-
-
-def _abel_inverse(H: CPoly, target: Decimal, ctx: Context, precision: int) -> tuple[Decimal, int]:
-    """(y, Newton steps) with phi(y) = ``target`` on ``ctx``, from y = 1/target.
-
-    Newton stops once a step is below about 10**(-precision - 1) of y
-    (after 30 steps at most); ``orbit_point`` verifies the result.
-    """
-    h, dh = H.decimals(ctx), H.derivative().decimals(ctx)
-    y, steps = ctx.divide(1, target), 0
-    while steps < 30:
-        steps += 1
-        inverse = ctx.divide(1, y)
-        slope = ctx.add(ctx.subtract(inverse, ctx.multiply(inverse, inverse)), horner(dh, y, ctx))
-        step = ctx.divide(ctx.subtract(_phi(h, y, ctx), target), slope)
-        y = ctx.subtract(y, step)
-        if not step or step.adjusted() < y.adjusted() - precision - 2:
-            break
-    return y, steps
-
-
-def orbit_point(n: int, precision: int) -> tuple[Decimal, int]:
-    """(alpha_n, Newton steps): alpha_n to ``precision`` digits, off by less
-    than a relative 3/4 unit of its last digit, as ``logistic_point`` is.
-
-    For n <= ``WALK_DEPTH`` this is ``logistic_point(n, precision)`` and 0
-    steps.  A deeper point is walked W = ``WALK_DEPTH`` floored steps at
-    P' = precision + 5 digits and carried the remaining n - W steps by the
-    Abel coordinate phi = phi_M of the module docstring, at the least order
-    M whose tail T = ``tail_bound(R, W, M + 2)`` is at most delta n / 4,
-    delta = 10**(1 - precision)/8.  Along the orbit
-
-        phi(alpha_n) = phi(alpha_W) + (n - W) + sum_{W<=k<n} rho(alpha_k),
-
-    and |sum rho| <= T.  Newton at P' solves phi(y) = t, with t the
-    computed phi(x_W) + (n - W), and y is kept only once the bracket is
-    verified in exact rationals:
-
-        phi~(y (1 + delta)) (1 + 4u) < t - S,   phi~(y (1 - delta)) (1 - 4u) > t + S,
-
-    with phi~ the computed phi, u = 10**(1 - P')/2 and the slack S covering
-    every difference between t and phi(alpha_n).  The rules below need
-    x <= 1/(W + 1), where the series part is small: sum |h_k| x**k <= x and
-    sum k |h_k| x**(k - 1) <= 1 for every order used (a test checks them at
-    order 80).  So phi' = -1/x**2 + 1/x + H'(x) < 0 and |phi'| <= 1/x**2
-    there: phi decreases, and the bracket holds alpha_n between
-    y (1 -+ delta), up to one rounding u of each end.
-
-    * Walk: x_W = X/2**B is above alpha_W by less than W 2**-B
-      (``recurrence._logistic_fixed``) and 1/alpha_W <= m = W + 3 +
-      bit_length(W), so phi(alpha_W) - phi(x_W) lies in [0, m**2 W 2**-B].
-    * Rounding: 1/x, ln x, their sum, Horner's rule on H (coefficients
-      rounded once) and the last sum each round by u, relative.  Since
-      |ln x| <= 1/(1000 x) and |H(x)| <= x, phi~ is within 4u phi~ of phi
-      at a Decimal x, and within 5u phi~ for phi(x_W), whose rounding into
-      a Decimal moves phi by at most u/x more.  Forming t rounds by u t.
-
-    So S = T + m**2 W 2**-B + 5u phi~(x_W) + u t.  The result rounds y
-    once, by half a unit, which adds to delta and 2u: 5/8 unit and a
-    fraction, below 3/4.  A failed bracket raises ``EngineError``.
-    """
-    if n <= WALK_DEPTH:
-        return logistic_point(n, precision), 0
-    check_depth(n)
-    walk, work = WALK_DEPTH, precision + _GUARD_DIGITS
-    delta = Fraction(1, 8 * 10 ** (precision - 1))
-    budget = delta * n / 4
-    order = 3
-    while tail_bound(CPoly(), walk, order + 2) > budget:
-        order += 1
-    while True:
-        g = _abel_summand(order)
-        H, R = telescope(g, order)
-        tail = tail_bound(R, walk, g.degree + 1)
-        if tail <= budget:
-            break
-        order += 1
-
-    ctx = Context(prec=work)
-    h = H.decimals(ctx)
-    X, bits = _logistic_fixed(walk, work)
-    phi_walk = _phi(h, ctx.divide(Decimal(X), Decimal(1 << bits)), ctx)
-    target = ctx.add(phi_walk, n - walk)
-    y, steps = _abel_inverse(H, target, ctx, precision)
-
-    u = Fraction(1, 2 * 10 ** (work - 1))
-    m = walk + 3 + walk.bit_length()
-    t = Fraction(target)
-    slack = tail + Fraction(m * m * walk, 1 << bits) + u * (5 * Fraction(phi_walk) + t)
-    spread = Decimal(125).scaleb(-precision - 2)
-    above, below = ctx.fma(y, spread, y), ctx.fma(y, -spread, y)
-    if not (
-        Fraction(above) * (walk + 1) < 1
-        and Fraction(_phi(h, above, ctx)) * (1 + 4 * u) < t - slack
-        and Fraction(_phi(h, below, ctx)) * (1 - 4 * u) > t + slack
-    ):
-        raise EngineError(f"the Abel transport to depth {n} failed to bracket alpha_{n}")
-    return Context(prec=precision).plus(y), steps
 
 
 def estimate_constant(depth: int = 10**6, order: int = 6, precision: int = 60) -> CriticalEstimate:
@@ -209,10 +118,11 @@ def estimate_constant(depth: int = 10**6, order: int = 6, precision: int = 60) -
     Before any work, depths above ``recurrence.MAX_DEPTH`` are refused as
     every orbit walk refuses them, orders above ``series_engine.MAX_ORDER``
     as every series command refuses them, and precisions above
-    ``MAX_PRECISION``.  alpha_depth comes from ``orbit_point``.  The
-    returned ``truncation_bound`` covers the truncation of H and the
-    rounding at ``precision`` (see the module docstring), so a low
-    precision widens the bound instead of being refused.
+    ``MAX_PRECISION``.  The returned ``truncation_bound`` covers the
+    truncation of H and the rounding at ``precision`` (see the module
+    docstring), so a low precision widens the bound instead of being
+    refused.  A depth above ``WALK_DEPTH`` is answered by the walk-depth
+    estimate within that bound, as the module docstring describes.
     """
     if depth < 100:
         raise DomainError(f"depth must be at least 100, got {depth}")
@@ -227,19 +137,30 @@ def estimate_constant(depth: int = 10**6, order: int = 6, precision: int = 60) -
         raise RefusalError(f"precision {precision} exceeds the limit of {MAX_PRECISION}")
     g = _abel_summand(order)
     H, R = telescope(g, order)
-    truncation = 2 * tail_bound(R, depth, g.degree + 1)
-    rounding = Fraction(2 * (depth + 4) * (depth + 2 + depth.bit_length()), 10 ** (precision - 1))
+    bound = 2 * tail_bound(R, depth, g.degree + 1) + _rounding(depth, precision)
+    walk = min(depth, WALK_DEPTH)
+    if depth > walk:
+        # the least order whose own bound at the walk depth is at most
+        # ``bound``; no tail bound is below that of the omitted terms alone
+        budget = (bound - _rounding(walk, precision)) / 2
+        least = 3
+        while tail_bound(CPoly(), walk, least + 2) > budget:
+            least += 1
+        while True:
+            g = _abel_summand(least)
+            H, R = telescope(g, least)
+            if tail_bound(R, walk, g.degree + 1) <= budget:
+                break
+            least += 1
 
     ctx = Context(prec=precision)
-    x, newton_iterations = orbit_point(depth, precision)
-    phi = _phi(H.decimals(ctx), x, ctx)
+    phi = _phi(H.decimals(ctx), logistic_point(walk, precision), ctx)
     return CriticalEstimate(
-        C=PrecReal(ctx.multiply(2, ctx.subtract(phi, depth)), precision),
+        C=PrecReal(ctx.multiply(2, ctx.subtract(phi, walk)), precision),
         depth=depth,
         order=order,
         precision=precision,
-        truncation_bound=PrecReal(truncation + rounding, precision),
-        newton_iterations=newton_iterations,
+        truncation_bound=PrecReal(bound, precision),
     )
 
 

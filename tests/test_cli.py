@@ -254,7 +254,7 @@ def test_critical_c_refuses_before_any_work(capsys, monkeypatch, option, message
         raise AssertionError("called before the refusal")
 
     monkeypatch.setattr(critical, "telescope", fail)
-    monkeypatch.setattr(critical, "orbit_point", fail)
+    monkeypatch.setattr(critical, "logistic_point", fail)
     code, out, err = run(capsys, "critical-c", *option)
     assert code == 4
     assert out == ""

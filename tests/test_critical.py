@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 
@@ -17,13 +16,19 @@ from quadrec.critical import (
     _abel_summand,
     estimate_constant,
     logistic_constant,
-    orbit_point,
     residual_order_check,
 )
-from quadrec.errors import DomainError, EngineError
-from quadrec.numerics import CPoly, PrecReal
+from quadrec.errors import DomainError
+from quadrec.numerics import PrecReal
 from quadrec.recurrence import MAX_DEPTH, classify, final_value, logistic_point
-from quadrec.series_engine import eval_series, fixed_point_defect, solve_coefficients, telescope
+from quadrec.series_engine import (
+    MAX_ORDER,
+    eval_series,
+    fixed_point_defect,
+    solve_coefficients,
+    tail_bound,
+    telescope,
+)
 
 # C from two order-18 series-matching estimates at depths 10**5 and 2*10**5
 # (precision 130), which agree to 7e-64; C_REF_ERROR covers that gap.  The
@@ -89,9 +94,9 @@ def test_rounding_dominated_estimate_is_inside_its_bound():
 
 
 def test_deepest_estimate_is_inside_its_bound():
-    # the deepest request within the caps is transported, not walked
+    # the deepest request within the caps is answered at the walk depth
     est = estimate_constant(MAX_DEPTH, 6, 60)
-    assert est.newton_iterations > 0
+    assert est.newton_iterations == 0
     assert abs(est.C.value - C_REF) <= est.truncation_bound.value + C_REF_ERROR
 
 
@@ -127,54 +132,56 @@ def test_estimate_domain_checks(depth, order, precision):
 
 
 # ---------------------------------------------------------------------------
-# the orbit point: walked up to WALK_DEPTH, transported past it
+# the orbit point: walked up to WALK_DEPTH; a deeper request is answered
+# there, within its own bound
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _walked(n: int) -> Fraction:
-    """alpha_n from the floored walk at 130 digits: relative error below 10**-129."""
-    return Fraction(logistic_point(n, 130))
-
-
-@pytest.mark.parametrize("n", [WALK_DEPTH + 1, 3 * WALK_DEPTH, 10**5, 10**6])
-@pytest.mark.parametrize("precision", [20, 40, 60, 100])
-def test_transported_point_matches_the_walk(n, precision):
-    # the contract of logistic_point: below a relative 3/4 unit of the last digit
-    y, steps = orbit_point(n, precision)
-    reference = _walked(n)
-    assert steps > 0
-    budget = Fraction(3, 4 * 10 ** (precision - 1)) + Fraction(1, 10**129)
-    assert abs(Fraction(y) - reference) < budget * reference
-
-
 @pytest.mark.parametrize("n", [100, 4321, WALK_DEPTH])
-def test_orbit_point_is_the_walk_up_to_the_walk_depth(n):
+def test_orbit_point_is_the_walk_up_to_the_walk_depth(n, monkeypatch):
+    walked = []
+
+    def recording(depth, precision):
+        walked.append((depth, precision))
+        return logistic_point(depth, precision)
+
+    monkeypatch.setattr(critical, "logistic_point", recording)
     for precision in (20, 60):
-        y, steps = orbit_point(n, precision)
-        assert steps == 0
-        assert y.as_tuple() == logistic_point(n, precision).as_tuple()
-    assert estimate_constant(n, 4, 30).newton_iterations == 0
+        assert estimate_constant(n, 4, precision).newton_iterations == 0
+    assert walked == [(n, 20), (n, 60)]
 
 
-def test_bracket_rejects_a_perturbed_inverse(monkeypatch):
-    # with the tail forced to 0 the slack is at its tightest, and Newton on
-    # the same phi still passes; Newton on a phi whose h_1 is off by 1e-40
-    # lands about 1e-52 of y away, past the bracket of 1.25e-60 at P = 60
-    monkeypatch.setattr(critical, "tail_bound", lambda *args: Fraction(0))
-    orbit_point(10**6, 60)
-    solve = critical._abel_inverse
-    nudge = CPoly([0, Fraction(1, 10**40)])
-    monkeypatch.setattr(critical, "_abel_inverse", lambda H, *args: solve(H + nudge, *args))
-    with pytest.raises(EngineError, match="bracket"):
-        orbit_point(10**6, 60)
+@pytest.mark.parametrize("depth", [WALK_DEPTH + 1, 3 * WALK_DEPTH, 10**5, 10**6, 3 * 10**6])
+@pytest.mark.parametrize("order, precision", [(3, 20), (6, 60), (12, 100), (20, 200)])
+def test_deep_estimate_is_inside_the_bound_of_its_request(depth, order, precision):
+    # the bound is the request's own: truncation at (depth, order) and
+    # rounding at (depth, precision), as for a walk to that depth
+    est = estimate_constant(depth, order, precision)
+    _H, R = telescope(_abel_summand(order), order)
+    rounding = Fraction(2 * (depth + 4) * (depth + 2 + depth.bit_length()), 10 ** (precision - 1))
+    bound = PrecReal(2 * tail_bound(R, depth, order + 2) + rounding, precision)
+    assert est.truncation_bound.value.as_tuple() == bound.value.as_tuple()
+    assert (est.depth, est.order, est.precision) == (depth, order, precision)
+    assert abs(est.C.value - C_REF) <= est.truncation_bound.value + C_REF_ERROR
+
+
+def test_deep_request_is_the_walk_depth_estimate_at_the_least_sufficient_order():
+    deep = estimate_constant(10**6, 6, 60)
+    least = next(
+        m
+        for m in range(3, MAX_ORDER + 1)
+        if estimate_constant(WALK_DEPTH, m, 60).truncation_bound.value
+        <= deep.truncation_bound.value
+    )
+    assert least == 10
+    assert deep.C.value.as_tuple() == estimate_constant(WALK_DEPTH, least, 60).C.value.as_tuple()
 
 
 def test_abel_series_is_small_past_the_walk_depth(monkeypatch):
-    # orbit_point's monotonicity and rounding rules need, for x <= 1/(W + 1),
-    # sum |h_k| x**k <= x and sum k |h_k| x**(k-1) <= 1 at every order it
-    # uses; both sums grow with x and with the order, and the least budget
-    # (n = W + 1 at the highest precision) takes the highest order
+    # the least request bound within the caps (the deepest request at the
+    # highest order) takes the highest order, past MAX_ORDER; evaluating
+    # phi there adds only a few rounding units if, for x <= 1/(W + 1),
+    # sum |h_k| x**k <= x at that order
     orders = []
 
     def recording(g, order):
@@ -182,12 +189,12 @@ def test_abel_series_is_small_past_the_walk_depth(monkeypatch):
         return telescope(g, order)
 
     monkeypatch.setattr(critical, "telescope", recording)
-    orbit_point(WALK_DEPTH + 1, MAX_PRECISION)
-    assert max(orders) <= 80
-    H, _R = telescope(_abel_summand(80), 80)
+    est = estimate_constant(MAX_DEPTH, MAX_ORDER, MAX_PRECISION)
+    assert max(orders) == 40
+    assert abs(est.C.value - C_REF) <= est.truncation_bound.value + C_REF_ERROR
+    H, _R = telescope(_abel_summand(max(orders)), max(orders))
     x = Fraction(1, WALK_DEPTH + 1)
     assert sum(abs(h) * x**k for k, h in enumerate(H.coeffs)) <= x
-    assert sum(k * abs(h) * x ** (k - 1) for k, h in enumerate(H.coeffs) if k) <= 1
 
 
 # ---------------------------------------------------------------------------
