@@ -2,10 +2,7 @@
 """Regenerate every headline number of the package in one run.
 
 Usage:
-    python scripts/reproduce_all.py [--deep]
-
-``--deep`` quadruples the orbit depth of the critical-constant stability
-check (a few extra seconds); everything else is identical.
+    python scripts/reproduce_all.py
 """
 
 from __future__ import annotations
@@ -35,9 +32,7 @@ def section(title: str) -> None:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--deep", action="store_true", help="4x deeper stability check")
-    args = parser.parse_args()
+    argparse.ArgumentParser(description=__doc__).parse_args()
     t_start = time.perf_counter()
 
     section("Regimes")
@@ -62,11 +57,10 @@ def main() -> int:
     t0 = time.perf_counter()
     est = estimate_constant(10**6, 6, 60)
     elapsed = time.perf_counter() - t0
-    print(f"C = {est.C.digit_string(21)}  ({elapsed:.1f}s)")
+    print(f"C = {est.C.digit_string(21)}  ({elapsed:.3f}s)")
     print(f"truncation bound {est.truncation_bound.value:.2E}")
-    depth = 4 * 10**6 if args.deep else 2 * 10**6
-    stability = estimate_constant(depth, 6, 60)
-    print(f"depth {depth:.0e} rerun moves C by {abs(est.C.value - stability.C.value):.1E}")
+    stability = estimate_constant(2 * 10**6, 6, 60)
+    print(f"depth 2e+06 rerun moves C by {abs(est.C.value - stability.C.value):.1E}")
     c, expc1 = logistic_constant(est)
     print(f"c = C/2 = {c.digit_string(15)},  exp(c-1) = {expc1.digit_string(10)}")
 
@@ -106,7 +100,7 @@ def main() -> int:
             f"(gap {abs(partial.value - reference.value):.1E})"
         )
 
-    print(f"\ntotal {time.perf_counter() - t_start:.1f}s")
+    print(f"\ntotal {time.perf_counter() - t_start:.3f}s")
     return 0
 
 

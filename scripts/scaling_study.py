@@ -7,10 +7,14 @@ Usage:
 
 The telescope table times one ``series_engine.telescope`` build of the Abel
 summand at the fixed orders 6, 16, 56 and 120; orders past the solver's
-limit are allowed there, as the deep critical orbit point uses them.
+limit are allowed there, as critical-c requests deeper than 10^4 use them
+(up to order 40).
 
 The reference value for the error column is a depth-10^6 run, so shallow
 rows display their true error next to the bound they reported themselves.
+Rows deeper than 10^4 (``critical.WALK_DEPTH``) show walk-depth estimates:
+the orbit is walked 10^4 steps and the order raised until the bound of the
+requested depth is met, so their errors can sit far inside their bounds.
 """
 
 from __future__ import annotations
