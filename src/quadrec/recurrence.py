@@ -42,8 +42,8 @@ q**K and reads b_k for its diagnostic.
 
 The alpha_N of the critical constant starts from ``logistic_point``: the
 logistic map on a binary fixed-point integer with floored squares,
-rounded into a Decimal once at the end.  ``critical.orbit_point`` walks it
-up to 10**4 steps and transports a deeper point by the Abel coordinate.
+rounded into a Decimal once at the end.  ``critical.estimate_constant``
+walks it at most 10**4 steps and answers a deeper request at that depth.
 The logistic tail sums and the divergence diagnostic read that floored
 orbit as a stream of integers (``logistic_integers``) and add their
 floored summands as integers, so no term is ever converted to a Decimal.  ``logistic_decimals`` (alpha_k as
@@ -70,9 +70,10 @@ EXACT_STEP_CAP = 20
 #: first step.  At 10**7 steps the Decimal orbits of ``iterate`` and
 #: ``residual-check`` take about 8 s, and the integer orbit of the whole
 #: ``diverge-check --N 10**7`` about 3 s, on a 2-core Intel Xeon with
-#: Python 3.11.  ``critical-c`` walks at most 10**4 steps of its orbit and
-#: transports the rest (``critical.orbit_point``), so at 10**7 it takes
-#: about 0.15 s, where the whole walk took 3.6 s.
+#: Python 3.11.  ``critical-c`` walks at most 10**4 steps of its orbit
+#: (``critical.WALK_DEPTH``) and answers a deeper request there, within the
+#: request's own bound, so at 10**7 it takes about 0.15 s with interpreter
+#: start, where the whole walk took 3.6 s.
 MAX_DEPTH = 10**7
 
 Value = Union[Fraction, PrecReal]
@@ -293,9 +294,8 @@ def logistic_decimals(precision: int) -> Iterator[Decimal]:
 def logistic_point(n: int, precision: int) -> Decimal:
     """alpha_n alone, with relative error below 10**(1 - precision).
 
-    ``critical.orbit_point`` returns this walk for n <= 10**4
-    (``critical.WALK_DEPTH``), and starts a deeper transport from it at
-    that depth; the tests take deeper walks as the transport's oracle.
+    ``critical.estimate_constant`` walks at most n = 10**4 steps
+    (``critical.WALK_DEPTH``) and answers a deeper request at that depth.
     The orbit runs on an integer X = x * 2**B, rounding each square down:
     X <- X - ((X*X) >> B) from X = 2**(B - 1), and X / 2**B is rounded once
     into a ``precision``-digit Decimal.  The bound is derived as follows.
