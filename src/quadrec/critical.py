@@ -39,6 +39,9 @@ as above at (N, M, P), and is answered by the walk-depth estimate
 2 (phi_M'(alpha_W) - W), at the least order M' whose own bound at
 (W, M', P) is at most B.  That estimate lies within its own bound of C,
 so within B; only its digits below B differ from those of a walk to N.
+M' reaches 40 at the caps, and at x <= 1/(W + 1) the series part keeps
+sum |h_k| x**k <= x there (a test checks it), so evaluating phi_M' adds
+only the few rounding units the rounding bullet allows.
 
 alpha_N comes from the logistic map itself: forming (1 - a_N)/2 would
 cancel about log10(N) digits.  The logistic tail constant is c = C/2, and
@@ -82,9 +85,8 @@ class CriticalEstimate:
 
     ``depth``, ``order`` and ``precision`` are the request's, also when a
     request deeper than ``WALK_DEPTH`` is answered at that depth.
-    ``newton_iterations`` is always 0: nothing is solved by Newton's method
-    any more, and the field stays only because the benchmark's tracer reads
-    it.
+    ``newton_iterations`` is always 0; it stays only because the
+    benchmark's tracer reads it.
     """
 
     C: PrecReal

@@ -165,16 +165,25 @@ def test_deep_estimate_is_inside_the_bound_of_its_request(depth, order, precisio
     assert abs(est.C.value - C_REF) <= est.truncation_bound.value + C_REF_ERROR
 
 
-def test_deep_request_is_the_walk_depth_estimate_at_the_least_sufficient_order():
-    deep = estimate_constant(10**6, 6, 60)
+@pytest.mark.parametrize(
+    "depth, order, precision, least_order",
+    # the second is rounding-dominated: the walk's own rounding term is most
+    # of the request's bound, so it decides the order
+    [(10**6, 6, 60, 10), (WALK_DEPTH + 1, 6, 22, 4)],
+)
+def test_deep_request_is_the_walk_depth_estimate_at_the_least_sufficient_order(
+    depth, order, precision, least_order
+):
+    deep = estimate_constant(depth, order, precision)
     least = next(
         m
         for m in range(3, MAX_ORDER + 1)
-        if estimate_constant(WALK_DEPTH, m, 60).truncation_bound.value
+        if estimate_constant(WALK_DEPTH, m, precision).truncation_bound.value
         <= deep.truncation_bound.value
     )
-    assert least == 10
-    assert deep.C.value.as_tuple() == estimate_constant(WALK_DEPTH, least, 60).C.value.as_tuple()
+    assert least == least_order
+    walked = estimate_constant(WALK_DEPTH, least, precision)
+    assert deep.C.value.as_tuple() == walked.C.value.as_tuple()
 
 
 def test_abel_series_is_small_past_the_walk_depth(monkeypatch):
