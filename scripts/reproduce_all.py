@@ -59,8 +59,12 @@ def main() -> int:
     elapsed = time.perf_counter() - t0
     print(f"C = {est.C.digit_string(21)}  ({elapsed:.3f}s)")
     print(f"truncation bound {est.truncation_bound.value:.2E}")
-    stability = estimate_constant(2 * 10**6, 6, 60)
-    print(f"depth 2e+06 rerun moves C by {abs(est.C.value - stability.C.value):.1E}")
+    # a walked rerun: a request deeper than WALK_DEPTH is answered at that depth
+    rerun = estimate_constant(5000, 12, 60)
+    print(
+        f"depth 5000, order 12 rerun moves C by {abs(est.C.value - rerun.C.value):.1E} "
+        f"(bounds {est.truncation_bound.value:.2E} and {rerun.truncation_bound.value:.2E})"
+    )
     c, expc1 = logistic_constant(est)
     print(f"c = C/2 = {c.digit_string(15)},  exp(c-1) = {expc1.digit_string(10)}")
 

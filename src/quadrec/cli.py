@@ -5,6 +5,7 @@ gives byte-identical bytes on stdout; timing only ever goes to stderr), and
 a stable exit-code contract for scripted pipelines:
 
     0  success
+    1  any other quadrec error (an internal inconsistency)
     2  domain error (malformed or out-of-range request)
     3  exact-arithmetic cap exceeded
     4  module refused (cannot certify the requested accuracy)
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import decimal
+import functools
 import io
 import json
 import sys
@@ -41,64 +43,67 @@ from .sums import (
     regularized_s1,
 )
 
-_FORMATS = ("json", "csv", "text")
 
-
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use: each command is declared here once,
+    with its handler."""
     parser = argparse.ArgumentParser(
         prog="quadrec",
         description="Constants and asymptotics of the recurrence a_k = (1-p) + p*a_{k-1}^2.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=_FORMATS, default="json", help="output format")
+    common.add_argument("--format", choices=_RENDERERS, default="json", help="output format")
     common.add_argument("--verbose", action="store_true", help="print elapsed time to stderr")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=argparse.ArgumentParser)
 
-    def add_parser(name, help_text):
-        return sub.add_parser(name, help=help_text, parents=[common])
+    def add_parser(name, handler, help_text):
+        cmd = sub.add_parser(name, help=help_text, parents=[common])
+        cmd.set_defaults(handler=handler)
+        return cmd
 
-    cmd = add_parser("iterate", "orbit listing a_0..a_n")
+    cmd = add_parser("iterate", _cmd_iterate, "orbit listing a_0..a_n")
     cmd.add_argument("--p", required=True, help="parameter as a rational string, e.g. 2/5")
     cmd.add_argument("--steps", type=int, required=True)
     cmd.add_argument("--exact", action="store_true", help="exact rationals (capped step count)")
     cmd.add_argument("--digits", type=int, default=15)
 
-    cmd = add_parser("rate-constant", "C(p) from the infinite product")
+    cmd = add_parser("rate-constant", _cmd_rate_constant, "C(p) from the infinite product")
     cmd.add_argument("--p", required=True)
     cmd.add_argument("--digits", type=int, default=15)
 
-    cmd = add_parser("table1", "C(p) at the eight reference parameters")
+    cmd = add_parser("table1", _cmd_table1, "C(p) at the eight reference parameters")
     cmd.add_argument("--digits", type=int, default=15)
 
-    cmd = add_parser("derive", "critical-series coefficients c[i][j]")
+    cmd = add_parser("derive", _cmd_derive, "critical-series coefficients c[i][j]")
     cmd.add_argument("--order", type=int, default=4)
 
-    cmd = add_parser("critical-c", "critical constant from the Abel coordinate")
+    cmd = add_parser("critical-c", _cmd_critical, "critical constant from the Abel coordinate")
     cmd.add_argument("--N", type=int, default=10**6, help="orbit depth")
     cmd.add_argument("--order", type=int, default=6, help="degree M of the Abel series H")
     cmd.add_argument("--precision", type=int, default=60)
 
-    cmd = add_parser("residual-check", "|a_k - series(k)| at doubling k")
+    cmd = add_parser("residual-check", _cmd_residual_check, "|a_k - series(k)| at doubling k")
     cmd.add_argument("--order", type=int, default=4)
     cmd.add_argument("--N", type=int, default=10240, help="largest step index")
 
-    cmd = add_parser("sums", "power sum s_m of the logistic orbit")
+    cmd = add_parser("sums", _cmd_sums, "power sum s_m of the logistic orbit")
     cmd.add_argument("--m", type=int, default=2)
     cmd.add_argument("--digits", type=int, default=12)
 
-    cmd = add_parser("s1", "regularized sum s_1")
+    cmd = add_parser("s1", _cmd_s1, "regularized sum s_1")
     cmd.add_argument("--digits", type=int, default=8)
 
-    cmd = add_parser("bootstrap", "residual of c = 2 + gamma + sum of s_m")
+    cmd = add_parser("bootstrap", _cmd_bootstrap, "residual of c = 2 + gamma + sum of s_m")
     cmd.add_argument("--digits", type=int, default=6)
 
-    cmd = add_parser("diverge-check", "harmonic-style divergence diagnostic")
+    cmd = add_parser("diverge-check", _cmd_diverge_check, "harmonic-style divergence diagnostic")
     cmd.add_argument("--N", type=int, default=10**4)
     return parser
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (rows, single_object)
+# command handlers: each returns its JSON payload, one row (a dict) or a list
 # ---------------------------------------------------------------------------
 
 
@@ -107,12 +112,9 @@ def _cmd_iterate(args):
     if args.digits < 1:
         raise DomainError("digits must be at least 1")
     if args.exact:
-        samples = iterate_exact(params, args.steps)
-        rows = [{"k": s.k, "a": _exact_text(s.a)} for s in samples]
-    else:
-        samples = iterate_real(params, args.steps, args.digits + GUARD_DIGITS)
-        rows = [{"k": s.k, "a": s.a.digit_string(args.digits)} for s in samples]
-    return rows, False
+        return [{"k": s.k, "a": _exact_text(s.a)} for s in iterate_exact(params, args.steps)]
+    samples = iterate_real(params, args.steps, args.digits + GUARD_DIGITS)
+    return [{"k": s.k, "a": s.a.digit_string(args.digits)} for s in samples]
 
 
 def _exact_text(value: Fraction) -> str:
@@ -172,11 +174,11 @@ def _rate_row(result):
 
 
 def _cmd_rate_constant(args):
-    return [_rate_row(rate_constant(parse_rational(args.p), args.digits))], True
+    return _rate_row(rate_constant(parse_rational(args.p), args.digits))
 
 
 def _cmd_table1(args):
-    return [_rate_row(r) for r in rate_constant_table(args.digits)], False
+    return [_rate_row(r) for r in rate_constant_table(args.digits)]
 
 
 def _cmd_derive(args):
@@ -184,20 +186,18 @@ def _cmd_derive(args):
         raise DomainError("derive needs order >= 3 (orders 1 and 2 are the seeds)")
     table = solve_coefficients(args.order)
     if args.format == "text":
-        return table.format_text_lines(), False
-    rows = [{"i": i, "j": j, "coeffs": poly.coeff_strings()} for i, j, poly in table.iter_entries()]
-    return rows, False
+        return table.format_text_lines()
+    return [{"i": i, "j": j, "coeffs": poly.coeff_strings()} for i, j, poly in table.iter_entries()]
 
 
 def _cmd_critical(args):
     est = estimate_constant(args.N, args.order, args.precision)
-    row = {
+    return {
         "C": str(est.C),
         "N": est.depth,
         "order": est.order,
         "truncation_bound": str(est.truncation_bound),
     }
-    return [row], True
 
 
 #: Working precision of residual-check, the least at which
@@ -213,11 +213,10 @@ def _cmd_residual_check(args):
     while k <= args.N:
         ks.append(k)
         k *= 2
-    rows = [
+    return [
         {"k": k, "residual": str(res)}
         for k, res in residual_order_check(args.order, ks, _RESIDUAL_PRECISION)
     ]
-    return rows, False
 
 
 def _sum_row(result, digits):
@@ -231,17 +230,17 @@ def _sum_row(result, digits):
 
 
 def _cmd_sums(args):
-    return [_sum_row(power_sum(args.m, args.digits), args.digits)], True
+    return _sum_row(power_sum(args.m, args.digits), args.digits)
 
 
 def _cmd_s1(args):
-    return [_sum_row(regularized_s1(args.digits), args.digits)], True
+    return _sum_row(regularized_s1(args.digits), args.digits)
 
 
 def _cmd_bootstrap(args):
     report = bootstrap_check(args.digits)
     shown = args.digits + 6
-    row = {
+    return {
         "c": report.c.digit_string(shown),
         "gamma": report.gamma.digit_string(shown),
         "s1": report.s1.digit_string(shown),
@@ -249,66 +248,50 @@ def _cmd_bootstrap(args):
         "formula_value": report.formula_value.digit_string(shown),
         "residual": str(report.residual),
     }
-    return [row], True
 
 
 def _cmd_diverge_check(args):
     partial, reference = harmonic_divergence_diagnostic(args.N)
     difference = decimal.Context(prec=partial.precision).subtract(partial.value, reference.value)
-    row = {
+    return {
         "N": args.N,
         "partial_sum": partial.digit_string(DIVERGENCE_DECIMALS),
         "reference": reference.digit_string(DIVERGENCE_DECIMALS),
         "difference": PrecReal(difference, partial.precision).digit_string(DIVERGENCE_DECIMALS),
     }
-    return [row], True
-
-
-_HANDLERS = {
-    "iterate": _cmd_iterate,
-    "rate-constant": _cmd_rate_constant,
-    "table1": _cmd_table1,
-    "derive": _cmd_derive,
-    "critical-c": _cmd_critical,
-    "residual-check": _cmd_residual_check,
-    "sums": _cmd_sums,
-    "s1": _cmd_s1,
-    "bootstrap": _cmd_bootstrap,
-    "diverge-check": _cmd_diverge_check,
-}
 
 
 # ---------------------------------------------------------------------------
-# rendering
+# rendering and the one exit path
 # ---------------------------------------------------------------------------
 
 
-def _render_json(rows, single):
-    payload = rows[0] if single and len(rows) == 1 else rows
-    return json.dumps(payload, indent=2)
+def _table(payload):
+    """The header and the string cells of a payload; a dict is one row."""
+    rows = [payload] if isinstance(payload, dict) else payload
+    keys = list(rows[0])
+    return keys, [[_cell(row[k]) for k in keys] for row in rows]
 
 
-def _render_csv(rows):
+def _cell(value):
+    if isinstance(value, list):
+        return ";".join(str(v) for v in value)
+    return str(value)
+
+
+def _render_csv(payload):
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    keys = list(rows[0].keys())
+    keys, cells = _table(payload)
     writer.writerow(keys)
-    for row in rows:
-        writer.writerow([_csv_cell(row[k]) for k in keys])
+    writer.writerows(cells)
     return buffer.getvalue().rstrip("\n")
 
 
-def _csv_cell(value):
-    if isinstance(value, list):
-        return ";".join(str(v) for v in value)
-    return value
-
-
-def _render_text(rows, args):
-    if args.command == "derive":  # its handler returns the text lines
-        return "\n".join(rows)
-    keys = list(rows[0].keys())
-    cells = [[_text_cell(row[k]) for k in keys] for row in rows]
+def _render_text(payload):
+    if isinstance(payload, list) and isinstance(payload[0], str):  # derive's text lines
+        return "\n".join(payload)
+    keys, cells = _table(payload)
     widths = [max(len(keys[i]), *(len(r[i]) for r in cells)) for i in range(len(keys))]
     out = ["  ".join(k.ljust(w) for k, w in zip(keys, widths)).rstrip()]
     for r in cells:
@@ -316,37 +299,31 @@ def _render_text(rows, args):
     return "\n".join(out)
 
 
-def _text_cell(value):
-    if isinstance(value, list):
-        return ";".join(str(v) for v in value)
-    return str(value)
+_RENDERERS = {
+    "json": functools.partial(json.dumps, indent=2),
+    "csv": _render_csv,
+    "text": _render_text,
+}
+
+#: Exit code and stderr label of each error class, most specific first.
+_EXITS = (
+    (DomainError, 2, "error"),
+    (ExactCapError, 3, "error"),
+    (RefusalError, 4, "refused"),
+    (QuadrecError, 1, "error"),
+)
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
+    args = _build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        rows, single = handler(args)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ExactCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except RefusalError as exc:
-        print(f"refused: {exc}", file=sys.stderr)
-        return 4
+        payload = args.handler(args)
     except QuadrecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.format == "json":
-        print(_render_json(rows, single))
-    elif args.format == "csv":
-        print(_render_csv(rows))
-    else:
-        print(_render_text(rows, args))
+        code, label = next(outcome for cls, *outcome in _EXITS if isinstance(exc, cls))
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
+    print(_RENDERERS[args.format](payload))
     if args.verbose:
         print(f"elapsed: {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return 0

@@ -92,6 +92,10 @@ MAX_DIGITS_POWER = 15
 MAX_DIGITS_S1 = 8
 MAX_DIGITS_BOOTSTRAP = 6
 
+#: The largest m that ``power_sum`` runs.  Every larger m has
+#: 2**(m - 3) > 10**(2*GUARD_DIGITS - 2), and its relative check must refuse.
+MAX_POWER = 2 + (10 ** (2 * GUARD_DIGITS - 2)).bit_length()
+
 #: Decimal places of the divergence diagnostic's sums.
 DIVERGENCE_DECIMALS = 10
 
@@ -344,10 +348,23 @@ def power_sum(m: int, digits: int) -> SumResult:
 
     The tail telescopes with g = x**m; for m = 2 that gives G = x and R = 0,
     the s_2 identity itself, and the pass returns 1/2 exactly.
+
+    An m above ``MAX_POWER`` is refused before any work.  For m >= 3 the
+    rounding coefficient K is at least ``step`` (DEPTH + 1) >= DEPTH + 1,
+    so ``_bits`` gives 2**B <= 2 ceil(K) 10**P and the rounding term K/2**B
+    alone is about 10**-P/2 or more, at P = digits + 2*GUARD_DIGITS.  And
+    s_m <= 2**(1-m), since alpha_k <= 1/(k+2).  So once 2**(1-m)
+    10**-(digits+2) < 10**-P/4, that is 2**(m-3) > 10**(2*GUARD_DIGITS - 2),
+    the bound exceeds 10**-(digits+2) of the sum at every digit count.
     """
     if m < 2:
         raise DomainError("power sums need m >= 2; the m = 1 sum only exists regularized")
     _check_digits(digits, MAX_DIGITS_POWER, "power sums")
+    if m > MAX_POWER:
+        raise RefusalError(
+            f"s_{m} < 2^{1 - m} lies below the rounding bound of the pass at every "
+            f"digit count; m is limited to {MAX_POWER}"
+        )
     return _telescoped_sum(_power_summand(m), digits)
 
 

@@ -115,6 +115,29 @@ def test_rate_constant_refuses_critical_point(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize(
+    "argv", [["rate-constant", "--p", "2/5"], ["table1"]], ids=lambda argv: argv[0]
+)
+def test_rate_constants_refuse_more_than_fifty_digits(capsys, monkeypatch, argv):
+    import quadrec.rate_constants as rate_constants
+
+    walks = []
+    original = rate_constants.residual_decimals
+
+    def residual_decimals(*args):
+        walks.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rate_constants, "residual_decimals", residual_decimals)
+    code, out, err = run(capsys, *argv, "--digits", "51")
+    assert (code, out, walks) == (4, "", [])
+    assert err.startswith("refused: ")
+    code, out, _err = run(capsys, *argv, "--digits", "50")
+    assert code == 0
+    rows = json.loads(out)
+    assert all(len(row["C"]) == 52 for row in (rows if isinstance(rows, list) else [rows]))
+
+
 def test_table1_json_values(capsys):
     rows = run_json(capsys, "table1")
     assert [r["C"] for r in rows] == [

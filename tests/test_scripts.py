@@ -35,3 +35,12 @@ def test_scaling_study_runs_inside_its_bounds():
     assert "telescope build by order" in result.stdout
     assert "estimator error by depth and order" in result.stdout
     assert "(!) error above bound" not in result.stdout
+
+
+def test_code_lines_total_is_the_sum_of_its_rows():
+    result = _run_script("scripts/code_lines.py")
+    assert result.returncode == 0, result.stderr
+    *rows, total = (line.split() for line in result.stdout.splitlines())
+    assert {name for name, _count in rows} >= {"cli.py", "sums.py", "__init__.py"}
+    assert total[0] == "total"
+    assert int(total[1]) == sum(int(count) for _name, count in rows)

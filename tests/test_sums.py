@@ -25,6 +25,7 @@ from quadrec.sums import (
     MAX_DIGITS_BOOTSTRAP,
     MAX_DIGITS_POWER,
     MAX_DIGITS_S1,
+    MAX_POWER,
     ORDER,
     _bits,
     _divergence_precision,
@@ -34,6 +35,7 @@ from quadrec.sums import (
     _rounding_coefficient,
     _s1_summand,
     _slope,
+    _telescoped_sum,
     bootstrap_check,
     harmonic_divergence_diagnostic,
     power_sum,
@@ -127,6 +129,26 @@ def test_power_sum_rejects_small_m_and_caps_digits():
         power_sum(2, 0)
     with pytest.raises(RefusalError):
         power_sum(3, MAX_DIGITS_POWER + 1)
+
+
+def test_hopeless_powers_are_refused_before_any_work(monkeypatch):
+    import quadrec.sums as sums
+
+    def forbidden(*args):
+        raise AssertionError("a refused power builds no telescope and walks no orbit")
+
+    monkeypatch.setattr(sums, "telescope", forbidden)
+    monkeypatch.setattr(sums, "logistic_integers", forbidden)
+    for m, digits in [(10**6, 3), (MAX_POWER + 1, 1), (MAX_POWER + 1, MAX_DIGITS_POWER)]:
+        with pytest.raises(RefusalError, match=f"limited to {MAX_POWER}"):
+            power_sum(m, digits)
+
+
+@pytest.mark.parametrize("digits", [1, MAX_DIGITS_POWER])
+def test_the_first_refused_power_fails_its_relative_check(digits):
+    # the early refusal anticipates the check of the pass, and no more
+    with pytest.raises(RefusalError, match="error bound"):
+        _telescoped_sum(_power_summand(MAX_POWER + 1), digits)
 
 
 # the true sum is S_n + G(alpha_{n+1}) - sum_{k>n} R(alpha_k) at every n, so
