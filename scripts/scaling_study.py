@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Empirical scaling tables: solver cost vs order, telescope build cost vs
-order, estimator error vs depth.
+order, estimator error vs depth, rate-constant walk depth vs q.
 
 Usage:
     python scripts/scaling_study.py [--max-order 14] [--max-depth-exp 5]
@@ -15,15 +15,35 @@ rows display their true error next to the bound they reported themselves.
 Rows deeper than 10^4 (``critical.WALK_DEPTH``) show walk-depth estimates:
 the orbit is walked 10^4 steps and the order raised until the bound of the
 requested depth is met, so their errors can sit far inside their bounds.
+
+The rate-constant table sets the Koenigs walk's depth (``factors_used``)
+against the factor count the partial product would need, the least K with
+q^K/(1 - q) <= 10^-(D+2), at p = q/2; its times are the best of three
+in-process calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import time
+from fractions import Fraction
 
 from quadrec.critical import _abel_summand, estimate_constant
+from quadrec.rate_constants import rate_constant
 from quadrec.series_engine import MAX_ORDER, solve_coefficients, telescope
+
+
+def _product_depth(q: Fraction, digits: int) -> int:
+    """The least K with q**K/(1 - q) <= 10**-(digits + 2), in exact rationals."""
+    n, d = q.numerator, q.denominator
+    k = max(1, int(((digits + 2) * math.log(10) + math.log(d) - math.log(d - n)) / math.log(d / n)))
+    target = (1 - q) / 10 ** (digits + 2)
+    while q**k > target:
+        k += 1
+    while k > 1 and q ** (k - 1) <= target:
+        k -= 1
+    return k
 
 
 def main() -> int:
@@ -67,6 +87,21 @@ def main() -> int:
             print(
                 f"{depth:>9} {order:>6} {err:>12.2E} {est.truncation_bound:>15.2E}"
                 + ("   (!) error above bound" if err > est.truncation_bound.value else "")
+            )
+
+    print()
+    print("rate-constant walk depth by q (p = q/2)")
+    print(f"{'q':>9} {'digits':>6} {'product K':>10} {'walk K':>7} {'ms':>7}")
+    for q in (Fraction(4, 5), Fraction(49, 50), Fraction(499, 500), Fraction(999, 1000)):
+        for digits in (15, 50):
+            seconds = []
+            for _ in range(3):
+                t0 = time.perf_counter()
+                result = rate_constant(q / 2, digits)
+                seconds.append(time.perf_counter() - t0)
+            print(
+                f"{str(q):>9} {digits:>6} {_product_depth(q, digits):>10} "
+                f"{result.factors_used:>7} {1000 * min(seconds):>7.2f}"
             )
     return 0
 

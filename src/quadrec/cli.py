@@ -68,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--exact", action="store_true", help="exact rationals (capped step count)")
     cmd.add_argument("--digits", type=int, default=15)
 
-    cmd = add_parser("rate-constant", _cmd_rate_constant, "C(p) from the infinite product")
+    cmd = add_parser("rate-constant", _cmd_rate_constant, "C(p) from a Koenigs walk")
     cmd.add_argument("--p", required=True)
     cmd.add_argument("--digits", type=int, default=15)
 

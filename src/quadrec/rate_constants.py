@@ -1,44 +1,78 @@
 """Geometric-rate constants C(p) for the noncritical regimes.
 
 Away from p = 1/2 the residual b_k = r - a_k decays geometrically with
-ratio q = 2*r*p, and the normalised residuals converge to a constant:
+ratio q = 2*r*p, by the map
 
-    b_{k+1} = p*(r + a_k)*b_k,   so   b_k / q**k = r * prod_{j<k} (r + a_j)/(2r)
+    b_0 = r,   b_{k+1} = f(b_k) = q b_k - p b_k**2    (q - p b_k = p (r + a_k)),
 
-is a strictly decreasing sequence of partial products whose limit
+and the normalised residuals b_k / q**k = r * prod_{j<k} (r + a_j)/(2r)
+are strictly decreasing partial products whose limit is C(p), so
+b_k ~ C(p) q**k.  They start at b_0 = r <= 1, so q**-k <= 1/b_k.
 
-    C(p) = r * prod_{j>=0} (r + a_j) / (2r)
+The constant is read off a Koenigs walk, not off the product.  The
+Koenigs function sigma(b) = b + s_2 b**2 + ... of f satisfies
+sigma(f(b)) = q sigma(b) (Milnor, *Dynamics in One Complex Variable*,
+§8), so C(p) = sigma(b_K)/q**K at every K.  ``series_engine.koenigs``
+solves its truncation sigma_M at M = ``ORDER`` exactly, with the exact
+residual rho = sigma_M(f(b)) - q sigma_M(b), which starts at b**(M+1).
+Then sigma_M(b_{k+1})/q**(k+1) - sigma_M(b_k)/q**k = rho(b_k)/q**(k+1),
+so C - sigma_M(b_K)/q**K is the sum of rho(b_k)/q**(k+1) over k >= K; with
+b_{k+1} <= q b_k and any bbar >= b_K,
 
-satisfies b_k ~ C(p) * q**k.  Each factor lies in (1/2, 1) and differs from
-1 by b_j/(2r) <= q**j / 2, so the tail of the product after K factors is
-bounded:  partial_K >= C >= partial_K * (1 - q**K/(1 - q)).  Choosing the
-smallest K with q**K/(1 - q) <= 10**-(D+2) therefore pins the first D
-digits.  The K-th partial product is evaluated as b_K / q**K, with b_K
-drawn from the residual stream ``recurrence.residual_decimals``,
+    |C - sigma_M(b_K)/q**K| <= q**-(K+1) sum_n |rho_n| bbar**n / (1 - q**(n-1))
+                             = q**-K W(bbar),    W(b) = sum_n w_n b**n,
 
-    b_0 = r,   b_{k+1} = b_k * (q - p*b_k)    (q - p*b_k = p*(r + a_k)),
+with w_n = |rho_n|/(q - q**n).  That is ``tail_bound``, rounded upward.
+Since q**-K <= 1/b_K it is at most about sum_n w_n b_K**(n-1), which
+shrinks with b_K.  So the walk reads the residual stream
+``recurrence.residual_decimals`` only until the first K at which
 
-and a single division by q**K at the end.  Both factors are positive, so
-nothing cancels, and no logarithm is taken.  The product runs once: the
-stream's derived relative bound, (3.02 K + 2.01) 10**(1 - P) at P working
-digits, covers b_K and the division, so nothing is confirmed by a rerun.
+    sum_n w_n bbar**(n-1) <= 9 * 10**-(D+3)   and   sum_{n>=2} |s_n| bbar**(n-1) <= 1/4
 
-Digits of these constants are conventionally reported *truncated* (round
-toward zero), and ``RateConstantResult.digit_string`` follows that
-convention.
+hold at bbar = b_K (1 + e_K) (e_K below), both checked in upward-rounded
+Decimal arithmetic (``_upper``).  Each sum is at least its lowest term,
+so no b_K above the roots of those two terms passes, and the checks start
+below them (``_walk_plan``).  The first condition makes ``tail_bound`` at
+most 10**-(D+2): bbar/b_K <= (1 + 10**-3)**2 and (1 + 10**-3)**2 < 10/9.
+The second keeps sigma_M(b) = b tau(b) with |tau(b) - 1| <= 1/4 there, for
+the rounding below.  At p = 499/1000 and D = 15 the walk stops after
+3261 steps, where the product needed q**K/(1 - q) <= 10**-(D+2), K = 22 657.
+
+The rounding, at P = D + 40 working digits and u = 10**(1 - P)/2:
+
+* b_K comes from the stream within the relative bound
+  e_K = (3.02 K + 2.01) 10**(1 - P), which also covers its division by
+  q**K (see ``residual_decimals``).
+* sigma_M's coefficients are rounded once each (``CPoly.decimals``), by u,
+  and Horner's rule (``numerics.horner``) evaluates tau at the computed
+  b_K with one rounding per fused multiply-add, M - 1 of them, and
+  multiplies by b_K with one more.  With eta = sum_{n>=2} |s_n| b**(n-1)
+  <= 0.26 at b_K and at the computed b_K, the computed tau is off from
+  tau(b_K) by at most (M - 1) u (1 + eta) + u eta for the arithmetic and
+  ((1 + e_K)**(M-1) - 1) eta for the error in b_K, to first order; divided
+  by tau(b_K) >= 0.74 that is below 1.72 (M - 1) u + 0.36 u
+  + 0.37 (M - 1) e_K.
+* Together with e_K and the final multiply, C is within the relative
+  bound M (3.02 K + 3.01) 10**(1 - P) of sigma_M(b_K)/q**K for M >= 2:
+  below 10**-(D+30) for K < 5*10**7 at M = 6, where the walks within the
+  caps take at most about 2*10**4 steps.
+
+Nothing is confirmed by a rerun.  Digits of these constants are
+conventionally reported *truncated* (round toward zero), and
+``RateConstantResult.digit_string`` follows that convention.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from decimal import ROUND_DOWN, Context, Decimal
+from decimal import ROUND_CEILING, ROUND_DOWN, Context, Decimal
 from fractions import Fraction
 from itertools import islice
 
 from .errors import DomainError, RefusalError
-from .numerics import GUARD_DIGITS, PrecReal
+from .numerics import GUARD_DIGITS, PrecReal, horner
 from .recurrence import Params, Regime, check_depth, classify, residual_decimals
+from .series_engine import koenigs
 
 # Not used here: the benchmark's tracer wraps this name in this module.
 from .numerics import confirmed_value  # noqa: F401
@@ -55,13 +89,28 @@ TABLE_PS = (
     Fraction(4, 5),
 )
 
-#: Contraction ratios above this are refused: the factor count K grows like
+#: Contraction ratios above this are refused: the walk depth K grows like
 #: 1/(1 - q) and the constant itself degenerates as q -> 1.
 Q_MAX = Fraction(999, 1000)
 
+#: The order M of the truncated Koenigs function sigma_M.  A higher order
+#: walks fewer steps (the depth falls roughly like 1/M), a lower one costs
+#: less per call to solve, weigh and evaluate.  At 15 digits p = 499/1000 walks 3261 steps at
+#: order 6 and 2447 at order 8, and the pair p = 0.4988, 0.5012 took 4.5 and
+#: 3.6 ms; the eight-point table took 1.1 ms at order 6, 1.4 ms at order 8
+#: and 1.3 ms with the product (in-process medians, 2-core Intel Xeon).
+ORDER = 6
+
+#: Significant digits of the weights, the stop checks and the tail bounds,
+#: all rounded upward.
+_BOUND_DIGITS = 12
+
+_QUARTER = Decimal("0.25")
+
 #: Digit requests above this are refused, by ``rate_constant`` and so by the
-#: table: the factor count and the working precision both grow with the
-#: digits (2000 digits took 3.6 s on a 2-core Intel Xeon).
+#: table: the walk depth and the working precision both grow with the
+#: digits (2000 digits at p = 2/5 took 0.57 s, and 3.2 s with the product,
+#: on a 2-core Intel Xeon).
 MAX_DIGITS = 50
 
 
@@ -90,46 +139,71 @@ class DiagnosticRow:
     ratio: PrecReal
 
 
-def _factor_count(params: Params, digits: int) -> tuple[int, Fraction]:
-    """Smallest K with q**K / (1 - q) <= 10**-(digits + 2), and q**K exactly.
+def _root(x: Decimal, m: int) -> Decimal:
+    """x**(1/m) to about 12 digits and a hair high, for x > 0.
 
-    With q = n/d in lowest terms, K >= ((digits + 2) ln 10 + ln d
-    - ln(d - n)) / (ln d - ln n) gives the start.  ``math.log`` takes the
-    integers themselves, so the start is finite even where q underflows a
-    float.  Exact rational comparisons then step K by one factor of q to
-    the smallest K that passes, so K does not depend on any rounding.
+    The power of ten is split off first and only the mantissa, below
+    10**m, goes through a float, so no float overflows or underflows
+    whatever the exponent; its root in [1, 10) is raised by far more than
+    the float's rounding and cut to 12 digits, plus one unit.
     """
-    n, d = params.q.numerator, params.q.denominator
-    needed = ((digits + 2) * math.log(10) + math.log(d) - math.log(d - n)) / (
-        math.log(d) - math.log(n)
-    )
-    k = max(1, int(needed))
-    q = params.q
-    target = (1 - q) / 10 ** (digits + 2)
-    q_power = q**k
-    while q_power > target:
-        q_power *= q
-        k += 1
-    while k > 1 and q_power / q <= target:
-        q_power /= q
-        k -= 1
-    return k, q_power
+    shift, rest = divmod(x.adjusted(), m)
+    mantissa = float(x.scaleb(-x.adjusted())) * 10.0**rest
+    return Decimal(int(mantissa ** (1 / m) * (1 + 1e-9) * 1e11) + 1).scaleb(shift - 11)
+
+
+def _upper(coeffs: list[Decimal], m: int, b: Decimal, up: Context) -> Decimal:
+    """b**m * sum_i coeffs[i] b**i rounded upward, for b > 0 and coeffs >= 0.
+
+    b has at most ``up.prec`` digits, so its m-th power is exact at m times
+    that; Horner's rule and the product round upward.
+    """
+    exact = Context(prec=m * up.prec)
+    return up.multiply(exact.power(b, m), horner(coeffs, b, up))
+
+
+def _target(digits: int) -> Decimal:
+    """The bound 9 * 10**-(digits + 3) of the first stop condition."""
+    return Decimal(9).scaleb(-(digits + 3))
+
+
+def _walk_plan(
+    params: Params, digits: int
+) -> tuple[list[Decimal], list[Decimal], list[Decimal], Decimal]:
+    """sigma_M's coefficients, the weights w_n, the |s_n| of the second
+    condition (n >= 2) and the bound T_0 below which the walk checks.
+
+    The coefficients are rounded once each at P = digits + 2*GUARD_DIGITS
+    (``CPoly.decimals``), the weights w_n = |rho_n|/(q - q**n), n > M,
+    upward at ``_BOUND_DIGITS``.  T_0 is the smaller root of the two
+    conditions' lowest terms, w_{M+1} b**M and |s_2| b, rounded up.
+    """
+    sigma, rho = koenigs(params.q, params.p, ORDER)
+    s = sigma.decimals(Context(prec=digits + 2 * GUARD_DIGITS))
+    up = Context(prec=_BOUND_DIGITS, rounding=ROUND_CEILING)
+    # q = a/d gives q - q**n = a (d**(n-1) - a**(n-1))/d**n
+    a, d = params.q.numerator, params.q.denominator
+    w, a_power, d_power = [], a**ORDER, d**ORDER
+    for n in range(ORDER + 1, 2 * ORDER + 1):
+        gap = rho._denominator * a * (d_power - a_power)
+        w.append(up.divide(abs(rho._numerators[n]) * d_power * d, gap))
+        a_power, d_power = a_power * a, d_power * d
+    eta = [abs(c) for c in s[2:]]
+    start = min(_root(up.divide(_target(digits), w[0]), ORDER), up.divide(_QUARTER, eta[0]))
+    return s, w, eta, start
 
 
 def rate_constant(p, digits: int = 15) -> RateConstantResult:
-    """C(p) certified to ``digits`` decimal places, in one pass.
+    """C(p) certified to ``digits`` decimal places, by one Koenigs walk.
 
     ``digits < 1`` is a domain error.  Refuses the critical point (no
     geometric rate exists there), ratios q > 999/1000 and more than
-    ``MAX_DIGITS`` digits, each before any work.  The residual
-    stream runs once at P = digits + 2*GUARD_DIGITS working digits, and
-    ``C`` is the K-th partial product b_K / q**K to within the relative
-    bound (3.02 K + 2.01) 10**(1 - P) derived in
-    ``recurrence.residual_decimals`` (valid for u <= 10**-6 and
-    8Ku <= 10**-3, u = 10**(1 - P)/2).  At P = digits + 40 that is below
-    10**-(digits + 30) for K < 3*10**8 and below 10**-(digits + 29) for
-    K < 10**9, far below the truncated last digit; the tail bound covers
-    the distance from the partial product to C.
+    ``MAX_DIGITS`` digits, each before any work.  The residual stream runs
+    at P = digits + 2*GUARD_DIGITS working digits until b_K passes the
+    checks of the module docstring; ``C`` is sigma_M(b_K)/q**K within
+    the relative rounding bound M (3.02 K + 3.01) 10**(1 - P) derived
+    there, and ``tail_bound`` <= 10**-(digits + 2) covers the distance from
+    sigma_M(b_K)/q**K to C.  ``factors_used`` is the walk depth K.
     """
     if digits < 1:
         raise DomainError("digits must be at least 1")
@@ -142,22 +216,33 @@ def rate_constant(p, digits: int = 15) -> RateConstantResult:
     if params.q > Q_MAX:
         raise RefusalError(
             f"contraction ratio q = {params.q} exceeds {Q_MAX}; "
-            "the product converges too slowly to certify digits"
+            "the walk converges too slowly to certify digits"
         )
     if digits > MAX_DIGITS:
         raise RefusalError(f"C(p) is limited to {MAX_DIGITS} digits, got {digits}")
 
-    k_factors, q_power = _factor_count(params, digits)
+    s, w, eta, start = _walk_plan(params, digits)
     precision = digits + 2 * GUARD_DIGITS
     ctx = Context(prec=precision)
-    b = next(islice(residual_decimals(params, precision), k_factors, None))
-    q = PrecReal(params.q, precision).value
+    up = Context(prec=_BOUND_DIGITS, rounding=ROUND_CEILING)
+    target = _target(digits)
+    for k_walk, b in enumerate(residual_decimals(params, precision)):
+        if b <= start:
+            # b_K <= b_bar by the stream's relative bound e_K
+            b_bar = up.multiply(b, up.add(1, Decimal(302 * k_walk + 201).scaleb(-1 - precision)))
+            weighted = _upper(w, ORDER, b_bar, up)
+            if weighted <= target and _upper(eta, 1, b_bar, up) <= _QUARTER:
+                break
+    # q_power is within (K + 3) u of q**K, which the last factor
+    # 1 + 10**(1 - _BOUND_DIGITS) covers
+    q_power = ctx.power(PrecReal(params.q, precision).value, k_walk)
+    tail = up.divide(up.multiply(weighted, b_bar), q_power)
     return RateConstantResult(
         p=params.p,
         q=params.q,
-        C=PrecReal(ctx.divide(b, ctx.power(q, k_factors)), precision),
-        factors_used=k_factors,
-        tail_bound=PrecReal(q_power / (1 - params.q), digits + GUARD_DIGITS),
+        C=PrecReal(ctx.divide(horner(s, b, ctx), q_power), precision),
+        factors_used=k_walk,
+        tail_bound=PrecReal(up.multiply(tail, up.add(1, Decimal(1).scaleb(1 - up.prec))), up.prec),
         digits=digits,
     )
 

@@ -37,8 +37,9 @@ Every precision-tracked orbit of a_k reads one Decimal stream,
 
 where q - p*b_k = p*(r + a_k) is positive, so nothing cancels and the
 relative rounding error has a derived bound (see there).  ``iterate_real``
-forms a_k = r - b_k with one rounding; ``rate_constants`` divides b_K by
-q**K and reads b_k for its diagnostic.
+forms a_k = r - b_k with one rounding; ``rate_constants`` walks it until
+its Koenigs check passes, divides sigma_M(b_K) by q**K, and reads b_k for
+its diagnostic.
 
 The alpha_N of the critical constant starts from ``logistic_point``: the
 logistic map on a binary fixed-point integer with floored squares,

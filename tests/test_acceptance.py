@@ -22,7 +22,12 @@ import pytest
 
 from quadrec.critical import estimate_constant, logistic_constant, residual_order_check
 from quadrec.numerics import CPoly
-from quadrec.rate_constants import convergence_diagnostic, rate_constant, rate_constant_table
+from quadrec.rate_constants import (
+    ORDER,
+    convergence_diagnostic,
+    rate_constant,
+    rate_constant_table,
+)
 from quadrec.recurrence import classify, final_value, iterate_exact
 from quadrec.series_engine import fixed_point_defect, solve_coefficients
 from quadrec.sums import bootstrap_check, power_sum, regularized_s1, s2_identity_check
@@ -267,19 +272,25 @@ def test_criterion_9_value_free_properties(report):
             envelope = envelope and sample.b < params.r * params.q**sample.k
     checks.append(("geometric envelope", envelope))
 
-    # (c) partial products decrease and sandwich the reported constant
-    # (row K and C are two roundings of the K-th partial product, so the
-    # upper side compares their intervals; see test_rate_constants.py)
+    # (c) partial products decrease and sandwich the reported constant at
+    # the walk depth K: partial_K (1 - q**K/(1 - q)) <= C <= partial_K.
+    # Row K and C are roundings, so both sides compare intervals: row K
+    # within the stream's bound at P = 70 plus K + 1 units for its powers of
+    # q, C within its tail bound and its walk's derived rounding (see
+    # test_rate_constants.py)
     result = rate_constant(Fraction(2, 5), digits=12)
     k = result.factors_used
     rows = convergence_diagnostic(Fraction(2, 5), k, 70)
     ratios = [row.ratio.value for row in rows[1:]]
     decreasing = all(a > b for a, b in zip(ratios, ratios[1:]))
-    tail = result.tail_bound.value
-    bound = Fraction(302 * k + 201, 100)
-    upper = Fraction(ratios[-1]) * (1 + (bound + k + 1) / 10**69)
-    lower = Fraction(result.C.value) * (1 - bound / 10 ** (result.C.precision - 1))
-    sandwich = upper >= lower and result.C.value >= ratios[-1] * (1 - tail) - Decimal("1e-40")
+    partial = Fraction(ratios[-1])
+    row_error = (Fraction(302 * k + 201, 100) + k + 1) / 10**69
+    upper = partial * (1 + row_error)
+    lower = partial * (1 - row_error) * (1 - result.q**k / (1 - result.q))
+    value = Fraction(result.C.value)
+    walk_error = ORDER * Fraction(302 * k + 301, 100) / 10 ** (result.C.precision - 1)
+    slack = Fraction(result.tail_bound.value) + value * walk_error
+    sandwich = lower - slack <= value <= upper + slack
     checks.append(("partial-product sandwich", decreasing and sandwich))
 
     # (d) residuals of the order-I truncation scale like k^-(I+1) once the

@@ -107,7 +107,7 @@ def test_rate_constant_json_schema(capsys):
     assert set(obj) == {"p", "C", "factors_used", "tail_bound"}
     assert obj["p"] == "2/5"
     assert obj["C"] == "0.237646658969"
-    assert obj["factors_used"] == 152
+    assert obj["factors_used"] == 22
 
 
 def test_rate_constant_refuses_critical_point(capsys):

@@ -75,8 +75,8 @@ k  a
 {
   "p": "2/5",
   "C": "0.23764665896972491411",
-  "factors_used": 235,
-  "tail_bound": "8.416217442477397611585583812608205864881E-23"
+  "factors_used": 35,
+  "tail_bound": "2.09213524923E-23"
 }
 """,
     ),
@@ -86,8 +86,8 @@ k  a
 {
   "p": "499/1000",
   "C": "0.003944476201135",
-  "factors_used": 22657,
-  "tail_bound": "9.9918050584994803464878436593162399E-18"
+  "factors_used": 3261,
+  "tail_bound": "3.54026225261E-20"
 }
 """,
     ),
@@ -97,8 +97,8 @@ k  a
 {
   "p": "501/1000",
   "C": "0.003928729789155",
-  "factors_used": 22657,
-  "tail_bound": "9.9918050584994803464878436593162399E-18"
+  "factors_used": 3261,
+  "tail_bound": "3.52612946916E-20"
 }
 """,
     ),

@@ -2,23 +2,29 @@
 
 from __future__ import annotations
 
-from decimal import Context, Decimal
+import math
+from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadrec.errors import DomainError, RefusalError
-from quadrec.numerics import PrecReal
+from quadrec.numerics import PrecReal, horner
 from quadrec.rate_constants import (
+    ORDER,
     Q_MAX,
     TABLE_PS,
+    _upper,
+    _walk_plan,
     convergence_diagnostic,
     rate_constant,
     rate_constant_table,
 )
-from quadrec.recurrence import classify
+from quadrec.recurrence import classify, residual_decimals
+from quadrec.series_engine import koenigs
 
 # Published 15-digit values (final digit truncated, not rounded).
 TABLE_STRINGS = {
@@ -83,6 +89,25 @@ def _direct_partial_product(p: Fraction, factors: int, precision: int) -> Decima
     return product
 
 
+def _factor_count(q: Fraction, exponent: int) -> int:
+    """A K with q**K/(1 - q) <= 10**-exponent, checked in exact rationals.
+
+    The start comes from the logarithms of q's numerator and denominator,
+    which are finite even where q underflows a float.
+    """
+    n, d = q.numerator, q.denominator
+    k = math.ceil((exponent * math.log(10) + math.log(d) - math.log(d - n)) / math.log(d / n))
+    while q**k / (1 - q) > Fraction(1, 10**exponent):
+        k += 1
+    return k
+
+
+def _rounding_bound(walk: int, precision: int) -> Decimal:
+    """The relative rounding bound M (3.02 K + 3.01) 10**(1 - P) that
+    ``rate_constant`` derives for its walk of depth K at P working digits."""
+    return ORDER * (Decimal("3.02") * walk + Decimal("3.01")) * Decimal(10) ** (1 - precision)
+
+
 #: The table points at 15 and 50 digits, and both points with q = Q_MAX.
 PRODUCT_CASES = [(p, d) for p in TABLE_PS for d in (15, 50)] + [
     (Q_MAX / 2, 15),
@@ -92,42 +117,48 @@ PRODUCT_CASES = [(p, d) for p in TABLE_PS for d in (15, 50)] + [
 
 @pytest.mark.parametrize("p, digits", PRODUCT_CASES)
 def test_rate_constant_is_the_direct_partial_product(p, digits):
-    # the residual iteration b_K/q**K against the product of the factors
-    # themselves, at the same K and 25 extra digits
+    # the walk against an independent direct partial product, run to
+    # q**K'/(1 - q) <= 10**-(D+12) at D + 25 digits.  That product lies
+    # within r 10**-(D+12) above C (each factor is below 1 and the tail
+    # after K' factors is at most q**K'/(1 - q) of the product), and its
+    # rounding at u = 10**-(D+24)/2 is below K' (6/((1 - q) r) + 5) u of it:
+    # the orbit's map has slope 2 p a <= q, so a_j stays within
+    # 5u/(1 - q) (1 + o(1)) of the exact orbit, and each factor
+    # (r + a_j)/(2r) and its product round by at most 5u more.
     result = rate_constant(p, digits)
-    assert result.q <= Q_MAX
-    direct = _direct_partial_product(Fraction(p), result.factors_used, digits + 25)
-    assert abs(result.C.value - direct) < Decimal(10) ** -(digits + 10)
+    params = classify(p)
+    factors = _factor_count(params.q, digits + 12)
+    direct = _direct_partial_product(Fraction(p), factors, digits + 25)
+    u = Fraction(1, 2 * 10 ** (digits + 24))
+    direct_error = params.r / 10 ** (digits + 12) + factors * (
+        6 / ((1 - params.q) * params.r) + 5
+    ) * u * Fraction(direct)
+    walk_error = Fraction(result.tail_bound.value) + Fraction(
+        _rounding_bound(result.factors_used, result.C.precision)
+    ) * Fraction(result.C.value)
+    assert abs(Fraction(result.C.value) - Fraction(direct)) <= walk_error + direct_error
 
 
-def _residual_quotient(p: Fraction, factors: int, precision: int) -> Decimal:
-    """b_K / q**K from b_0 = r, b_{k+1} = b_k (q - p b_k), at ``precision``."""
+def _walk_value(p: Fraction, walk: int, precision: int) -> Decimal:
+    """sigma_M(b_K)/q**K with every step of ``rate_constant``'s walk at ``precision``."""
     ctx = Context(prec=precision)
     params = classify(p)
-    q = ctx.divide(Decimal(params.q.numerator), Decimal(params.q.denominator))
-    minus_p = ctx.divide(Decimal(-p.numerator), Decimal(p.denominator))
-    b = ctx.divide(Decimal(params.r.numerator), Decimal(params.r.denominator))
-    for _ in range(factors):
-        b = ctx.multiply(b, ctx.fma(minus_p, b, q))
-    return ctx.divide(b, ctx.power(q, factors))
-
-
-def _rounding_bound(factors: int, precision: int) -> Decimal:
-    """The relative rounding bound (3.02 K + 2.01) 10**(1 - P) that
-    ``rate_constant`` derives for its one pass at P working digits."""
-    return (Decimal("3.02") * factors + Decimal("2.01")) * Decimal(10) ** (1 - precision)
+    sigma, _rho = koenigs(params.q, params.p, ORDER)
+    b = next(islice(residual_decimals(params, precision), walk, None))
+    q = PrecReal(params.q, precision).value
+    return ctx.divide(horner(sigma.decimals(ctx), b, ctx), ctx.power(q, walk))
 
 
 @pytest.mark.parametrize("p, digits", PRODUCT_CASES)
 def test_one_pass_stays_inside_its_derived_rounding_bound(p, digits):
-    # the one run at P = digits + 40 against the same iteration at 2P + 20,
+    # the one walk at P = digits + 40 against the same walk at 2P + 20,
     # whose own rounding error is about 10**-(P + 20) times smaller
     result = rate_constant(p, digits)
     precision = digits + 40
     assert result.C.precision == precision
-    factors = result.factors_used
-    reference = _residual_quotient(Fraction(p), factors, 2 * precision + 20)
-    bound = _rounding_bound(factors, precision) + _rounding_bound(factors, 2 * precision + 20)
+    walk = result.factors_used
+    reference = _walk_value(Fraction(p), walk, 2 * precision + 20)
+    bound = _rounding_bound(walk, precision) + _rounding_bound(walk, 2 * precision + 20)
     assert abs(result.C.value - reference) <= bound * reference
 
 
@@ -137,23 +168,43 @@ def test_one_pass_stays_inside_its_derived_rounding_bound(p, digits):
     + [(p, d) for p in (Q_MAX / 2, 1 - Q_MAX / 2) for d in (1, 15)],
 )
 def test_factor_count_is_the_least_that_meets_the_target(p, digits):
-    # q**K/(1 - q) <= 10**-(D+2) < q**(K-1)/(1 - q), in exact rationals
+    # the walk stops at the first K whose b_K lies at or below T_0 and whose
+    # bbar_K = b_K (1 + e_K), rounded up, passes both upward checks; the
+    # checks keep the tail bound at or below 10**-(D+2)
     result = rate_constant(p, digits)
-    q, k = result.q, result.factors_used
-    target = Fraction(1, 10 ** (digits + 2))
-    assert q**k / (1 - q) <= target < q ** (k - 1) / (1 - q)
+    params = classify(p)
+    _s, w, eta, start = _walk_plan(params, digits)
+    precision = digits + 40
+    up = Context(prec=12, rounding=ROUND_CEILING)
+
+    def passes(k, b):
+        b_bar = up.multiply(b, up.add(1, Decimal(302 * k + 201).scaleb(-1 - precision)))
+        return (
+            b <= start
+            and _upper(w, ORDER, b_bar, up) <= Decimal(9).scaleb(-(digits + 3))
+            and _upper(eta, 1, b_bar, up) <= Decimal("0.25")
+        )
+
+    k = result.factors_used
+    orbit = list(islice(residual_decimals(params, precision), k + 1))
+    assert passes(k, orbit[k])
+    assert not any(passes(j, b) for j, b in enumerate(orbit[:k]))
+    assert result.tail_bound.value <= Decimal(10) ** -(digits + 2)
 
 
 @pytest.mark.parametrize(
     "p", [Fraction(1, 10**400), 1 - Fraction(1, 10**400)], ids=["1/10^400", "1-1/10^400"]
 )
 def test_factor_count_survives_a_ratio_that_underflows_a_float(p):
-    # q = 2/10**400 is 0.0 as a float; one factor already meets the target
+    # q = 2/10**400 is 0.0 as a float; the threshold never goes through one,
+    # and b_1 = 10**-400 r already lies below it.  C = (r/2) prod_{j>=1}
+    # (r + a_j)/(2r) with every factor within about 10**-400 of 1.
     result = rate_constant(p, 10)
     assert float(result.q) == 0.0
     assert result.factors_used == 1
-    bound = result.tail_bound
-    assert bound.value == PrecReal(Fraction(2, 10**400) / (1 - result.q), bound.precision).value
+    assert 0 < result.tail_bound.value <= Decimal(10) ** -12
+    r = classify(p).r
+    assert abs(Fraction(result.C.value) - r / 2) <= r / 10**40
 
 
 def test_rate_constant_refuses_critical_point():
@@ -205,22 +256,24 @@ def test_diagnostic_first_ratio_is_half_of_fixed_point():
 
 
 def test_sandwich_bound_brackets_the_constant():
-    # partial * (1 - tail) <= C <= partial for the exact K-th partial
-    # product b_K/q^K.  Row K and C are two roundings of that one product,
-    # so the upper side compares intervals: C is within the relative bound
-    # (3.02K + 2.01) 10**(1-P) of ``rate_constant``, and row K within the
-    # same bound at its own P plus one unit 10**(1-P) for each of its K
-    # multiplications by q = 4/5 (exact) and its division.
+    # partial * (1 - q**K/(1 - q)) <= C <= partial for the exact K-th
+    # partial product b_K/q**K, at the walk depth K.  Row K carries the
+    # stream's relative bound (3.02K + 2.01) 10**(1-P) at P = 70 plus one
+    # unit 10**(1-P) for each of its K multiplications by q = 4/5 (exact)
+    # and its division; C is within its tail bound and its walk's derived
+    # rounding of the constant.
     result = rate_constant(Fraction(2, 5), digits=12)
     k = result.factors_used
     rows = convergence_diagnostic(Fraction(2, 5), k, 70)
-    partial = rows[-1].ratio.value
-    bound = Fraction(302 * k + 201, 100)
-    upper = Fraction(partial) * (1 + (bound + k + 1) / 10**69)
-    lower = Fraction(result.C.value) * (1 - bound / 10 ** (result.C.precision - 1))
-    assert upper >= lower
-    tail = result.tail_bound.value
-    assert result.C.value >= partial * (1 - tail) - Decimal("1e-30")
+    partial = Fraction(rows[-1].ratio.value)
+    row_error = Fraction(302 * k + 201, 100) + k + 1
+    upper = partial * (1 + row_error / 10**69)
+    lower = partial * (1 - row_error / 10**69) * (1 - result.q**k / (1 - result.q))
+    value = Fraction(result.C.value)
+    slack = Fraction(result.tail_bound.value) + value * Fraction(
+        _rounding_bound(k, result.C.precision)
+    )
+    assert lower - slack <= value <= upper + slack
 
 
 @settings(max_examples=30, deadline=None)

@@ -21,6 +21,7 @@ from quadrec.series_engine import (
     eval_series_coeffs,
     expand_log_power,
     fixed_point_defect,
+    koenigs,
     shift,
     solve_coefficients,
 )
@@ -359,3 +360,36 @@ def test_is_zero_through_levels():
     s = AsymSeries(5, {(3, 1): CPoly.constant(1)})
     assert s.is_zero_through(2)
     assert not s.is_zero_through(3)
+
+
+def _compose(outer: CPoly, inner: CPoly) -> CPoly:
+    """outer(inner(b)) by Horner's rule on CPoly."""
+    out = CPoly()
+    for coefficient in reversed(outer.coeffs):
+        out = out * inner + coefficient
+    return out
+
+
+#: Multipliers near the cutoff, a table one, and one that underflows a float.
+KOENIGS_QS = [Fraction(4, 5), Fraction(499, 500), Fraction(999, 1000), Fraction(2, 10**400)]
+
+
+@pytest.mark.parametrize("q", KOENIGS_QS, ids=["4/5", "499/500", "999/1000", "2/10^400"])
+@pytest.mark.parametrize("order", [2, 3, 6, 8])
+def test_koenigs_residual_is_exact(q, order):
+    # both parameters with this multiplier: p = q/2 (r = 1) and p = 1 - q/2
+    for p in (classify(q / 2).p, classify(1 - q / 2).p):
+        sigma, rho = koenigs(q, p, order)
+        f = CPoly([0, q, -p])
+        assert _compose(sigma, f) - sigma * q == rho
+        assert sigma.degree == order and sigma.coefficient(1) == 1
+        assert not any(rho.coeffs[: order + 1])
+        assert rho.degree == 2 * order
+
+
+@pytest.mark.parametrize("q", KOENIGS_QS, ids=["4/5", "499/500", "999/1000", "2/10^400"])
+def test_koenigs_second_coefficient_is_the_closed_form(q):
+    # b**2 of sigma(q b - p b**2) = q sigma(b): q**2 s_2 - p = q s_2
+    for p in (q / 2, 1 - q / 2):
+        sigma, _rho = koenigs(q, p, 8)
+        assert sigma.coefficient(2) == -p / (q * (1 - q))
