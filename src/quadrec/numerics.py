@@ -88,8 +88,10 @@ def _divide(n: int, d: int, ctx: Context) -> Decimal:
 
     Converting n and d to ``Decimal`` first costs time quadratic in their
     length; here the quotient is taken to a few digits past ``ctx.prec``
-    and rounded half-even.  An exact quotient keeps the exponent closest to
-    the ideal exponent 0, as ``Context.divide`` does ("0.25", "12" and not
+    and rounded as ``ctx`` rounds: half-even, or toward +infinity
+    (``ROUND_CEILING``, for upward bounds); another rounding raises
+    ``ValueError``.  An exact quotient keeps the exponent closest to the
+    ideal exponent 0, as ``Context.divide`` does ("0.25", "12" and not
     "12.00"), so the result is the same ``Decimal``, exponent included.
     Operands of at most 1024 bits together go to ``Context.divide`` itself,
     which is faster there: about 0.6 against 2.3 us at 20 digits each and
@@ -100,6 +102,8 @@ def _divide(n: int, d: int, ctx: Context) -> Decimal:
         return Decimal(0)
     if n.bit_length() + d.bit_length() <= 1024:
         return ctx.divide(n, d)
+    if ctx.rounding not in (decimal.ROUND_HALF_EVEN, decimal.ROUND_CEILING):
+        raise ValueError(f"_divide rounds half-even or toward +infinity, not {ctx.rounding}")
     precision = ctx.prec
     # log10|n/d| lies within 0.61 above (bits(n) - bits(d) - 1)*log10(2), and
     # 0.30103 is a hair above log10(2), so 10**shift * |n|/d has at least
@@ -115,7 +119,11 @@ def _divide(n: int, d: int, ctx: Context) -> Decimal:
     head, tail = divmod(coeff, 10**drop)
     half = 5 * 10 ** (drop - 1)
     exponent = drop - shift
-    if tail > half or (tail == half and (rest or head & 1)):
+    if ctx.rounding == decimal.ROUND_CEILING:
+        up = n > 0 and bool(tail or rest)
+    else:
+        up = tail > half or (tail == half and (rest or head & 1))
+    if up:
         head += 1
         if head == 10**precision:
             head, exponent = head // 10, exponent + 1

@@ -70,7 +70,7 @@ from fractions import Fraction
 from itertools import islice
 
 from .errors import DomainError, RefusalError
-from .numerics import GUARD_DIGITS, PrecReal, horner
+from .numerics import GUARD_DIGITS, PrecReal, _divide, horner
 from .recurrence import Params, Regime, check_depth, classify, residual_decimals
 from .series_engine import koenigs
 
@@ -175,8 +175,11 @@ def _walk_plan(
 
     The coefficients are rounded once each at P = digits + 2*GUARD_DIGITS
     (``CPoly.decimals``), the weights w_n = |rho_n|/(q - q**n), n > M,
-    upward at ``_BOUND_DIGITS``.  T_0 is the smaller root of the two
-    conditions' lowest terms, w_{M+1} b**M and |s_2| b, rounded up.
+    upward at ``_BOUND_DIGITS`` by integer division (``_divide``): near
+    p = 10**-400 their integers have thousands of digits, which
+    ``Context.divide`` would convert in quadratic time.  T_0 is the
+    smaller root of the two conditions' lowest terms, w_{M+1} b**M and
+    |s_2| b, rounded up.
     """
     sigma, rho = koenigs(params.q, params.p, ORDER)
     s = sigma.decimals(Context(prec=digits + 2 * GUARD_DIGITS))
@@ -186,7 +189,7 @@ def _walk_plan(
     w, a_power, d_power = [], a**ORDER, d**ORDER
     for n in range(ORDER + 1, 2 * ORDER + 1):
         gap = rho._denominator * a * (d_power - a_power)
-        w.append(up.divide(abs(rho._numerators[n]) * d_power * d, gap))
+        w.append(_divide(abs(rho._numerators[n]) * d_power * d, gap, up))
         a_power, d_power = a_power * a, d_power * d
     eta = [abs(c) for c in s[2:]]
     start = min(_root(up.divide(_target(digits), w[0]), ORDER), up.divide(_QUARTER, eta[0]))

@@ -38,6 +38,15 @@ the derivation.  The solver builds one level of the residual per order
 `apply_map` build the whole residual, the independent route that
 `fixed_point_defect` takes.
 
+The solver's kernel works on integers.  The shift weights are integers
+over m!, from one integer recurrence (``_log_row``).  A residual level
+puts its entries over one common denominator and packs the numerators of
+each into one integer sum_t a_t 2**(K t), so every polynomial product is
+one big-integer multiply (Kronecker substitution); the width K is one bit
+more than a bound on every slot coefficient, computed from the entries'
+largest numerators and the weights before anything is packed, so each
+slot unpacks exactly, negative coefficients included.
+
 The same map in the coordinate alpha = (1 - a)/2 is x -> x - x**2, and
 ``telescope`` solves its one exact functional equation,
 G(x) - G(x - x**2) = g(x), as a polynomial with a residual that
@@ -136,55 +145,47 @@ class AsymSeries:
 
 
 @lru_cache(maxsize=None)
-def _stirling_row(n: int) -> tuple[int, ...]:
-    """The signed Stirling numbers of the first kind s(n, t), t = 0..n: the
-    coefficients of the falling factorial y (y - 1) ... (y - n + 1)."""
-    row = [1]
-    for r in range(n):
-        row = [(row[t - 1] if t else 0) - r * (row[t] if t <= r else 0) for t in range(r + 2)]
-    return tuple(row)
+def _log_row(i: int, m: int) -> tuple[int, ...]:
+    """V[t][m] = m! [x**m] ln(1 + x)**t (1 + x)**-i for t = 0..m.
 
-
-@lru_cache(maxsize=None)
-def _log_binomial(i: int, t: int, m: int) -> Fraction:
-    """The coefficient of x**m in ln(1 + x)**t * (1 + x)**-i (0 <= t <= m).
-
-    [x**s] ln(1 + x)**t = t! s(s, t) / s! and [x**n] (1 + x)**-i =
-    (-1)**n binom(i + n - 1, n), so over the one denominator m! the
-    convolution is a sum of integers (m!/s! = perm(m, n) with s = m - n).
+    F_t = ln(1 + x)**t (1 + x)**-i satisfies (1 + x) F_t' = t F_{t-1} - i F_t;
+    its x**m coefficient gives V[t][m+1] = t V[t-1][m] - (i + m) V[t][m],
+    from V[0][0] = 1, so every entry is an integer.  Each row comes from the
+    one before it, and callers ask for the rows of each i in ascending m.
     """
-    numerator = _stirling_row(m)[t] + sum(
-        _stirling_row(m - n)[t] * math.perm(m, n) * (-1) ** n * math.comb(i + n - 1, n)
-        for n in range(1, m - t + 1)
-    )
-    return Fraction(math.factorial(t) * numerator, math.factorial(m))
+    if m == 0:
+        return (1,)
+    row = _log_row(i, m - 1)
+    below, same = (0,) + row, row + (0,)  # V[t-1][m-1] and V[t][m-1], t = 0..m
+    return tuple(t * a - (i + m - 1) * b for t, (a, b) in enumerate(zip(below, same)))
+
+
+def _log_binomial(i: int, t: int, m: int) -> Fraction:
+    """The coefficient of x**m in ln(1 + x)**t * (1 + x)**-i (0 <= t <= m)."""
+    return Fraction(_log_row(i, m)[t], math.factorial(m))
 
 
 @lru_cache(maxsize=None)
-def _shift_level(i: int, j: int, level: int) -> tuple[tuple[int, Fraction], ...]:
+def _shift_level(i: int, j: int, level: int) -> tuple[tuple[int, int], ...]:
     """The level-``level`` part of ln(k+1)**j / (k+1)**i over the (ln k, 1/k) basis.
 
     Returns (j', weight) pairs, j' ascending, for the terms
-    weight * ln(k)**j' / k**level.  Uses ln(k+1) = ln k + u with
-    u = ln(1 + 1/k), the binomial theorem on (ln k + u)**j, and the negative
-    binomial series for (1 + 1/k)**-i: with m = level - i, the weight of
-    ln(k)**(j-t) is binom(j, t) * [x**m] u**t * (1 + x)**-i.  The key holds
-    no truncation order, so each weight is computed once, when first asked.
+    weight/m! * ln(k)**j' / k**level, m = level - i: each weight is an
+    integer over m!.  Uses ln(k+1) = ln k + u with u = ln(1 + 1/k), the
+    binomial theorem on (ln k + u)**j, and the negative binomial series for
+    (1 + 1/k)**-i: the weight of ln(k)**(j-t) is
+    binom(j, t) * m! [x**m] u**t * (1 + x)**-i, read from ``_log_row``.
     """
     m = level - i
-    out = []
-    for t in range(min(j, m), -1, -1):
-        weight = _log_binomial(i, t, m)
-        if weight:
-            out.append((j - t, math.comb(j, t) * weight))
-    return tuple(out)
+    row = _log_row(i, m)
+    return tuple((j - t, math.comb(j, t) * row[t]) for t in range(min(j, m), -1, -1) if row[t])
 
 
 def _shift_table(i: int, j: int, order: int) -> tuple[tuple[Key, Fraction], ...]:
     """Expansion of ln(k+1)**j / (k+1)**i through level ``order``:
     ((i', j'), weight) pairs with i <= i' <= order, sorted."""
     return tuple(
-        ((level, j2), weight)
+        ((level, j2), Fraction(weight, math.factorial(level - i)))
         for level in range(i, order + 1)
         for j2, weight in _shift_level(i, j, level)
     )
@@ -252,8 +253,8 @@ _SEEDS: dict[Key, CPoly] = {
 }
 
 #: The highest order ``solve_coefficients`` derives: the cost grows about
-#: 1.5x per two orders, and order 20 takes about 40 ms from a cold start
-#: (2-core Intel Xeon, Python 3.11).
+#: 1.5x per two orders, and order 20 takes about 46 ms from a cold start,
+#: order 16 about 21 ms (2-core Intel Xeon, Python 3.11.7).
 MAX_ORDER = 20
 
 #: Every c[i][j] derived in this process, in derivation order (the seeds,
@@ -269,59 +270,80 @@ def _residual_level(entries: dict[Key, CPoly], level: int) -> dict[int, CPoly]:
     at level n the leading term of each shifted monomial of level n cancels
     its copy in T, so only entries with i < n contribute -- through their
     shift weights, and through the pairs of T**2 whose levels add up to n.
-    Zero slots are left out.  Each slot sums raw integer numerators over
-    one running denominator and is normalised once, at the end.
+    Zero slots are left out.
+
+    The arithmetic is on integers.  Every live entry is put over E, the
+    lcm of their denominators, and its numerators a_t packed into one
+    integer sum_t a_t 2**(K t) (Kronecker substitution), so a shift
+    contribution is one multiply by an integer weight over (n - 1)! and a
+    pair of T**2 is one product of two packed integers, over E**2.  Each
+    slot is then one packed integer over D = E lcm(2 E, (n - 1)!), whose
+    coefficients are recovered by reading K bits at a time, signed.  The
+    width K is derived from a bound on every slot coefficient: over D, at
+    most (D/(E (n-1)!)) sum_e s_e sum |w_e| for the shifts plus
+    (D/(2 E**2)) L sum_i S_i S_{n-i} for the pairs, where s_e is entry e's
+    largest numerator over E, w_e its weights over (n - 1)!, S_i the sum of
+    s_e over the entries of order i and L the most numerators of any entry;
+    K is one bit more than that bound has, so each coefficient lies in
+    (-2**(K-1), 2**(K-1)).
     """
-    sums: dict[int, list] = {}  # j -> [numerators, denominator]
-
-    def add(j: int, numerators: list[int], denominator: int) -> None:
-        if j not in sums:
-            sums[j] = [numerators, denominator]
-            return
-        total, common = sums[j]
-        grow = denominator // math.gcd(common, denominator)
-        if grow != 1:
-            total = [n * grow for n in total]
-            common *= grow
-            sums[j] = [total, common]
-        scale = common // denominator
-        if len(total) < len(numerators):
-            total.extend([0] * (len(numerators) - len(total)))
-        for t, n in enumerate(numerators):
-            total[t] += n * scale
-
-    rows: dict[int, list[tuple[int, tuple[int, ...], int]]] = {}
-    for (i, j), poly in entries.items():
-        if i < level and poly:
-            numerators, denominator = poly._numerators, poly._denominator
-            rows.setdefault(i, []).append((j, numerators, denominator))
-            for j2, w in _shift_level(i, j, level):
-                add(j2, [n * w.numerator for n in numerators], denominator * w.denominator)
-    # -T**2/2: each pair of distinct terms once, a term with itself at half weight
+    top = math.factorial(level - 1)
+    live = [(i, j, poly) for (i, j), poly in entries.items() if i < level and poly]
+    common = math.lcm(*(poly._denominator for _i, _j, poly in live))
+    # the shift weights over (level - 1)!, and the bound that fixes K
+    weights, row_sizes, shift_bound, width = [], {}, 0, 1
+    for i, j, poly in live:
+        lift = top // math.factorial(level - i)
+        weights.append([(j2, w * lift) for j2, w in _shift_level(i, j, level)])
+        size = max(map(abs, poly._numerators)) * (common // poly._denominator)
+        shift_bound += size * sum(abs(w) for _j2, w in weights[-1])
+        row_sizes[i] = row_sizes.get(i, 0) + size
+        width = max(width, len(poly._numerators))
+    pair_bound = width * sum(s * row_sizes.get(level - i, 0) for i, s in row_sizes.items())
+    scale = math.lcm(2 * common, top)  # D / E
+    shift_scale, pair_scale = scale // top, scale // (2 * common)
+    K = (shift_scale * shift_bound + pair_scale * pair_bound).bit_length() + 1
+    rows: dict[int, list[tuple[int, int]]] = {}
+    shifts: dict[int, int] = {}
+    for (i, j, poly), entry_weights in zip(live, weights):
+        packed = 0
+        for n in reversed(poly._numerators):
+            packed = (packed << K) + n
+        packed *= common // poly._denominator
+        rows.setdefault(i, []).append((j, packed))
+        for j2, w in entry_weights:
+            shifts[j2] = shifts.get(j2, 0) + w * packed
+    # the pairs of T**2 in order: each pair of distinct terms twice (one
+    # doubled factor), a term with itself once
+    pairs: dict[int, int] = {}
     for i1, row1 in rows.items():
         i2 = level - i1
         if i2 < i1 or i2 not in rows:
             continue
-        for a, (j1, n1, d1) in enumerate(row1):
+        for a, (j1, p1) in enumerate(row1):
             if i1 == i2:
-                add(2 * j1, _negated_product(n1, n1), 2 * d1 * d1)
+                pairs[2 * j1] = pairs.get(2 * j1, 0) + p1 * p1
                 partners = row1[a + 1 :]
             else:
                 partners = rows[i2]
-            for j2, n2, d2 in partners:
-                add(j1 + j2, _negated_product(n1, n2), d1 * d2)
-    slots = {j: CPoly._over(total, common) for j, (total, common) in sums.items()}
-    return {j: poly for j, poly in slots.items() if poly}
-
-
-def _negated_product(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    """The numerators of -(a * b) for two nonzero numerator tuples."""
-    out = [0] * (len(a) + len(b) - 1)
-    for s, x in enumerate(a):
-        if x:
-            for t, y in enumerate(b):
-                out[s + t] -= x * y
-    return out
+            twice = p1 << 1
+            for j2, p2 in partners:
+                pairs[j1 + j2] = pairs.get(j1 + j2, 0) + twice * p2
+    slots, mask = {}, (1 << K) - 1
+    for j in sorted(shifts.keys() | pairs.keys()):
+        packed = shifts.get(j, 0) * shift_scale - pairs.get(j, 0) * pair_scale
+        numerators = []
+        while packed:
+            n = packed & mask
+            packed >>= K
+            if n >> (K - 1):  # a negative coefficient borrows from the next
+                n -= 1 << K
+                packed += 1
+            numerators.append(n)
+        slot = CPoly._over(numerators, common * scale)
+        if slot:
+            slots[j] = slot
+    return slots
 
 
 def solve_coefficients(max_order: int) -> CoefficientTable:
@@ -371,7 +393,7 @@ def solve_coefficients(max_order: int) -> CoefficientTable:
         # weights and, from -T**2/2, their cross term with c[1][0]
         for j in range(i):
             value = entries[(i, j)]
-            for j2, weight in _shift_level(i, j, i + 1):
+            for j2, weight in _shift_level(i, j, i + 1):  # over 1! = 1
                 _accumulate(slots, j2, value * weight)
             _accumulate(slots, j, -(entries[(1, 0)] * value))
         for j, poly in slots.items():

@@ -9,6 +9,8 @@ well under two seconds.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from quadrec.cli import main
@@ -195,3 +197,15 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
 def test_stdout_is_frozen(capsys, command, expected):
     assert main(command.split()) == 0
     assert capsys.readouterr().out == expected
+
+
+#: sha256 of the stdout of ``derive --order 20 --format json``: the whole
+#: table at the solver's limit, 53 826 bytes, too long to inline.  Frozen
+#: before the solver's integer kernel was rewritten.
+DERIVE_20_SHA256 = "2aec263480108316070e7cfa6539a974d791eb84486ce61e9f5c7a8e3e508a06"
+
+
+def test_full_table_stdout_is_frozen(capsys):
+    assert main(["derive", "--order", "20", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_20_SHA256

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import operator
 import random
-from decimal import ROUND_DOWN, Context, Decimal
+from decimal import ROUND_CEILING, ROUND_DOWN, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -16,6 +16,7 @@ from quadrec.errors import DomainError, PrecisionError, RefusalError
 from quadrec.numerics import (
     CPoly,
     PrecReal,
+    _divide,
     confirmed_value,
     euler_gamma,
     horner,
@@ -116,6 +117,43 @@ def test_precreal_of_a_fraction_is_the_decimal_quotient(value, precision):
     ctx = Context(prec=precision)
     expected = ctx.divide(Decimal(value.numerator), Decimal(value.denominator))
     assert str(PrecReal(value, precision)) == str(expected)
+
+
+def _exact_pair(head_d_e):
+    # n/d = head/2**e, a terminating decimal, with d of any size
+    head, d, e = head_d_e
+    return head * d, d * 2**e
+
+
+def _just_above(head_d_k):
+    # n/d = head*10**k + 1/d: the digits past a short head are zeros, and
+    # only the remainder of the division says the quotient is inexact
+    head, d, k = head_d_k
+    return head * 10**k * d + 1, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pair=st.one_of(
+        st.tuples(_operands, _operands),
+        st.tuples(st.integers(1, 10**40), _operands, st.integers(0, 60)).map(_exact_pair),
+        st.tuples(st.integers(1, 10**6), _operands, st.integers(0, 60)).map(_just_above),
+    ),
+    sign=st.sampled_from([1, -1]),
+    precision=st.integers(1, 120),
+)
+def test_divide_rounds_toward_plus_infinity_as_context_divide(pair, sign, precision):
+    # the upward rounding of the integer route (operands past 1024 bits),
+    # and of Context.divide below it: same sign, digits and exponent
+    n, d = sign * pair[0], pair[1]
+    ctx = Context(prec=precision, rounding=ROUND_CEILING)
+    expected = ctx.divide(Decimal(n), Decimal(d))
+    assert _divide(n, d, ctx).as_tuple() == expected.as_tuple()
+
+
+def test_divide_refuses_a_rounding_it_does_not_implement():
+    with pytest.raises(ValueError):
+        _divide(3**1000, 7, Context(prec=5, rounding=ROUND_HALF_UP))
 
 
 @pytest.mark.parametrize(

@@ -159,6 +159,47 @@ def test_residual_level_matches_the_reference_route(seed):
         assert series_engine._residual_level(entries, level) == expected, level
 
 
+def _reference_level(entries, level):
+    # the level-`level` slots of shift(S) - apply_map(S), by the series route
+    terms = {(0, 0): CPoly.constant(1)}
+    terms.update((key, poly) for key, poly in entries.items() if poly)
+    series = AsymSeries(level, terms)
+    reference = shift(series) - apply_map(series)
+    return {j: poly for (i, j), poly in reference.terms.items() if i == level}
+
+
+def test_residual_level_matches_the_reference_route_on_each_solved_prefix():
+    # the level each order's solve reads: the table's prefix below order i
+    # at level i + 1, whose slots are what c[i][j] is solved from
+    table = solve_coefficients(series_engine.MAX_ORDER).entries
+    for i in range(3, series_engine.MAX_ORDER + 1):
+        prefix = {key: poly for key, poly in table.items() if key[0] < i}
+        expected = _reference_level(prefix, i + 1)
+        assert expected, i
+        assert series_engine._residual_level(prefix, i + 1) == expected, i
+
+
+def test_residual_level_unpacks_negative_and_zero_coefficients():
+    # large negative numerators beside interior zeros: every negative
+    # coefficient below a slot's top one borrows from the next in the unpack
+    big = 10**60
+    entries = {
+        (1, 0): CPoly((-big, 0, 0, Fraction(-7, 3))),
+        (2, 1): CPoly((0, -(big**2), 0, 0, 1)),
+        (2, 0): CPoly((Fraction(-big, 11), 0, -5)),
+        (3, 2): CPoly((-1, 0, 0, 0, 0, -big)),
+        (3, 1): CPoly(()),
+        (3, 0): CPoly((big**3, 0, -big)),
+        (4, 1): CPoly((0, 0, Fraction(-1, big))),
+    }
+    borrowed = False
+    for level in range(2, 7):
+        expected = _reference_level(entries, level)
+        borrowed |= any(c < 0 for poly in expected.values() for c in poly.coeffs[:-1])
+        assert series_engine._residual_level(entries, level) == expected, level
+    assert borrowed
+
+
 def test_residual_level_vanishes_on_the_solved_table():
     entries = solve_coefficients(12).entries
     for level in range(1, 14):
