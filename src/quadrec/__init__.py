@@ -45,8 +45,7 @@ from .series_engine import (
     AsymSeries,
     CoefficientTable,
     apply_map,
-    eval_series,
-    expand_log_power,
+    eval_series_coeffs,
     fixed_point_defect,
     shift,
     solve_coefficients,
@@ -89,9 +88,8 @@ __all__ = [
     "classify",
     "convergence_diagnostic",
     "estimate_constant",
-    "eval_series",
     "euler_gamma",
-    "expand_log_power",
+    "eval_series_coeffs",
     "final_value",
     "fixed_point_defect",
     "harmonic_divergence_diagnostic",

@@ -32,7 +32,7 @@ from fractions import Fraction
 from .critical import estimate_constant, residual_order_check
 from .errors import DomainError, ExactCapError, QuadrecError, RefusalError
 from .numerics import GUARD_DIGITS, PrecReal, parse_rational
-from .rate_constants import rate_constant, rate_constant_table
+from .rate_constants import MAX_DIGITS, rate_constant, rate_constant_table
 from .recurrence import classify, iterate_exact, iterate_real
 from .series_engine import solve_coefficients
 from .sums import (
@@ -111,6 +111,8 @@ def _cmd_iterate(args):
     params = classify(parse_rational(args.p))
     if args.digits < 1:
         raise DomainError("digits must be at least 1")
+    if args.digits > MAX_DIGITS:
+        raise RefusalError(f"iterate is limited to {MAX_DIGITS} digits, got {args.digits}")
     if args.exact:
         return [{"k": s.k, "a": _exact_text(s.a)} for s in iterate_exact(params, args.steps)]
     samples = iterate_real(params, args.steps, args.digits + GUARD_DIGITS)

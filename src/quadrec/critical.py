@@ -59,11 +59,10 @@ from typing import Sequence
 from .errors import DomainError, RefusalError
 from .numerics import CPoly, PrecReal, horner
 from .recurrence import check_depth, classify, iterate_real, logistic_point
-from .series_engine import MAX_ORDER, eval_series, solve_coefficients, tail_bound, telescope
+from .series_engine import MAX_ORDER, eval_series_coeffs, solve_coefficients, tail_bound, telescope
 
-# Not used here: the benchmark's tracer wraps these names in this module.
+# Not used here: the benchmark's tracer wraps this name in this module.
 from .recurrence import final_value  # noqa: F401
-from .series_engine import eval_series_coeffs  # noqa: F401
 
 _CRITICAL_P = Fraction(1, 2)
 
@@ -187,7 +186,8 @@ def residual_order_check(
     *,
     c_value: PrecReal | None = None,
 ) -> list[tuple[int, PrecReal]]:
-    """Samples (k, |a_k - eval_series(k)|) for the given steps.
+    """Samples (k, |a_k - S(k)|) for the given steps, S the order-``order``
+    truncation of the expansion with C = ``c_value``.
 
     The residual of an order-I truncation shrinks like ln(k)**I / k**(I+1),
     so on a log-log plot against k the points fall near slope -(I+1) (up to
@@ -208,11 +208,11 @@ def residual_order_check(
     table = solve_coefficients(max(order, 2))
     if c_value is None:
         c_value = estimate_constant(10**5, max(order, 4), max(precision, 40)).C
-    c_value = PrecReal(c_value, precision)
+    c = PrecReal(c_value, precision).value
     samples = iterate_real(classify(_CRITICAL_P), ks[-1], precision, sample_ks=ks)
     ctx = Context(prec=precision)
     residuals = []
     for s in samples:
-        series = eval_series(table, s.k, c_value, order).value
+        series = horner(eval_series_coeffs(table, s.k, precision, order), c, ctx)
         residuals.append((s.k, PrecReal(ctx.subtract(s.a.value, series).copy_abs(), precision)))
     return residuals

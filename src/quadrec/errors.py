@@ -14,7 +14,7 @@ distinctions matter:
 ``PrecisionError`` is a refusal: two runs at different precisions failed to
 confirm the requested digits, so no value is reported.  Only
 ``numerics.confirmed_value`` raises it, and no library computation calls
-that any more: each derives its rounding bound in one pass.
+``confirmed_value``: each derives its rounding bound in one pass.
 ``EngineError`` signals an internal inconsistency in the symbolic series
 engine (a matching slot that should be forced but is not); it is a bug
 indicator, not a user error, and deliberately maps to a plain failure.

@@ -280,12 +280,6 @@ class CPoly:
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self._denominator) for n in self._numerators)
 
-    def coefficient(self, power: int) -> Fraction:
-        """The coefficient of the symbol to ``power`` (0 past the degree)."""
-        if 0 <= power < len(self._numerators):
-            return Fraction(self._numerators[power], self._denominator)
-        return Fraction(0)
-
     def decimals(self, ctx: Context) -> list[Decimal]:
         """The coefficients in ascending order, each rounded once by ``ctx``
         from its stored numerator (``_divide``)."""
@@ -376,11 +370,6 @@ class CPoly:
 
     def __hash__(self):
         return hash(self.coeffs)
-
-    def derivative(self) -> "CPoly":
-        return CPoly._over(
-            [k * n for k, n in enumerate(self._numerators) if k >= 1], self._denominator
-        )
 
     def __call__(self, x):
         """The exact value at a rational ``x`` = p/q: Horner's rule on the

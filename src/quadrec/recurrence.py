@@ -74,7 +74,7 @@ EXACT_STEP_CAP = 20
 #: Python 3.11.  ``critical-c`` walks at most 10**4 steps of its orbit
 #: (``critical.WALK_DEPTH``) and answers a deeper request there, within the
 #: request's own bound, so at 10**7 it takes about 0.15 s with interpreter
-#: start, where the whole walk took 3.6 s.
+#: start.
 MAX_DEPTH = 10**7
 
 Value = Union[Fraction, PrecReal]

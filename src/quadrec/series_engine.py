@@ -21,7 +21,7 @@ monomial through
     ln(k+1) = ln k + 1/k - 1/(2k^2) + 1/(3k^3) - ...,
     (k+1)**-i = k**-i * (1 - i/k + binom(i+1,2)/k^2 - ...),
 
-(`expand_log_power`), while the right-hand side squares the series
+(`shift`), while the right-hand side squares the series
 (`apply_map`).  Equating the two yields, at each total order i+1, a
 triangular linear system: the coefficient c[i][j] appears in slot
 (i+1, j) with the scalar multiplier (i - 2) -- the shift contributes -i,
@@ -74,7 +74,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .errors import DomainError, EngineError, RefusalError
-from .numerics import CPoly, PrecReal, horner
+from .numerics import CPoly
 
 Key = tuple[int, int]  # (i, j) indexes the monomial ln(k)**j / k**i
 
@@ -103,14 +103,6 @@ class AsymSeries:
 
     order: int
     terms: dict[Key, CPoly] = field(default_factory=dict)
-
-    def coefficient(self, i: int, j: int) -> CPoly:
-        """The coefficient of ln(k)**j / k**i."""
-        return self.terms.get((i, j), _ZERO)
-
-    def is_zero_through(self, level: int) -> bool:
-        """True when every retained term with i <= level vanishes."""
-        return all(i > level for (i, _j) in self.terms)
 
     def __add__(self, other: "AsymSeries") -> "AsymSeries":
         order = min(self.order, other.order)
@@ -160,11 +152,6 @@ def _log_row(i: int, m: int) -> tuple[int, ...]:
     return tuple(t * a - (i + m - 1) * b for t, (a, b) in enumerate(zip(below, same)))
 
 
-def _log_binomial(i: int, t: int, m: int) -> Fraction:
-    """The coefficient of x**m in ln(1 + x)**t * (1 + x)**-i (0 <= t <= m)."""
-    return Fraction(_log_row(i, m)[t], math.factorial(m))
-
-
 @lru_cache(maxsize=None)
 def _shift_level(i: int, j: int, level: int) -> tuple[tuple[int, int], ...]:
     """The level-``level`` part of ln(k+1)**j / (k+1)**i over the (ln k, 1/k) basis.
@@ -181,30 +168,17 @@ def _shift_level(i: int, j: int, level: int) -> tuple[tuple[int, int], ...]:
     return tuple((j - t, math.comb(j, t) * row[t]) for t in range(min(j, m), -1, -1) if row[t])
 
 
-def _shift_table(i: int, j: int, order: int) -> tuple[tuple[Key, Fraction], ...]:
-    """Expansion of ln(k+1)**j / (k+1)**i through level ``order``:
-    ((i', j'), weight) pairs with i <= i' <= order, sorted."""
-    return tuple(
-        ((level, j2), Fraction(weight, math.factorial(level - i)))
-        for level in range(i, order + 1)
-        for j2, weight in _shift_level(i, j, level)
-    )
-
-
-def expand_log_power(j: int, i: int, order: int) -> AsymSeries:
-    """The monomial ln(k+1)**j / (k+1)**i re-expanded around k, as a series."""
-    if j < 0 or i < 0:
-        raise DomainError("powers must be nonnegative")
-    terms = {key: CPoly.constant(w) for key, w in _shift_table(i, j, order)}
-    return AsymSeries(order, terms)
-
-
 def shift(series: AsymSeries) -> AsymSeries:
-    """The series evaluated at k+1, re-expanded in the (ln k, 1/k) basis."""
+    """The series evaluated at k+1, re-expanded in the (ln k, 1/k) basis.
+
+    Each monomial ln(k+1)**j / (k+1)**i contributes, at every level from i
+    through the order, the ``_shift_level`` weights over (level - i)!.
+    """
     out: dict[Key, CPoly] = {}
     for (i, j), poly in series.terms.items():
-        for key, weight in _shift_table(i, j, series.order):
-            _accumulate(out, key, poly * weight)
+        for level in range(i, series.order + 1):
+            for j2, weight in _shift_level(i, j, level):
+                _accumulate(out, (level, j2), poly * Fraction(weight, math.factorial(level - i)))
     return AsymSeries(series.order, out)
 
 
@@ -232,10 +206,8 @@ class CoefficientTable:
             for j in range(i - 1, -1, -1):
                 yield i, j, self.entries.get((i, j), _ZERO)
 
-    def as_series(self, order: int | None = None) -> AsymSeries:
+    def as_series(self, order: int) -> AsymSeries:
         """The ansatz 1 + sum c[i][j] ln^j/k^i, truncated at ``order``."""
-        if order is None:
-            order = self.max_order
         terms: dict[Key, CPoly] = {(0, 0): _ONE}
         for (i, j), poly in self.entries.items():
             if i <= order and not poly.is_zero:
@@ -422,9 +394,9 @@ def fixed_point_defect(table: CoefficientTable, order: int | None = None) -> Asy
 
 
 def eval_series_coeffs(
-    table: CoefficientTable, k: int, precision: int, order: int | None = None
+    table: CoefficientTable, k: int, precision: int, order: int
 ) -> list[Decimal]:
-    """The truncated expansion at step k as a polynomial in C.
+    """The expansion truncated at ``order``, at step k, as a polynomial in C.
 
     Returns decimal coefficients g[0..d] with
     ``a_k ~ g[0] + g[1]*C + g[2]*C**2 + ...``; the numeric weights
@@ -432,8 +404,6 @@ def eval_series_coeffs(
     """
     if k < 2:
         raise DomainError("the expansion needs k >= 2 (ln k must be positive)")
-    if order is None:
-        order = table.max_order
     ctx = Context(prec=precision)
     ln_k = ctx.ln(Decimal(k))
     max_j = max((j for (_i, j) in table.entries if _i <= order), default=0)
@@ -455,15 +425,6 @@ def eval_series_coeffs(
             if coefficient:
                 coeffs[t] = ctx.add(coeffs[t], ctx.multiply(coefficient, weight))
     return coeffs
-
-
-def eval_series(
-    table: CoefficientTable, k: int, c_value: PrecReal, order: int | None = None
-) -> PrecReal:
-    """Numeric value of the truncated expansion at step k with C = c_value."""
-    precision = c_value.precision
-    coeffs = eval_series_coeffs(table, k, precision, order)
-    return PrecReal(horner(coeffs, c_value.value, Context(prec=precision)), precision)
 
 
 def _half_sum(G: list[int], m: int) -> int:

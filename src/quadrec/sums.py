@@ -35,24 +35,16 @@ N + 1 floored steps, while each order adds only a little to one exact
 telescope per sum, so order buys digits more cheaply than depth.  At
 (1000, 16) every tail bound is below 3e-49, and the worst bound at the
 digit caps is s_1's rounding at P = 48 digits; a deeper or higher pair no
-longer lowers it.  Measured on a 2-core Intel Xeon with Python 3.11.7:
-the worst bound over s_2..s_11 and the family sum at 15 digits and s_1
-at 8, and the time of six ``sums --digits 13``, ``s1``, ``bootstrap``
-and ``diverge-check`` in one process (median of 7 fresh processes), with
-the earlier ``Fraction`` forms of ``telescope``, ``tail_bound``,
-``_slope`` and ``CPoly.__call__``:
+longer lowers it.  The worst bound over s_2..s_11 and the family sum at
+15 digits and s_1 at 8:
 
-    (N, M)        worst bound   time
-    (10**4, 8)    1.4e-36       166 ms
-    (1000, 8)     1.4e-27        50 ms
-    (1000, 12)    3.8e-39        58 ms
-    (1000, 16)    7.8e-48        67 ms
-    (500, 16)     3.3e-44        67 ms
-    (2000, 16)    7.5e-48        68 ms
-
-With the integer forms of those four routines, (1000, 16) takes 55 ms
-against 75 ms for the ``Fraction`` forms, timed alternately on the same
-host (median of 15 pairs of fresh processes).
+    (N, M)        worst bound
+    (10**4, 8)    1.4e-36
+    (1000, 8)     1.4e-27
+    (1000, 12)    3.8e-39
+    (1000, 16)    7.8e-48
+    (500, 16)     3.3e-44
+    (2000, 16)    7.5e-48
 
 The direct part is one pass over the floored fixed-point orbit of
 ``recurrence.logistic_integers``: each summand is added as the integer

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -11,8 +12,13 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadrec.cli import _exact_text, _int_text, main
+from quadrec.rate_constants import MAX_DIGITS
+from quadrec.recurrence import MAX_DEPTH
+from quadrec.sums import MAX_DIGITS_BOOTSTRAP, MAX_DIGITS_POWER, MAX_DIGITS_S1
 
 
 def run(capsys, *argv):
@@ -431,6 +437,47 @@ def test_zero_digits_is_a_domain_error_everywhere(capsys, argv):
         assert code == 2
         assert out == ""
         assert err == "error: digits must be at least 1\n"
+
+
+#: Every command that takes --digits, with cheap other arguments, and its cap.
+DIGIT_CAPS = {
+    ("iterate", "--p", "2/5", "--steps", "3"): MAX_DIGITS,
+    ("rate-constant", "--p", "2/5"): MAX_DIGITS,
+    ("table1",): MAX_DIGITS,
+    ("sums", "--m", "3"): MAX_DIGITS_POWER,
+    ("s1",): MAX_DIGITS_S1,
+    ("bootstrap",): MAX_DIGITS_BOOTSTRAP,
+}
+
+#: Depths past MAX_DEPTH; residual-check samples k = 10 * 2**t <= N, and its
+#: deepest sample passes MAX_DEPTH from N = 10 * 2**20 on.
+DEEP_REQUESTS = st.one_of(
+    st.tuples(st.sampled_from(["critical-c", "diverge-check"]), st.integers(MAX_DEPTH + 1, 10**12)),
+    st.tuples(st.just("residual-check"), st.integers(10 * 2**20, 10**12)),
+)
+
+
+def exit_and_stdout(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    command=st.sampled_from(sorted(DIGIT_CAPS)),
+    below=st.integers(-(10**6), 0),
+    above=st.integers(1, 10**6),
+    deep=DEEP_REQUESTS,
+)
+def test_each_bad_input_has_one_exit_code(command, below, above, deep):
+    # a digit count below 1 is invalid (2), one above the command's cap and
+    # an orbit past MAX_DEPTH are refused (4); each before any work
+    assert exit_and_stdout(*command, "--digits", str(below)) == (2, "")
+    assert exit_and_stdout(*command, "--digits", str(DIGIT_CAPS[command] + above)) == (4, "")
+    name, depth = deep
+    assert exit_and_stdout(name, "--N", str(depth)) == (4, "")
 
 
 def test_unknown_subcommand_is_an_argparse_error(capsys):

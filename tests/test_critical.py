@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -19,11 +19,11 @@ from quadrec.critical import (
     residual_order_check,
 )
 from quadrec.errors import DomainError
-from quadrec.numerics import PrecReal
+from quadrec.numerics import PrecReal, horner
 from quadrec.recurrence import MAX_DEPTH, classify, final_value, logistic_point
 from quadrec.series_engine import (
     MAX_ORDER,
-    eval_series,
+    eval_series_coeffs,
     fixed_point_defect,
     solve_coefficients,
     tail_bound,
@@ -112,8 +112,9 @@ def test_abel_constant_fits_the_matched_series():
     k = 10**4
     est = estimate_constant(k, 16, 80)
     a_k = final_value(classify("1/2"), k, 80).value
-    series = eval_series(solve_coefficients(16), k, est.C)
-    assert abs(a_k - series.value) < Decimal("1e-50")
+    coeffs = eval_series_coeffs(solve_coefficients(16), k, 80, 16)
+    series = horner(coeffs, est.C.value, Context(prec=80))
+    assert abs(a_k - series) < Decimal("1e-50")
 
 
 def test_estimate_refuses_insufficient_precision():
@@ -285,8 +286,9 @@ def test_residual_matches_direct_series_comparison(table6, reference_estimate):
     rows = residual_order_check(3, [50], 40, c_value=reference_estimate.C)
     k, residual = rows[0]
     a_k = final_value(classify("1/2"), k, 40)
-    series = eval_series(table6, k, reference_estimate.C, 3)
-    direct = abs(a_k.value - series.value)
+    coeffs = eval_series_coeffs(table6, k, 60, 3)
+    series = horner(coeffs, reference_estimate.C.value, Context(prec=60))
+    direct = abs(a_k.value - series)
     assert abs(residual.value - direct) < Decimal("1e-30")
 
 

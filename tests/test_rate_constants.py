@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadrec.errors import DomainError, RefusalError
-from quadrec.numerics import PrecReal, horner
+from quadrec.numerics import GUARD_DIGITS, PrecReal, horner
 from quadrec.rate_constants import (
     ORDER,
     Q_MAX,
@@ -295,3 +295,23 @@ def test_observed_double_ratio_between_conjugate_points():
     a = rate_constant(Fraction(1, 3))
     b = rate_constant(Fraction(2, 3))
     assert abs(a.C.value - 2 * b.C.value) < Decimal("1e-14")
+
+
+#: Points p > 1/2 whose conjugates 1 - p the test walks too: the four table
+#: pairs, and two near the critical point, the second at q = Q_MAX.
+CONJUGATE_PS = [Fraction(*pq) for pq in [(4, 5), (3, 4), (2, 3), (3, 5), (501, 1000), (1001, 2000)]]
+
+
+@pytest.mark.parametrize("digits", [15, 50])
+@pytest.mark.parametrize("p", CONJUGATE_PS, ids=str)
+def test_rate_constant_is_r_times_the_conjugate_constant(p, digits):
+    # b = r b' turns the walk at p into the walk at 1 - p (module docstring):
+    # the same K, and C(p) = r C(1 - p).  Each computed C is within the
+    # relative bound d = M (3.02 K + 3.01) 10**(1 - P) of its exact walk
+    # value X, so |X| <= |C|/(1 - d)
+    high, low = rate_constant(p, digits), rate_constant(1 - p, digits)
+    assert high.factors_used == low.factors_used
+    K, r = high.factors_used, classify(p).r
+    d = Fraction(ORDER * (302 * K + 301), 100 * 10 ** (digits + 2 * GUARD_DIGITS - 1))
+    c_high, c_low = Fraction(high.C.value), Fraction(low.C.value)
+    assert abs(c_high - r * c_low) <= d / (1 - d) * (abs(c_high) + r * abs(c_low))
