@@ -30,8 +30,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 from .critical import estimate_constant, residual_order_check
-from .errors import DomainError, ExactCapError, QuadrecError, RefusalError
-from .numerics import GUARD_DIGITS, PrecReal, parse_rational
+from .errors import DomainError, ExactCapError, QuadrecError, RefusalError, check_ranges
+from .numerics import _EXACT, GUARD_DIGITS, PrecReal, parse_rational
 from .rate_constants import MAX_DIGITS, rate_constant, rate_constant_table
 from .recurrence import classify, iterate_exact, iterate_real
 from .series_engine import solve_coefficients
@@ -109,10 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_iterate(args):
     params = classify(parse_rational(args.p))
-    if args.digits < 1:
-        raise DomainError("digits must be at least 1")
-    if args.digits > MAX_DIGITS:
-        raise RefusalError(f"iterate is limited to {MAX_DIGITS} digits, got {args.digits}")
+    check_ranges(("digits", args.digits, 1, MAX_DIGITS))
     if args.exact:
         return [{"k": s.k, "a": _exact_text(s.a)} for s in iterate_exact(params, args.steps)]
     samples = iterate_real(params, args.steps, args.digits + GUARD_DIGITS)
@@ -127,11 +124,6 @@ def _exact_text(value: Fraction) -> str:
         return numerator
     return f"{numerator}/{_int_text(value.denominator)}"
 
-
-#: Exact integer arithmetic: no rounding at any length.
-_EXACT = decimal.Context(
-    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=[decimal.Inexact]
-)
 
 #: Integers below 2**_SPLIT_BITS go through ``Decimal(int)`` directly.
 _SPLIT_BITS = 2048
@@ -184,8 +176,8 @@ def _cmd_table1(args):
 
 
 def _cmd_derive(args):
-    if args.order < 3:
-        raise DomainError("derive needs order >= 3 (orders 1 and 2 are the seeds)")
+    # orders 1 and 2 are the seeds
+    check_ranges(("order", args.order, 3, None))
     table = solve_coefficients(args.order)
     if args.format == "text":
         return table.format_text_lines()
@@ -208,8 +200,7 @@ _RESIDUAL_PRECISION = 40
 
 
 def _cmd_residual_check(args):
-    if args.N < 10:
-        raise DomainError("residual-check needs N >= 10 (indices start at 10)")
+    check_ranges(("N", args.N, 10, None))  # indices start at 10
     ks = []
     k = 10
     while k <= args.N:

@@ -21,7 +21,8 @@ with H_M the degree-M truncation and R its exact residual polynomial,
     rho(x) = phi_M(x - x**2) - phi_M(x) - 1
            = sum_{n>=M+2} (1 - 1/n) x**n - R(x).
 
-The reported ``truncation_bound`` is in C units and covers both errors:
+The reported ``truncation_bound`` is in C units, rounded up to P digits,
+and covers both errors:
 
 * truncation: twice ``series_engine.tail_bound`` of R from k = N on, with
   the omitted terms of the series from x**(M+2) on;
@@ -56,9 +57,9 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DomainError, RefusalError
-from .numerics import CPoly, PrecReal, horner
-from .recurrence import check_depth, classify, iterate_real, logistic_point
+from .errors import DomainError, check_ranges
+from .numerics import CPoly, PrecReal, horner, rounded_up
+from .recurrence import MAX_DEPTH, classify, iterate_real, logistic_point
 from .series_engine import MAX_ORDER, eval_series_coeffs, solve_coefficients, tail_bound, telescope
 
 # Not used here: the benchmark's tracer wraps this name in this module.
@@ -125,17 +126,11 @@ def estimate_constant(depth: int = 10**6, order: int = 6, precision: int = 60) -
     refused.  A depth above ``WALK_DEPTH`` is answered by the walk-depth
     estimate within that bound, as the module docstring describes.
     """
-    if depth < 100:
-        raise DomainError(f"depth must be at least 100, got {depth}")
-    if order < 3:
-        raise DomainError(f"order must be at least 3, got {order}")
-    if precision < 20:
-        raise DomainError(f"precision must be at least 20, got {precision}")
-    check_depth(depth)
-    if order > MAX_ORDER:
-        raise RefusalError(f"order {order} exceeds the limit of {MAX_ORDER}")
-    if precision > MAX_PRECISION:
-        raise RefusalError(f"precision {precision} exceeds the limit of {MAX_PRECISION}")
+    check_ranges(
+        ("depth", depth, 100, MAX_DEPTH),
+        ("order", order, 3, MAX_ORDER),
+        ("precision", precision, 20, MAX_PRECISION),
+    )
     g = _abel_summand(order)
     H, R = telescope(g, order)
     bound = 2 * tail_bound(R, depth, g.degree + 1) + _rounding(depth, precision)
@@ -161,7 +156,7 @@ def estimate_constant(depth: int = 10**6, order: int = 6, precision: int = 60) -
         depth=depth,
         order=order,
         precision=precision,
-        truncation_bound=PrecReal(bound, precision),
+        truncation_bound=rounded_up(bound, precision),
     )
 
 
@@ -197,14 +192,12 @@ def residual_order_check(
     deeper than ``recurrence.MAX_DEPTH`` is refused before anything is
     solved or estimated.
     """
-    if order < 1:
-        raise DomainError("the residual check needs a truncation order >= 1")
+    ks = sorted(set(int(k) for k in ks))
     if not ks:
         raise DomainError("at least one step index is required")
-    ks = sorted(set(int(k) for k in ks))
-    if ks[0] < 10:
-        raise DomainError("step indices must be >= 10")
-    check_depth(ks[-1])
+    check_ranges(
+        ("order", order, 1, None), ("step", ks[0], 10, None), ("depth", ks[-1], 10, MAX_DEPTH)
+    )
     table = solve_coefficients(max(order, 2))
     if c_value is None:
         c_value = estimate_constant(10**5, max(order, 4), max(precision, 40)).C

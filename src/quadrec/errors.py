@@ -8,8 +8,16 @@ distinctions matter:
 * ``ExactCapError`` -- an exact-arithmetic routine was asked to run past its
                        bit-growth cap, exit code 3.
 * ``RefusalError``  -- the inputs are well-formed but the module cannot meet
-                       its accuracy contract for them (precision too low,
-                       contraction ratio too close to 1, ...), exit code 4.
+                       its accuracy contract for them (a depth or digit
+                       count past its cap, contraction ratio too close to
+                       1, ...), exit code 4.
+
+A plain request limit -- a depth, order, precision, digit count or power
+with a least value and perhaps a cap -- goes through ``check_ranges``, one
+rule for every module: a value below its least is a ``DomainError``
+("digits must be at least 1"), a value above its cap a ``RefusalError``
+("depth 10000001 exceeds the limit of 10000000"), and within one check a
+malformed value is reported before a refused one.
 
 ``PrecisionError`` is a refusal: two runs at different precisions failed to
 confirm the requested digits, so no value is reported.  Only
@@ -45,3 +53,17 @@ class PrecisionError(RefusalError):
 
 class EngineError(QuadrecError):
     """Raised when the series engine meets an inconsistent matching system."""
+
+
+def check_ranges(*limits: tuple[str, int, int, int | None]) -> None:
+    """Check ``(name, value, least, cap)`` limits; a cap of ``None`` is no cap.
+
+    The first value below its least raises ``DomainError``; only when none
+    is, the first value above its cap raises ``RefusalError``.
+    """
+    for name, value, least, _cap in limits:
+        if value < least:
+            raise DomainError(f"{name} must be at least {least}")
+    for name, value, _least, cap in limits:
+        if cap is not None and value > cap:
+            raise RefusalError(f"{name} {value} exceeds the limit of {cap}")

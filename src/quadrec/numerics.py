@@ -36,7 +36,7 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, TypeVar, Union
 
-from .errors import DomainError, PrecisionError, RefusalError
+from .errors import DomainError, PrecisionError, check_ranges
 
 #: Guard digits on top of the requested digit count.  The rate constants and
 #: the tail sums run once at digits + 2*GUARD_DIGITS, where their derived
@@ -53,6 +53,11 @@ _EULER_GAMMA_110 = (
 )
 
 _GAMMA_MAX_PRECISION = 105
+
+#: Exact arithmetic: no rounding at any length.
+_EXACT = Context(
+    prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN, traps=[decimal.Inexact]
+)
 
 Scalar = Union[int, Fraction, Decimal]
 T = TypeVar("T")
@@ -73,13 +78,7 @@ def euler_gamma(precision: int) -> "PrecReal":
     ``precision = 105`` are refused rather than served with unverified
     digits.
     """
-    if precision < 1:
-        raise DomainError("precision must be at least 1")
-    if precision > _GAMMA_MAX_PRECISION:
-        raise RefusalError(
-            f"euler_gamma is tabulated to {_GAMMA_MAX_PRECISION} digits; "
-            f"{precision} requested"
-        )
+    check_ranges(("precision", precision, 1, _GAMMA_MAX_PRECISION))
     return PrecReal(_EULER_GAMMA_110, precision)
 
 
@@ -133,6 +132,13 @@ def _divide(n: int, d: int, ctx: Context) -> Decimal:
             head, exponent = head // 10, exponent + 1
     dec = ctx.scaleb(Decimal(head), exponent)
     return dec.copy_negate() if n < 0 else dec
+
+
+def rounded_up(bound: Fraction, precision: int) -> "PrecReal":
+    """``bound`` rounded toward +infinity to ``precision`` digits, so that a
+    reported bound never lies below the bound derived for it."""
+    up = Context(prec=precision, rounding=decimal.ROUND_CEILING)
+    return PrecReal(_divide(bound.numerator, bound.denominator, up), precision)
 
 
 class PrecReal:

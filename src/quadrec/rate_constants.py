@@ -41,7 +41,7 @@ below them (``_walk_plan``).  The first condition makes ``tail_bound`` at
 most 10**-(D+2): bbar/b_K <= (1 + 10**-3)**2 and (1 + 10**-3)**2 < 10/9.
 The second keeps sigma_M(b) = b tau(b) with |tau(b) - 1| <= 1/4 there, for
 the rounding below.  At p = 499/1000 and D = 15 the walk stops after
-3261 steps, where the product needed q**K/(1 - q) <= 10**-(D+2), K = 22 657.
+3261 steps.
 
 The rounding, at P = D + 40 working digits and u = 10**(1 - P)/2:
 
@@ -74,9 +74,9 @@ from decimal import ROUND_CEILING, ROUND_DOWN, Context, Decimal
 from fractions import Fraction
 from itertools import islice
 
-from .errors import DomainError, RefusalError
+from .errors import RefusalError, check_ranges
 from .numerics import GUARD_DIGITS, PrecReal, _divide, horner
-from .recurrence import Params, Regime, check_depth, classify, residual_decimals
+from .recurrence import MAX_DEPTH, Params, Regime, classify, residual_decimals
 from .series_engine import koenigs
 
 # Not used here: the benchmark's tracer wraps this name in this module.
@@ -102,8 +102,8 @@ Q_MAX = Fraction(999, 1000)
 #: walks fewer steps (the depth falls roughly like 1/M), a lower one costs
 #: less per call to solve, weigh and evaluate.  At 15 digits p = 499/1000 walks 3261 steps at
 #: order 6 and 2447 at order 8, and the pair p = 0.4988, 0.5012 took 4.5 and
-#: 3.6 ms; the eight-point table took 1.1 ms at order 6, 1.4 ms at order 8
-#: and 1.3 ms with the product (in-process medians, 2-core Intel Xeon).
+#: 3.6 ms; the eight-point table took 1.1 ms at order 6 and 1.4 ms at order 8
+#: (in-process medians, 2-core Intel Xeon).
 ORDER = 6
 
 #: Significant digits of the weights, the stop checks and the tail bounds,
@@ -215,9 +215,8 @@ def rate_constant(p, digits: int = 15) -> RateConstantResult:
     there, and ``tail_bound`` <= 10**-(digits + 2) covers the distance from
     sigma_M(b_K)/q**K to C.  ``factors_used`` is the walk depth K.
     """
-    if digits < 1:
-        raise DomainError("digits must be at least 1")
     params = classify(p)
+    check_ranges(("digits", digits, 1, MAX_DIGITS))
     if params.regime is Regime.CRITICAL:
         raise RefusalError(
             "p = 1/2 is the critical point: the approach is algebraic, not geometric; "
@@ -228,8 +227,6 @@ def rate_constant(p, digits: int = 15) -> RateConstantResult:
             f"contraction ratio q = {params.q} exceeds {Q_MAX}; "
             "the walk converges too slowly to certify digits"
         )
-    if digits > MAX_DIGITS:
-        raise RefusalError(f"C(p) is limited to {MAX_DIGITS} digits, got {digits}")
 
     s, w, eta, start = _walk_plan(params, digits)
     precision = digits + 2 * GUARD_DIGITS
@@ -276,9 +273,7 @@ def convergence_diagnostic(p, kmax: int, precision: int) -> list[DiagnosticRow]:
     params = classify(p)
     if params.regime is Regime.CRITICAL:
         raise RefusalError("p = 1/2 has no geometric rate; use the critical-constant module")
-    if kmax < 0:
-        raise DomainError("step count must be nonnegative")
-    check_depth(kmax)
+    check_ranges(("kmax", kmax, 0, MAX_DEPTH))
     ctx = Context(prec=precision)
     q_dec = PrecReal(params.q, precision).value
     q_pow = Decimal(1)

@@ -60,8 +60,8 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Sequence, Union
 
-from .errors import DomainError, ExactCapError, RefusalError
-from .numerics import PrecReal
+from .errors import DomainError, ExactCapError, check_ranges
+from .numerics import PrecReal, _divide
 
 #: Exact orbits are refused past this many steps, and wherever the bound on
 #: their denominators' bit length reaches 2**EXACT_STEP_CAP.
@@ -135,8 +135,7 @@ def iterate_exact(params: Params, n: int) -> list[OrbitSample]:
     refused when ``n`` exceeds ``EXACT_STEP_CAP`` or that bound reaches
     2**EXACT_STEP_CAP bits: such orbits are hopeless rather than merely slow.
     """
-    if n < 0:
-        raise DomainError("step count must be nonnegative")
+    check_ranges(("depth", n, 0, None))
     # the step test comes first, so a huge n never builds 2**n
     if n > EXACT_STEP_CAP or (
         (2**n - 1) * (params.p.denominator - 1).bit_length() >= 2**EXACT_STEP_CAP
@@ -159,12 +158,6 @@ def iterate_exact(params: Params, n: int) -> list[OrbitSample]:
 #: Above this step count, iterate_real defaults to logarithmically spaced
 #: samples so that deep orbits use O(log n) memory.
 DENSE_SAMPLE_LIMIT = 10_000
-
-
-def check_depth(n: int) -> None:
-    """Refuse an orbit of more than ``MAX_DEPTH`` steps."""
-    if n > MAX_DEPTH:
-        raise RefusalError(f"depth {n} exceeds the limit of {MAX_DEPTH}")
 
 
 def _default_sample_ks(n: int) -> list[int]:
@@ -196,9 +189,7 @@ def iterate_real(
     absolute error below (3.02 k + 3.01) 10**(1 - P): the stream's relative
     bound on b_k plus half a unit each for r and the subtraction.
     """
-    if n < 0:
-        raise DomainError("step count must be nonnegative")
-    check_depth(n)
+    check_ranges(("depth", n, 0, MAX_DEPTH))
     if sample_ks is None:
         wanted = _default_sample_ks(n)
     else:
@@ -316,7 +307,7 @@ def logistic_point(n: int, precision: int) -> Decimal:
       the budget n 10**(1-P) that ``critical`` assumes, for every n >= 1.
     """
     x, bits = _logistic_fixed(n, precision)
-    return Context(prec=precision).divide(Decimal(x), Decimal(1 << bits))
+    return _divide(x, 1 << bits, Context(prec=precision))
 
 
 def logistic_integers(bits: int) -> Iterator[int]:
@@ -326,8 +317,7 @@ def logistic_integers(bits: int) -> Iterator[int]:
     X = 2**(bits - 1), so x_{k+1} = x_k - x_k**2 + d_k with d_k in
     [0, 2**-bits) and 0 <= x_k - alpha_k < k 2**-bits (see there).
     """
-    if bits < 1:
-        raise DomainError("bits must be at least 1")
+    check_ranges(("bits", bits, 1, None))
     x = 1 << (bits - 1)
     while True:
         yield x
@@ -336,11 +326,7 @@ def logistic_integers(bits: int) -> Iterator[int]:
 
 def _logistic_fixed(n: int, precision: int) -> tuple[int, int]:
     """(X_n, B) of ``logistic_point``: 0 <= X_n/2**B - alpha_n < n 2**-B."""
-    if n < 0:
-        raise DomainError("step count must be nonnegative")
-    if precision < 1:
-        raise DomainError("precision must be at least 1")
-    check_depth(n)
+    check_ranges(("depth", n, 0, MAX_DEPTH), ("precision", precision, 1, None))
     # 2**B >= 10**(P-1) * 4**bit_length(2m), m = n + 3 + bit_length(n)
     bits = (10 ** (precision - 1) - 1).bit_length() + 2 * (
         2 * (n + 3 + n.bit_length())

@@ -73,7 +73,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
-from .errors import DomainError, EngineError, RefusalError
+from .errors import DomainError, EngineError, check_ranges
 from .numerics import CPoly
 
 Key = tuple[int, int]  # (i, j) indexes the monomial ln(k)**j / k**i
@@ -341,10 +341,7 @@ def solve_coefficients(max_order: int) -> CoefficientTable:
     up, not solved again; an order above ``MAX_ORDER`` raises
     ``RefusalError``.
     """
-    if max_order < 2:
-        raise DomainError("the expansion starts at order 2; max_order must be >= 2")
-    if max_order > MAX_ORDER:
-        raise RefusalError(f"order {max_order} exceeds the solver's limit of {MAX_ORDER}")
+    check_ranges(("order", max_order, 2, MAX_ORDER))  # the expansion starts at order 2
     entries = dict(_DERIVED)
     start = next(reversed(entries))[0] + 1
     for i in range(start, max_order + 1):
@@ -402,8 +399,7 @@ def eval_series_coeffs(
     ``a_k ~ g[0] + g[1]*C + g[2]*C**2 + ...``; the numeric weights
     ln(k)**j / k**i are evaluated at the given working precision.
     """
-    if k < 2:
-        raise DomainError("the expansion needs k >= 2 (ln k must be positive)")
+    check_ranges(("k", k, 2, None))  # ln k must be positive
     ctx = Context(prec=precision)
     ln_k = ctx.ln(Decimal(k))
     max_j = max((j for (_i, j) in table.entries if _i <= order), default=0)

@@ -65,9 +65,9 @@ from itertools import islice
 from typing import Callable, NamedTuple
 
 from .critical import estimate_constant
-from .errors import DomainError, RefusalError
-from .numerics import GUARD_DIGITS, CPoly, PrecReal, euler_gamma
-from .recurrence import check_depth, logistic_integers, logistic_iterate
+from .errors import RefusalError, check_ranges
+from .numerics import _EXACT, GUARD_DIGITS, CPoly, PrecReal, euler_gamma, rounded_up
+from .recurrence import MAX_DEPTH, logistic_integers, logistic_iterate
 from .series_engine import tail_bound, telescope
 
 # Not used here: the benchmark's tracer wraps or counts these names in this module.
@@ -253,8 +253,8 @@ def _telescoped_sum(s: _Summand, digits: int) -> SumResult:
     The working precision is P = digits + 2*GUARD_DIGITS, and ``_bits``
     keeps the rounding of the pass below 10**-P.  For s_1, ln x_{N+1} is
     rounded correctly to P digits and gamma to within one unit.  The total
-    is rounded once, and its conversion error is measured exactly.  A bound
-    above 10**-(digits+2) of the sum is refused.
+    is rounded once, and its conversion error is measured exactly.  The
+    bound is rounded up, and one above 10**-(digits+2) of the sum is refused.
     """
     precision = digits + 2 * GUARD_DIGITS
     coefficient = _rounding_coefficient(s, DEPTH)
@@ -264,7 +264,8 @@ def _telescoped_sum(s: _Summand, digits: int) -> SumResult:
     correction = PrecReal(tail, precision).value
     if s.harmonic:
         ctx = Context(prec=precision)
-        log = ctx.ln(Decimal(f"{x_last * 5**bits}E-{bits}"))
+        # x/2**B = x 5**B/10**B, built exactly: str(int) stops at 4300 digits
+        log = ctx.ln(_EXACT.scaleb(Decimal(x_last * 5**bits), -bits))
         gamma = euler_gamma(precision).value
         tail += Fraction(log) - Fraction(gamma)
         bound += _unit(log, precision) / 2 + _unit(gamma, precision)
@@ -274,7 +275,7 @@ def _telescoped_sum(s: _Summand, digits: int) -> SumResult:
     total = direct + tail
     value = PrecReal(total, precision)
     bound += abs(Fraction(value.value) - total)
-    error = PrecReal(bound, precision)
+    error = rounded_up(bound, precision)
     if error.value > Decimal(1).scaleb(-(digits + 2)) * value.value.copy_abs():
         raise RefusalError(
             f"the error bound {error.value:E} exceeds 10^-{digits + 2} of the sum; "
@@ -292,14 +293,6 @@ def _telescoped_sum(s: _Summand, digits: int) -> SumResult:
 def _unit(value: Decimal, precision: int) -> Fraction:
     """One unit in the last of ``precision`` significant digits of ``value``."""
     return Fraction(10) ** (value.adjusted() + 1 - precision)
-
-
-def _check_digits(digits: int, cap: int, quantity: str) -> None:
-    """Reject a digit request below 1 (domain) or above the documented cap."""
-    if digits < 1:
-        raise DomainError("digits must be at least 1")
-    if digits > cap:
-        raise RefusalError(f"at most {cap} digits are certified for {quantity}, got {digits}")
 
 
 # ---------------------------------------------------------------------------
@@ -349,14 +342,8 @@ def power_sum(m: int, digits: int) -> SumResult:
     10**-(digits+2) < 10**-P/4, that is 2**(m-3) > 10**(2*GUARD_DIGITS - 2),
     the bound exceeds 10**-(digits+2) of the sum at every digit count.
     """
-    if m < 2:
-        raise DomainError("power sums need m >= 2; the m = 1 sum only exists regularized")
-    _check_digits(digits, MAX_DIGITS_POWER, "power sums")
-    if m > MAX_POWER:
-        raise RefusalError(
-            f"s_{m} < 2^{1 - m} lies below the rounding bound of the pass at every "
-            f"digit count; m is limited to {MAX_POWER}"
-        )
+    # the m = 1 sum only exists regularized
+    check_ranges(("m", m, 2, MAX_POWER), ("digits", digits, 1, MAX_DIGITS_POWER))
     return _telescoped_sum(_power_summand(m), digits)
 
 
@@ -369,7 +356,7 @@ def regularized_s1(digits: int) -> SumResult:
     gamma.  The direct part keeps the -1/k terms, so the tail correction is
     G_1(alpha_{N+1}) + H_N - gamma.
     """
-    _check_digits(digits, MAX_DIGITS_S1, "the regularized sum")
+    check_ranges(("digits", digits, 1, MAX_DIGITS_S1))
     return _telescoped_sum(_s1_summand(), digits)
 
 
@@ -380,7 +367,7 @@ def sum_of_power_sums(digits: int) -> SumResult:
     column sum, so one orbit pass covers every power at once.  Reported
     with ``m = 0`` as the family marker.
     """
-    _check_digits(digits, MAX_DIGITS_POWER, "the sum of power sums")
+    check_ranges(("digits", digits, 1, MAX_DIGITS_POWER))
     return _telescoped_sum(_family_summand(), digits)
 
 
@@ -393,10 +380,10 @@ def bootstrap_check(digits: int) -> BootstrapReport:
     is assembled entirely from orbit sums.  Requests beyond 6 digits are
     refused.
     """
-    _check_digits(digits, MAX_DIGITS_BOOTSTRAP, "the bootstrap residual")
+    check_ranges(("digits", digits, 1, MAX_DIGITS_BOOTSTRAP))
     precision = digits + 2 * GUARD_DIGITS
     ctx = Context(prec=precision)
-    c_half = ctx.divide(ctx.plus(estimate_constant(10**5, 6, max(40, precision)).C.value), 2)
+    c_half = ctx.divide(estimate_constant(10**5, 6, precision).C.value, 2)
     gamma = euler_gamma(precision)
     s1 = regularized_s1(MAX_DIGITS_S1)
     tail_family = sum_of_power_sums(10)
@@ -422,9 +409,7 @@ def harmonic_divergence_diagnostic(n: int) -> tuple[PrecReal, PrecReal]:
     exact integer and rounds it once; ``_divergence_precision`` derives its
     bits and the precision of both values.
     """
-    if n < 100:
-        raise DomainError("the diagnostic needs n >= 100")
-    check_depth(n)
+    check_ranges(("depth", n, 100, MAX_DEPTH))
     precision, bits = _divergence_precision(n)
     partial = Fraction(sum(islice(logistic_integers(bits), n + 1)), 1 << bits)
     s1 = regularized_s1(MAX_DIGITS_S1)

@@ -16,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadrec.cli import _exact_text, _int_text, main
+from quadrec.critical import MAX_PRECISION
 from quadrec.rate_constants import MAX_DIGITS
 from quadrec.recurrence import MAX_DEPTH
-from quadrec.sums import MAX_DIGITS_BOOTSTRAP, MAX_DIGITS_POWER, MAX_DIGITS_S1
+from quadrec.series_engine import MAX_ORDER
+from quadrec.sums import MAX_DIGITS_BOOTSTRAP, MAX_DIGITS_POWER, MAX_DIGITS_S1, MAX_POWER
 
 
 def run(capsys, *argv):
@@ -439,22 +441,25 @@ def test_zero_digits_is_a_domain_error_everywhere(capsys, argv):
         assert err == "error: digits must be at least 1\n"
 
 
-#: Every command that takes --digits, with cheap other arguments, and its cap.
-DIGIT_CAPS = {
-    ("iterate", "--p", "2/5", "--steps", "3"): MAX_DIGITS,
-    ("rate-constant", "--p", "2/5"): MAX_DIGITS,
-    ("table1",): MAX_DIGITS,
-    ("sums", "--m", "3"): MAX_DIGITS_POWER,
-    ("s1",): MAX_DIGITS_S1,
-    ("bootstrap",): MAX_DIGITS_BOOTSTRAP,
+#: Every limit a command exposes, with cheap other arguments:
+#: (command, option) -> (least accepted value, largest accepted value).
+LIMITS = {
+    (("iterate", "--p", "2/5", "--steps", "3"), "--digits"): (1, MAX_DIGITS),
+    (("rate-constant", "--p", "2/5"), "--digits"): (1, MAX_DIGITS),
+    (("table1",), "--digits"): (1, MAX_DIGITS),
+    (("sums", "--m", "3"), "--digits"): (1, MAX_DIGITS_POWER),
+    (("s1",), "--digits"): (1, MAX_DIGITS_S1),
+    (("bootstrap",), "--digits"): (1, MAX_DIGITS_BOOTSTRAP),
+    (("sums",), "--m"): (2, MAX_POWER),
+    (("critical-c",), "--N"): (100, MAX_DEPTH),
+    (("critical-c",), "--order"): (3, MAX_ORDER),
+    (("critical-c",), "--precision"): (20, MAX_PRECISION),
+    (("derive",), "--order"): (3, MAX_ORDER),
+    (("residual-check",), "--order"): (1, MAX_ORDER),
+    # samples k = 10 * 2**t <= N: the deepest passes MAX_DEPTH from N = 10 * 2**20 on
+    (("residual-check",), "--N"): (10, 10 * 2**20 - 1),
+    (("diverge-check",), "--N"): (100, MAX_DEPTH),
 }
-
-#: Depths past MAX_DEPTH; residual-check samples k = 10 * 2**t <= N, and its
-#: deepest sample passes MAX_DEPTH from N = 10 * 2**20 on.
-DEEP_REQUESTS = st.one_of(
-    st.tuples(st.sampled_from(["critical-c", "diverge-check"]), st.integers(MAX_DEPTH + 1, 10**12)),
-    st.tuples(st.just("residual-check"), st.integers(10 * 2**20, 10**12)),
-)
 
 
 def exit_and_stdout(*argv):
@@ -466,18 +471,35 @@ def exit_and_stdout(*argv):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    command=st.sampled_from(sorted(DIGIT_CAPS)),
-    below=st.integers(-(10**6), 0),
-    above=st.integers(1, 10**6),
-    deep=DEEP_REQUESTS,
+    limit=st.sampled_from(sorted(LIMITS)),
+    below=st.integers(1, 10**6),
+    above=st.integers(1, 10**12),
 )
-def test_each_bad_input_has_one_exit_code(command, below, above, deep):
-    # a digit count below 1 is invalid (2), one above the command's cap and
-    # an orbit past MAX_DEPTH are refused (4); each before any work
-    assert exit_and_stdout(*command, "--digits", str(below)) == (2, "")
-    assert exit_and_stdout(*command, "--digits", str(DIGIT_CAPS[command] + above)) == (4, "")
-    name, depth = deep
-    assert exit_and_stdout(name, "--N", str(depth)) == (4, "")
+def test_each_bad_input_has_one_exit_code(limit, below, above):
+    # a value below its least is invalid (2), one above its cap is refused
+    # (4); each before any work
+    (command, option), (least, cap) = limit, LIMITS[limit]
+    assert exit_and_stdout(*command, option, str(least - below)) == (2, "")
+    assert exit_and_stdout(*command, option, str(cap + above)) == (4, "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["critical-c", "--N", str(MAX_DEPTH + 1), "--order", "2"],
+        ["critical-c", "--order", "21", "--precision", "19"],
+        ["critical-c", "--N", "99", "--precision", "201"],
+        ["sums", "--m", "130", "--digits", "0"],
+        ["sums", "--m", "1", "--digits", "16"],
+        ["rate-constant", "--p", "1/2", "--digits", "0"],
+        ["residual-check", "--order", "21", "--N", "9"],
+    ],
+    ids=" ".join,
+)
+def test_a_malformed_value_is_reported_before_a_refused_one(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "must be at least" in err
 
 
 def test_unknown_subcommand_is_an_argparse_error(capsys):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from decimal import Context, Decimal
+from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -161,10 +161,32 @@ def test_deep_estimate_is_inside_the_bound_of_its_request(depth, order, precisio
     est = estimate_constant(depth, order, precision)
     _H, R = telescope(_abel_summand(order), order)
     rounding = Fraction(2 * (depth + 4) * (depth + 2 + depth.bit_length()), 10 ** (precision - 1))
-    bound = PrecReal(2 * tail_bound(R, depth, order + 2) + rounding, precision)
-    assert est.truncation_bound.value.as_tuple() == bound.value.as_tuple()
+    bound = 2 * tail_bound(R, depth, order + 2) + rounding
+    up = Context(prec=precision, rounding=ROUND_CEILING).divide(bound.numerator, bound.denominator)
+    assert est.truncation_bound.value.as_tuple() == up.as_tuple()
     assert (est.depth, est.order, est.precision) == (depth, order, precision)
     assert abs(est.C.value - C_REF) <= est.truncation_bound.value + C_REF_ERROR
+
+
+@pytest.mark.parametrize(
+    "depth, order, precision",
+    [
+        (1000, 3, 40),
+        (2000, 8, 50),
+        (WALK_DEPTH, 16, 80),
+        (10**5, 6, 60),
+        (10**6, 6, 60),
+        (10**6, 6, 30),
+        (3 * 10**6, 12, 100),
+        (MAX_DEPTH, MAX_ORDER, MAX_PRECISION),
+    ],
+)
+def test_printed_bound_is_at_least_the_derived_bound(depth, order, precision):
+    # a bound rounded half-even can print below the bound it reports
+    _H, R = telescope(_abel_summand(order), order)
+    rounding = Fraction(2 * (depth + 4) * (depth + 2 + depth.bit_length()), 10 ** (precision - 1))
+    derived = 2 * tail_bound(R, depth, order + 2) + rounding
+    assert Fraction(estimate_constant(depth, order, precision).truncation_bound.value) >= derived
 
 
 @pytest.mark.parametrize(

@@ -131,7 +131,7 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
   "C": "3.5359875722723081008872688135574593575587895708",
   "N": 2000,
   "order": 8,
-  "truncation_bound": "5.0406038268268128732314426028525628009912403619115E-30"
+  "truncation_bound": "5.0406038268268128732314426028525628009912403619116E-30"
 }
 """,
     ),
@@ -174,7 +174,7 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
   "value": "0.0689777061",
   "terms_summed": 1001,
   "tail_correction": "3.2407381881550057579025106870980089463243324988822E-10",
-  "error_estimate": "3.3689816284972748418351927939695794319291863389678E-50"
+  "error_estimate": "3.3689816284972748418351927939695794319291863389679E-50"
 }
 """,
     ),
@@ -186,7 +186,7 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
   "value": "-1.602",
   "terms_summed": 1001,
   "tail_correction": "-0.0096337448411449084172269477262007865491853",
-  "error_estimate": "7.672284046577941178570115069646386148874440E-43"
+  "error_estimate": "7.672284046577941178570115069646386148874441E-43"
 }
 """,
     ),

@@ -140,7 +140,7 @@ def test_hopeless_powers_are_refused_before_any_work(monkeypatch):
     monkeypatch.setattr(sums, "telescope", forbidden)
     monkeypatch.setattr(sums, "logistic_integers", forbidden)
     for m, digits in [(10**6, 3), (MAX_POWER + 1, 1), (MAX_POWER + 1, MAX_DIGITS_POWER)]:
-        with pytest.raises(RefusalError, match=f"limited to {MAX_POWER}"):
+        with pytest.raises(RefusalError, match=f"m {m} exceeds the limit of {MAX_POWER}"):
             power_sum(m, digits)
 
 
@@ -452,6 +452,42 @@ def test_capped_bounds_keep_their_margin(name):
     assert _CAPPED[name][1]().error_estimate.value <= Decimal("1e-45")
 
 
+#: Every kind of sum: (summand, the sum at a digit count).
+_SUMS = {
+    **{f"s{m}": (_power_summand(m), lambda d, m=m: power_sum(m, d)) for m in (2, 3, 4, 8, 30)},
+    "family": (_family_summand(), sum_of_power_sums),
+    "s1": (_s1_summand(), regularized_s1),
+}
+
+
+def _derived_bound(summand, digits):
+    """The exact bound of ``_telescoped_sum``, derived again from its parts."""
+    precision = digits + 2 * GUARD_DIGITS
+    coefficient = _rounding_coefficient(summand, DEPTH)
+    bits = _bits(coefficient, precision)
+    direct, tail, x_last = _one_pass(summand, DEPTH, bits)
+    bound = tail_bound(summand.R, DEPTH + 1, summand.omitted_from) + coefficient / 2**bits
+    if summand.harmonic:
+        ctx = Context(prec=precision)
+        log = ctx.ln(Decimal(f"{x_last * 5**bits}E-{bits}"))
+        gamma = euler_gamma(precision).value
+        tail += Fraction(log) - Fraction(gamma)
+        for value, units in ((log, Fraction(1, 2)), (gamma, 1)):
+            bound += units * Fraction(10) ** (value.adjusted() + 1 - precision)
+    total = direct + tail
+    return bound + abs(Fraction(PrecReal(total, precision).value) - total)
+
+
+@pytest.mark.parametrize(
+    "name, digits",
+    [(name, d) for name in _SUMS for d in (1, 5, 8, 13) if name != "s1" or d <= MAX_DIGITS_S1],
+)
+def test_printed_error_estimate_is_at_least_the_derived_bound(name, digits):
+    # rounded half-even, the printed estimate can lie below its derived bound
+    summand, compute = _SUMS[name]
+    assert Fraction(compute(digits).error_estimate.value) >= _derived_bound(summand, digits)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=2, max_value=8), st.integers(min_value=1, max_value=15))
 def test_power_sum_property(m, digits):
@@ -478,6 +514,19 @@ def test_regularized_s1_eight_digits():
     result = regularized_s1(8)
     assert result.value.digit_string(8) == "-1.60196478"
     assert result.m == 1
+
+
+def test_s1_passes_finer_than_the_int_string_limit(monkeypatch):
+    # at B = 5000 bits the argument x 5**B / 10**B of ln has about 5000
+    # digits, past the 4300 that str(int) converts
+    import quadrec.sums as sums
+
+    expected = regularized_s1(3)
+    monkeypatch.setattr(sums, "_bits", lambda coefficient, precision: 5000)
+    finer = regularized_s1(3)
+    gap = abs(finer.value.value - expected.value.value)
+    assert gap <= finer.error_estimate.value + expected.error_estimate.value
+    assert finer.value.digit_string(3) == expected.value.digit_string(3)
 
 
 def test_regularized_s1_digit_cap():
