@@ -10,16 +10,20 @@ harness) and keeps what it reports: its closing JSON line under
 workload's run record from ``perfbench/out/`` without its raw spans
 (machine facts, per-repetition wall times, per-operation seconds and every
 end-to-end and per-layer metric).  Two files made by this script on the
-same machine are the before/after evidence for a speed claim.
+same machine are the before/after evidence for a speed claim.  The run
+writes its bytecode under a fresh temporary ``PYTHONPYCACHEPREFIX``, so it
+never reads a ``__pycache__`` left by an earlier version of the sources.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,7 +38,9 @@ def main() -> int:
         parser.error("LABEL may hold only letters, digits, '_', '.' and '-'")
 
     command = [sys.executable, str(BENCH / "run.py"), "--workload", "all", "--trace", "1"]
-    proc = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory(prefix="quadrec-pycache-") as cache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
+        proc = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
     sys.stdout.write(proc.stdout)
     sys.stderr.write(proc.stderr)
     if proc.returncode != 0:

@@ -109,7 +109,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_iterate(args):
     params = classify(parse_rational(args.p))
-    check_ranges(("digits", args.digits, 1, MAX_DIGITS))
+    check_ranges(("depth", args.steps, 0, None), ("digits", args.digits, 1, MAX_DIGITS))
     if args.exact:
         return [{"k": s.k, "a": _exact_text(s.a)} for s in iterate_exact(params, args.steps)]
     samples = iterate_real(params, args.steps, args.digits + GUARD_DIGITS)

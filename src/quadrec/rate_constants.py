@@ -3,62 +3,62 @@
 Away from p = 1/2 the residual b_k = r - a_k decays geometrically with
 ratio q = 2*r*p, by the map
 
-    b_0 = r,   b_{k+1} = f(b_k) = q b_k - p b_k**2    (q - p b_k = p (r + a_k)),
+    b_0 = r,   b_{k+1} = q b_k - p b_k**2    (q - p b_k = p (r + a_k)),
 
 and the normalised residuals b_k / q**k = r * prod_{j<k} (r + a_j)/(2r)
 are strictly decreasing partial products whose limit is C(p), so
 b_k ~ C(p) q**k.  They start at b_0 = r <= 1, so q**-k <= 1/b_k.
 
-For p > 1/2 the substitution b = r b' turns f into b' -> q b' - (1 - p) b'**2,
-since p r = 1 - p, and b_0 = r into b'_0 = 1: the orbit at p is r times the
-orbit at 1 - p, which has the same q.  So C(p) = r C(1 - p), and in exact
-arithmetic the two walks below stop at the same K.
+In y = p b/q = b/(2r) the map is f(y) = q (y - y**2) from y_0 = 1/2
+(``recurrence.orbit_decimals``), which depends on q alone.  So
+C(p) = 2r D(q), with D(q) the limit of y_k/q**k, and p and 1 - p, which
+share q, walk one orbit: C(p) = r C(1 - p) for p > 1/2.
 
 The constant is read off a Koenigs walk, not off the product.  The
-Koenigs function sigma(b) = b + s_2 b**2 + ... of f satisfies
-sigma(f(b)) = q sigma(b) (Milnor, *Dynamics in One Complex Variable*,
-§8), so C(p) = sigma(b_K)/q**K at every K.  ``series_engine.koenigs``
-solves its truncation sigma_M at M = ``ORDER`` exactly, with the exact
-residual rho = sigma_M(f(b)) - q sigma_M(b), which starts at b**(M+1).
-Then sigma_M(b_{k+1})/q**(k+1) - sigma_M(b_k)/q**k = rho(b_k)/q**(k+1),
-so C - sigma_M(b_K)/q**K is the sum of rho(b_k)/q**(k+1) over k >= K; with
-b_{k+1} <= q b_k and any bbar >= b_K,
+Koenigs function tau(y) = y + tau_2 y**2 + ... of f satisfies
+tau(f(y)) = q tau(y) (Milnor, *Dynamics in One Complex Variable*, §8), so
+D(q) = tau(y_K)/q**K at every K.  ``series_engine.koenigs`` solves its
+truncation tau_M at M = ``ORDER`` exactly, with the exact residual
+rho = tau_M(f(y)) - q tau_M(y), which starts at y**(M+1).  Then
+tau_M(y_{k+1})/q**(k+1) - tau_M(y_k)/q**k = rho(y_k)/q**(k+1), so
+D - tau_M(y_K)/q**K is the sum of rho(y_k)/q**(k+1) over k >= K; with
+y_{k+1} <= q y_k and any ybar >= y_K,
 
-    |C - sigma_M(b_K)/q**K| <= q**-(K+1) sum_n |rho_n| bbar**n / (1 - q**(n-1))
-                             = q**-K W(bbar),    W(b) = sum_n w_n b**n,
+    |D - tau_M(y_K)/q**K| <= q**-(K+1) sum_n |rho_n| ybar**n / (1 - q**(n-1))
+                             = q**-K W(ybar),    W(y) = sum_n w_n y**n,
 
-with w_n = |rho_n|/(q - q**n).  That is ``tail_bound``, rounded upward.
-Since q**-K <= 1/b_K it is at most about sum_n w_n b_K**(n-1), which
-shrinks with b_K.  So the walk reads the residual stream
-``recurrence.residual_decimals`` only until the first K at which
+with w_n = |rho_n|/(q - q**n).  So ``tail_bound`` is 2r q**-K W(ybar),
+rounded upward.  Since 2r y_K q**-K = b_K/q**K <= r <= 1 it is at most
+about sum_n w_n y_K**(n-1), which shrinks with y_K.  So the walk reads
+the stream only until the first K at which
 
-    sum_n w_n bbar**(n-1) <= 9 * 10**-(D+3)   and   sum_{n>=2} |s_n| bbar**(n-1) <= 1/4
+    sum_n w_n ybar**(n-1) <= 9 * 10**-(D+3)   and   sum_{n>=2} |tau_n| ybar**(n-1) <= 1/4
 
-hold at bbar = b_K (1 + e_K) (e_K below), both checked in upward-rounded
+hold at ybar = y_K (1 + e_K) (e_K below), both checked in upward-rounded
 Decimal arithmetic (``_upper``).  Each sum is at least its lowest term,
-so no b_K above the roots of those two terms passes, and the checks start
+so no y_K above the roots of those two terms passes, and the checks start
 below them (``_walk_plan``).  The first condition makes ``tail_bound`` at
-most 10**-(D+2): bbar/b_K <= (1 + 10**-3)**2 and (1 + 10**-3)**2 < 10/9.
-The second keeps sigma_M(b) = b tau(b) with |tau(b) - 1| <= 1/4 there, for
-the rounding below.  At p = 499/1000 and D = 15 the walk stops after
-3261 steps.
+most 10**-(D+2): ybar/y_K <= (1 + 10**-3)**2 and (1 + 10**-3)**2 < 10/9.
+The second keeps tau_M(y) = y (1 + eta) with |eta| <= 1/4 there, for the
+rounding below.  At p = 499/1000 and D = 15 the walk stops after 3261
+steps.
 
 The rounding, at P = D + 40 working digits and u = 10**(1 - P)/2:
 
-* b_K comes from the stream within the relative bound
-  e_K = (3.02 K + 2.01) 10**(1 - P), which also covers its division by
-  q**K (see ``residual_decimals``).
-* sigma_M's coefficients are rounded once each (``CPoly.decimals``), by u,
-  and Horner's rule (``numerics.horner``) evaluates tau at the computed
-  b_K with one rounding per fused multiply-add, M - 1 of them, and
-  multiplies by b_K with one more.  With eta = sum_{n>=2} |s_n| b**(n-1)
-  <= 0.26 at b_K and at the computed b_K, the computed tau is off from
-  tau(b_K) by at most (M - 1) u (1 + eta) + u eta for the arithmetic and
-  ((1 + e_K)**(M-1) - 1) eta for the error in b_K, to first order; divided
-  by tau(b_K) >= 0.74 that is below 1.72 (M - 1) u + 0.36 u
-  + 0.37 (M - 1) e_K.
+* y_K comes from the stream within the relative bound
+  e_K = (3.02 K + 2.01) 10**(1 - P), which also covers 2r, its product
+  and the division by q**K (see ``orbit_decimals``).
+* tau_M's coefficients are rounded once each (``CPoly.decimals``), by u,
+  and Horner's rule (``numerics.horner``) evaluates tau_M(y)/y at the
+  computed y_K with one rounding per fused multiply-add, M - 1 of them,
+  and multiplies by y_K with one more.  With eta = sum_{n>=2} |tau_n| y**(n-1)
+  <= 0.26 at y_K and at the computed y_K, the computed tau_M(y)/y is off
+  from its exact value by at most (M - 1) u (1 + eta) + u eta for the
+  arithmetic and ((1 + e_K)**(M-1) - 1) eta for the error in y_K, to first
+  order; divided by 1 - eta >= 0.74 that is below
+  1.72 (M - 1) u + 0.36 u + 0.37 (M - 1) e_K.
 * Together with e_K and the final multiply, C is within the relative
-  bound M (3.02 K + 3.01) 10**(1 - P) of sigma_M(b_K)/q**K for M >= 2:
+  bound M (3.02 K + 3.01) 10**(1 - P) of 2r tau_M(y_K)/q**K for M >= 2:
   below 10**-(D+30) for K < 5*10**7 at M = 6, where the walks within the
   caps take at most about 2*10**4 steps.
 
@@ -72,11 +72,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_DOWN, Context, Decimal
 from fractions import Fraction
-from itertools import islice
 
 from .errors import RefusalError, check_ranges
 from .numerics import GUARD_DIGITS, PrecReal, _divide, horner
-from .recurrence import MAX_DEPTH, Params, Regime, classify, residual_decimals
+from .recurrence import MAX_DEPTH, Regime, classify, iterate_real, orbit_decimals
 from .series_engine import koenigs
 
 # Not used here: the benchmark's tracer wraps this name in this module.
@@ -98,7 +97,7 @@ TABLE_PS = (
 #: 1/(1 - q) and the constant itself degenerates as q -> 1.
 Q_MAX = Fraction(999, 1000)
 
-#: The order M of the truncated Koenigs function sigma_M.  A higher order
+#: The order M of the truncated Koenigs function tau_M.  A higher order
 #: walks fewer steps (the depth falls roughly like 1/M), a lower one costs
 #: less per call to solve, weigh and evaluate.  At 15 digits p = 499/1000 walks 3261 steps at
 #: order 6 and 2447 at order 8, and the pair p = 0.4988, 0.5012 took 4.5 and
@@ -146,17 +145,19 @@ class DiagnosticRow:
     ratio: PrecReal
 
 
-def _root(x: Decimal, m: int) -> Decimal:
-    """x**(1/m) to about 12 digits and a hair high, for x > 0.
+def _root(x: Decimal, m: int, up: Context) -> Decimal:
+    """x**(1/m) to about 12 digits and a hair high, for x > 0 of at most
+    ``up.prec`` digits.
 
     The power of ten is split off first and only the mantissa, below
     10**m, goes through a float, so no float overflows or underflows
     whatever the exponent; its root in [1, 10) is raised by far more than
-    the float's rounding and cut to 12 digits, plus one unit.
+    the float's rounding and cut to 12 digits, plus one unit.  Both
+    scalings run on the upward ``up``.
     """
     shift, rest = divmod(x.adjusted(), m)
-    mantissa = float(x.scaleb(-x.adjusted())) * 10.0**rest
-    return Decimal(int(mantissa ** (1 / m) * (1 + 1e-9) * 1e11) + 1).scaleb(shift - 11)
+    mantissa = float(up.scaleb(x, -x.adjusted())) * 10.0**rest
+    return up.scaleb(int(mantissa ** (1 / m) * (1 + 1e-9) * 1e11) + 1, shift - 11)
 
 
 def _upper(coeffs: list[Decimal], m: int, b: Decimal, up: Context) -> Decimal:
@@ -171,13 +172,13 @@ def _upper(coeffs: list[Decimal], m: int, b: Decimal, up: Context) -> Decimal:
 
 def _target(digits: int) -> Decimal:
     """The bound 9 * 10**-(digits + 3) of the first stop condition."""
-    return Decimal(9).scaleb(-(digits + 3))
+    return Decimal((0, (9,), -(digits + 3)))
 
 
 def _walk_plan(
-    params: Params, digits: int
+    q: Fraction, digits: int
 ) -> tuple[list[Decimal], list[Decimal], list[Decimal], Decimal]:
-    """sigma_M's coefficients, the weights w_n, the |s_n| of the second
+    """tau_M's coefficients, the weights w_n, the |tau_n| of the second
     condition (n >= 2) and the bound T_0 below which the walk checks.
 
     The coefficients are rounded once each at P = digits + 2*GUARD_DIGITS
@@ -185,21 +186,21 @@ def _walk_plan(
     upward at ``_BOUND_DIGITS`` by integer division (``_divide``): near
     p = 10**-400 their integers have thousands of digits, which
     ``Context.divide`` would convert in quadratic time.  T_0 is the
-    smaller root of the two conditions' lowest terms, w_{M+1} b**M and
-    |s_2| b, rounded up.
+    smaller root of the two conditions' lowest terms, w_{M+1} y**M and
+    |tau_2| y, rounded up.
     """
-    sigma, rho = koenigs(params.q, params.p, ORDER)
-    s = sigma.decimals(Context(prec=digits + 2 * GUARD_DIGITS))
+    tau, rho = koenigs(q, ORDER)
+    s = tau.decimals(Context(prec=digits + 2 * GUARD_DIGITS))
     up = Context(prec=_BOUND_DIGITS, rounding=ROUND_CEILING)
     # q = a/d gives q - q**n = a (d**(n-1) - a**(n-1))/d**n
-    a, d = params.q.numerator, params.q.denominator
+    a, d = q.numerator, q.denominator
     w, a_power, d_power = [], a**ORDER, d**ORDER
     for n in range(ORDER + 1, 2 * ORDER + 1):
         gap = rho._denominator * a * (d_power - a_power)
         w.append(_divide(abs(rho._numerators[n]) * d_power * d, gap, up))
         a_power, d_power = a_power * a, d_power * d
-    eta = [abs(c) for c in s[2:]]
-    start = min(_root(up.divide(_target(digits), w[0]), ORDER), up.divide(_QUARTER, eta[0]))
+    eta = [c.copy_abs() for c in s[2:]]
+    start = min(_root(up.divide(_target(digits), w[0]), ORDER, up), up.divide(_QUARTER, eta[0]))
     return s, w, eta, start
 
 
@@ -208,12 +209,12 @@ def rate_constant(p, digits: int = 15) -> RateConstantResult:
 
     ``digits < 1`` is a domain error.  Refuses the critical point (no
     geometric rate exists there), ratios q > 999/1000 and more than
-    ``MAX_DIGITS`` digits, each before any work.  The residual stream runs
-    at P = digits + 2*GUARD_DIGITS working digits until b_K passes the
-    checks of the module docstring; ``C`` is sigma_M(b_K)/q**K within
+    ``MAX_DIGITS`` digits, each before any work.  The orbit stream runs
+    at P = digits + 2*GUARD_DIGITS working digits until y_K passes the
+    checks of the module docstring; ``C`` is 2r tau_M(y_K)/q**K within
     the relative rounding bound M (3.02 K + 3.01) 10**(1 - P) derived
     there, and ``tail_bound`` <= 10**-(digits + 2) covers the distance from
-    sigma_M(b_K)/q**K to C.  ``factors_used`` is the walk depth K.
+    2r tau_M(y_K)/q**K to C.  ``factors_used`` is the walk depth K.
     """
     params = classify(p)
     check_ranges(("digits", digits, 1, MAX_DIGITS))
@@ -228,28 +229,31 @@ def rate_constant(p, digits: int = 15) -> RateConstantResult:
             "the walk converges too slowly to certify digits"
         )
 
-    s, w, eta, start = _walk_plan(params, digits)
+    s, w, eta, start = _walk_plan(params.q, digits)
     precision = digits + 2 * GUARD_DIGITS
     ctx = Context(prec=precision)
     up = Context(prec=_BOUND_DIGITS, rounding=ROUND_CEILING)
     target = _target(digits)
-    for k_walk, b in enumerate(residual_decimals(params, precision)):
-        if b <= start:
-            # b_K <= b_bar by the stream's relative bound e_K
-            b_bar = up.multiply(b, up.add(1, Decimal(302 * k_walk + 201).scaleb(-1 - precision)))
-            weighted = _upper(w, ORDER, b_bar, up)
-            if weighted <= target and _upper(eta, 1, b_bar, up) <= _QUARTER:
+    for k_walk, y in enumerate(orbit_decimals(params.q, precision)):
+        if y <= start:
+            # y_K <= y_bar by the stream's relative bound e_K
+            y_bar = up.multiply(y, up.add(1, up.scaleb(302 * k_walk + 201, -1 - precision)))
+            weighted = _upper(w, ORDER, y_bar, up)
+            if weighted <= target and _upper(eta, 1, y_bar, up) <= _QUARTER:
                 break
     # q_power is within (K + 3) u of q**K, which the last factor
     # 1 + 10**(1 - _BOUND_DIGITS) covers
     q_power = ctx.power(PrecReal(params.q, precision).value, k_walk)
-    tail = up.divide(up.multiply(weighted, b_bar), q_power)
+    two_r = 2 * params.r
+    two_r_up = _divide(two_r.numerator, two_r.denominator, up)
+    tail = up.divide(up.multiply(two_r_up, up.multiply(weighted, y_bar)), q_power)
+    value = ctx.multiply(PrecReal(two_r, precision).value, horner(s, y, ctx))
     return RateConstantResult(
         p=params.p,
         q=params.q,
-        C=PrecReal(ctx.divide(horner(s, b, ctx), q_power), precision),
+        C=PrecReal(ctx.divide(value, q_power), precision),
         factors_used=k_walk,
-        tail_bound=PrecReal(up.multiply(tail, up.add(1, Decimal(1).scaleb(1 - up.prec))), up.prec),
+        tail_bound=PrecReal(up.multiply(tail, up.add(1, up.scaleb(1, 1 - up.prec))), up.prec),
         digits=digits,
     )
 
@@ -265,7 +269,7 @@ def convergence_diagnostic(p, kmax: int, precision: int) -> list[DiagnosticRow]:
     The normalised column is exactly the partial product
     r * prod_{j<k}(r + a_j)/(2r): strictly decreasing, bounded below by
     C(p), and equal to it in the limit.  b_k is read from
-    ``recurrence.residual_decimals``, so it carries the stream's relative
+    ``recurrence.iterate_real``, so it carries the stream's relative
     bound (3.02 k + 2.01) 10**(1 - P).  The ratio divides by q rounded
     once and multiplied k times, which adds at most (k + 1) 10**(1 - P)
     relative for those roundings and the division.
@@ -278,8 +282,8 @@ def convergence_diagnostic(p, kmax: int, precision: int) -> list[DiagnosticRow]:
     q_dec = PrecReal(params.q, precision).value
     q_pow = Decimal(1)
     rows = []
-    for k, b in enumerate(islice(residual_decimals(params, precision), kmax + 1)):
-        ratio = PrecReal(ctx.divide(b, q_pow), precision)
-        rows.append(DiagnosticRow(k=k, b=PrecReal(b, precision), ratio=ratio))
+    for sample in iterate_real(params, kmax, precision, sample_ks=range(kmax + 1)):
+        ratio = PrecReal(ctx.divide(sample.b.value, q_pow), precision)
+        rows.append(DiagnosticRow(k=sample.k, b=sample.b, ratio=ratio))
         q_pow = ctx.multiply(q_pow, q_dec)
     return rows

@@ -30,16 +30,19 @@ the gcd (powers of coprime integers stay coprime), while ``a * a`` runs gcds
 on operands of up to 2**EXACT_STEP_CAP bits.  Every other operation of the
 step has one small operand, so its gcds are cheap.
 
-Every precision-tracked orbit of a_k reads one Decimal stream,
-``residual_decimals``: the residual b_k = r - a_k in its own coordinate,
+Every precision-tracked orbit reads one Decimal stream, ``orbit_decimals``.
+In y = p b/q = b/(2r), with b_k = r - a_k the residual, every p starts at
+y_0 = 1/2 and follows
 
-    b_0 = r,   b_{k+1} = b_k * (q - p*b_k),
+    y_{k+1} = q y_k (1 - y_k),
 
-where q - p*b_k = p*(r + a_k) is positive, so nothing cancels and the
-relative rounding error has a derived bound (see there).  ``iterate_real``
-forms a_k = r - b_k with one rounding; ``rate_constants`` walks it until
-its Koenigs check passes, divides sigma_M(b_K) by q**K, and reads b_k for
-its diagnostic.
+the critical logistic map contracted by q, so the stream depends on q
+alone and p and 1 - p share it.  Its q = 1 case is the boundary logistic
+orbit alpha_k itself (``logistic_decimals``).  Since 1 - y_k is at least
+1/2, nothing cancels and the relative rounding error has a derived bound
+(see there).  ``iterate_real`` forms b_k = r (y_k + y_k) and a_k = r - b_k,
+and the rate constants' diagnostic reads b_k off it; ``rate_constants``
+walks y_k until its Koenigs check passes and reads C(p) = 2 r tau_M(y_K)/q**K.
 
 The alpha_N of the critical constant starts from ``logistic_point``: the
 logistic map on a binary fixed-point integer with floored squares,
@@ -47,8 +50,9 @@ rounded into a Decimal once at the end.  ``critical.estimate_constant``
 walks it at most 10**4 steps and answers a deeper request at that depth.
 The logistic tail sums and the divergence diagnostic read that floored
 orbit as a stream of integers (``logistic_integers``) and add their
-floored summands as integers, so no term is ever converted to a Decimal.  ``logistic_decimals`` (alpha_k as
-Decimals) serves no library path; it remains as a Decimal oracle.
+floored summands as integers, so no term is ever converted to a Decimal.
+``logistic_decimals`` serves no library path; it remains as the Decimal
+oracle of that orbit.
 """
 
 from __future__ import annotations
@@ -183,11 +187,13 @@ def iterate_real(
 
     By default every step up to 10_000 is kept; deeper runs keep powers of
     two plus the endpoint, so memory stays O(log n).  Pass ``sample_ks``
-    for explicit indices.  b_k comes from ``residual_decimals`` and a_k is
-    r - b_k, rounded once, with r itself rounded to P = ``precision``
-    digits.  Since a_k and b_k lie in [0, r] and r <= 1, a_k carries an
-    absolute error below (3.02 k + 3.01) 10**(1 - P): the stream's relative
-    bound on b_k plus half a unit each for r and the subtraction.
+    for explicit indices.  y_k comes from ``orbit_decimals``, b_k is
+    r (y_k + y_k) and a_k is r - b_k, each operation rounded once, with r
+    itself rounded to P = ``precision`` digits; at k = 0 that gives b_0 = r
+    and a_0 = 0 exactly.  Since a_k and b_k lie in [0, r] and r <= 1, a_k
+    carries an absolute error below (3.02 k + 3.01) 10**(1 - P): the
+    stream's relative bound on y_k, which covers the three roundings of
+    b_k, plus half a unit each for r and the subtraction.
     """
     check_ranges(("depth", n, 0, MAX_DEPTH))
     if sample_ks is None:
@@ -199,11 +205,13 @@ def iterate_real(
     wanted_set = frozenset(wanted)
     ctx = Context(prec=precision)
     r = PrecReal(params.r, precision).value
-    return [
-        OrbitSample(k, PrecReal(ctx.subtract(r, b), precision), PrecReal(b, precision))
-        for k, b in enumerate(islice(residual_decimals(params, precision), n + 1))
-        if k in wanted_set
-    ]
+    samples = []
+    for k, y in enumerate(islice(orbit_decimals(params.q, precision), n + 1)):
+        if k in wanted_set:
+            b = ctx.multiply(r, ctx.add(y, y))
+            a = PrecReal(ctx.subtract(r, b), precision)
+            samples.append(OrbitSample(k, a, PrecReal(b, precision)))
+    return samples
 
 
 def final_value(params: Params, n: int, precision: int) -> PrecReal:
@@ -211,50 +219,50 @@ def final_value(params: Params, n: int, precision: int) -> PrecReal:
     return iterate_real(params, n, precision, sample_ks=[n])[0].a
 
 
-def residual_decimals(params: Params, precision: int) -> Iterator[Decimal]:
-    """Endless stream b_0, b_1, ... of the residual b_k = r - a_k as raw ``Decimal``s.
+def orbit_decimals(q: Fraction, precision: int) -> Iterator[Decimal]:
+    """Endless stream y_0, y_1, ... of y_k = p b_k/q as raw ``Decimal``s.
 
-    The one Decimal orbit kernel: b_0 = r and b_{k+1} = b_k (q - p b_k),
+    The one Decimal orbit kernel: y_0 = 1/2 and y_{k+1} = y_k (q - q y_k),
     one fused multiply-add and one multiplication per step at P =
-    ``precision`` working digits.  The relative error of b_k is derived
-    (a running-error analysis: Higham, *Accuracy and Stability of
-    Numerical Algorithms*, ch. 3).  Every rounding at P digits is off by a
-    relative u = 10**(1 - P)/2 at most.
+    ``precision`` working digits.  It depends on the multiplier q alone,
+    and q = 1 is the boundary logistic orbit.  The relative error of y_k
+    is derived (a running-error analysis: Higham, *Accuracy and Stability
+    of Numerical Algorithms*, ch. 3).  Every rounding at P digits is off
+    by a relative u = 10**(1 - P)/2 at most.
 
-    * Inputs.  q, p and b_0 = r are rounded once each, to q(1 + t_q),
-      p(1 + t_p) and r(1 + e_0), with |t_q|, |t_p|, |e_0| <= u.
-    * One step.  Write the computed residual as b_k(1 + e_k), with b_k the
-      exact one in (0, r].  Then q - p b_k >= q - p r = p r > 0, so
-      A = q/(q - p b_k) lies in [1, 2] and B = p b_k/(q - p b_k) = A - 1
-      in [0, 1].  With d_1, d_2 the roundings of the fma and the multiply,
-      the step gives exactly
+    * Inputs.  q is rounded once, to q (1 + t) with |t| <= u, and -q is
+      its exact negation (``Context.minus``: a unary minus would round on
+      the thread's context).  y_0 = 1/2 is exact, so e_0 = 0.
+    * One step.  Write the computed value as y_k (1 + e_k), with y_k the
+      exact one in (0, 1/2], and let B = y_k/(1 - y_k), in (0, 1].  With
+      d_1, d_2 the roundings of the fma and the multiply, and q (1 + t) a
+      factor of both terms of the fma, the step gives exactly
 
-          1 + e_{k+1} = [1 + (1 - B) e_k - B e_k**2
-                         + (1 + e_k)(A t_q - B t_p (1 + e_k))] (1 + d_1)(1 + d_2).
+          1 + e_{k+1} = [1 + (1 - B) e_k - B e_k**2] (1 + t)(1 + d_1)(1 + d_2).
 
-      The step's relative condition 1 - B = (q - 2 p b_k)/(q - p b_k)
-      lies in [0, 1], and |(1 - B) e - B e**2| <= |e| for |e| <= 1: an
-      error already in b_k is never amplified.  The step adds u for each
-      rounding, 2u through q and u through p, so for u <= 10**-6 and
-      |e_k| <= 10**-3, |e_{k+1}| <= (1 + 8u)|e_k| + 5.01u.  By induction
-      |e_k| <= exp(8ku)(5.01k + 1)u, which stays below 10**-3 while
-      8ku <= 10**-3.
-    * The bound.  For u <= 10**-6 and 8ku <= 10**-3, b_k is within the
-      relative (3.02 k + 2.01) 10**(1 - P) = (6.04 k + 4.02)u.  That leaves
-      room for one division by q**k as ``rate_constant`` forms it:
-      ``ctx.power`` raises q(1 + t_q), off from q**k by about k u, and
-      squares at P + len(str(k)) + 2 digits with one final rounding
-      within 2u; the division rounds by u more.  With the second-order
-      terms, b_k/q**k stays inside the same bound.
+      |(1 - B) e - B e**2| <= |e| for |e| <= 1: an error already in y_k is
+      never amplified.  So for u <= 10**-6, |e_{k+1}| <= (1 + 3.01 u)|e_k|
+      + 3.01 u, and by induction |e_k| <= (1 + 3.01 u)**k - 1, below
+      3.02 k u while 3.01 k u <= 10**-3 (at every P >= 12 within
+      ``MAX_DEPTH``).
+    * The bound.  Callers take y_k within the relative
+      (3.02 k + 2.01) 10**(1 - P) = (6.04 k + 4.02) u.  That leaves
+      (3.02 k + 4.02) u for what they build on y_k: b_k = r (y_k + y_k)
+      rounds three times, and ``rate_constant``'s 2 r tau(y_K)/q**K rounds
+      2 r and its product once each, its division once, and its power
+      within about (k + 2) u: ``ctx.power`` raises q (1 + t), off from
+      q**k by about k u, and squares at P + len(str(k)) + 2 digits with one
+      final rounding.  With the second-order terms, each stays inside the
+      same bound for k >= 1.
     """
     ctx = Context(prec=precision)
     fma, multiply = ctx.fma, ctx.multiply
-    q = PrecReal(params.q, precision).value
-    minus_p = PrecReal(-params.p, precision).value
-    b = PrecReal(params.r, precision).value
+    q = PrecReal(q, precision).value
+    minus_q = ctx.minus(q)
+    y = Decimal("0.5")
     while True:
-        yield b
-        b = multiply(b, fma(minus_p, b, q))
+        yield y
+        y = multiply(y, fma(minus_q, y, q))
 
 
 def logistic_iterate(n: int) -> list[Fraction]:
@@ -268,19 +276,13 @@ def logistic_iterate(n: int) -> list[Fraction]:
 
 
 def logistic_decimals(precision: int) -> Iterator[Decimal]:
-    """Endless stream alpha_0, alpha_1, ... as raw ``Decimal`` values.
+    """Endless stream alpha_0, alpha_1, ... as raw ``Decimal`` values: the
+    q = 1 case of ``orbit_decimals``.
 
-    One subtraction and one multiplication per step at fixed working
-    precision.  No library path draws it: it is the Decimal oracle of the
-    floored ``logistic_integers``.
+    No library path draws it: it is the Decimal oracle of the floored
+    ``logistic_integers``.
     """
-    ctx = Context(prec=precision)
-    multiply, subtract = ctx.multiply, ctx.subtract
-    one = Decimal(1)
-    a = Decimal("0.5")
-    while True:
-        yield a
-        a = multiply(a, subtract(one, a))
+    return orbit_decimals(Fraction(1), precision)
 
 
 def logistic_point(n: int, precision: int) -> Decimal:

@@ -60,8 +60,9 @@ integer (induction on n).  G, g and R are ``CPoly`` in x, the type of the
 Q[C] coefficients, so both solvers share one exact arithmetic.
 The logistic tail sums (``sums``) and the Abel coordinate that pins C
 (``critical``) both rest on it.  ``koenigs`` runs the same half sums for
-the Koenigs function of b -> q b - p b**2 and its exact residual, from
-which ``rate_constants`` reads C(p) away from the critical point.
+the Koenigs function of y -> q (y - y**2), the same map contracted by q,
+and its exact residual, from which ``rate_constants`` reads C(p) away
+from the critical point.
 """
 
 from __future__ import annotations
@@ -476,26 +477,26 @@ def telescope(g: CPoly, order: int) -> tuple[CPoly, CPoly]:
     return CPoly._over(G, denominator), CPoly._over(residual, denominator)
 
 
-def koenigs(q: Fraction, p: Fraction, order: int) -> tuple[CPoly, CPoly]:
-    """(sigma, rho) with sigma(q b - p b**2) - q sigma(b) = rho(b), as polynomials in b.
+def koenigs(q: Fraction, order: int) -> tuple[CPoly, CPoly]:
+    """(tau, rho) with tau(q (y - y**2)) - q tau(y) = rho(y), as polynomials in y.
 
-    sigma = b + s_2 b**2 + ... + s_order b**order is the Koenigs function
-    of f(b) = q b - p b**2 (0 < q < 1, p > 0), truncated: the b**m
-    coefficients of sigma(f(b)) and q sigma(b) agree for m <= order, so
-    rho starts at b**(order + 1) and ends at b**(2 order).  In b the
-    weights are C(k, j) q**(k-j) (-p)**j; in y = p b/q the map is
-    y -> q (y - y**2), the map of ``telescope`` scaled by q, and
-    sigma(b) = (q/p) tau(y).  So with H_k = q**k tau_k,
+    tau = y + tau_2 y**2 + ... + tau_order y**order is the Koenigs function
+    of f(y) = q (y - y**2) (0 < q < 1), truncated: the y**m coefficients of
+    tau(f(y)) and q tau(y) agree for m <= order, so rho starts at
+    y**(order + 1) and ends at y**(2 order).  f is the map of ``telescope``
+    contracted by q, and for every p with this multiplier it is the orbit
+    map in y = p b/q (``recurrence.orbit_decimals``), so tau depends on q
+    alone.  With H_k = q**k tau_k,
 
         [y**m] tau(q (y - y**2)) = q**m tau_m - (half sum of H at m),
 
     and tau_m (q - q**m) = -(half sum of H at m) solves for tau_m from the
     tau_k with m/2 <= k < m, by ``telescope``'s diagonal.  With q = a/d in
-    lowest terms, tau_k = d**(k-1) T_k / den and H_k = a**k T_k, where den
-    is the product of d**(n-1) - a**(n-1) over 2 <= n <= order, so
-    a (d**(m-1) - a**(m-1)) T_m = -(half sum of H at m) in integers, each
-    division exact (induction on m, as for ``telescope``).  Past the order
-    the same half sums over d den are rho's coefficients in y.
+    lowest terms, tau_k = d**(k-1) T_k / den and H_k = a**k T_k / (d den),
+    where den is the product of d**(n-1) - a**(n-1) over 2 <= n <= order,
+    so a (d**(m-1) - a**(m-1)) T_m = -(half sum of a**k T_k at m) in
+    integers, each division exact (induction on m, as for ``telescope``).
+    Past the order the same half sums over d den are rho's coefficients.
     """
     a, d = q.numerator, q.denominator
     gaps = [0, 0] + [d**n - a**n for n in range(1, order)]  # d**(m-1) - a**(m-1) at m
@@ -504,26 +505,9 @@ def koenigs(q: Fraction, p: Fraction, order: int) -> tuple[CPoly, CPoly]:
     for m in range(2, order + 1):
         T.append(-_half_sum(H, m) // (a * gaps[m]))
         H.append(a**m * T[m])
-    rho = [-_half_sum(H, m) for m in range(order + 1, 2 * order + 1)]
-    # back to b: (q/p) P(p b/q) has b**k coefficient P_k (p/q)**(k-1).  With
-    # p/q = u/w and P of degree top, over the denominator w**(top - 1) that is
-    # P_k u**(k-1) w**(top - k); tau_k brings d**(k-1) more, and top is the
-    # order for sigma and twice the order for rho
-    u, w = p.numerator * d, p.denominator * a
-    common = math.gcd(u, w)
-    u, w = u // common, w // common
-    sigma, scale = [0], w ** (order - 1)
-    for k in range(1, order + 1):
-        sigma.append(T[k] * scale)
-        scale = scale * d * u // w
-    rho_b, scale = [0] * (order + 1), u**order * w ** (order - 1)
-    for r in rho:
-        rho_b.append(r * scale)
-        scale = scale * u // w
-    return (
-        CPoly._over(sigma, den * w ** (order - 1)),
-        CPoly._over(rho_b, d * den * w ** (2 * order - 1)),
-    )
+    tau = [0] + [T[k] * d ** (k - 1) for k in range(1, order + 1)]
+    rho = [0] * (order + 1) + [-_half_sum(H, m) for m in range(order + 1, 2 * order + 1)]
+    return CPoly._over(tau, den), CPoly._over(rho, d * den)
 
 
 def tail_bound(R: CPoly, start: int, omitted_from: int | None = None) -> Fraction:

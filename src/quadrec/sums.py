@@ -85,8 +85,9 @@ MAX_DIGITS_S1 = 8
 MAX_DIGITS_BOOTSTRAP = 6
 
 #: The largest m that ``power_sum`` runs.  Every larger m has
-#: 2**(m - 3) > 10**(2*GUARD_DIGITS - 2), and its relative check must refuse.
-MAX_POWER = 2 + (10 ** (2 * GUARD_DIGITS - 2)).bit_length()
+#: 2**m >= 2.01 * 10**(2*GUARD_DIGITS - 2), and its relative check must
+#: refuse at every digit count (see ``power_sum``).
+MAX_POWER = (201 * 10 ** (2 * GUARD_DIGITS - 4)).bit_length() - 1
 
 #: Decimal places of the divergence diagnostic's sums.
 DIVERGENCE_DECIMALS = 10
@@ -276,7 +277,7 @@ def _telescoped_sum(s: _Summand, digits: int) -> SumResult:
     value = PrecReal(total, precision)
     bound += abs(Fraction(value.value) - total)
     error = rounded_up(bound, precision)
-    if error.value > Decimal(1).scaleb(-(digits + 2)) * value.value.copy_abs():
+    if error.value > _EXACT.scaleb(value.value.copy_abs(), -(digits + 2)):
         raise RefusalError(
             f"the error bound {error.value:E} exceeds 10^-{digits + 2} of the sum; "
             "request fewer digits"
@@ -337,10 +338,14 @@ def power_sum(m: int, digits: int) -> SumResult:
     An m above ``MAX_POWER`` is refused before any work.  For m >= 3 the
     rounding coefficient K is at least ``step`` (DEPTH + 1) >= DEPTH + 1,
     so ``_bits`` gives 2**B <= 2 ceil(K) 10**P and the rounding term K/2**B
-    alone is about 10**-P/2 or more, at P = digits + 2*GUARD_DIGITS.  And
-    s_m <= 2**(1-m), since alpha_k <= 1/(k+2).  So once 2**(1-m)
-    10**-(digits+2) < 10**-P/4, that is 2**(m-3) > 10**(2*GUARD_DIGITS - 2),
-    the bound exceeds 10**-(digits+2) of the sum at every digit count.
+    alone is at least 10**-P/2.002, at P = digits + 2*GUARD_DIGITS.  And
+    s_m < 2**-m (1 + 2**(2-m)) for m >= 5, since alpha_0 = 1/2,
+    alpha_1 = 1/4 and alpha_k <= 1/(k+2).  The check refuses once the bound
+    exceeds 10**-(digits+2) of the computed sum, which lies within the bound
+    of s_m; so it refuses once 10**-P/2.002 (1 - 10**-3) >
+    10**-(digits+2) s_m, which holds at every digit count whenever
+    2**m >= 2.01 * 10**(2*GUARD_DIGITS - 2), that is for m >= 128.
+    m = 127 passes at 1 digit and is refused after the pass at 2 or more.
     """
     # the m = 1 sum only exists regularized
     check_ranges(("m", m, 2, MAX_POWER), ("digits", digits, 1, MAX_DIGITS_POWER))

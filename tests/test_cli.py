@@ -130,13 +130,13 @@ def test_rate_constants_refuse_more_than_fifty_digits(capsys, monkeypatch, argv)
     import quadrec.rate_constants as rate_constants
 
     walks = []
-    original = rate_constants.residual_decimals
+    original = rate_constants.orbit_decimals
 
-    def residual_decimals(*args):
+    def orbit_decimals(*args):
         walks.append(args)
         return original(*args)
 
-    monkeypatch.setattr(rate_constants, "residual_decimals", residual_decimals)
+    monkeypatch.setattr(rate_constants, "orbit_decimals", orbit_decimals)
     code, out, err = run(capsys, *argv, "--digits", "51")
     assert (code, out, walks) == (4, "", [])
     assert err.startswith("refused: ")
@@ -493,6 +493,7 @@ def test_each_bad_input_has_one_exit_code(limit, below, above):
         ["sums", "--m", "1", "--digits", "16"],
         ["rate-constant", "--p", "1/2", "--digits", "0"],
         ["residual-check", "--order", "21", "--N", "9"],
+        ["iterate", "--p", "2/5", "--steps", "-1", "--digits", "51"],
     ],
     ids=" ".join,
 )

@@ -5,10 +5,16 @@ strings pin the exact bytes (digits, field order, widths, trailing digits of
 the error evidence), so a refactor that changes any byte of output fails
 here and has to update the string deliberately.  The cases together run in
 well under two seconds.
+
+Each case, and two whose q and p are not short decimals, also runs inside
+a 3-digit thread context: every Decimal result is computed on a context
+that the library names, so stdout must not change and that context must
+round nothing.
 """
 
 from __future__ import annotations
 
+import decimal
 import hashlib
 
 import pytest
@@ -78,7 +84,7 @@ k  a
   "p": "2/5",
   "C": "0.23764665896972491411",
   "factors_used": 35,
-  "tail_bound": "2.09213524923E-23"
+  "tail_bound": "2.09213524922E-23"
 }
 """,
     ),
@@ -89,7 +95,7 @@ k  a
   "p": "499/1000",
   "C": "0.003944476201135",
   "factors_used": 3261,
-  "tail_bound": "3.54026225261E-20"
+  "tail_bound": "3.54026225269E-20"
 }
 """,
     ),
@@ -100,7 +106,7 @@ k  a
   "p": "501/1000",
   "C": "0.003928729789155",
   "factors_used": 3261,
-  "tail_bound": "3.52612946916E-20"
+  "tail_bound": "3.52612946926E-20"
 }
 """,
     ),
@@ -197,6 +203,22 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
 def test_stdout_is_frozen(capsys, command, expected):
     assert main(command.split()) == 0
     assert capsys.readouterr().out == expected
+
+
+#: Requests whose digits a result rounded on the thread's context would
+#: change: q = 2/3 here, where the goldens' q are short decimals.
+LONG_DECIMALS = ["table1 --digits 15", "iterate --p 1/3 --steps 8 --digits 30"]
+
+
+@pytest.mark.parametrize("command", [c for c, _ in GOLDEN] + LONG_DECIMALS)
+def test_stdout_ignores_the_thread_context(capsys, command):
+    assert main(command.split()) == 0
+    expected = capsys.readouterr().out
+    with decimal.localcontext(decimal.Context(prec=3)) as thread:
+        assert main(command.split()) == 0
+    assert capsys.readouterr().out == expected
+    # nothing was rounded there, not even below the printed digits
+    assert not thread.flags[decimal.Rounded]
 
 
 #: sha256 of the stdout of ``derive --order 20 --format json``: the whole

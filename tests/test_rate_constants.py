@@ -23,7 +23,7 @@ from quadrec.rate_constants import (
     rate_constant,
     rate_constant_table,
 )
-from quadrec.recurrence import classify, residual_decimals
+from quadrec.recurrence import classify, orbit_decimals
 from quadrec.series_engine import koenigs
 
 # Published 15-digit values (final digit truncated, not rounded).
@@ -140,13 +140,14 @@ def test_rate_constant_is_the_direct_partial_product(p, digits):
 
 
 def _walk_value(p: Fraction, walk: int, precision: int) -> Decimal:
-    """sigma_M(b_K)/q**K with every step of ``rate_constant``'s walk at ``precision``."""
+    """2r tau_M(y_K)/q**K with every step of ``rate_constant``'s walk at ``precision``."""
     ctx = Context(prec=precision)
     params = classify(p)
-    sigma, _rho = koenigs(params.q, params.p, ORDER)
-    b = next(islice(residual_decimals(params, precision), walk, None))
+    tau, _rho = koenigs(params.q, ORDER)
+    y = next(islice(orbit_decimals(params.q, precision), walk, None))
     q = PrecReal(params.q, precision).value
-    return ctx.divide(horner(sigma.decimals(ctx), b, ctx), ctx.power(q, walk))
+    value = ctx.multiply(PrecReal(2 * params.r, precision).value, horner(tau.decimals(ctx), y, ctx))
+    return ctx.divide(value, ctx.power(q, walk))
 
 
 @pytest.mark.parametrize("p, digits", PRODUCT_CASES)
@@ -168,28 +169,48 @@ def test_one_pass_stays_inside_its_derived_rounding_bound(p, digits):
     + [(p, d) for p in (Q_MAX / 2, 1 - Q_MAX / 2) for d in (1, 15)],
 )
 def test_factor_count_is_the_least_that_meets_the_target(p, digits):
-    # the walk stops at the first K whose b_K lies at or below T_0 and whose
-    # bbar_K = b_K (1 + e_K), rounded up, passes both upward checks; the
+    # the walk stops at the first K whose y_K lies at or below T_0 and whose
+    # ybar_K = y_K (1 + e_K), rounded up, passes both upward checks; the
     # checks keep the tail bound at or below 10**-(D+2)
     result = rate_constant(p, digits)
     params = classify(p)
-    _s, w, eta, start = _walk_plan(params, digits)
+    _s, w, eta, start = _walk_plan(params.q, digits)
     precision = digits + 40
     up = Context(prec=12, rounding=ROUND_CEILING)
 
-    def passes(k, b):
-        b_bar = up.multiply(b, up.add(1, Decimal(302 * k + 201).scaleb(-1 - precision)))
+    def passes(k, y):
+        y_bar = up.multiply(y, up.add(1, Decimal(302 * k + 201).scaleb(-1 - precision)))
         return (
-            b <= start
-            and _upper(w, ORDER, b_bar, up) <= Decimal(9).scaleb(-(digits + 3))
-            and _upper(eta, 1, b_bar, up) <= Decimal("0.25")
+            y <= start
+            and _upper(w, ORDER, y_bar, up) <= Decimal(9).scaleb(-(digits + 3))
+            and _upper(eta, 1, y_bar, up) <= Decimal("0.25")
         )
 
     k = result.factors_used
-    orbit = list(islice(residual_decimals(params, precision), k + 1))
+    orbit = list(islice(orbit_decimals(params.q, precision), k + 1))
     assert passes(k, orbit[k])
     assert not any(passes(j, b) for j, b in enumerate(orbit[:k]))
     assert result.tail_bound.value <= Decimal(10) ** -(digits + 2)
+
+
+@pytest.mark.parametrize(
+    "p, digits",
+    [(p, d) for p in TABLE_PS for d in (1, 15, 50)]
+    + [(p, 15) for p in (Q_MAX / 2, 1 - Q_MAX / 2, Fraction(1, 10**400), 1 - Fraction(1, 10**400))],
+)
+def test_tail_bound_is_an_upward_rounding_of_the_derived_bound(p, digits):
+    # in exact rationals, tail_bound >= 2r q**-K W(ybar), with
+    # W(y) = sum_n |rho_n| y**n/(q - q**n) and ybar the rounded-up
+    # y_K (1 + e_K) of the stop check, and tail_bound <= 10**-(D+2)
+    result = rate_constant(p, digits)
+    params, walk, precision = classify(p), result.factors_used, digits + 40
+    y = next(islice(orbit_decimals(params.q, precision), walk, None))
+    up = Context(prec=12, rounding=ROUND_CEILING)
+    y_bar = Fraction(up.multiply(y, up.add(1, Decimal(302 * walk + 201).scaleb(-1 - precision))))
+    q, (_tau, rho) = params.q, koenigs(params.q, ORDER)
+    weight = sum(abs(c) * y_bar**n / (q - q**n) for n, c in enumerate(rho.coeffs) if c)
+    derived = 2 * params.r * weight / q**walk
+    assert derived <= Fraction(result.tail_bound.value) <= Fraction(1, 10 ** (digits + 2))
 
 
 @pytest.mark.parametrize(
@@ -305,8 +326,8 @@ CONJUGATE_PS = [Fraction(*pq) for pq in [(4, 5), (3, 4), (2, 3), (3, 5), (501, 1
 @pytest.mark.parametrize("digits", [15, 50])
 @pytest.mark.parametrize("p", CONJUGATE_PS, ids=str)
 def test_rate_constant_is_r_times_the_conjugate_constant(p, digits):
-    # b = r b' turns the walk at p into the walk at 1 - p (module docstring):
-    # the same K, and C(p) = r C(1 - p).  Each computed C is within the
+    # p and 1 - p walk the one orbit in y = p b/q (module docstring): the
+    # same K, and C(p) = r C(1 - p).  Each computed C is within the
     # relative bound d = M (3.02 K + 3.01) 10**(1 - P) of its exact walk
     # value X, so |X| <= |C|/(1 - d)
     high, low = rate_constant(p, digits), rate_constant(1 - p, digits)

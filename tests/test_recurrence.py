@@ -26,7 +26,7 @@ from quadrec.recurrence import (
     logistic_integers,
     logistic_iterate,
     logistic_point,
-    residual_decimals,
+    orbit_decimals,
 )
 
 # ---------------------------------------------------------------------------
@@ -211,15 +211,16 @@ def test_real_orbit_explicit_sample_ks():
 
 
 def test_residual_stream_rounds_the_exact_orbit():
-    # b_k within the derived relative bound (3.02 k + 2.01) 10**(1-P) of the
-    # exact residual r - a_k, in every regime
+    # y_k within the derived relative bound (3.02 k + 2.01) 10**(1-P) of the
+    # exact y_k = (r - a_k)/(2r), in every regime
     for p in (Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(3, 5)):
         params = classify(p)
         for precision in (20, 40):
-            stream = residual_decimals(params, precision)
-            for sample, b in zip(iterate_exact(params, 12), stream):
+            stream = orbit_decimals(params.q, precision)
+            for sample, y in zip(iterate_exact(params, 12), stream):
+                exact = sample.b / (2 * params.r)
                 bound = Fraction(302 * sample.k + 201, 100) / 10 ** (precision - 1)
-                assert abs(Fraction(b) - sample.b) <= bound * sample.b, (p, precision, sample.k)
+                assert abs(Fraction(y) - exact) <= bound * exact, (p, precision, sample.k)
 
 
 def test_final_value_agrees_with_orbit_endpoint():
