@@ -52,10 +52,9 @@ orbit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, check_ranges
 from .numerics import CPoly, PrecReal, horner, rounded_up
@@ -79,8 +78,7 @@ WALK_DEPTH = 10**4
 MAX_PRECISION = 200
 
 
-@dataclass(frozen=True)
-class CriticalEstimate:
+class CriticalEstimate(NamedTuple):
     """The constant C~ with the run parameters and error evidence.
 
     ``depth``, ``order`` and ``precision`` are the request's, also when a

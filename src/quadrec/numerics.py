@@ -146,23 +146,20 @@ class PrecReal:
     digit renderer.
 
     The constructor rounds once, by ``Context(prec=precision)``: a
-    ``Fraction`` through ``_divide``, an int, string or ``Decimal`` through
-    ``Context.plus``.  There is no arithmetic here: a caller computes on
-    ``value`` with the methods of a ``Context`` it names, and wraps the
-    result.  Nor is there comparison: ``==`` and ``!=`` raise ``TypeError``
-    as ``<`` does, so a caller compares ``value``s, and instances are
-    unhashable.  Instances are immutable by convention.
+    ``Fraction`` through ``_divide``, an int, string, ``Decimal`` or the
+    ``value`` of a ``PrecReal`` through ``Context.plus``.  There is no
+    arithmetic here: a caller computes on ``value`` with the methods of a
+    ``Context`` it names, and wraps the result.  Nor is there comparison:
+    ``==`` and ``!=`` raise ``TypeError`` as ``<`` does, so a caller
+    compares ``value``s, and instances are unhashable.  Instances are
+    immutable by convention.
     """
 
     __slots__ = ("value", "precision")
 
-    def __init__(self, value, precision: int | None = None):
+    def __init__(self, value, precision: int):
         if isinstance(value, PrecReal):
-            if precision is None:
-                precision = value.precision
             value = value.value
-        if precision is None:
-            raise DomainError("precision is required")
         if not isinstance(precision, int) or precision < 1:
             raise DomainError(f"precision must be a positive integer, got {precision!r}")
         ctx = Context(prec=precision)

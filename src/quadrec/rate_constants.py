@@ -69,9 +69,9 @@ conventionally reported *truncated* (round toward zero), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from decimal import ROUND_CEILING, ROUND_DOWN, Context, Decimal
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import RefusalError, check_ranges
 from .numerics import GUARD_DIGITS, PrecReal, _divide, horner
@@ -120,8 +120,7 @@ _QUARTER = Decimal("0.25")
 MAX_DIGITS = 50
 
 
-@dataclass(frozen=True)
-class RateConstantResult:
+class RateConstantResult(NamedTuple):
     """C(p) together with the evidence that its digits are trustworthy."""
 
     p: Fraction
@@ -136,8 +135,7 @@ class RateConstantResult:
         return self.C.digit_string(self.digits if digits is None else digits, ROUND_DOWN)
 
 
-@dataclass(frozen=True)
-class DiagnosticRow:
+class DiagnosticRow(NamedTuple):
     """One convergence sample: k, residual b_k, and normalised b_k/q^k."""
 
     k: int

@@ -58,11 +58,10 @@ oracle of that orbit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 from .errors import DomainError, ExactCapError, check_ranges
 from .numerics import PrecReal, _divide
@@ -90,8 +89,7 @@ class Regime(enum.Enum):
     SUPERCRITICAL = "supercritical"
 
 
-@dataclass(frozen=True)
-class Params:
+class Params(NamedTuple):
     """A validated parameter point: p, its regime, fixed point and multiplier."""
 
     p: Fraction
@@ -100,8 +98,7 @@ class Params:
     q: Fraction
 
 
-@dataclass(frozen=True)
-class OrbitSample:
+class OrbitSample(NamedTuple):
     """One orbit point: step index k, value a_k, and residual b_k = r - a_k."""
 
     k: int

@@ -68,11 +68,10 @@ from the critical point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import DomainError, EngineError, check_ranges
 from .numerics import CPoly
@@ -93,8 +92,7 @@ def _accumulate(out: dict, key: Key, value) -> None:
         out.pop(key, None)
 
 
-@dataclass(frozen=True, eq=True)
-class AsymSeries:
+class AsymSeries(NamedTuple):
     """A truncated series sum c[i][j] * ln(k)**j / k**i, i <= order.
 
     ``terms`` maps (i, j) to a nonzero ``CPoly`` coefficient; absent keys
@@ -103,7 +101,7 @@ class AsymSeries:
     """
 
     order: int
-    terms: dict[Key, CPoly] = field(default_factory=dict)
+    terms: dict[Key, CPoly]
 
     def __add__(self, other: "AsymSeries") -> "AsymSeries":
         order = min(self.order, other.order)
@@ -189,8 +187,7 @@ def apply_map(series: AsymSeries) -> AsymSeries:
     return (series * series + one) * Fraction(1, 2)
 
 
-@dataclass(frozen=True, eq=True)
-class CoefficientTable:
+class CoefficientTable(NamedTuple):
     """All coefficients c[i][j] (0 <= j < i <= max_order) as C-polynomials."""
 
     max_order: int

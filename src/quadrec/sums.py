@@ -58,11 +58,10 @@ reported ``error_estimate`` is the tail bound plus the rounding bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import islice
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 from .critical import estimate_constant
 from .errors import RefusalError, check_ranges
@@ -93,8 +92,7 @@ MAX_POWER = (201 * 10 ** (2 * GUARD_DIGITS - 4)).bit_length() - 1
 DIVERGENCE_DECIMALS = 10
 
 
-@dataclass(frozen=True)
-class SumResult:
+class SumResult(NamedTuple):
     """A computed sum with its direct/tail split and error evidence."""
 
     m: int
@@ -104,8 +102,7 @@ class SumResult:
     error_estimate: PrecReal
 
 
-@dataclass(frozen=True)
-class S2Witness:
+class S2Witness(NamedTuple):
     """Exact verification data for sum_{k<=n} alpha_k^2 = 1/2 - alpha_{n+1}."""
 
     n: int
@@ -114,8 +111,7 @@ class S2Witness:
     holds: bool
 
 
-@dataclass(frozen=True)
-class BootstrapReport:
+class BootstrapReport(NamedTuple):
     """Both sides of c = 2 + gamma + s_1 + sum_{m>=2} s_m, and their gap."""
 
     digits: int
@@ -256,12 +252,23 @@ def _telescoped_sum(s: _Summand, digits: int) -> SumResult:
     rounded correctly to P digits and gamma to within one unit.  The total
     is rounded once, and its conversion error is measured exactly.  The
     bound is rounded up, and one above 10**-(digits+2) of the sum is refused.
+
+    For s_m with m >= 5 the part of the bound known before the pass, the
+    tail bound plus K/2**B, is tested first.  The pass returns a total
+    within that part of s_m < 2**-m (1 + 2**(2-m)) (see ``power_sum``), and
+    rounding the total adds to the bound the most it can add to the sum.
+    So once that part exceeds 10**-(digits+2) of s_m's bound plus itself,
+    the check after the pass must refuse, and the pass is skipped.
     """
     precision = digits + 2 * GUARD_DIGITS
     coefficient = _rounding_coefficient(s, DEPTH)
     bits = _bits(coefficient, precision)
-    direct, tail, x_last = _one_pass(s, DEPTH, bits)
     bound = tail_bound(s.R, DEPTH + 1, s.omitted_from) + coefficient / (1 << bits)
+    if s.m >= 5:
+        largest = Fraction(2 ** (s.m - 2) + 1, 4 ** (s.m - 1)) + bound
+        if bound * 10 ** (digits + 2) > largest:
+            _refuse(rounded_up(bound, precision), digits)
+    direct, tail, x_last = _one_pass(s, DEPTH, bits)
     correction = PrecReal(tail, precision).value
     if s.harmonic:
         ctx = Context(prec=precision)
@@ -278,16 +285,21 @@ def _telescoped_sum(s: _Summand, digits: int) -> SumResult:
     bound += abs(Fraction(value.value) - total)
     error = rounded_up(bound, precision)
     if error.value > _EXACT.scaleb(value.value.copy_abs(), -(digits + 2)):
-        raise RefusalError(
-            f"the error bound {error.value:E} exceeds 10^-{digits + 2} of the sum; "
-            "request fewer digits"
-        )
+        _refuse(error, digits)
     return SumResult(
         m=s.m,
         value=value,
         terms_summed=DEPTH + 1,
         tail_correction=PrecReal(correction, precision),
         error_estimate=error,
+    )
+
+
+def _refuse(error: PrecReal, digits: int) -> NoReturn:
+    """Refuse a sum whose bound ``error`` exceeds 10**-(digits+2) of it."""
+    raise RefusalError(
+        f"the error bound {error.value:E} exceeds 10^-{digits + 2} of the sum; "
+        "request fewer digits"
     )
 
 
@@ -345,7 +357,8 @@ def power_sum(m: int, digits: int) -> SumResult:
     of s_m; so it refuses once 10**-P/2.002 (1 - 10**-3) >
     10**-(digits+2) s_m, which holds at every digit count whenever
     2**m >= 2.01 * 10**(2*GUARD_DIGITS - 2), that is for m >= 128.
-    m = 127 passes at 1 digit and is refused after the pass at 2 or more.
+    m = 127 is served at 1, 4, 7, 10 and 13 digits; at every other digit
+    count ``_telescoped_sum`` refuses it before the pass.
     """
     # the m = 1 sum only exists regularized
     check_ranges(("m", m, 2, MAX_POWER), ("digits", digits, 1, MAX_DIGITS_POWER))

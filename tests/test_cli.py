@@ -217,6 +217,14 @@ def test_derive_json_rows_are_exact_coefficient_lists(capsys):
     assert by_key[(3, 0)] == ["-1", "1", "-1/2"]  # ascending powers of C
 
 
+def test_derive_csv_joins_each_coefficient_list(capsys):
+    code, out, _err = run(capsys, "derive", "--order", "3", "--format", "csv")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["i", "j", "coeffs"]
+    assert ["3", "0", "-1;1;-1/2"] in rows  # ascending powers of C
+
+
 def test_derive_rejects_low_order(capsys):
     code, _out, _err = run(capsys, "derive", "--order", "2")
     assert code == 2
@@ -350,6 +358,27 @@ def test_sums_defaults_to_the_exact_half_case(capsys):
     obj = run_json(capsys, "sums", "--digits", "12")
     assert obj["m"] == 2
     assert obj["value"] == "0.500000000000"
+
+
+@pytest.mark.parametrize("digits", [2, MAX_DIGITS_POWER])
+def test_the_largest_power_is_refused_before_its_pass(capsys, monkeypatch, digits):
+    # where the check after the pass must refuse, the orbit is never drawn
+    import quadrec.sums as sums
+
+    def forbidden(*args):
+        raise AssertionError("a refused sum walks no orbit")
+
+    monkeypatch.setattr(sums, "logistic_integers", forbidden)
+    code, out, err = run(capsys, "sums", "--m", str(MAX_POWER), "--digits", str(digits))
+    assert (code, out) == (4, "")
+    assert f"exceeds 10^-{digits + 2} of the sum" in err
+
+
+@pytest.mark.parametrize("digits", [1, 4])
+def test_the_largest_power_is_served_where_its_check_passes(capsys, digits):
+    obj = run_json(capsys, "sums", "--m", str(MAX_POWER), "--digits", str(digits))
+    assert obj["m"] == MAX_POWER
+    assert obj["value"] == "0." + "0" * digits
 
 
 def test_s1_command(capsys):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import operator
 import random
-from decimal import ROUND_CEILING, ROUND_DOWN, ROUND_HALF_UP, Context, Decimal
+from decimal import ROUND_CEILING, ROUND_DOWN, ROUND_HALF_EVEN, ROUND_HALF_UP, Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -60,6 +60,9 @@ def test_precreal_carries_explicit_precision():
     x = PrecReal(Fraction(1, 3), 30)
     assert x.precision == 30
     assert str(x.value).startswith("0.33333333333333333333333333333")
+    assert str(PrecReal(x, 5)) == "0.33333"
+    with pytest.raises(TypeError):
+        PrecReal(x)  # the precision is always given
 
 
 @pytest.mark.parametrize("compare", [operator.eq, operator.ne, operator.lt])
@@ -149,6 +152,25 @@ def test_divide_rounds_toward_plus_infinity_as_context_divide(pair, sign, precis
     ctx = Context(prec=precision, rounding=ROUND_CEILING)
     expected = ctx.divide(Decimal(n), Decimal(d))
     assert _divide(n, d, ctx).as_tuple() == expected.as_tuple()
+
+
+@pytest.mark.parametrize("rounding", [ROUND_HALF_EVEN, ROUND_CEILING])
+@pytest.mark.parametrize(
+    "n, d",
+    [
+        (10**400 - 1, 10**400),
+        (1 - 10**400, 10**400),
+        (10**401 - 1, 10**400),
+        (1 - 10**401, 10**400),
+    ],
+    ids=["0.99..9", "-0.99..9", "9.99..9", "-9.99..9"],
+)
+def test_divide_carries_into_the_next_power_of_ten(n, d, rounding):
+    # 400 nines round up to 10**P at every P below 400: the carry of the
+    # integer route moves the exponent, as Context.divide does
+    for precision in range(1, 61):
+        ctx = Context(prec=precision, rounding=rounding)
+        assert str(_divide(n, d, ctx)) == str(ctx.divide(Decimal(n), Decimal(d)))
 
 
 def test_divide_refuses_a_rounding_it_does_not_implement():

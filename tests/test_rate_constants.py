@@ -231,6 +231,8 @@ def test_factor_count_survives_a_ratio_that_underflows_a_float(p):
 def test_rate_constant_refuses_critical_point():
     with pytest.raises(RefusalError):
         rate_constant(Fraction(1, 2))
+    with pytest.raises(RefusalError, match="no geometric rate"):
+        convergence_diagnostic(Fraction(1, 2), 10, 30)
 
 
 @pytest.mark.parametrize("p", [Fraction(4999, 10000), Fraction(5001, 10000)])

@@ -55,6 +55,12 @@ def test_classify_rejects_out_of_range(p):
         classify(p)
 
 
+@pytest.mark.parametrize("p", ["two fifths", "1/0", None, float("nan")])
+def test_classify_rejects_non_rationals(p):
+    with pytest.raises(DomainError, match="p must be rational"):
+        classify(p)
+
+
 def test_classify_accepts_strings_and_floats_of_exact_halves():
     assert classify("2/5").p == Fraction(2, 5)
     assert classify("0.5").regime is Regime.CRITICAL
@@ -208,6 +214,9 @@ def test_real_orbit_explicit_sample_ks():
     assert [s.k for s in orbit] == [0, 8, 64]
     exact = iterate_exact(params, 8)[8].a
     assert abs(orbit[1].a.value - PrecReal(exact, 25).value) < Decimal("1e-20")
+    for outside in ([-1, 8], [8, 65]):
+        with pytest.raises(DomainError, match="sample indices"):
+            iterate_real(params, 64, 25, sample_ks=outside)
 
 
 def test_residual_stream_rounds_the_exact_orbit():

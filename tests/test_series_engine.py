@@ -386,6 +386,12 @@ def test_series_addition_and_scalar_ops():
     assert doubled.terms[(2, 1)] == 2 * CPoly.variable()
 
 
+def test_defect_refuses_an_order_past_its_table(table6):
+    assert fixed_point_defect(table6, 5).terms == {}
+    with pytest.raises(DomainError, match="only reaches order 6"):
+        fixed_point_defect(table6, 7)
+
+
 def _compose(outer: CPoly, inner: CPoly) -> CPoly:
     """outer(inner(y)) by Horner's rule on CPoly."""
     out = CPoly()

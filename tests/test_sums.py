@@ -78,6 +78,21 @@ def test_s2_partial_sum_is_reduced_over_the_dyadic_denominator(n):
         assert witness.partial == sum((a * a for a in logistic_iterate(n)), Fraction(0))
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_s2_identity_fails_on_a_perturbed_orbit(monkeypatch, k):
+    # a wrong dyadic point misses the reduced pair, and the fallback
+    # compares the two rationals
+    import quadrec.sums as sums
+
+    orbit = logistic_iterate(4)
+    orbit[k] += Fraction(1, orbit[k].denominator)
+    monkeypatch.setattr(sums, "logistic_iterate", lambda n: orbit)
+    witness = s2_identity_check(4)
+    assert not witness.holds
+    assert witness.partial == sum((a * a for a in orbit), Fraction(0))
+    assert witness.complement == (1 + (1 - 2 * orbit[4]) ** 2) / 4
+
+
 def test_s2_identity_witness_values():
     witness = s2_identity_check(2)
     assert witness.partial == Fraction(89, 256)
@@ -147,8 +162,13 @@ def test_hopeless_powers_are_refused_before_any_work(monkeypatch):
 @pytest.mark.parametrize("digits", [1, MAX_DIGITS_POWER])
 def test_the_first_refused_power_fails_its_relative_check(digits):
     # the early refusal anticipates the check of the pass, and no more
+    summand = _power_summand(MAX_POWER + 1)
     with pytest.raises(RefusalError, match="error bound"):
-        _telescoped_sum(_power_summand(MAX_POWER + 1), digits)
+        _telescoped_sum(summand, digits)
+    # labelled m = 4, the summand skips the test before the pass, and the
+    # check after the pass refuses it
+    with pytest.raises(RefusalError, match="error bound"):
+        _telescoped_sum(summand._replace(m=4), digits)
 
 
 # the true sum is S_n + G(alpha_{n+1}) - sum_{k>n} R(alpha_k) at every n, so
