@@ -10,9 +10,13 @@ harness) and keeps what it reports: its closing JSON line under
 workload's run record from ``perfbench/out/`` without its raw spans
 (machine facts, per-repetition wall times, per-operation seconds and every
 end-to-end and per-layer metric).  Two files made by this script on the
-same machine are the before/after evidence for a speed claim.  The run
-writes its bytecode under a fresh temporary ``PYTHONPYCACHEPREFIX``, so it
-never reads a ``__pycache__`` left by an earlier version of the sources.
+same machine are the before/after evidence for a speed claim.  The
+checkout's own ``__pycache__`` directories under ``src/`` and
+``perfbench/`` are deleted first and the run sets
+``PYTHONDONTWRITEBYTECODE=1``, so it never reads bytecode left by an
+earlier version of the sources, while the standard library keeps its
+bytecode (a fresh ``PYTHONPYCACHEPREFIX`` would make every child compile
+that too, and so inflate setup_s several times).
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ import argparse
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -38,9 +42,12 @@ def main() -> int:
         parser.error("LABEL may hold only letters, digits, '_', '.' and '-'")
 
     command = [sys.executable, str(BENCH / "run.py"), "--workload", "all", "--trace", "1"]
-    with tempfile.TemporaryDirectory(prefix="quadrec-pycache-") as cache:
-        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache)
-        proc = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+    for tree in ("src", "perfbench"):
+        for cache in list((ROOT / tree).rglob("__pycache__")):
+            shutil.rmtree(cache)
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONPYCACHEPREFIX"}
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    proc = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
     sys.stdout.write(proc.stdout)
     sys.stderr.write(proc.stderr)
     if proc.returncode != 0:

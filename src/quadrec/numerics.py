@@ -387,8 +387,17 @@ class CPoly:
         return Fraction(total * q, self._denominator * power)
 
     def coeff_strings(self) -> list[str]:
-        """Ascending coefficient strings, e.g. ``["-5", "3"]`` for 3*C - 5."""
-        return [str(c) for c in self.coeffs]
+        """Ascending coefficient strings, e.g. ``["-5", "3"]`` for 3*C - 5.
+
+        Each is ``str`` of the reduced ``Fraction``, formed from the stored
+        pair with one gcd.
+        """
+        strings = []
+        for n in self._numerators:
+            common = math.gcd(n, self._denominator)
+            d = self._denominator // common
+            strings.append(f"{n // common}/{d}" if d != 1 else str(n // common))
+        return strings
 
     def format_str(self) -> str:
         """Human-readable form in descending powers, e.g. ``"3*C - 5"``."""

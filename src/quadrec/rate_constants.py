@@ -75,7 +75,7 @@ from typing import NamedTuple
 
 from .errors import RefusalError, check_ranges
 from .numerics import GUARD_DIGITS, PrecReal, _divide, horner
-from .recurrence import MAX_DEPTH, Regime, classify, iterate_real, orbit_decimals
+from .recurrence import MAX_DEPTH, Params, Regime, classify, iterate_real, orbit_decimals
 from .series_engine import koenigs
 
 # Not used here: the benchmark's tracer wraps this name in this module.
@@ -202,18 +202,41 @@ def _walk_plan(
     return s, w, eta, start
 
 
-def rate_constant(p, digits: int = 15) -> RateConstantResult:
-    """C(p) certified to ``digits`` decimal places, by one Koenigs walk.
+class _Walk(NamedTuple):
+    """Where the walk of one q stops, for every p with that q."""
 
-    ``digits < 1`` is a domain error.  Refuses the critical point (no
-    geometric rate exists there), ratios q > 999/1000 and more than
-    ``MAX_DIGITS`` digits, each before any work.  The orbit stream runs
-    at P = digits + 2*GUARD_DIGITS working digits until y_K passes the
-    checks of the module docstring; ``C`` is 2r tau_M(y_K)/q**K within
-    the relative rounding bound M (3.02 K + 3.01) 10**(1 - P) derived
-    there, and ``tail_bound`` <= 10**-(digits + 2) covers the distance from
-    2r tau_M(y_K)/q**K to C.  ``factors_used`` is the walk depth K.
-    """
+    y: Decimal  # y_K from the stream
+    depth: int  # K
+    y_bar: Decimal  # y_K (1 + e_K), rounded upward
+    weighted: Decimal  # sum_n w_n y_bar**(n-1), rounded upward
+    q_power: Decimal  # q**K at the working precision
+    tau: Decimal  # tau_M(y_K) by Horner's rule
+
+
+def _walk(q: Fraction, digits: int) -> _Walk:
+    """Walk the orbit of q at P = digits + 2*GUARD_DIGITS working digits
+    until y_K passes the checks of the module docstring."""
+    s, w, eta, start = _walk_plan(q, digits)
+    precision = digits + 2 * GUARD_DIGITS
+    ctx = Context(prec=precision)
+    up = Context(prec=_BOUND_DIGITS, rounding=ROUND_CEILING)
+    target = _target(digits)
+    for k_walk, y in enumerate(orbit_decimals(q, precision)):
+        if y <= start:
+            # y_K <= y_bar by the stream's relative bound e_K
+            y_bar = up.multiply(y, up.add(1, up.scaleb(302 * k_walk + 201, -1 - precision)))
+            weighted = _upper(w, ORDER, y_bar, up)
+            if weighted <= target and _upper(eta, 1, y_bar, up) <= _QUARTER:
+                break
+    # q_power is within (K + 3) u of q**K, which the last factor
+    # 1 + 10**(1 - _BOUND_DIGITS) covers
+    q_power = ctx.power(PrecReal(q, precision).value, k_walk)
+    return _Walk(y, k_walk, y_bar, weighted, q_power, horner(s, y, ctx))
+
+
+def _checked(p, digits: int) -> Params:
+    """The parameters of p, refused before any work at the critical point,
+    past ``Q_MAX`` or past ``MAX_DIGITS`` digits."""
     params = classify(p)
     check_ranges(("digits", digits, 1, MAX_DIGITS))
     if params.regime is Regime.CRITICAL:
@@ -226,39 +249,53 @@ def rate_constant(p, digits: int = 15) -> RateConstantResult:
             f"contraction ratio q = {params.q} exceeds {Q_MAX}; "
             "the walk converges too slowly to certify digits"
         )
+    return params
 
-    s, w, eta, start = _walk_plan(params.q, digits)
+
+def _finish(params: Params, digits: int, walk: _Walk) -> RateConstantResult:
+    """C(p) = 2r tau_M(y_K)/q**K and its tail bound 2r q**-K W(y_bar)."""
     precision = digits + 2 * GUARD_DIGITS
     ctx = Context(prec=precision)
     up = Context(prec=_BOUND_DIGITS, rounding=ROUND_CEILING)
-    target = _target(digits)
-    for k_walk, y in enumerate(orbit_decimals(params.q, precision)):
-        if y <= start:
-            # y_K <= y_bar by the stream's relative bound e_K
-            y_bar = up.multiply(y, up.add(1, up.scaleb(302 * k_walk + 201, -1 - precision)))
-            weighted = _upper(w, ORDER, y_bar, up)
-            if weighted <= target and _upper(eta, 1, y_bar, up) <= _QUARTER:
-                break
-    # q_power is within (K + 3) u of q**K, which the last factor
-    # 1 + 10**(1 - _BOUND_DIGITS) covers
-    q_power = ctx.power(PrecReal(params.q, precision).value, k_walk)
     two_r = 2 * params.r
     two_r_up = _divide(two_r.numerator, two_r.denominator, up)
-    tail = up.divide(up.multiply(two_r_up, up.multiply(weighted, y_bar)), q_power)
-    value = ctx.multiply(PrecReal(two_r, precision).value, horner(s, y, ctx))
+    tail = up.divide(up.multiply(two_r_up, up.multiply(walk.weighted, walk.y_bar)), walk.q_power)
+    value = ctx.multiply(PrecReal(two_r, precision).value, walk.tau)
     return RateConstantResult(
         p=params.p,
         q=params.q,
-        C=PrecReal(ctx.divide(value, q_power), precision),
-        factors_used=k_walk,
+        C=PrecReal(ctx.divide(value, walk.q_power), precision),
+        factors_used=walk.depth,
         tail_bound=PrecReal(up.multiply(tail, up.add(1, up.scaleb(1, 1 - up.prec))), up.prec),
         digits=digits,
     )
 
 
+def rate_constant(p, digits: int = 15) -> RateConstantResult:
+    """C(p) certified to ``digits`` decimal places, by one Koenigs walk.
+
+    ``digits < 1`` is a domain error.  Refuses the critical point (no
+    geometric rate exists there), ratios q > 999/1000 and more than
+    ``MAX_DIGITS`` digits, each before any work.  The orbit stream runs
+    at P = digits + 2*GUARD_DIGITS working digits until y_K passes the
+    checks of the module docstring; ``C`` is 2r tau_M(y_K)/q**K within
+    the relative rounding bound M (3.02 K + 3.01) 10**(1 - P) derived
+    there, and ``tail_bound`` <= 10**-(digits + 2) covers the distance from
+    2r tau_M(y_K)/q**K to C.  ``factors_used`` is the walk depth K.
+    """
+    params = _checked(p, digits)
+    return _finish(params, digits, _walk(params.q, digits))
+
+
 def rate_constant_table(digits: int = 15) -> list[RateConstantResult]:
-    """The reference table: C(p) at the eight standard parameter points."""
-    return [rate_constant(p, digits) for p in TABLE_PS]
+    """The reference table: C(p) at the eight standard parameter points.
+
+    The points pair up as p and 1 - p on four q's, and the walk depends
+    on q alone, so each q is walked once.
+    """
+    points = [_checked(p, digits) for p in TABLE_PS]
+    walks = {q: _walk(q, digits) for q in dict.fromkeys(params.q for params in points)}
+    return [_finish(params, digits, walks[params.q]) for params in points]
 
 
 def convergence_diagnostic(p, kmax: int, precision: int) -> list[DiagnosticRow]:

@@ -38,14 +38,18 @@ the derivation.  The solver builds one level of the residual per order
 `apply_map` build the whole residual, the independent route that
 `fixed_point_defect` takes.
 
-The solver's kernel works on integers.  The shift weights are integers
-over m!, from one integer recurrence (``_log_row``).  A residual level
-puts its entries over one common denominator and packs the numerators of
-each into one integer sum_t a_t 2**(K t), so every polynomial product is
-one big-integer multiply (Kronecker substitution); the width K is one bit
-more than a bound on every slot coefficient, computed from the entries'
-largest numerators and the weights before anything is packed, so each
-slot unpacks exactly, negative coefficients included.
+The solver works on integers end to end.  The shift weights are
+integers over m!, from one integer recurrence (``_log_row``).  A residual
+level puts its entries over one common denominator and packs the
+numerators of each into one integer sum_t a_t 2**(K t), so every
+polynomial product is one big-integer multiply (Kronecker substitution);
+the width K is one bit more than a bound on every slot coefficient,
+computed from the entries' largest numerators and the weights before
+anything is packed, so each slot unpacks exactly, negative coefficients
+included.  The level comes back as integer numerators over one
+denominator, and each order's triangular solve and its check run on
+those numerators; an entry becomes a ``CPoly``, normalised by one gcd,
+only when it is stored.
 
 The same map in the coordinate alpha = (1 - a)/2 is x -> x - x**2, and
 ``telescope`` solves its one exact functional equation,
@@ -151,6 +155,12 @@ def _log_row(i: int, m: int) -> tuple[int, ...]:
     return tuple(t * a - (i + m - 1) * b for t, (a, b) in enumerate(zip(below, same)))
 
 
+def _weights(j: int, row: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(j - t, binom(j, t) row[t]) for the nonzero row[t], t = min(j, m) down to 0,
+    where row = ``_log_row(i, m)``, lifted or not."""
+    return [(j - t, math.comb(j, t) * row[t]) for t in range(min(j, len(row) - 1), -1, -1) if row[t]]
+
+
 @lru_cache(maxsize=None)
 def _shift_level(i: int, j: int, level: int) -> tuple[tuple[int, int], ...]:
     """The level-``level`` part of ln(k+1)**j / (k+1)**i over the (ln k, 1/k) basis.
@@ -162,9 +172,7 @@ def _shift_level(i: int, j: int, level: int) -> tuple[tuple[int, int], ...]:
     (1 + 1/k)**-i: the weight of ln(k)**(j-t) is
     binom(j, t) * m! [x**m] u**t * (1 + x)**-i, read from ``_log_row``.
     """
-    m = level - i
-    row = _log_row(i, m)
-    return tuple((j - t, math.comb(j, t) * row[t]) for t in range(min(j, m), -1, -1) if row[t])
+    return tuple(_weights(j, _log_row(i, level - i)))
 
 
 def shift(series: AsymSeries) -> AsymSeries:
@@ -223,8 +231,9 @@ _SEEDS: dict[Key, CPoly] = {
 }
 
 #: The highest order ``solve_coefficients`` derives: the cost grows about
-#: 1.5x per two orders, and order 20 takes about 46 ms from a cold start,
-#: order 16 about 21 ms (2-core Intel Xeon, Python 3.11.7).
+#: 1.5x per two orders, and order 20 takes about 30 ms from a cold start,
+#: order 16 about 14 ms (medians of 10 fresh processes, 2-core Intel Xeon,
+#: Python 3.11.7).
 MAX_ORDER = 20
 
 #: Every c[i][j] derived in this process, in derivation order (the seeds,
@@ -232,20 +241,24 @@ MAX_ORDER = 20
 _DERIVED: dict[Key, CPoly] = dict(_SEEDS)
 
 
-def _residual_level(entries: dict[Key, CPoly], level: int) -> dict[int, CPoly]:
-    """The level-``level`` slots of shift(S) - apply_map(S), as {j: slot}.
+def _residual_level(entries: dict[Key, CPoly], level: int) -> tuple[dict[int, list[int]], int]:
+    """The level-``level`` slots of shift(S) - apply_map(S), as ({j: numerators}, D).
+
+    Slot j is the polynomial sum_t numerators[t]/D * C**t, over the one
+    denominator D of every slot, and is not reduced.
 
     S = 1 + T with T = sum entries[(i, j)] ln(k)**j / k**i.  Since
     apply_map(S) = 1 + T + T**2/2, the residual is shift(T) - T - T**2/2;
     at level n the leading term of each shifted monomial of level n cancels
     its copy in T, so only entries with i < n contribute -- through their
     shift weights, and through the pairs of T**2 whose levels add up to n.
-    Zero slots are left out.
+    Zero slots are left out; a kept slot's top numerator is nonzero.
 
     The arithmetic is on integers.  Every live entry is put over E, the
     lcm of their denominators, and its numerators a_t packed into one
     integer sum_t a_t 2**(K t) (Kronecker substitution), so a shift
-    contribution is one multiply by an integer weight over (n - 1)! and a
+    contribution is one multiply by an integer weight over (n - 1)!, read
+    from one ``_log_row`` per order i, and a
     pair of T**2 is one product of two packed integers, over E**2.  Each
     slot is then one packed integer over D = E lcm(2 E, (n - 1)!), whose
     coefficients are recovered by reading K bits at a time, signed.  The
@@ -261,10 +274,13 @@ def _residual_level(entries: dict[Key, CPoly], level: int) -> dict[int, CPoly]:
     live = [(i, j, poly) for (i, j), poly in entries.items() if i < level and poly]
     common = math.lcm(*(poly._denominator for _i, _j, poly in live))
     # the shift weights over (level - 1)!, and the bound that fixes K
+    lifted = {}
+    for i in {i for i, _j, _poly in live}:
+        lift = top // math.factorial(level - i)
+        lifted[i] = tuple(w * lift for w in _log_row(i, level - i))
     weights, row_sizes, shift_bound, width = [], {}, 0, 1
     for i, j, poly in live:
-        lift = top // math.factorial(level - i)
-        weights.append([(j2, w * lift) for j2, w in _shift_level(i, j, level)])
+        weights.append(_weights(j, lifted[i]))
         size = max(map(abs, poly._numerators)) * (common // poly._denominator)
         shift_bound += size * sum(abs(w) for _j2, w in weights[-1])
         row_sizes[i] = row_sizes.get(i, 0) + size
@@ -310,10 +326,26 @@ def _residual_level(entries: dict[Key, CPoly], level: int) -> dict[int, CPoly]:
                 n -= 1 << K
                 packed += 1
             numerators.append(n)
-        slot = CPoly._over(numerators, common * scale)
-        if slot:
-            slots[j] = slot
-    return slots
+        if numerators:
+            slots[j] = numerators
+    return slots, common * scale
+
+
+def _add_into(out: list[int], factor: int, poly, offset: int = 0) -> None:
+    """out[offset + t] += factor * poly[t], extending ``out`` with zeros as needed."""
+    out.extend([0] * (offset + len(poly) - len(out)))
+    for t, n in enumerate(poly, offset):
+        out[t] += factor * n
+
+
+def _require_zero(level: int, slots: dict[int, list[int]], denominator: int, when: str) -> None:
+    """Raise ``EngineError`` unless every slot's numerators are zero."""
+    for j, numerators in slots.items():
+        if any(numerators):
+            raise EngineError(
+                f"slot ({level}, {j}) should vanish {when}, "
+                f"got {CPoly._over(numerators, denominator).format_str()}"
+            )
 
 
 def solve_coefficients(max_order: int) -> CoefficientTable:
@@ -321,23 +353,28 @@ def solve_coefficients(max_order: int) -> CoefficientTable:
 
     Each order builds one level of the residual shift(S) - apply_map(S) of
     the partial ansatz S (orders < i), by ``_residual_level``.  Its
-    level-(i+1) slots form a triangular system, solved from j = i-1
-    downward:
+    level-(i+1) slots S_j = s_j/D form a triangular system, solved from
+    j = i-1 downward:
 
-        c[i][j] = slot(i+1, j) / (i - 2),
-        slot(i+1, j-1) += j * c[i][j].
+        c[i][j] = (S_j + (j + 1) c[i][j+1]) / d,    d = i - 2.
 
-    The check adds the exact contribution of the new entries to those
-    slots -- their own shift weights ``_shift_level(i, j, i + 1)`` and
-    their cross term -c[1][0] * c[i][j] -- and requires every slot of the
-    full level-(i+1) residual to vanish, the slot (i+1, i), which has no
-    unknown, included.  So every level through max_order + 1 is shown to
-    vanish with one build per level.  The first order of a solve also
-    rebuilds level i (levels 1 to 3 from the seeds) from the stored
-    entries alone, so a corrupted prefix is caught.  A nonzero slot raises
-    ``EngineError``.  Orders already derived in this process are looked
-    up, not solved again; an order above ``MAX_ORDER`` raises
-    ``RefusalError``.
+    The solve runs on the integer numerators: from N_i = 0,
+
+        N_j = s_j d**(i-1-j) + (j + 1) N_{j+1},    c[i][j] = N_j / (D d**(i-j)),
+
+    and each entry is normalised once, when it is stored.  The check puts
+    every slot over the one denominator e D d**i, with c[1][0] = a/e, and
+    adds the exact contribution of the new entries -- their own shift
+    weights ``_shift_level(i, j, i + 1)`` and their cross term
+    -c[1][0] * c[i][j], whose numerator over D d**i is N_j d**j -- and
+    requires every slot of the full level-(i+1) residual to vanish, the
+    slot (i+1, i), which has no unknown, included.  So every level through
+    max_order + 1 is shown to vanish with one build per level.  The first
+    order of a solve also rebuilds level i (levels 1 to 3 from the seeds)
+    from the stored entries alone, so a corrupted prefix is caught.  A
+    nonzero slot raises ``EngineError``.  Orders already derived in this
+    process are looked up, not solved again; an order above ``MAX_ORDER``
+    raises ``RefusalError``.
     """
     check_ranges(("order", max_order, 2, MAX_ORDER))  # the expansion starts at order 2
     entries = dict(_DERIVED)
@@ -345,29 +382,26 @@ def solve_coefficients(max_order: int) -> CoefficientTable:
     for i in range(start, max_order + 1):
         if i == start:
             for level in range(1 if i == 3 else i, i + 1):
-                for j, poly in _residual_level(entries, level).items():
-                    raise EngineError(
-                        f"slot ({level}, {j}) should vanish before solving order {i}, "
-                        f"got {poly.format_str()}"
-                    )
-        slots = _residual_level(entries, i + 1)
-        carry = _ZERO
+                _require_zero(level, *_residual_level(entries, level), f"before solving order {i}")
+        slots, D = _residual_level(entries, i + 1)
+        d = i - 2
+        solved, N = {}, []
         for j in range(i - 1, -1, -1):
-            value = (slots.get(j, _ZERO) + carry) / (i - 2)
-            entries[(i, j)] = value
-            carry = value * j
-        # add what the order-i entries put into level i + 1: their own shift
-        # weights and, from -T**2/2, their cross term with c[1][0]
-        for j in range(i):
-            value = entries[(i, j)]
+            N = [n * (j + 1) for n in N]
+            _add_into(N, d ** (i - 1 - j), slots.get(j, ()))
+            solved[j] = N
+            entries[(i, j)] = CPoly._over(N, D * d ** (i - j))
+        # add what the order-i entries put into level i + 1, over e D d**i:
+        # their own shift weights and, from -T**2/2, their cross term with c[1][0]
+        a, e = entries[(1, 0)]._numerators, entries[(1, 0)]._denominator
+        check = {j: [n * e * d**i for n in numerators] for j, numerators in slots.items()}
+        for j, N in solved.items():
+            X = [n * d**j for n in N]
             for j2, weight in _shift_level(i, j, i + 1):  # over 1! = 1
-                _accumulate(slots, j2, value * weight)
-            _accumulate(slots, j, -(entries[(1, 0)] * value))
-        for j, poly in slots.items():
-            raise EngineError(
-                f"slot ({i + 1}, {j}) should vanish after solving order {i}, "
-                f"got {poly.format_str()}"
-            )
+                _add_into(check.setdefault(j2, []), e * weight, X)
+            for t, x in enumerate(a):
+                _add_into(check.setdefault(j, []), -x, X, t)
+        _require_zero(i + 1, check, e * D * d**i, f"after solving order {i}")
     # published in one update, so an interrupted solve leaves no partial order
     _DERIVED.update(entries)
     return CoefficientTable(max_order, {k: v for k, v in entries.items() if k[0] <= max_order})

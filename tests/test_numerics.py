@@ -8,7 +8,7 @@ from decimal import ROUND_CEILING, ROUND_DOWN, ROUND_HALF_EVEN, ROUND_HALF_UP, C
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadrec.critical import estimate_constant, logistic_constant, residual_order_check
@@ -351,6 +351,28 @@ def test_cpoly_format_str(build, text):
 def test_cpoly_coeff_strings_ascending():
     c = CPoly.variable()
     assert (3 * c * c - c / 2 + 7).coeff_strings() == ["7", "-1/2", "3"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.just(0),
+            st.integers(-(10**40), 10**40),
+            st.fractions(max_denominator=10**15),
+        ),
+        max_size=8,
+    ),
+    st.integers(1, 10**12),
+)
+@example([], 1)
+@example([Fraction(-3, 4), 0, 0, 5, Fraction(7, -21)], 1)
+@example([0, -12, 0, Fraction(6, 4)], 6)
+def test_cpoly_coeff_strings_are_the_fraction_strings(coeffs, scale):
+    # zero, negative, integer and interior-zero coefficients, over a
+    # stored denominator that need not divide every numerator
+    poly = CPoly(coeffs) / scale
+    assert poly.coeff_strings() == [str(c) for c in poly.coeffs]
 
 
 small_rationals = st.fractions(

@@ -7,7 +7,9 @@ reproduction run.
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -45,3 +47,35 @@ def test_code_lines_total_is_the_sum_of_its_rows():
     assert {name for name, _count in rows} >= {"cli.py", "sums.py", "__init__.py"}
     assert total[0] == "total"
     assert int(total[1]) == sum(int(count) for _name, count in rows)
+
+
+def test_record_bench_drops_the_checkouts_bytecode_and_keeps_the_stdlibs(
+    tmp_path, monkeypatch
+):
+    # on a copy of the tree, with the benchmark run itself replaced
+    shutil.copytree(ROOT / "scripts", tmp_path / "scripts")
+    planted = [tmp_path / "src" / "quadrec" / "__pycache__", tmp_path / "perfbench" / "__pycache__"]
+    for cache in planted:
+        cache.mkdir(parents=True)
+        (cache / "cli.cpython-311.pyc").write_bytes(b"stale")
+    spec = importlib.util.spec_from_file_location(
+        "record_bench_copy", tmp_path / "scripts" / "record_bench.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    seen = []
+
+    def fake_run(command, **kwargs):
+        seen.append(kwargs["env"])
+        return subprocess.CompletedProcess(command, 1, stdout="", stderr="")
+
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "prefix"))
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    monkeypatch.setattr(module.subprocess, "run", fake_run)
+    monkeypatch.setattr(sys, "argv", ["record_bench.py", "check"])
+    assert module.main() == 1  # the fake run fails, so nothing is stored
+    [env] = seen
+    assert "PYTHONPYCACHEPREFIX" not in env
+    assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert not any(cache.exists() for cache in planted)
+    assert not (tmp_path / "BENCH_check.json").exists()

@@ -143,6 +143,13 @@ def _arbitrary_entries(order, seed):
     }
 
 
+def _level_polys(entries, level):
+    # the solver's integer level, each slot as a CPoly over its denominator
+    slots, denominator = series_engine._residual_level(entries, level)
+    assert all(numerators[-1] for numerators in slots.values())  # zero slots left out
+    return {j: CPoly._over(numerators, denominator) for j, numerators in slots.items()}
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_residual_level_matches_the_reference_route(seed):
     order = 12
@@ -154,7 +161,7 @@ def test_residual_level_matches_the_reference_route(seed):
     for level in range(1, order + 1):
         expected = {j: poly for (i, j), poly in reference.terms.items() if i == level}
         assert bool(expected) == (level > 1), level  # level 1 cancels for any ansatz
-        assert series_engine._residual_level(entries, level) == expected, level
+        assert _level_polys(entries, level) == expected, level
 
 
 def _reference_level(entries, level):
@@ -174,7 +181,7 @@ def test_residual_level_matches_the_reference_route_on_each_solved_prefix():
         prefix = {key: poly for key, poly in table.items() if key[0] < i}
         expected = _reference_level(prefix, i + 1)
         assert expected, i
-        assert series_engine._residual_level(prefix, i + 1) == expected, i
+        assert _level_polys(prefix, i + 1) == expected, i
 
 
 def test_residual_level_unpacks_negative_and_zero_coefficients():
@@ -194,14 +201,14 @@ def test_residual_level_unpacks_negative_and_zero_coefficients():
     for level in range(2, 7):
         expected = _reference_level(entries, level)
         borrowed |= any(c < 0 for poly in expected.values() for c in poly.coeffs[:-1])
-        assert series_engine._residual_level(entries, level) == expected, level
+        assert _level_polys(entries, level) == expected, level
     assert borrowed
 
 
 def test_residual_level_vanishes_on_the_solved_table():
     entries = solve_coefficients(12).entries
     for level in range(1, 14):
-        assert series_engine._residual_level(entries, level) == {}, level
+        assert _level_polys(entries, level) == {}, level
 
 
 def test_defect_vanishes_at_the_highest_order():
@@ -237,6 +244,29 @@ def test_the_in_run_check_catches_a_perturbed_weight(monkeypatch):
     with pytest.raises(EngineError):
         solve_coefficients(8)
     assert read == [(5, 2, 6)]
+    assert list(series_engine._DERIVED) == list(series_engine._SEEDS)
+
+
+def test_the_in_run_check_catches_a_nonzero_top_slot(monkeypatch):
+    # slot (6, 5) has no unknown of order 5: only the check reads it
+    residual_level = series_engine._residual_level
+    perturbed = []
+
+    def spiked(entries, level):
+        slots, denominator = residual_level(entries, level)
+        if level != 6:
+            return slots, denominator
+        perturbed.append(level)
+        slots = {j: [7 * n for n in numerators] for j, numerators in slots.items()}
+        top = slots.setdefault(5, [0])
+        top[0] += denominator  # + 1/7, over 7 * denominator
+        return slots, 7 * denominator
+
+    monkeypatch.setattr(series_engine, "_DERIVED", dict(series_engine._SEEDS))
+    monkeypatch.setattr(series_engine, "_residual_level", spiked)
+    with pytest.raises(EngineError, match=r"slot \(6, 5\)"):
+        solve_coefficients(8)
+    assert perturbed == [6]
     assert list(series_engine._DERIVED) == list(series_engine._SEEDS)
 
 
