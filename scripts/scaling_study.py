@@ -1,9 +1,16 @@
 #!/usr/bin/env python3
-"""Empirical scaling tables: solver cost vs order, telescope build cost vs
-order, estimator error vs depth, rate-constant walk depth vs q.
+"""Empirical scaling tables: solver cost vs order, orbit kernel steps per
+second, telescope build cost vs order, estimator error vs depth,
+rate-constant walk depth vs q.
 
 Usage:
     python scripts/scaling_study.py [--max-order 14] [--max-depth-exp 5]
+
+The orbit kernel table walks ``recurrence.orbit_integers`` for 20 000
+steps at B = bit_length(10^P) bits, for P = 40, 60 and 100 digits and
+q = 1, 4/5 and 999/1000; each rate is the best of three walks.  At q < 1
+the fixed-point orbit falls to 0 after about B ln 2/ln(1/q) steps, and
+later steps are cheap, so q = 4/5 runs fastest.
 
 The telescope table times one ``series_engine.telescope`` build of the Abel
 summand at the fixed orders 6, 16, 56 and 120; orders past the solver's
@@ -28,9 +35,11 @@ import argparse
 import math
 import time
 from fractions import Fraction
+from itertools import islice
 
 from quadrec.critical import _abel_summand, estimate_constant
 from quadrec.rate_constants import rate_constant
+from quadrec.recurrence import orbit_integers
 from quadrec.series_engine import MAX_ORDER, solve_coefficients, telescope
 
 
@@ -65,6 +74,21 @@ def main() -> int:
         elapsed += time.perf_counter() - t0
         entries = sum(1 for _ in table.iter_entries())
         print(f"{order:>6} {entries:>8} {elapsed:>8.3f}")
+
+    print()
+    print("orbit kernel steps per second (20000 steps)")
+    print(f"{'q':>9} {'digits':>6} {'bits':>5} {'steps/s':>10}")
+    steps = 20_000
+    for q in (Fraction(1), Fraction(4, 5), Fraction(999, 1000)):
+        for precision in (40, 60, 100):
+            bits = (10**precision).bit_length()
+            best = math.inf
+            for _ in range(3):
+                t0 = time.perf_counter()
+                for _y in islice(orbit_integers(q, bits), steps):
+                    pass
+                best = min(best, time.perf_counter() - t0)
+            print(f"{str(q):>9} {precision:>6} {bits:>5} {steps / best:>10.3g}")
 
     print()
     print("telescope build by order (Abel summand)")

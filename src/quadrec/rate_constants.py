@@ -10,7 +10,7 @@ are strictly decreasing partial products whose limit is C(p), so
 b_k ~ C(p) q**k.  They start at b_0 = r <= 1, so q**-k <= 1/b_k.
 
 In y = p b/q = b/(2r) the map is f(y) = q (y - y**2) from y_0 = 1/2
-(``recurrence.orbit_decimals``), which depends on q alone.  So
+(``recurrence.orbit_integers``), which depends on q alone.  So
 C(p) = 2r D(q), with D(q) the limit of y_k/q**k, and p and 1 - p, which
 share q, walk one orbit: C(p) = r C(1 - p) for p > 1/2.
 
@@ -29,25 +29,31 @@ y_{k+1} <= q y_k and any ybar >= y_K,
 
 with w_n = |rho_n|/(q - q**n).  So ``tail_bound`` is 2r q**-K W(ybar),
 rounded upward.  Since 2r y_K q**-K = b_K/q**K <= r <= 1 it is at most
-about sum_n w_n y_K**(n-1), which shrinks with y_K.  So the walk reads
-the stream only until the first K at which
+about sum_n w_n y_K**(n-1), which shrinks with y_K.  So the walk runs
+the kernel only until the first K at which
 
     sum_n w_n ybar**(n-1) <= 9 * 10**-(D+3)   and   sum_{n>=2} |tau_n| ybar**(n-1) <= 1/4
 
-hold at ybar = y_K (1 + e_K) (e_K below), both checked in upward-rounded
-Decimal arithmetic (``_upper``).  Each sum is at least its lowest term,
-so no y_K above the roots of those two terms passes, and the checks start
-below them (``_walk_plan``).  The first condition makes ``tail_bound`` at
-most 10**-(D+2): ybar/y_K <= (1 + 10**-3)**2 and (1 + 10**-3)**2 < 10/9.
-The second keeps tau_M(y) = y (1 + eta) with |eta| <= 1/4 there, for the
-rounding below.  At p = 499/1000 and D = 15 the walk stops after 3261
-steps.
+hold at ybar = (Y_K + E)/2**B, rounded upward, with E = min(K, ceil(1/(1 - q)))
+the kernel's error bound in units of 2**-B, so ybar >= y_K.  Both sums are
+checked in upward-rounded Decimal arithmetic (``_upper``).  Each is at
+least its lowest term, so no y_K above the roots of those two terms
+passes, and the checks start below them (``_walk_plan``); until then the
+stop test compares integers only.  The first condition makes
+``tail_bound`` at most 10**-(D+2): ybar/y_K <= (1 + 10**-3)**2 and
+(1 + 10**-3)**2 < 10/9.  The second keeps tau_M(y) = y (1 + eta) with
+|eta| <= 1/4 there, for the rounding below.  At p = 499/1000 and D = 15
+the walk stops after 3261 steps.
 
 The rounding, at P = D + 40 working digits and u = 10**(1 - P)/2:
 
-* y_K comes from the stream within the relative bound
-  e_K = (3.02 K + 2.01) 10**(1 - P), which also covers 2r, its product
-  and the division by q**K (see ``orbit_decimals``).
+* The kernel runs at B bits, with 2**B >= 8 E' 10**(P-1)/(q y_low),
+  E' = ceil(1/(1 - q)) and y_low a point at which both checks pass
+  (``_walk_plan``).  Every ybar at or below y_low passes, and y_low <= T_0,
+  so the stop test failed at K - 1 either above T_0 or at a ybar above
+  y_low.  So y_{K-1} > y_low/2 and y_K = f(y_{K-1}) > q y_low/4, the
+  kernel's error E 2**-B is below u y_K, and y_K, rounded once to P
+  digits, is within the relative e_K = 2.01 u.
 * tau_M's coefficients are rounded once each (``CPoly.decimals``), by u,
   and Horner's rule (``numerics.horner``) evaluates tau_M(y)/y at the
   computed y_K with one rounding per fused multiply-add, M - 1 of them,
@@ -56,11 +62,14 @@ The rounding, at P = D + 40 working digits and u = 10**(1 - P)/2:
   from its exact value by at most (M - 1) u (1 + eta) + u eta for the
   arithmetic and ((1 + e_K)**(M-1) - 1) eta for the error in y_K, to first
   order; divided by 1 - eta >= 0.74 that is below
-  1.72 (M - 1) u + 0.36 u + 0.37 (M - 1) e_K.
-* Together with e_K and the final multiply, C is within the relative
-  bound M (3.02 K + 3.01) 10**(1 - P) of 2r tau_M(y_K)/q**K for M >= 2:
-  below 10**-(D+30) for K < 5*10**7 at M = 6, where the walks within the
-  caps take at most about 2*10**4 steps.
+  1.72 (M - 1) u + 0.36 u + 0.37 (M - 1) e_K = (2.47 (M - 1) + 0.36) u.
+* The multiply by the computed y_K adds e_K + u; 2r, its product and the
+  division round once each, and ``ctx.power`` raises q (1 + t), |t| <= u,
+  off from q**K by about K u, and squares at P + len(str(K)) + 2 digits
+  with one final rounding, so q**K is within (K + 3) u.  With the
+  second-order terms, C is within the relative bound (K + 3M + 7) u of
+  2r tau_M(y_K)/q**K: below 10**-(D+30) for K < 10**9 at M = 6, where the
+  walks within the caps take at most about 2*10**4 steps.
 
 Nothing is confirmed by a rerun.  Digits of these constants are
 conventionally reported *truncated* (round toward zero), and
@@ -71,11 +80,12 @@ from __future__ import annotations
 
 from decimal import ROUND_CEILING, ROUND_DOWN, Context, Decimal
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import RefusalError, check_ranges
 from .numerics import GUARD_DIGITS, PrecReal, _divide, horner
-from .recurrence import MAX_DEPTH, Params, Regime, classify, iterate_real, orbit_decimals
+from .recurrence import MAX_DEPTH, Params, Regime, classify, orbit_error, orbit_integers
 from .series_engine import koenigs
 
 # Not used here: the benchmark's tracer wraps this name in this module.
@@ -113,10 +123,10 @@ _QUARTER = Decimal("0.25")
 
 #: Digit requests above this are refused, by ``rate_constant`` and so by the
 #: table, and by the CLI's ``iterate``: the walk depth and the working
-#: precision both grow with the digits (2000 digits at p = 2/5 take 0.57 s),
-#: and an ``iterate`` orbit at 50 digits takes about 0.23 s per 2*10**5
-#: steps, so about 12 s at ``recurrence.MAX_DEPTH`` (2-core Intel Xeon,
-#: Python 3.11).
+#: precision both grow with the digits (2000 digits at p = 2/5 take 0.11 s),
+#: and an ``iterate`` orbit at 50 digits takes about 0.43 s per 10**6 steps
+#: at p = 1/2, so about 4.3 s at ``recurrence.MAX_DEPTH`` (2-core Intel
+#: Xeon, Python 3.11, with interpreter start).
 MAX_DIGITS = 50
 
 
@@ -173,11 +183,18 @@ def _target(digits: int) -> Decimal:
     return Decimal((0, (9,), -(digits + 3)))
 
 
+def _passes(w: list[Decimal], eta: list[Decimal], y_bar: Decimal, digits: int, up: Context) -> bool:
+    """Both stop checks of the module docstring at ``y_bar``, rounded upward."""
+    weighted = _upper(w, ORDER, y_bar, up)
+    return weighted <= _target(digits) and _upper(eta, 1, y_bar, up) <= _QUARTER
+
+
 def _walk_plan(
     q: Fraction, digits: int
-) -> tuple[list[Decimal], list[Decimal], list[Decimal], Decimal]:
+) -> tuple[list[Decimal], list[Decimal], list[Decimal], Decimal, int]:
     """tau_M's coefficients, the weights w_n, the |tau_n| of the second
-    condition (n >= 2) and the bound T_0 below which the walk checks.
+    condition (n >= 2), the bound T_0 below which the walk checks, and the
+    kernel's bits B.
 
     The coefficients are rounded once each at P = digits + 2*GUARD_DIGITS
     (``CPoly.decimals``), the weights w_n = |rho_n|/(q - q**n), n > M,
@@ -185,10 +202,13 @@ def _walk_plan(
     p = 10**-400 their integers have thousands of digits, which
     ``Context.divide`` would convert in quadratic time.  T_0 is the
     smaller root of the two conditions' lowest terms, w_{M+1} y**M and
-    |tau_2| y, rounded up.
+    |tau_2| y, rounded up.  y_low is T_0 halved until both checks pass,
+    and B the least with 2**B >= 8 E' 10**(P-1)/(q y_low) (module
+    docstring).
     """
     tau, rho = koenigs(q, ORDER)
-    s = tau.decimals(Context(prec=digits + 2 * GUARD_DIGITS))
+    precision = digits + 2 * GUARD_DIGITS
+    s = tau.decimals(Context(prec=precision))
     up = Context(prec=_BOUND_DIGITS, rounding=ROUND_CEILING)
     # q = a/d gives q - q**n = a (d**(n-1) - a**(n-1))/d**n
     a, d = q.numerator, q.denominator
@@ -199,38 +219,47 @@ def _walk_plan(
         a_power, d_power = a_power * a, d_power * d
     eta = [c.copy_abs() for c in s[2:]]
     start = min(_root(up.divide(_target(digits), w[0]), ORDER, up), up.divide(_QUARTER, eta[0]))
-    return s, w, eta, start
+    low = start
+    while not _passes(w, eta, low, digits, up):
+        low = up.divide(low, 2)
+    # 2**B >= 8 E' 10**(P-1)/(q y_low), E' = ceil(d/(d - a)), as one ceiling
+    n_low, d_low = low.as_integer_ratio()
+    need = 8 * -(-d // (d - a)) * 10 ** (precision - 1) * d * d_low
+    return s, w, eta, start, (-(-need // (a * n_low)) - 1).bit_length()
 
 
 class _Walk(NamedTuple):
     """Where the walk of one q stops, for every p with that q."""
 
-    y: Decimal  # y_K from the stream
+    y: Decimal  # y_K, rounded once from the kernel
     depth: int  # K
-    y_bar: Decimal  # y_K (1 + e_K), rounded upward
+    y_bar: Decimal  # (Y_K + E)/2**B, rounded upward
     weighted: Decimal  # sum_n w_n y_bar**(n-1), rounded upward
     q_power: Decimal  # q**K at the working precision
     tau: Decimal  # tau_M(y_K) by Horner's rule
 
 
 def _walk(q: Fraction, digits: int) -> _Walk:
-    """Walk the orbit of q at P = digits + 2*GUARD_DIGITS working digits
-    until y_K passes the checks of the module docstring."""
-    s, w, eta, start = _walk_plan(q, digits)
+    """Walk the orbit of q at the plan's B bits until y_K passes the checks
+    of the module docstring, with P = digits + 2*GUARD_DIGITS digits."""
+    s, w, eta, start, bits = _walk_plan(q, digits)
     precision = digits + 2 * GUARD_DIGITS
     ctx = Context(prec=precision)
     up = Context(prec=_BOUND_DIGITS, rounding=ROUND_CEILING)
-    target = _target(digits)
-    for k_walk, y in enumerate(orbit_decimals(q, precision)):
-        if y <= start:
-            # y_K <= y_bar by the stream's relative bound e_K
-            y_bar = up.multiply(y, up.add(1, up.scaleb(302 * k_walk + 201, -1 - precision)))
-            weighted = _upper(w, ORDER, y_bar, up)
-            if weighted <= target and _upper(eta, 1, y_bar, up) <= _QUARTER:
+    # Y_K <= threshold exactly when Y_K/2**B <= T_0
+    n_start, d_start = start.as_integer_ratio()
+    threshold = (n_start << bits) // d_start
+    for k_walk, y in enumerate(orbit_integers(q, bits)):
+        if y <= threshold:
+            # y_K <= y_bar by the kernel's bound
+            y_bar = _divide(y + orbit_error(q, k_walk), 1 << bits, up)
+            if _passes(w, eta, y_bar, digits, up):
                 break
     # q_power is within (K + 3) u of q**K, which the last factor
     # 1 + 10**(1 - _BOUND_DIGITS) covers
     q_power = ctx.power(PrecReal(q, precision).value, k_walk)
+    y = _divide(y, 1 << bits, ctx)
+    weighted = _upper(w, ORDER, y_bar, up)
     return _Walk(y, k_walk, y_bar, weighted, q_power, horner(s, y, ctx))
 
 
@@ -276,10 +305,10 @@ def rate_constant(p, digits: int = 15) -> RateConstantResult:
 
     ``digits < 1`` is a domain error.  Refuses the critical point (no
     geometric rate exists there), ratios q > 999/1000 and more than
-    ``MAX_DIGITS`` digits, each before any work.  The orbit stream runs
-    at P = digits + 2*GUARD_DIGITS working digits until y_K passes the
-    checks of the module docstring; ``C`` is 2r tau_M(y_K)/q**K within
-    the relative rounding bound M (3.02 K + 3.01) 10**(1 - P) derived
+    ``MAX_DIGITS`` digits, each before any work.  The orbit kernel runs
+    until y_K passes the checks of the module docstring; ``C`` is
+    2r tau_M(y_K)/q**K at P = digits + 2*GUARD_DIGITS working digits,
+    within the relative rounding bound (K + 3M + 7) 10**(1 - P)/2 derived
     there, and ``tail_bound`` <= 10**-(digits + 2) covers the distance from
     2r tau_M(y_K)/q**K to C.  ``factors_used`` is the walk depth K.
     """
@@ -302,23 +331,39 @@ def convergence_diagnostic(p, kmax: int, precision: int) -> list[DiagnosticRow]:
     """Samples (k, b_k, b_k/q^k) for k = 0..kmax.
 
     The normalised column is exactly the partial product
-    r * prod_{j<k}(r + a_j)/(2r): strictly decreasing, bounded below by
-    C(p), and equal to it in the limit.  b_k is read from
-    ``recurrence.iterate_real``, so it carries the stream's relative
-    bound (3.02 k + 2.01) 10**(1 - P).  The ratio divides by q rounded
-    once and multiplied k times, which adds at most (k + 1) 10**(1 - P)
-    relative for those roundings and the division.
+    r * prod_{j<k}(r + a_j)/(2r) = 2r Z_k, Z_k = y_k/q**k =
+    (1/2) prod_{j<k} (1 - y_j): strictly decreasing, bounded below by
+    C(p), and equal to it in the limit.  y_k falls like q**k, so the walk
+    carries Z_k itself, as one floored product beside ``orbit_integers``
+    at B bits: Z_{k+1} = (Z_k (2**B - Y_k)) >> B from Z_0 = 2**(B-1).
+
+    * Each factor 1 - Y_k/2**B is within 2 E_k 2**-B relative of
+      1 - y_k >= 1/2, with E_k = min(k, ceil(1/(1 - q))) the kernel's
+      bound, and each floor drops less than 2**-B, relative to
+      Z_{k+1} >= alpha_{k+1} (y_j <= alpha_j, as q <= 1), and
+      1/alpha_k <= k + 3 + bit_length(k).  Summed, Z_k is within
+      2 (k + 2)**2 2**-B relative, and B = bit_length(2 (kmax + 2)**2 10**P)
+      keeps that below 10**-P, so the ratio, 2r Z_k rounded once, is
+      within a relative 10**(1 - P).
+    * b_k is the ratio times q**k, with q rounded once and multiplied k
+      times, so it is within (k + 2) 10**(1 - P) relative.
     """
     params = classify(p)
     if params.regime is Regime.CRITICAL:
         raise RefusalError("p = 1/2 has no geometric rate; use the critical-constant module")
-    check_ranges(("kmax", kmax, 0, MAX_DEPTH))
+    check_ranges(("kmax", kmax, 0, MAX_DEPTH), ("precision", precision, 1, None))
     ctx = Context(prec=precision)
     q_dec = PrecReal(params.q, precision).value
     q_pow = Decimal(1)
+    bits = (2 * (kmax + 2) ** 2 * 10**precision).bit_length()
+    two_r = 2 * params.r
+    scale = two_r.denominator << bits
+    z = 1 << (bits - 1)
     rows = []
-    for sample in iterate_real(params, kmax, precision, sample_ks=range(kmax + 1)):
-        ratio = PrecReal(ctx.divide(sample.b.value, q_pow), precision)
-        rows.append(DiagnosticRow(k=sample.k, b=sample.b, ratio=ratio))
+    for k, y in enumerate(islice(orbit_integers(params.q, bits), kmax + 1)):
+        ratio = _divide(two_r.numerator * z, scale, ctx)
+        b = PrecReal(ctx.multiply(ratio, q_pow), precision)
+        rows.append(DiagnosticRow(k=k, b=b, ratio=PrecReal(ratio, precision)))
         q_pow = ctx.multiply(q_pow, q_dec)
+        z = (z * ((1 << bits) - y)) >> bits
     return rows

@@ -30,29 +30,28 @@ the gcd (powers of coprime integers stay coprime), while ``a * a`` runs gcds
 on operands of up to 2**EXACT_STEP_CAP bits.  Every other operation of the
 step has one small operand, so its gcds are cheap.
 
-Every precision-tracked orbit reads one Decimal stream, ``orbit_decimals``.
-In y = p b/q = b/(2r), with b_k = r - a_k the residual, every p starts at
+Every rounded orbit reads one kernel, ``orbit_integers``.  In
+y = p b/q = b/(2r), with b_k = r - a_k the residual, every p starts at
 y_0 = 1/2 and follows
 
     y_{k+1} = q y_k (1 - y_k),
 
-the critical logistic map contracted by q, so the stream depends on q
-alone and p and 1 - p share it.  Its q = 1 case is the boundary logistic
-orbit alpha_k itself (``logistic_decimals``).  Since 1 - y_k is at least
-1/2, nothing cancels and the relative rounding error has a derived bound
-(see there).  ``iterate_real`` forms b_k = r (y_k + y_k) and a_k = r - b_k,
-and the rate constants' diagnostic reads b_k off it; ``rate_constants``
-walks y_k until its Koenigs check passes and reads C(p) = 2 r tau_M(y_K)/q**K.
+the critical logistic map contracted by q, so the orbit depends on q alone
+and p and 1 - p share it.  Its q = 1 case is the boundary logistic orbit
+alpha_k itself.  The kernel walks that map on a binary fixed-point integer
+with floored products, and its absolute error has a derived bound with no
+precondition (see there).  ``iterate_real`` rounds a_k and b_k once each
+from the exact rational of the computed orbit; ``rate_constants`` walks y_k
+until its Koenigs check passes, and its diagnostic carries the normalised
+residual beside the walk.
 
-The alpha_N of the critical constant starts from ``logistic_point``: the
-logistic map on a binary fixed-point integer with floored squares,
-rounded into a Decimal once at the end.  ``critical.estimate_constant``
+The alpha_N of the critical constant is ``logistic_point``: the kernel at
+q = 1, rounded into a Decimal once at the end.  ``critical.estimate_constant``
 walks it at most 10**4 steps and answers a deeper request at that depth.
-The logistic tail sums and the divergence diagnostic read that floored
-orbit as a stream of integers (``logistic_integers``) and add their
-floored summands as integers, so no term is ever converted to a Decimal.
-``logistic_decimals`` serves no library path; it remains as the Decimal
-oracle of that orbit.
+The logistic tail sums and the divergence diagnostic read the same q = 1
+orbit as a stream of integers and add their floored summands as integers,
+so no term is ever converted to a Decimal.  ``logistic_decimals`` serves no
+library path; it remains as the independent Decimal oracle of that orbit.
 """
 
 from __future__ import annotations
@@ -71,13 +70,13 @@ from .numerics import PrecReal, _divide
 EXACT_STEP_CAP = 20
 
 #: The deepest orbit any walk runs; deeper requests are refused before the
-#: first step.  At 10**7 steps the Decimal orbits of ``iterate`` and
-#: ``residual-check`` take about 8 s, and the integer orbit of the whole
-#: ``diverge-check --N 10**7`` about 3 s, on a 2-core Intel Xeon with
-#: Python 3.11.  ``critical-c`` walks at most 10**4 steps of its orbit
-#: (``critical.WALK_DEPTH``) and answers a deeper request there, within the
-#: request's own bound, so at 10**7 it takes about 0.15 s with interpreter
-#: start.
+#: first step.  At 10**7 steps the orbit of ``iterate --digits 50`` takes
+#: about 4.3 s at p = 1/2 (1.5 s at p = 2/5), and the whole
+#: ``diverge-check --N 10**7`` about 2.2 s, with interpreter start, on a
+#: 2-core Intel Xeon with Python 3.11.  ``critical-c`` walks at most 10**4
+#: steps of its orbit (``critical.WALK_DEPTH``) and answers a deeper
+#: request there, within the request's own bound, so at 10**7 it takes
+#: about 0.1 s with interpreter start.
 MAX_DEPTH = 10**7
 
 Value = Union[Fraction, PrecReal]
@@ -184,15 +183,16 @@ def iterate_real(
 
     By default every step up to 10_000 is kept; deeper runs keep powers of
     two plus the endpoint, so memory stays O(log n).  Pass ``sample_ks``
-    for explicit indices.  y_k comes from ``orbit_decimals``, b_k is
-    r (y_k + y_k) and a_k is r - b_k, each operation rounded once, with r
-    itself rounded to P = ``precision`` digits; at k = 0 that gives b_0 = r
-    and a_0 = 0 exactly.  Since a_k and b_k lie in [0, r] and r <= 1, a_k
-    carries an absolute error below (3.02 k + 3.01) 10**(1 - P): the
-    stream's relative bound on y_k, which covers the three roundings of
-    b_k, plus half a unit each for r and the subtraction.
+    for explicit indices.  y_k comes from ``orbit_integers`` at the least B
+    with 2**B > 4 E 10**P, E = ``orbit_error(q, max(n, 1))`` and
+    P = ``precision``, and b_k = 2r Y_k/2**B and a_k = r - b_k are each
+    rounded once to P digits from that exact rational; at k = 0 that gives
+    b_0 = r and a_0 = 0 exactly.  Since r <= 1 the orbit's error moves
+    both by less than 2 E 2**-B < 10**-P/2, and both lie in [0, 1], where
+    the rounding adds at most 10**-P/2: so a_k and b_k are within 10**-P
+    of the exact values.
     """
-    check_ranges(("depth", n, 0, MAX_DEPTH))
+    check_ranges(("depth", n, 0, MAX_DEPTH), ("precision", precision, 1, None))
     if sample_ks is None:
         wanted = _default_sample_ks(n)
     else:
@@ -201,13 +201,15 @@ def iterate_real(
             raise DomainError("sample indices must lie in [0, n]")
     wanted_set = frozenset(wanted)
     ctx = Context(prec=precision)
-    r = PrecReal(params.r, precision).value
+    bits = (4 * orbit_error(params.q, max(n, 1)) * 10**precision).bit_length()
+    # b_k = 2r Y_k/2**B and a_k = r - b_k, over the one denominator den(r) 2**B
+    numerator, scale = params.r.numerator, params.r.denominator << bits
     samples = []
-    for k, y in enumerate(islice(orbit_decimals(params.q, precision), n + 1)):
+    for k, y in enumerate(islice(orbit_integers(params.q, bits), n + 1)):
         if k in wanted_set:
-            b = ctx.multiply(r, ctx.add(y, y))
-            a = PrecReal(ctx.subtract(r, b), precision)
-            samples.append(OrbitSample(k, a, PrecReal(b, precision)))
+            b = 2 * numerator * y
+            a = PrecReal(_divide((numerator << bits) - b, scale, ctx), precision)
+            samples.append(OrbitSample(k, a, PrecReal(_divide(b, scale, ctx), precision)))
     return samples
 
 
@@ -216,50 +218,53 @@ def final_value(params: Params, n: int, precision: int) -> PrecReal:
     return iterate_real(params, n, precision, sample_ks=[n])[0].a
 
 
-def orbit_decimals(q: Fraction, precision: int) -> Iterator[Decimal]:
-    """Endless stream y_0, y_1, ... of y_k = p b_k/q as raw ``Decimal``s.
+def orbit_integers(q: Fraction, bits: int) -> Iterator[int]:
+    """Endless stream Y_0, Y_1, ... of the floored orbit x_k = Y_k/2**B.
 
-    The one Decimal orbit kernel: y_0 = 1/2 and y_{k+1} = y_k (q - q y_k),
-    one fused multiply-add and one multiplication per step at P =
-    ``precision`` working digits.  It depends on the multiplier q alone,
-    and q = 1 is the boundary logistic orbit.  The relative error of y_k
-    is derived (a running-error analysis: Higham, *Accuracy and Stability
-    of Numerical Algorithms*, ch. 3).  Every rounding at P digits is off
-    by a relative u = 10**(1 - P)/2 at most.
+    The one orbit kernel, at B = ``bits``: with q = a/d in lowest terms,
+    Y_0 = 2**(B - 1) and
 
-    * Inputs.  q is rounded once, to q (1 + t) with |t| <= u, and -q is
-      its exact negation (``Context.minus``: a unary minus would round on
-      the thread's context).  y_0 = 1/2 is exact, so e_0 = 0.
-    * One step.  Write the computed value as y_k (1 + e_k), with y_k the
-      exact one in (0, 1/2], and let B = y_k/(1 - y_k), in (0, 1].  With
-      d_1, d_2 the roundings of the fma and the multiply, and q (1 + t) a
-      factor of both terms of the fma, the step gives exactly
+        Y_{k+1} = (a (Y_k - ((Y_k Y_k) >> B))) // d,
 
-          1 + e_{k+1} = [1 + (1 - B) e_k - B e_k**2] (1 + t)(1 + d_1)(1 + d_2).
+    the map y -> q (y - y**2) from y_0 = 1/2.  At q = 1 the step is
+    Y_{k+1} = Y_k - ((Y_k Y_k) >> B), chosen from q itself: the general
+    step with a = d = 1 costs about 1.6 times as much at 260 bits (2-core
+    Intel Xeon, Python 3.11).
 
-      |(1 - B) e - B e**2| <= |e| for |e| <= 1: an error already in y_k is
-      never amplified.  So for u <= 10**-6, |e_{k+1}| <= (1 + 3.01 u)|e_k|
-      + 3.01 u, and by induction |e_k| <= (1 + 3.01 u)**k - 1, below
-      3.02 k u while 3.01 k u <= 10**-3 (at every P >= 12 within
-      ``MAX_DEPTH``).
-    * The bound.  Callers take y_k within the relative
-      (3.02 k + 2.01) 10**(1 - P) = (6.04 k + 4.02) u.  That leaves
-      (3.02 k + 4.02) u for what they build on y_k: b_k = r (y_k + y_k)
-      rounds three times, and ``rate_constant``'s 2 r tau(y_K)/q**K rounds
-      2 r and its product once each, its division once, and its power
-      within about (k + 2) u: ``ctx.power`` raises q (1 + t), off from
-      q**k by about k u, and squares at P + len(str(k)) + 2 digits with one
-      final rounding.  With the second-order terms, each stays inside the
-      same bound for k >= 1.
+    * One step.  The shift drops delta in [0, 1) units and the division
+      another epsilon in [0, 1), so with f(y) = q (y - y**2)
+
+          x_{k+1} = f(x_k) + (q delta - epsilon) 2**-B,
+
+      with the last term in (-2**-B, 2**-B).  No step raises Y, and none
+      takes it below 0, so x_k stays in [0, 1/2], as y_k does.
+    * The bound.  f' = q (1 - 2y) lies in [0, q] on [0, 1/2], so the error
+      e_k = x_k - y_k obeys |e_{k+1}| < q |e_k| + 2**-B from e_0 = 0, and
+
+          |e_k| < (1 + q + ... + q**(k-1)) 2**-B <= min(k, 1/(1 - q)) 2**-B,
+
+      at every B and q (``orbit_error``).  At q = 1, epsilon = 0, so the
+      error is one-sided: 0 <= e_k < k 2**-B.
+    * A relative bound at y_k costs log2(1/y_k) more bits.
     """
-    ctx = Context(prec=precision)
-    fma, multiply = ctx.fma, ctx.multiply
-    q = PrecReal(q, precision).value
-    minus_q = ctx.minus(q)
-    y = Decimal("0.5")
+    check_ranges(("bits", bits, 1, None))
+    y = 1 << (bits - 1)
+    a, d = q.numerator, q.denominator
+    if a == d:
+        while True:
+            yield y
+            y -= (y * y) >> bits
     while True:
         yield y
-        y = multiply(y, fma(minus_q, y, q))
+        y = a * (y - ((y * y) >> bits)) // d
+
+
+def orbit_error(q: Fraction, k: int) -> int:
+    """E = min(k, ceil(1/(1 - q))), with |x_k - y_k| < E 2**-B for every B
+    (``orbit_integers``)."""
+    if q == 1:
+        return k
+    return min(k, -(-q.denominator // (q.denominator - q.numerator)))
 
 
 def logistic_iterate(n: int) -> list[Fraction]:
@@ -273,13 +278,20 @@ def logistic_iterate(n: int) -> list[Fraction]:
 
 
 def logistic_decimals(precision: int) -> Iterator[Decimal]:
-    """Endless stream alpha_0, alpha_1, ... as raw ``Decimal`` values: the
-    q = 1 case of ``orbit_decimals``.
+    """Endless stream alpha_0, alpha_1, ... as raw ``Decimal`` values.
 
-    No library path draws it: it is the Decimal oracle of the floored
-    ``logistic_integers``.
+    No library path draws it: it is the independent Decimal oracle of
+    ``orbit_integers`` at q = 1.  Each step rounds 1 - alpha and the
+    product once each at P = ``precision`` digits.  x - x**2 has relative
+    condition number (1 - 2x)/(1 - x), in [0, 1] on [0, 1/2], so an error
+    already in alpha_k is not amplified, and alpha_k stays within about a
+    relative k 10**(1 - P).
     """
-    return orbit_decimals(Fraction(1), precision)
+    ctx = Context(prec=precision)
+    alpha = Decimal("0.5")
+    while True:
+        yield alpha
+        alpha = ctx.multiply(alpha, ctx.subtract(1, alpha))
 
 
 def logistic_point(n: int, precision: int) -> Decimal:
@@ -287,15 +299,11 @@ def logistic_point(n: int, precision: int) -> Decimal:
 
     ``critical.estimate_constant`` walks at most n = 10**4 steps
     (``critical.WALK_DEPTH``) and answers a deeper request at that depth.
-    The orbit runs on an integer X = x * 2**B, rounding each square down:
-    X <- X - ((X*X) >> B) from X = 2**(B - 1), and X / 2**B is rounded once
-    into a ``precision``-digit Decimal.  The bound is derived as follows.
+    The orbit is ``orbit_integers`` at q = 1, X_n/2**B rounded once into
+    a ``precision``-digit Decimal, with 0 <= X_n/2**B - alpha_n < n 2**-B
+    (n >= 1; X_0/2**B = alpha_0 = 1/2).  The relative bound is derived as
+    follows.
 
-    * One-sided orbit error.  With x_k = X_k / 2**B the step is
-      x_{k+1} = f(x_k) + d_k, f(x) = x - x**2, where the floored part d_k
-      lies in [0, 2**-B).  f has slope 1 - 2x in [0, 1] on [0, 1/2], so
-      e_k = x_k - alpha_k obeys 0 <= e_{k+1} <= e_k + d_k, and
-      0 <= x_n - alpha_n < n * 2**-B (n >= 1; x_0 = alpha_0 = 1/2).
     * Relative error.  1/alpha_n = 2 + n + sum_{k<n} alpha_k/(1 - alpha_k)
       is at most m = n + 3 + bit_length(n) (the sum is below 1 + ln n).
       B = ceil((P - 1) log2 10) + 2 bit_length(2m) gives
@@ -309,20 +317,6 @@ def logistic_point(n: int, precision: int) -> Decimal:
     return _divide(x, 1 << bits, Context(prec=precision))
 
 
-def logistic_integers(bits: int) -> Iterator[int]:
-    """Endless stream X_0, X_1, ... of the floored orbit x_k = X_k / 2**bits.
-
-    The orbit of ``logistic_point``: X <- X - ((X*X) >> bits) from
-    X = 2**(bits - 1), so x_{k+1} = x_k - x_k**2 + d_k with d_k in
-    [0, 2**-bits) and 0 <= x_k - alpha_k < k 2**-bits (see there).
-    """
-    check_ranges(("bits", bits, 1, None))
-    x = 1 << (bits - 1)
-    while True:
-        yield x
-        x -= (x * x) >> bits
-
-
 def _logistic_fixed(n: int, precision: int) -> tuple[int, int]:
     """(X_n, B) of ``logistic_point``: 0 <= X_n/2**B - alpha_n < n 2**-B."""
     check_ranges(("depth", n, 0, MAX_DEPTH), ("precision", precision, 1, None))
@@ -330,4 +324,4 @@ def _logistic_fixed(n: int, precision: int) -> tuple[int, int]:
     bits = (10 ** (precision - 1) - 1).bit_length() + 2 * (
         2 * (n + 3 + n.bit_length())
     ).bit_length()
-    return next(islice(logistic_integers(bits), n, None)), bits
+    return next(islice(orbit_integers(Fraction(1), bits), n, None)), bits

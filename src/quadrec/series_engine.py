@@ -516,7 +516,7 @@ def koenigs(q: Fraction, order: int) -> tuple[CPoly, CPoly]:
     tau(f(y)) and q tau(y) agree for m <= order, so rho starts at
     y**(order + 1) and ends at y**(2 order).  f is the map of ``telescope``
     contracted by q, and for every p with this multiplier it is the orbit
-    map in y = p b/q (``recurrence.orbit_decimals``), so tau depends on q
+    map in y = p b/q (``recurrence.orbit_integers``), so tau depends on q
     alone.  With H_k = q**k tau_k,
 
         [y**m] tau(q (y - y**2)) = q**m tau_m - (half sum of H at m),

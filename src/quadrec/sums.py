@@ -47,8 +47,8 @@ longer lowers it.  The worst bound over s_2..s_11 and the family sum at
     (2000, 16)    7.5e-48
 
 The direct part is one pass over the floored fixed-point orbit of
-``recurrence.logistic_integers``: each summand is added as the integer
-floor(2**B g(x_k)) to one Python int, G(x_{N+1}) is evaluated exactly
+``recurrence.orbit_integers`` at q = 1: each summand is added as the
+integer floor(2**B g(x_k)) to one Python int, G(x_{N+1}) is evaluated exactly
 (``CPoly.__call__``, one integer sum over one denominator), and the total
 is rounded into a Decimal once.  The rounding of that pass is
 derived, not confirmed by a rerun (``_rounding_coefficient``), so the
@@ -66,7 +66,7 @@ from typing import Callable, NamedTuple, NoReturn
 from .critical import estimate_constant
 from .errors import RefusalError, check_ranges
 from .numerics import _EXACT, GUARD_DIGITS, CPoly, PrecReal, euler_gamma, rounded_up
-from .recurrence import MAX_DEPTH, logistic_integers, logistic_iterate
+from .recurrence import MAX_DEPTH, logistic_iterate, orbit_integers
 from .series_engine import tail_bound, telescope
 
 # Not used here: the benchmark's tracer wraps or counts these names in this module.
@@ -194,7 +194,7 @@ def _rounding_coefficient(s: _Summand, depth: int) -> Fraction:
 
         sum_{k<=N} [R(alpha_k) - R(x_k)] + sum_{k<=N} [G'(xi_k) d_k + e_k].
 
-    * 0 <= x_k - alpha_k < k 2**-B (``recurrence.logistic_point``) and
+    * 0 <= x_k - alpha_k < k 2**-B (``recurrence.orbit_integers``) and
       every point lies in [0, 1/2], where |R'| is at most ``_slope(R)``,
       plus (L + 1) 2**(2 - L) for terms omitted from x**L on with
       coefficients of size at most 1.  The first sum is below
@@ -233,7 +233,7 @@ def _one_pass(s: _Summand, depth: int, bits: int) -> tuple[Fraction, Fraction, i
     harmonic number H_N of the tail are the same integers floor(2**B/k), so
     they cancel exactly; the tail then holds G(x) + H_N, not yet ln x - gamma.
     """
-    orbit = logistic_integers(bits)
+    orbit = orbit_integers(Fraction(1), bits)
     direct = sum(s.floor(x, bits) for x in islice(orbit, depth + 1))
     x_last = next(orbit)
     tail = s.G(Fraction(x_last, 1 << bits))
@@ -423,13 +423,13 @@ def harmonic_divergence_diagnostic(n: int) -> tuple[PrecReal, PrecReal]:
 
     The partial sums of the logistic orbit drift like the harmonic series;
     their gap to the reference tends to 0 (empirically like ln(n)/n).  The
-    partial sum adds the floored orbit of ``logistic_integers`` as one
+    partial sum adds the floored orbit of ``orbit_integers`` at q = 1 as one
     exact integer and rounds it once; ``_divergence_precision`` derives its
     bits and the precision of both values.
     """
     check_ranges(("depth", n, 100, MAX_DEPTH))
     precision, bits = _divergence_precision(n)
-    partial = Fraction(sum(islice(logistic_integers(bits), n + 1)), 1 << bits)
+    partial = Fraction(sum(islice(orbit_integers(Fraction(1), bits), n + 1)), 1 << bits)
     s1 = regularized_s1(MAX_DIGITS_S1)
     ctx = Context(prec=precision)
     reference = ctx.add(ctx.ln(n), euler_gamma(precision).value)
@@ -441,7 +441,7 @@ def _divergence_precision(n: int) -> tuple[int, int]:
     """(P, B) at which sum_{k<=n} alpha_k keeps DIVERGENCE_DECIMALS decimals.
 
     The sum runs over the floored orbit x_k = X_k / 2**B, and
-    0 <= x_k - alpha_k < k 2**-B (``recurrence.logistic_point``), so it is
+    0 <= x_k - alpha_k < k 2**-B (``recurrence.orbit_integers``), so it is
     high by less than n (n + 1)/2 2**-B.  B = bit_length(n (n + 1) 10**P)
     keeps that below 10**-P / 2.  alpha_k < 1/(k + 2), so the sum stays
     below ln(n + 2) + 1 (under 100 for every n up to 10**40), and its one

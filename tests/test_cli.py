@@ -130,13 +130,13 @@ def test_rate_constants_refuse_more_than_fifty_digits(capsys, monkeypatch, argv)
     import quadrec.rate_constants as rate_constants
 
     walks = []
-    original = rate_constants.orbit_decimals
+    original = rate_constants.orbit_integers
 
-    def orbit_decimals(*args):
+    def orbit_integers(*args):
         walks.append(args)
         return original(*args)
 
-    monkeypatch.setattr(rate_constants, "orbit_decimals", orbit_decimals)
+    monkeypatch.setattr(rate_constants, "orbit_integers", orbit_integers)
     code, out, err = run(capsys, *argv, "--digits", "51")
     assert (code, out, walks) == (4, "", [])
     assert err.startswith("refused: ")
@@ -368,7 +368,7 @@ def test_the_largest_power_is_refused_before_its_pass(capsys, monkeypatch, digit
     def forbidden(*args):
         raise AssertionError("a refused sum walks no orbit")
 
-    monkeypatch.setattr(sums, "logistic_integers", forbidden)
+    monkeypatch.setattr(sums, "orbit_integers", forbidden)
     code, out, err = run(capsys, "sums", "--m", str(MAX_POWER), "--digits", str(digits))
     assert (code, out) == (4, "")
     assert f"exceeds 10^-{digits + 2} of the sum" in err

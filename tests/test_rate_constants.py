@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadrec.errors import DomainError, RefusalError
-from quadrec.numerics import GUARD_DIGITS, PrecReal, horner
+from quadrec.numerics import GUARD_DIGITS, PrecReal, _divide, horner
 from quadrec.rate_constants import (
     ORDER,
     Q_MAX,
@@ -23,7 +23,7 @@ from quadrec.rate_constants import (
     rate_constant,
     rate_constant_table,
 )
-from quadrec.recurrence import classify, orbit_decimals
+from quadrec.recurrence import classify, orbit_error, orbit_integers
 from quadrec.series_engine import koenigs
 
 # Published 15-digit values (final digit truncated, not rounded).
@@ -103,9 +103,9 @@ def _factor_count(q: Fraction, exponent: int) -> int:
 
 
 def _rounding_bound(walk: int, precision: int) -> Decimal:
-    """The relative rounding bound M (3.02 K + 3.01) 10**(1 - P) that
+    """The relative rounding bound (K + 3M + 7) 10**(1 - P)/2 that
     ``rate_constant`` derives for its walk of depth K at P working digits."""
-    return ORDER * (Decimal("3.02") * walk + Decimal("3.01")) * Decimal(10) ** (1 - precision)
+    return (walk + 3 * ORDER + 7) * Decimal(10) ** (1 - precision) / 2
 
 
 #: The table points at 15 and 50 digits, and both points with q = Q_MAX.
@@ -139,12 +139,15 @@ def test_rate_constant_is_the_direct_partial_product(p, digits):
     assert abs(Fraction(result.C.value) - Fraction(direct)) <= walk_error + direct_error
 
 
-def _walk_value(p: Fraction, walk: int, precision: int) -> Decimal:
-    """2r tau_M(y_K)/q**K with every step of ``rate_constant``'s walk at ``precision``."""
+def _walk_value(p: Fraction, digits: int, walk: int, precision: int) -> Decimal:
+    """2r tau_M(y_K)/q**K with every step of ``rate_constant``'s walk at
+    ``precision``: the kernel's bits of the walk at ``digits``, with
+    4 bits more for each extra digit, keep y_K within u of that precision."""
     ctx = Context(prec=precision)
     params = classify(p)
     tau, _rho = koenigs(params.q, ORDER)
-    y = next(islice(orbit_decimals(params.q, precision), walk, None))
+    bits = _walk_plan(params.q, digits)[-1] + 4 * (precision - digits - 2 * GUARD_DIGITS)
+    y = _divide(next(islice(orbit_integers(params.q, bits), walk, None)), 1 << bits, ctx)
     q = PrecReal(params.q, precision).value
     value = ctx.multiply(PrecReal(2 * params.r, precision).value, horner(tau.decimals(ctx), y, ctx))
     return ctx.divide(value, ctx.power(q, walk))
@@ -158,7 +161,7 @@ def test_one_pass_stays_inside_its_derived_rounding_bound(p, digits):
     precision = digits + 40
     assert result.C.precision == precision
     walk = result.factors_used
-    reference = _walk_value(Fraction(p), walk, 2 * precision + 20)
+    reference = _walk_value(Fraction(p), digits, walk, 2 * precision + 20)
     bound = _rounding_bound(walk, precision) + _rounding_bound(walk, 2 * precision + 20)
     assert abs(result.C.value - reference) <= bound * reference
 
@@ -169,27 +172,26 @@ def test_one_pass_stays_inside_its_derived_rounding_bound(p, digits):
     + [(p, d) for p in (Q_MAX / 2, 1 - Q_MAX / 2) for d in (1, 15)],
 )
 def test_factor_count_is_the_least_that_meets_the_target(p, digits):
-    # the walk stops at the first K whose y_K lies at or below T_0 and whose
-    # ybar_K = y_K (1 + e_K), rounded up, passes both upward checks; the
-    # checks keep the tail bound at or below 10**-(D+2)
+    # the walk stops at the first K whose Y_K/2**B lies at or below T_0 and
+    # whose ybar_K = (Y_K + E_K)/2**B, rounded up, passes both upward
+    # checks; the checks keep the tail bound at or below 10**-(D+2)
     result = rate_constant(p, digits)
     params = classify(p)
-    _s, w, eta, start = _walk_plan(params.q, digits)
-    precision = digits + 40
+    _s, w, eta, start, bits = _walk_plan(params.q, digits)
     up = Context(prec=12, rounding=ROUND_CEILING)
 
     def passes(k, y):
-        y_bar = up.multiply(y, up.add(1, Decimal(302 * k + 201).scaleb(-1 - precision)))
+        y_bar = _divide(y + orbit_error(params.q, k), 2**bits, up)
         return (
-            y <= start
+            Fraction(y, 2**bits) <= start
             and _upper(w, ORDER, y_bar, up) <= Decimal(9).scaleb(-(digits + 3))
             and _upper(eta, 1, y_bar, up) <= Decimal("0.25")
         )
 
     k = result.factors_used
-    orbit = list(islice(orbit_decimals(params.q, precision), k + 1))
+    orbit = list(islice(orbit_integers(params.q, bits), k + 1))
     assert passes(k, orbit[k])
-    assert not any(passes(j, b) for j, b in enumerate(orbit[:k]))
+    assert not any(passes(j, y) for j, y in enumerate(orbit[:k]))
     assert result.tail_bound.value <= Decimal(10) ** -(digits + 2)
 
 
@@ -200,13 +202,13 @@ def test_factor_count_is_the_least_that_meets_the_target(p, digits):
 )
 def test_tail_bound_is_an_upward_rounding_of_the_derived_bound(p, digits):
     # in exact rationals, tail_bound >= 2r q**-K W(ybar), with
-    # W(y) = sum_n |rho_n| y**n/(q - q**n) and ybar the rounded-up
-    # y_K (1 + e_K) of the stop check, and tail_bound <= 10**-(D+2)
+    # W(y) = sum_n |rho_n| y**n/(q - q**n) and ybar = (Y_K + E_K)/2**B, the
+    # kernel's upper bound on y_K, and tail_bound <= 10**-(D+2)
     result = rate_constant(p, digits)
-    params, walk, precision = classify(p), result.factors_used, digits + 40
-    y = next(islice(orbit_decimals(params.q, precision), walk, None))
-    up = Context(prec=12, rounding=ROUND_CEILING)
-    y_bar = Fraction(up.multiply(y, up.add(1, Decimal(302 * walk + 201).scaleb(-1 - precision))))
+    params, walk = classify(p), result.factors_used
+    bits = _walk_plan(params.q, digits)[-1]
+    y = next(islice(orbit_integers(params.q, bits), walk, None))
+    y_bar = Fraction(y + orbit_error(params.q, walk), 2**bits)
     q, (_tau, rho) = params.q, koenigs(params.q, ORDER)
     weight = sum(abs(c) * y_bar**n / (q - q**n) for n, c in enumerate(rho.coeffs) if c)
     derived = 2 * params.r * weight / q**walk
@@ -257,6 +259,8 @@ def test_rate_constant_rejects_bad_inputs():
         rate_constant(0)
     with pytest.raises(RefusalError):
         rate_constant_table(51)
+    with pytest.raises(DomainError, match="precision must be at least 1"):
+        convergence_diagnostic(Fraction(1, 5), 10, 0)
 
 
 def test_diagnostic_rows_decrease_toward_the_constant():
@@ -280,16 +284,15 @@ def test_diagnostic_first_ratio_is_half_of_fixed_point():
 
 def test_sandwich_bound_brackets_the_constant():
     # partial * (1 - q**K/(1 - q)) <= C <= partial for the exact K-th
-    # partial product b_K/q**K, at the walk depth K.  Row K carries the
-    # stream's relative bound (3.02K + 2.01) 10**(1-P) at P = 70 plus one
-    # unit 10**(1-P) for each of its K multiplications by q = 4/5 (exact)
-    # and its division; C is within its tail bound and its walk's derived
-    # rounding of the constant.
+    # partial product b_K/q**K, at the walk depth K.  Row K's ratio is
+    # within the relative 10**(1-P) at P = 70 derived for the diagnostic;
+    # C is within its tail bound and its walk's derived rounding of the
+    # constant.
     result = rate_constant(Fraction(2, 5), digits=12)
     k = result.factors_used
     rows = convergence_diagnostic(Fraction(2, 5), k, 70)
     partial = Fraction(rows[-1].ratio.value)
-    row_error = Fraction(302 * k + 201, 100) + k + 1
+    row_error = 1
     upper = partial * (1 + row_error / 10**69)
     lower = partial * (1 - row_error / 10**69) * (1 - result.q**k / (1 - result.q))
     value = Fraction(result.C.value)
@@ -297,6 +300,50 @@ def test_sandwich_bound_brackets_the_constant():
         _rounding_bound(k, result.C.precision)
     )
     assert lower - slack <= value <= upper + slack
+
+
+def test_deep_diagnostic_row_keeps_its_relative_precision():
+    # at k = 3000 and p = 1/5, y_k is below 10**-1190, far below the
+    # kernel's 2**-B: the ratio comes from the product Z_k carried beside
+    # the walk.  The partial product is within q**k/(1 - q) relative above
+    # C, so row and constant agree within both their bounds.
+    rows = convergence_diagnostic(Fraction(1, 5), 3000, 70)
+    row = rows[-1]
+    assert row.k == 3000 and 0 < row.b.value < Decimal("1e-1190")
+    result = rate_constant(Fraction(1, 5), 50)
+    value, ratio = Fraction(result.C.value), Fraction(row.ratio.value)
+    slack = Fraction(result.tail_bound.value) + value * Fraction(
+        _rounding_bound(result.factors_used, result.C.precision)
+    )
+    assert abs(ratio - value) <= ratio / 10**69 + slack
+    # b_k = ratio q**k, within (k + 2) 10**(1 - P) relative
+    q_power = Fraction(2, 5) ** 3000
+    assert abs(Fraction(row.b.value) / ratio - q_power) <= q_power * 3002 / 10**69
+
+
+#: factors_used as the Decimal orbit stream walked it, before the one
+#: integer kernel: the depths are a property of the stop checks alone.
+FROZEN_FACTORS = {
+    Fraction(1, 5): (1, 6, 21),
+    Fraction(1, 4): (2, 8, 27),
+    Fraction(1, 3): (3, 14, 47),
+    Fraction(2, 5): (6, 27, 87),
+    Fraction(3, 5): (6, 27, 87),
+    Fraction(2, 3): (3, 14, 47),
+    Fraction(3, 4): (2, 8, 27),
+    Fraction(4, 5): (1, 6, 21),
+    Fraction(499, 1000): (888, 3261, 9970),
+    Fraction(501, 1000): (888, 3261, 9970),
+    Q_MAX / 2: (1783, 6532, 19956),
+    Fraction(1, 10**400): (1, 1, 1),
+}
+
+
+@pytest.mark.parametrize(
+    "p", FROZEN_FACTORS, ids=lambda p: "1/10^400" if p == Fraction(1, 10**400) else str(p)
+)
+def test_factor_counts_are_frozen(p):
+    assert tuple(rate_constant(p, d).factors_used for d in (1, 15, 50)) == FROZEN_FACTORS[p]
 
 
 @settings(max_examples=30, deadline=None)
@@ -330,11 +377,11 @@ CONJUGATE_PS = [Fraction(*pq) for pq in [(4, 5), (3, 4), (2, 3), (3, 5), (501, 1
 def test_rate_constant_is_r_times_the_conjugate_constant(p, digits):
     # p and 1 - p walk the one orbit in y = p b/q (module docstring): the
     # same K, and C(p) = r C(1 - p).  Each computed C is within the
-    # relative bound d = M (3.02 K + 3.01) 10**(1 - P) of its exact walk
+    # relative bound d = (K + 3M + 7) 10**(1 - P)/2 of its exact walk
     # value X, so |X| <= |C|/(1 - d)
     high, low = rate_constant(p, digits), rate_constant(1 - p, digits)
     assert high.factors_used == low.factors_used
     K, r = high.factors_used, classify(p).r
-    d = Fraction(ORDER * (302 * K + 301), 100 * 10 ** (digits + 2 * GUARD_DIGITS - 1))
+    d = Fraction(K + 3 * ORDER + 7, 2 * 10 ** (digits + 2 * GUARD_DIGITS - 1))
     c_high, c_low = Fraction(high.C.value), Fraction(low.C.value)
     assert abs(c_high - r * c_low) <= d / (1 - d) * (abs(c_high) + r * abs(c_low))

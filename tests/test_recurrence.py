@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 from itertools import islice
@@ -23,10 +24,10 @@ from quadrec.recurrence import (
     iterate_exact,
     iterate_real,
     logistic_decimals,
-    logistic_integers,
     logistic_iterate,
     logistic_point,
-    orbit_decimals,
+    orbit_error,
+    orbit_integers,
 )
 
 # ---------------------------------------------------------------------------
@@ -219,28 +220,41 @@ def test_real_orbit_explicit_sample_ks():
             iterate_real(params, 64, 25, sample_ks=outside)
 
 
-def test_residual_stream_rounds_the_exact_orbit():
-    # y_k within the derived relative bound (3.02 k + 2.01) 10**(1-P) of the
-    # exact y_k = (r - a_k)/(2r), in every regime
-    for p in (Fraction(1, 3), Fraction(2, 5), Fraction(1, 2), Fraction(3, 5)):
-        params = classify(p)
-        for precision in (20, 40):
-            stream = orbit_decimals(params.q, precision)
-            for sample, y in zip(iterate_exact(params, 12), stream):
-                exact = sample.b / (2 * params.r)
-                bound = Fraction(302 * sample.k + 201, 100) / 10 ** (precision - 1)
-                assert abs(Fraction(y) - exact) <= bound * exact, (p, precision, sample.k)
+#: (p, steps): one p for each q in {1, 4/5, 2/3, 999/1000, 2/10**400}, and
+#: the longest exact orbit of at most 12 steps that ``iterate_exact`` serves
+KERNEL_CASES = [
+    pytest.param(Fraction(1, 2), 12, id="q=1"),
+    pytest.param(Fraction(2, 5), 12, id="q=4/5"),
+    pytest.param(Fraction(1, 3), 12, id="q=2/3"),
+    pytest.param(Fraction(999, 2000), 12, id="q=999/1000"),
+    pytest.param(Fraction(1, 10**400), 9, id="q=2/10^400"),
+]
+
+
+@pytest.mark.parametrize("bits", [3, 40, 200, 1500])
+@pytest.mark.parametrize("p, steps", KERNEL_CASES)
+def test_the_kernel_stays_within_its_derived_bound(p, steps, bits):
+    # |Y_k/2**B - y_k| < min(k, 1/(1 - q)) 2**-B against the exact orbit
+    # y_k = b_k/(2r), at every B and q, and one-sided at q = 1
+    params = classify(p)
+    for sample, y in zip(iterate_exact(params, steps), orbit_integers(params.q, bits)):
+        error = Fraction(y, 2**bits) - sample.b / (2 * params.r)
+        # messages name k alone: the exact values have long denominators
+        assert abs(error) <= Fraction(orbit_error(params.q, sample.k), 2**bits), sample.k
+        assert params.q < 1 or error >= 0, sample.k
+    q = params.q
+    assert orbit_error(q, 10**6) == (10**6 if q == 1 else math.ceil(1 / (1 - q)))
 
 
 def test_final_value_agrees_with_orbit_endpoint():
     # a_n = r - b_n against the exact orbit, within the absolute bound
-    # (3.02 n + 3.01) 10**(1-P) derived in the iterate_real docstring
+    # 10**-P derived in the iterate_real docstring
     for p in (Fraction(2, 5), Fraction(1, 3)):
         params = classify(p)
         for sample in iterate_exact(params, 18):
             for precision in (30, 50):
                 a_n = final_value(params, sample.k, precision)
-                bound = Fraction(302 * sample.k + 301, 100) / 10 ** (precision - 1)
+                bound = Fraction(1, 10**precision)
                 assert a_n.precision == precision
                 assert abs(Fraction(a_n.value) - sample.a) <= bound, (p, precision, sample.k)
 
@@ -320,16 +334,16 @@ def test_logistic_fixed_point_error_is_one_sided(precision):
 
 
 @pytest.mark.parametrize("bits", [3, 40, 200])
-def test_logistic_integers_are_the_floored_orbit(bits):
-    # the stream is the orbit of logistic_point, with the same one-sided error
+def test_the_kernel_at_q_one_is_the_floored_logistic_orbit(bits):
+    # the q = 1 kernel is the orbit of logistic_point, with the same one-sided error
     exact = logistic_iterate(16)
-    for k, (x, alpha) in enumerate(zip(logistic_integers(bits), exact)):
+    for k, (x, alpha) in enumerate(zip(orbit_integers(Fraction(1), bits), exact)):
         error = Fraction(x, 2**bits) - alpha
         assert 0 <= error < Fraction(max(k, 1), 2**bits), k
     x, bits = _logistic_fixed(1000, 40)
-    assert next(islice(logistic_integers(bits), 1000, None)) == x
+    assert next(islice(orbit_integers(Fraction(1), bits), 1000, None)) == x
     with pytest.raises(DomainError):
-        next(logistic_integers(0))
+        next(orbit_integers(Fraction(1), 0))
 
 
 def _relative_error(n: int, precision: int) -> Fraction:
@@ -358,6 +372,11 @@ def test_logistic_point_domain_checks():
         logistic_point(-1, 40)
     with pytest.raises(DomainError):
         logistic_point(10, 0)
+    # every precision-tracked orbit validates its precision the same way
+    with pytest.raises(DomainError, match="precision must be at least 1"):
+        iterate_real(classify("2/5"), 10, 0)
+    with pytest.raises(DomainError, match="precision must be at least 1"):
+        final_value(classify("2/5"), 10, -3)
 
 
 def test_final_value_refuses_depth_past_the_limit():

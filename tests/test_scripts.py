@@ -34,6 +34,7 @@ def test_reproduce_all_runs():
 def test_scaling_study_runs_inside_its_bounds():
     result = _run_script("scripts/scaling_study.py", "--max-order", "6", "--max-depth-exp", "3")
     assert result.returncode == 0, result.stderr
+    assert "orbit kernel steps per second" in result.stdout
     assert "telescope build by order" in result.stdout
     assert "estimator error by depth and order" in result.stdout
     assert "(!) error above bound" not in result.stdout

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from quadrec.critical import _abel_summand, estimate_constant
 from quadrec.errors import DomainError, ExactCapError, RefusalError
 from quadrec.numerics import GUARD_DIGITS, CPoly, PrecReal, euler_gamma, horner
-from quadrec.recurrence import MAX_DEPTH, logistic_decimals, logistic_integers, logistic_iterate
+from quadrec.recurrence import MAX_DEPTH, logistic_decimals, logistic_iterate, orbit_integers
 from quadrec.series_engine import tail_bound, telescope
 from quadrec.sums import (
     _FAMILY,
@@ -153,7 +153,7 @@ def test_hopeless_powers_are_refused_before_any_work(monkeypatch):
         raise AssertionError("a refused power builds no telescope and walks no orbit")
 
     monkeypatch.setattr(sums, "telescope", forbidden)
-    monkeypatch.setattr(sums, "logistic_integers", forbidden)
+    monkeypatch.setattr(sums, "orbit_integers", forbidden)
     for m, digits in [(10**6, 3), (MAX_POWER + 1, 1), (MAX_POWER + 1, MAX_DIGITS_POWER)]:
         with pytest.raises(RefusalError, match=f"m {m} exceeds the limit of {MAX_POWER}"):
             power_sum(m, digits)
@@ -665,7 +665,7 @@ def test_divergence_integer_sum_within_its_bound(n):
     # the exact integer partial sum against the Decimal orbit at 60 digits,
     # whose own error, below n 10**-57, the 1e-50 absorbs
     precision, bits = _divergence_precision(n)
-    total = Fraction(sum(islice(logistic_integers(bits), n + 1)), 2**bits)
+    total = Fraction(sum(islice(orbit_integers(Fraction(1), bits), n + 1)), 2**bits)
     oracle = sum(Fraction(alpha) for alpha in islice(logistic_decimals(60), n + 1))
     slack = Fraction(1, 10**50)
     assert -slack <= total - oracle < Fraction(n * (n + 1), 2 ** (bits + 1)) + slack
