@@ -154,7 +154,7 @@ def estimate_constant(depth: int = 10**6, order: int = 6, precision: int = 60) -
         depth=depth,
         order=order,
         precision=precision,
-        truncation_bound=rounded_up(bound, precision),
+        truncation_bound=rounded_up(bound.numerator, bound.denominator, precision),
     )
 
 

@@ -134,11 +134,14 @@ def _divide(n: int, d: int, ctx: Context) -> Decimal:
     return dec.copy_negate() if n < 0 else dec
 
 
-def rounded_up(bound: Fraction, precision: int) -> "PrecReal":
-    """``bound`` rounded toward +infinity to ``precision`` digits, so that a
-    reported bound never lies below the bound derived for it."""
+def rounded_up(numerator: int, denominator: int, precision: int) -> "PrecReal":
+    """The bound numerator/denominator (denominator > 0) rounded toward
+    +infinity to ``precision`` digits, so that a reported bound never lies
+    below the bound derived for it.  The pair need not be in lowest terms:
+    reducing one of thousands of bits would cost a gcd quadratic in its
+    length, as a ``Fraction`` does."""
     up = Context(prec=precision, rounding=decimal.ROUND_CEILING)
-    return PrecReal(_divide(bound.numerator, bound.denominator, up), precision)
+    return PrecReal(_divide(numerator, denominator, up), precision)
 
 
 class PrecReal:

@@ -27,23 +27,31 @@ y_{k+1} <= q y_k and any ybar >= y_K,
     |D - tau_M(y_K)/q**K| <= q**-(K+1) sum_n |rho_n| ybar**n / (1 - q**(n-1))
                              = q**-K W(ybar),    W(y) = sum_n w_n y**n,
 
-with w_n = |rho_n|/(q - q**n).  So ``tail_bound`` is 2r q**-K W(ybar),
-rounded upward.  Since 2r y_K q**-K = b_K/q**K <= r <= 1 it is at most
-about sum_n w_n y_K**(n-1), which shrinks with y_K.  So the walk runs
+with w_n = |rho_n|/(q - q**n), each rounded up once to ``_BOUND_DIGITS``
+digits.  Since 2r y_K q**-K = b_K/q**K <= r <= 1, 2r q**-K W(ybar) is at
+most about sum_n w_n y_K**(n-1), which shrinks with y_K.  So the walk runs
 the kernel only until the first K at which
 
     sum_n w_n ybar**(n-1) <= 9 * 10**-(D+3)   and   sum_{n>=2} |tau_n| ybar**(n-1) <= 1/4
 
-hold at ybar = (Y_K + E)/2**B, rounded upward, with E = min(K, ceil(1/(1 - q)))
+hold at the dyadic point ybar = (Y_K + E)/2**B, with E = min(K, ceil(1/(1 - q)))
 the kernel's error bound in units of 2**-B, so ybar >= y_K.  Both sums are
-checked in upward-rounded Decimal arithmetic (``_upper``).  Each is at
+evaluated exactly, each as one integer over one unreduced denominator (the
+weights over a power of ten, the tau_n over tau's denominator and ybar
+over 2**B), by Horner's rule with no gcd (``_stop_sums``).  Each is at
 least its lowest term, so no y_K above the roots of those two terms
-passes, and the checks start below them (``_walk_plan``); until then the
-stop test compares integers only.  The first condition makes
-``tail_bound`` at most 10**-(D+2): ybar/y_K <= (1 + 10**-3)**2 and
-(1 + 10**-3)**2 < 10/9.  The second keeps tau_M(y) = y (1 + eta) with
-|eta| <= 1/4 there, for the rounding below.  At p = 499/1000 and D = 15
-the walk stops after 3261 steps.
+passes.  The checks start below the smaller root, T_0, which
+``_walk_plan`` takes from an integer M-th root; until then the stop test
+compares integers only.
+
+``tail_bound`` is the exact rational 2r W(ybar) (1 + (K + 3) u)/q_power,
+with q_power the walk's q**K, within the relative (K + 3) u of it (below),
+rounded up once to ``_BOUND_DIGITS`` digits by ``numerics.rounded_up``; so
+it is at least 2r q**-K W(ybar).  The first condition makes it at most
+10**-(D+2): ybar/y_K < 1 + 2u (below) and (1 + 2u)(1 + (K + 3) u) < 10/9.
+The second keeps tau_M(y) = y (1 + eta) with |eta| <= 1/4 there, for the
+rounding below.  At p = 499/1000 and D = 15 the walk stops after 3261
+steps.
 
 The rounding, at P = D + 40 working digits and u = 10**(1 - P)/2:
 
@@ -66,7 +74,7 @@ The rounding, at P = D + 40 working digits and u = 10**(1 - P)/2:
 * The multiply by the computed y_K adds e_K + u; 2r, its product and the
   division round once each, and ``ctx.power`` raises q (1 + t), |t| <= u,
   off from q**K by about K u, and squares at P + len(str(K)) + 2 digits
-  with one final rounding, so q**K is within (K + 3) u.  With the
+  with one final rounding, so q_power is within (K + 3) u of q**K.  With the
   second-order terms, C is within the relative bound (K + 3M + 7) u of
   2r tau_M(y_K)/q**K: below 10**-(D+30) for K < 10**9 at M = 6, where the
   walks within the caps take at most about 2*10**4 steps.
@@ -84,7 +92,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .errors import RefusalError, check_ranges
-from .numerics import GUARD_DIGITS, PrecReal, _divide, horner
+from .numerics import GUARD_DIGITS, PrecReal, _divide, horner, rounded_up
 from .recurrence import MAX_DEPTH, Params, Regime, classify, orbit_error, orbit_integers
 from .series_engine import koenigs
 
@@ -109,17 +117,16 @@ Q_MAX = Fraction(999, 1000)
 
 #: The order M of the truncated Koenigs function tau_M.  A higher order
 #: walks fewer steps (the depth falls roughly like 1/M), a lower one costs
-#: less per call to solve, weigh and evaluate.  At 15 digits p = 499/1000 walks 3261 steps at
-#: order 6 and 2447 at order 8, and the pair p = 0.4988, 0.5012 took 4.5 and
-#: 3.6 ms; the eight-point table took 1.1 ms at order 6 and 1.4 ms at order 8
-#: (in-process medians, 2-core Intel Xeon).
+#: less per call to solve, weigh and evaluate.  At 15 digits p = 499/1000
+#: walks 3261 steps at order 6 and 2447 at order 8, and the pair
+#: p = 0.4988, 0.5012 took 2.1 and 1.8 ms; the eight-point table took
+#: 0.66 ms at order 6 and 0.77 ms at order 8 (in-process medians of 101
+#: alternating calls, 2-core Intel Xeon, Python 3.11).
 ORDER = 6
 
-#: Significant digits of the weights, the stop checks and the tail bounds,
-#: all rounded upward.
+#: Significant digits of the weights w_n and of the tail bounds, each
+#: rounded upward once.
 _BOUND_DIGITS = 12
-
-_QUARTER = Decimal("0.25")
 
 #: Digit requests above this are refused, by ``rate_constant`` and so by the
 #: table, and by the CLI's ``iterate``: the walk depth and the working
@@ -153,62 +160,52 @@ class DiagnosticRow(NamedTuple):
     ratio: PrecReal
 
 
-def _root(x: Decimal, m: int, up: Context) -> Decimal:
-    """x**(1/m) to about 12 digits and a hair high, for x > 0 of at most
-    ``up.prec`` digits.
-
-    The power of ten is split off first and only the mantissa, below
-    10**m, goes through a float, so no float overflows or underflows
-    whatever the exponent; its root in [1, 10) is raised by far more than
-    the float's rounding and cut to 12 digits, plus one unit.  Both
-    scalings run on the upward ``up``.
-    """
-    shift, rest = divmod(x.adjusted(), m)
-    mantissa = float(up.scaleb(x, -x.adjusted())) * 10.0**rest
-    return up.scaleb(int(mantissa ** (1 / m) * (1 + 1e-9) * 1e11) + 1, shift - 11)
+def _root(n: int, m: int) -> int:
+    """floor(n**(1/m)) for n >= 1, by Newton's method on integers: from a
+    start above the root every step falls, until one reaches the floor."""
+    t = 1 << -(-n.bit_length() // m)
+    while (s := ((m - 1) * t + n // t ** (m - 1)) // m) < t:
+        t = s
+    return t
 
 
-def _upper(coeffs: list[Decimal], m: int, b: Decimal, up: Context) -> Decimal:
-    """b**m * sum_i coeffs[i] b**i rounded upward, for b > 0 and coeffs >= 0.
-
-    b has at most ``up.prec`` digits, so its m-th power is exact at m times
-    that; Horner's rule and the product round upward.
-    """
-    exact = Context(prec=m * up.prec)
-    return up.multiply(exact.power(b, m), horner(coeffs, b, up))
-
-
-def _target(digits: int) -> Decimal:
-    """The bound 9 * 10**-(digits + 3) of the first stop condition."""
-    return Decimal((0, (9,), -(digits + 3)))
+def _sum_at(coeffs: list[int], n: int, b: int) -> int:
+    """sum_j coeffs[j] (n/2**b)**j times 2**(b J), J = len(coeffs) - 1: the
+    polynomial at n/2**b over an unreduced power of two, by Horner's rule
+    on integers."""
+    acc = 0
+    for j, c in enumerate(reversed(coeffs)):
+        acc = acc * n + (c << b * j)
+    return acc
 
 
-def _passes(w: list[Decimal], eta: list[Decimal], y_bar: Decimal, digits: int, up: Context) -> bool:
-    """Both stop checks of the module docstring at ``y_bar``, rounded upward."""
-    weighted = _upper(w, ORDER, y_bar, up)
-    return weighted <= _target(digits) and _upper(eta, 1, y_bar, up) <= _QUARTER
+def _stop_sums(checks: list[tuple[list[int], int]], n: int, b: int) -> list[int]:
+    """Both stop checks at ybar = n/2**b, exactly and with no gcd: the sums
+    sum_j c_j ybar**j of ``checks`` (``_sum_at``) if each is at most its
+    den, and [] if one is not."""
+    sums = [_sum_at(c, n, b) for c, _ in checks]
+    return sums if all(s <= den << b * (len(c) - 1) for s, (c, den) in zip(sums, checks)) else []
 
 
-def _walk_plan(
-    q: Fraction, digits: int
-) -> tuple[list[Decimal], list[Decimal], list[Decimal], Decimal, int]:
-    """tau_M's coefficients, the weights w_n, the |tau_n| of the second
-    condition (n >= 2), the bound T_0 below which the walk checks, and the
-    kernel's bits B.
+def _walk_plan(q: Fraction, digits: int) -> tuple[list[Decimal], list, int, int, int]:
+    """tau_M's coefficients, the two stop checks, the bound T_0 = t/2**s
+    below which the walk checks, as t and s, and the kernel's bits B.
 
     The coefficients are rounded once each at P = digits + 2*GUARD_DIGITS
     (``CPoly.decimals``), the weights w_n = |rho_n|/(q - q**n), n > M,
     upward at ``_BOUND_DIGITS`` by integer division (``_divide``): near
     p = 10**-400 their integers have thousands of digits, which
-    ``Context.divide`` would convert in quadratic time.  T_0 is the
-    smaller root of the two conditions' lowest terms, w_{M+1} y**M and
-    |tau_2| y, rounded up.  y_low is T_0 halved until both checks pass,
-    and B the least with 2**B >= 8 E' 10**(P-1)/(q y_low) (module
-    docstring).
+    ``Context.divide`` would convert in quadratic time.  From there on
+    all is exact: the first check is sum_n w_n y**(n-1) <= 9*10**-(D+3)
+    with the weights over one power of ten, the second
+    sum_{n>=2} |tau_n| y**(n-1) <= 1/4 over tau's denominator.  T_0 lies
+    above the smaller root of their lowest terms, w_{M+1} y**M and
+    |tau_2| y, by less than 2**-62 relative, from an integer M-th root
+    (``_root``).  y_low is T_0 halved until both checks pass, and B the
+    least with 2**B >= 8 E' 10**(P-1)/(q y_low) (module docstring).
     """
     tau, rho = koenigs(q, ORDER)
     precision = digits + 2 * GUARD_DIGITS
-    s = tau.decimals(Context(prec=precision))
     up = Context(prec=_BOUND_DIGITS, rounding=ROUND_CEILING)
     # q = a/d gives q - q**n = a (d**(n-1) - a**(n-1))/d**n
     a, d = q.numerator, q.denominator
@@ -217,15 +214,24 @@ def _walk_plan(
         gap = rho._denominator * a * (d_power - a_power)
         w.append(_divide(abs(rho._numerators[n]) * d_power * d, gap, up))
         a_power, d_power = a_power * a, d_power * d
-    eta = [c.copy_abs() for c in s[2:]]
-    start = min(_root(up.divide(_target(digits), w[0]), ORDER, up), up.divide(_QUARTER, eta[0]))
-    low = start
-    while not _passes(w, eta, low, digits, up):
-        low = up.divide(low, 2)
-    # 2**B >= 8 E' 10**(P-1)/(q y_low), E' = ceil(d/(d - a)), as one ceiling
-    n_low, d_low = low.as_integer_ratio()
-    need = 8 * -(-d // (d - a)) * 10 ** (precision - 1) * d * d_low
-    return s, w, eta, start, (-(-need // (a * n_low)) - 1).bit_length()
+    # each check is sum_j c_j y**j <= den, as integers
+    exponents = [x.as_tuple().exponent for x in w]
+    scale = max(0, -min(exponents))
+    weights = [int(up.scaleb(x, -e)) * 10 ** (digits + 3 + e + scale) for x, e in zip(w, exponents)]
+    eta = [0] + [4 * abs(c) for c in tau._numerators[2:]]
+    checks = [([0] * ORDER + weights, 9 * 10**scale), (eta, tau._denominator)]
+    # the roots of c_j y**j = den at j = M and 1, to 62 bits or more at 2**-s
+    lowest = list(zip((ORDER, 1), checks))
+    shift = 64 + max((c[j].bit_length() - den.bit_length()) // j + 1 for j, (c, den) in lowest)
+    t = min(_root((den << j * shift) // c[j], j) + 1 for j, (c, den) in lowest)
+    # at T_0 itself the lowest term of one check already exceeds its den
+    low = shift + 1
+    while not _stop_sums(checks, t, low):
+        low += 1
+    # 2**B >= 8 E' 10**(P-1)/(q y_low), y_low = t/2**low, E' = ceil(d/(d - a)), as one ceiling
+    need = 8 * -(-d // (d - a)) * 10 ** (precision - 1) * d << low
+    bits = (-(-need // (a * t)) - 1).bit_length()
+    return tau.decimals(Context(prec=precision)), checks, t, shift, bits
 
 
 class _Walk(NamedTuple):
@@ -233,8 +239,7 @@ class _Walk(NamedTuple):
 
     y: Decimal  # y_K, rounded once from the kernel
     depth: int  # K
-    y_bar: Decimal  # (Y_K + E)/2**B, rounded upward
-    weighted: Decimal  # sum_n w_n y_bar**(n-1), rounded upward
+    bound: tuple[int, int]  # W(ybar)/q**K or above, as an unreduced quotient
     q_power: Decimal  # q**K at the working precision
     tau: Decimal  # tau_M(y_K) by Horner's rule
 
@@ -242,25 +247,25 @@ class _Walk(NamedTuple):
 def _walk(q: Fraction, digits: int) -> _Walk:
     """Walk the orbit of q at the plan's B bits until y_K passes the checks
     of the module docstring, with P = digits + 2*GUARD_DIGITS digits."""
-    s, w, eta, start, bits = _walk_plan(q, digits)
+    coeffs, checks, t, shift, bits = _walk_plan(q, digits)
     precision = digits + 2 * GUARD_DIGITS
     ctx = Context(prec=precision)
-    up = Context(prec=_BOUND_DIGITS, rounding=ROUND_CEILING)
-    # Y_K <= threshold exactly when Y_K/2**B <= T_0
-    n_start, d_start = start.as_integer_ratio()
-    threshold = (n_start << bits) // d_start
+    # Y_K <= threshold exactly when Y_K/2**B <= T_0, and y_K <= ybar =
+    # (Y_K + E)/2**B by the kernel's bound
+    threshold = (t << bits) >> shift
     for k_walk, y in enumerate(orbit_integers(q, bits)):
-        if y <= threshold:
-            # y_K <= y_bar by the kernel's bound
-            y_bar = _divide(y + orbit_error(q, k_walk), 1 << bits, up)
-            if _passes(w, eta, y_bar, digits, up):
-                break
-    # q_power is within (K + 3) u of q**K, which the last factor
-    # 1 + 10**(1 - _BOUND_DIGITS) covers
+        if y <= threshold and (sums := _stop_sums(checks, y + orbit_error(q, k_walk), bits)):
+            break
+    # W(ybar) = ybar sum_n w_n ybar**(n-1), which is 9*10**-(D+3) times the
+    # first check's sum over its den; 1/q**K <= (1 + (K + 3) u)/q_power,
+    # u = 10**(1 - P)/2 (module docstring)
     q_power = ctx.power(PrecReal(q, precision).value, k_walk)
+    (weights, den), y_bar = checks[0], y + orbit_error(q, k_walk)
+    units, (q_num, q_den) = 2 * 10 ** (precision - 1), q_power.as_integer_ratio()
+    top = sums[0] * (9 * y_bar * (units + k_walk + 3) * q_den)
+    bound = top, 10 ** (digits + 3) * den * units * q_num << bits * len(weights)
     y = _divide(y, 1 << bits, ctx)
-    weighted = _upper(w, ORDER, y_bar, up)
-    return _Walk(y, k_walk, y_bar, weighted, q_power, horner(s, y, ctx))
+    return _Walk(y, k_walk, bound, q_power, horner(coeffs, y, ctx))
 
 
 def _checked(p, digits: int) -> Params:
@@ -282,20 +287,16 @@ def _checked(p, digits: int) -> Params:
 
 
 def _finish(params: Params, digits: int, walk: _Walk) -> RateConstantResult:
-    """C(p) = 2r tau_M(y_K)/q**K and its tail bound 2r q**-K W(y_bar)."""
-    precision = digits + 2 * GUARD_DIGITS
+    """C(p) = 2r tau_M(y_K)/q**K and its tail bound 2r q**-K W(ybar)."""
+    precision, r, (top, bottom) = digits + 2 * GUARD_DIGITS, params.r, walk.bound
     ctx = Context(prec=precision)
-    up = Context(prec=_BOUND_DIGITS, rounding=ROUND_CEILING)
-    two_r = 2 * params.r
-    two_r_up = _divide(two_r.numerator, two_r.denominator, up)
-    tail = up.divide(up.multiply(two_r_up, up.multiply(walk.weighted, walk.y_bar)), walk.q_power)
-    value = ctx.multiply(PrecReal(two_r, precision).value, walk.tau)
+    value = ctx.multiply(PrecReal(2 * r, precision).value, walk.tau)
     return RateConstantResult(
         p=params.p,
         q=params.q,
         C=PrecReal(ctx.divide(value, walk.q_power), precision),
         factors_used=walk.depth,
-        tail_bound=PrecReal(up.multiply(tail, up.add(1, up.scaleb(1, 1 - up.prec))), up.prec),
+        tail_bound=rounded_up(2 * r.numerator * top, r.denominator * bottom, _BOUND_DIGITS),
         digits=digits,
     )
 
@@ -349,9 +350,9 @@ def convergence_diagnostic(p, kmax: int, precision: int) -> list[DiagnosticRow]:
       times, so it is within (k + 2) 10**(1 - P) relative.
     """
     params = classify(p)
+    check_ranges(("kmax", kmax, 0, MAX_DEPTH), ("precision", precision, 1, None))
     if params.regime is Regime.CRITICAL:
         raise RefusalError("p = 1/2 has no geometric rate; use the critical-constant module")
-    check_ranges(("kmax", kmax, 0, MAX_DEPTH), ("precision", precision, 1, None))
     ctx = Context(prec=precision)
     q_dec = PrecReal(params.q, precision).value
     q_pow = Decimal(1)

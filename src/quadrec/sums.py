@@ -267,7 +267,7 @@ def _telescoped_sum(s: _Summand, digits: int) -> SumResult:
     if s.m >= 5:
         largest = Fraction(2 ** (s.m - 2) + 1, 4 ** (s.m - 1)) + bound
         if bound * 10 ** (digits + 2) > largest:
-            _refuse(rounded_up(bound, precision), digits)
+            _refuse(rounded_up(bound.numerator, bound.denominator, precision), digits)
     direct, tail, x_last = _one_pass(s, DEPTH, bits)
     correction = PrecReal(tail, precision).value
     if s.harmonic:
@@ -283,7 +283,7 @@ def _telescoped_sum(s: _Summand, digits: int) -> SumResult:
     total = direct + tail
     value = PrecReal(total, precision)
     bound += abs(Fraction(value.value) - total)
-    error = rounded_up(bound, precision)
+    error = rounded_up(bound.numerator, bound.denominator, precision)
     if error.value > _EXACT.scaleb(value.value.copy_abs(), -(digits + 2)):
         _refuse(error, digits)
     return SumResult(

@@ -84,7 +84,7 @@ k  a
   "p": "2/5",
   "C": "0.23764665896972491411",
   "factors_used": 35,
-  "tail_bound": "2.09213524907E-23"
+  "tail_bound": "2.09213524902E-23"
 }
 """,
     ),
@@ -95,7 +95,7 @@ k  a
   "p": "499/1000",
   "C": "0.003944476201135",
   "factors_used": 3261,
-  "tail_bound": "3.54026225243E-20"
+  "tail_bound": "3.54026225230E-20"
 }
 """,
     ),
@@ -106,7 +106,7 @@ k  a
   "p": "501/1000",
   "C": "0.003928729789155",
   "factors_used": 3261,
-  "tail_bound": "3.52612946900E-20"
+  "tail_bound": "3.52612946885E-20"
 }
 """,
     ),

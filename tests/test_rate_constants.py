@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from decimal import ROUND_CEILING, Context, Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import islice
 
@@ -17,7 +17,6 @@ from quadrec.rate_constants import (
     ORDER,
     Q_MAX,
     TABLE_PS,
-    _upper,
     _walk_plan,
     convergence_diagnostic,
     rate_constant,
@@ -172,26 +171,34 @@ def test_one_pass_stays_inside_its_derived_rounding_bound(p, digits):
     + [(p, d) for p in (Q_MAX / 2, 1 - Q_MAX / 2) for d in (1, 15)],
 )
 def test_factor_count_is_the_least_that_meets_the_target(p, digits):
-    # the walk stops at the first K whose Y_K/2**B lies at or below T_0 and
-    # whose ybar_K = (Y_K + E_K)/2**B, rounded up, passes both upward
-    # checks; the checks keep the tail bound at or below 10**-(D+2)
+    # the walk stops at the first K at which ybar_K = (Y_K + E_K)/2**B
+    # passes sum_n w_n ybar**(n-1) <= 9*10**-(D+3) and
+    # sum_{n>=2} |tau_n| ybar**(n-1) <= 1/4, with w_n = |rho_n|/(q - q**n).
+    # The module rounds each w_n up by less than 10**-11 relative, so step
+    # K passes with the exact w_n, and no earlier step passes with each w_n
+    # raised by 10**-11.  The checks keep the tail bound at or below
+    # 10**-(D+2).
     result = rate_constant(p, digits)
-    params = classify(p)
-    _s, w, eta, start, bits = _walk_plan(params.q, digits)
-    up = Context(prec=12, rounding=ROUND_CEILING)
+    q = classify(p).q
+    bits = _walk_plan(q, digits)[-1]
+    tau, rho = koenigs(q, ORDER)
+    weights = {n: abs(c) / (q - q**n) for n, c in enumerate(rho.coeffs) if c}
+    taus = {n: abs(c) for n, c in enumerate(tau.coeffs) if n >= 2}
 
-    def passes(k, y):
-        y_bar = _divide(y + orbit_error(params.q, k), 2**bits, up)
-        return (
-            Fraction(y, 2**bits) <= start
-            and _upper(w, ORDER, y_bar, up) <= Decimal(9).scaleb(-(digits + 3))
-            and _upper(eta, 1, y_bar, up) <= Decimal("0.25")
-        )
+    def passes(n_bar, raised=Fraction(1)):
+        y_bar = Fraction(n_bar, 2**bits)
+        weighted = sum(raised * w * y_bar ** (n - 1) for n, w in weights.items())
+        eta = sum(c * y_bar ** (n - 1) for n, c in taus.items())
+        return weighted <= Fraction(9, 10 ** (digits + 3)) and eta <= Fraction(1, 4)
 
     k = result.factors_used
-    orbit = list(islice(orbit_integers(params.q, bits), k + 1))
-    assert passes(k, orbit[k])
-    assert not any(passes(j, y) for j, y in enumerate(orbit[:k]))
+    orbit = islice(orbit_integers(q, bits), k + 1)
+    y_bars = [y + orbit_error(q, j) for j, y in enumerate(orbit)]
+    assert passes(y_bars[k])
+    # both sums grow with ybar, which falls at every step of the walk, so
+    # no step before K passes if step K - 1 does not
+    assert all(a > b for a, b in zip(y_bars, y_bars[1:]))
+    assert not passes(y_bars[k - 1], 1 + Fraction(1, 10**11))
     assert result.tail_bound.value <= Decimal(10) ** -(digits + 2)
 
 
@@ -203,7 +210,10 @@ def test_factor_count_is_the_least_that_meets_the_target(p, digits):
 def test_tail_bound_is_an_upward_rounding_of_the_derived_bound(p, digits):
     # in exact rationals, tail_bound >= 2r q**-K W(ybar), with
     # W(y) = sum_n |rho_n| y**n/(q - q**n) and ybar = (Y_K + E_K)/2**B, the
-    # kernel's upper bound on y_K, and tail_bound <= 10**-(D+2)
+    # kernel's upper bound on y_K, and tail_bound <= 10**-(D+2).  It is one
+    # rounding up of that bound, with q**K bounded below by the walk's
+    # q_power (relative (K + 3) 10**(1 - P)/2) and weights rounded up once
+    # to 12 digits, so it also lies within 3*10**-11 relative above it.
     result = rate_constant(p, digits)
     params, walk = classify(p), result.factors_used
     bits = _walk_plan(params.q, digits)[-1]
@@ -213,6 +223,7 @@ def test_tail_bound_is_an_upward_rounding_of_the_derived_bound(p, digits):
     weight = sum(abs(c) * y_bar**n / (q - q**n) for n, c in enumerate(rho.coeffs) if c)
     derived = 2 * params.r * weight / q**walk
     assert derived <= Fraction(result.tail_bound.value) <= Fraction(1, 10 ** (digits + 2))
+    assert Fraction(result.tail_bound.value) <= derived * (1 + Fraction(3, 10**11))
 
 
 @pytest.mark.parametrize(
@@ -261,6 +272,11 @@ def test_rate_constant_rejects_bad_inputs():
         rate_constant_table(51)
     with pytest.raises(DomainError, match="precision must be at least 1"):
         convergence_diagnostic(Fraction(1, 5), 10, 0)
+    # a malformed value is reported before a refused one, at p = 1/2 too
+    with pytest.raises(DomainError, match="digits must be at least 1"):
+        rate_constant(Fraction(1, 2), 0)
+    with pytest.raises(DomainError, match="precision must be at least 1"):
+        convergence_diagnostic(Fraction(1, 2), 10, 0)
 
 
 def test_diagnostic_rows_decrease_toward_the_constant():
