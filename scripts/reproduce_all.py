@@ -59,7 +59,8 @@ def main() -> int:
     elapsed = time.perf_counter() - t0
     print(f"C = {est.C.digit_string(21)}  ({elapsed:.3f}s)")
     print(f"truncation bound {est.truncation_bound.value:.2E}")
-    # a walked rerun: a request deeper than WALK_DEPTH is answered at that depth
+    # a walked rerun: a request deeper than WALK_DEPTH is answered by a
+    # planned shallower estimate, here depth 1000 at order 14
     rerun = estimate_constant(5000, 12, 60)
     print(
         f"depth 5000, order 12 rerun moves C by {abs(est.C.value - rerun.C.value):.1E} "

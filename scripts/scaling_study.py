@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Empirical scaling tables: solver cost vs order, orbit kernel steps per
-second, telescope build cost vs order, estimator error vs depth,
-rate-constant walk depth vs q.
+second, telescope build cost vs order, estimator error vs depth, the Abel
+plan of deep critical-constant requests, rate-constant walk depth vs q.
 
 Usage:
     python scripts/scaling_study.py [--max-order 14] [--max-depth-exp 5]
@@ -15,13 +15,20 @@ later steps are cheap, so q = 4/5 runs fastest.
 The telescope table times one ``series_engine.telescope`` build of the Abel
 summand at the fixed orders 6, 16, 56 and 120; orders past the solver's
 limit are allowed there, as critical-c requests deeper than 10^4 use them
-(up to order 40).
+(up to order 58 within the caps).
 
 The reference value for the error column is a depth-10^6 run, so shallow
 rows display their true error next to the bound they reported themselves.
-Rows deeper than 10^4 (``critical.WALK_DEPTH``) show walk-depth estimates:
-the orbit is walked 10^4 steps and the order raised until the bound of the
-requested depth is met, so their errors can sit far inside their bounds.
+Rows deeper than 10^4 (``critical.WALK_DEPTH``) show planned estimates: the
+orbit is walked 10^2, 10^3 or 10^4 steps at the least order that meets the
+bound of the requested depth, so their errors can sit far inside their
+bounds.
+
+The Abel plan table shows, for the deep requests that the CLI makes
+(critical-c at its default, residual-check's and bootstrap's estimates)
+and for the caps, the walk depth W and order M' that ``critical._plan``
+chooses, the plan's own bound at (W, M', P), which is at most the
+request's, and the best of three in-process ``estimate_constant`` calls.
 
 The rate-constant table sets the Koenigs walk's depth (``factors_used``)
 against the factor count the partial product would need, the least K with
@@ -37,10 +44,11 @@ import time
 from fractions import Fraction
 from itertools import islice
 
-from quadrec.critical import _abel_summand, estimate_constant
+from quadrec.critical import MAX_PRECISION, _abel_summand, _plan, _rounding, estimate_constant
+from quadrec.numerics import rounded_up
 from quadrec.rate_constants import rate_constant
-from quadrec.recurrence import orbit_integers
-from quadrec.series_engine import MAX_ORDER, solve_coefficients, telescope
+from quadrec.recurrence import MAX_DEPTH, orbit_integers
+from quadrec.series_engine import MAX_ORDER, solve_coefficients, tail_bound, telescope
 
 
 def _product_depth(q: Fraction, digits: int) -> int:
@@ -112,6 +120,30 @@ def main() -> int:
                 f"{depth:>9} {order:>6} {err:>12.2E} {est.truncation_bound:>15.2E}"
                 + ("   (!) error above bound" if err > est.truncation_bound.value else "")
             )
+
+    print()
+    print("Abel plan of deep critical-c requests")
+    header = ("request", "N", "M", "P", "W", "M'", "plan bound", "ms")
+    print("{:>22} {:>9} {:>3} {:>4} {:>6} {:>4} {:>11} {:>6}".format(*header))
+    requests = [
+        ("critical-c default", 10**6, 6, 60),
+        ("residual-check", 10**5, 4, 40),
+        ("bootstrap --digits 6", 10**5, 6, 46),
+        ("caps", MAX_DEPTH, MAX_ORDER, MAX_PRECISION),
+    ]
+    for label, depth, order, precision in requests:
+        walk, least, _H, _bound = _plan(depth, order, precision)
+        _G, R = telescope(_abel_summand(least), least)
+        own = 2 * tail_bound(R, walk, least + 2) + _rounding(walk, precision)
+        seconds = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            estimate_constant(depth, order, precision)
+            seconds.append(time.perf_counter() - t0)
+        print(
+            f"{label:>22} {depth:>9} {order:>3} {precision:>4} {walk:>6} {least:>4} "
+            f"{rounded_up(own.numerator, own.denominator, 3):>11.2E} {1000 * min(seconds):>6.2f}"
+        )
 
     print()
     print("rate-constant walk depth by q (p = q/2)")

@@ -35,13 +35,18 @@ and covers both errors:
   and evaluating phi_M adds a few rounding units of N.  In C units all of
   it stays below 2 (N + 4)(N + 2 + bit_length(N)) 10**(1-P).
 
-A request deeper than W = ``WALK_DEPTH`` keeps its own bound B, computed
-as above at (N, M, P), and is answered by the walk-depth estimate
-2 (phi_M'(alpha_W) - W), at the least order M' whose own bound at
-(W, M', P) is at most B.  That estimate lies within its own bound of C,
-so within B; only its digits below B differ from those of a walk to N.
-M' reaches 40 at the caps, and at x <= 1/(W + 1) the series part keeps
-sum |h_k| x**k <= x there (a test checks it), so evaluating phi_M' adds
+A request deeper than ``WALK_DEPTH`` keeps its own bound B, computed as
+above at (N, M, P), and is answered by the shallower estimate
+2 (phi_M'(alpha_W) - W), whose own bound at (W, M', P) is at most B
+(``_plan``).  W is the depth of a fixed ladder, 10**2, 10**3 or 10**4,
+with the least modelled cost, and M' the least order that meets B there.
+That estimate lies within its own bound of C, so within B; only its
+digits below B differ from those of a walk to N.  The Abel series is
+Gevrey-1, |h_n| ~ n!/(2 pi)**n (Sauzin, arXiv:1405.0356), so a shorter
+walk takes a higher order: at the caps M' is 129, 58 or 40 at W = 10**2,
+10**3 or 10**4, and the plan takes 10**3.  At x <= 1/(W + 1) the series
+part keeps sum |h_k| x**k <= x at each of these orders, and at those of
+the CLI default's request (a test checks both), so evaluating phi_M' adds
 only the few rounding units the rounding bullet allows.
 
 alpha_N comes from the logistic map itself: forming (1 - a_N)/2 would
@@ -59,7 +64,14 @@ from typing import NamedTuple, Sequence
 from .errors import DomainError, check_ranges
 from .numerics import CPoly, PrecReal, horner, rounded_up
 from .recurrence import MAX_DEPTH, classify, iterate_real, logistic_point
-from .series_engine import MAX_ORDER, eval_series_coeffs, solve_coefficients, tail_bound, telescope
+from .series_engine import (
+    MAX_ORDER,
+    _half_sum,
+    eval_series_coeffs,
+    solve_coefficients,
+    tail_bound,
+    telescope,
+)
 
 # Not used here: the benchmark's tracer wraps this name in this module.
 from .recurrence import final_value  # noqa: F401
@@ -67,9 +79,24 @@ from .recurrence import final_value  # noqa: F401
 _CRITICAL_P = Fraction(1, 2)
 
 #: The deepest orbit point ``estimate_constant`` walks; a deeper request is
-#: answered at this depth, within its own bound.  Walking 10**4 steps takes
-#: a few ms at precision 60 on a 2-core Intel Xeon with Python 3.11.
+#: answered at a depth of ``_LADDER``, within its own bound.  Walking 10**4
+#: steps takes 2-4 ms at precision 60 on a 2-core Intel Xeon with Python
+#: 3.11, where the planned estimate at the CLI default takes about 1 ms.
 WALK_DEPTH = 10**4
+
+#: The walk depths ``_plan`` chooses from for a deeper request.  Within the
+#: caps its cost model takes 10**2 or 10**3; at the caps the cost of 10**4
+#: is 12% above that of 10**3, so 10**4 comes in only for smaller bounds.
+_LADDER = (100, 1000, WALK_DEPTH)
+
+#: The measured cost, in orbit bit-steps, of the order search and the
+#: evaluation of phi at one walk depth, per cube of the depth's
+#: omitted-terms order (``_omitted_order``).  On the host above it matches
+#: that cost within about a factor of 2 from order 30 on, where it decides
+#: between depths: a shallow depth takes a high order, and its search runs
+#: further past the omitted-terms order.  Below, a fixed cost of under 1 ms
+#: that no depth avoids dominates, and the walk term decides.
+_ORDER_COST = 80
 
 #: The highest precision ``estimate_constant`` accepts.  Past it no request
 #: within ``MAX_ORDER`` and ``recurrence.MAX_DEPTH`` certifies another digit:
@@ -82,7 +109,8 @@ class CriticalEstimate(NamedTuple):
     """The constant C~ with the run parameters and error evidence.
 
     ``depth``, ``order`` and ``precision`` are the request's, also when a
-    request deeper than ``WALK_DEPTH`` is answered at that depth.
+    request deeper than ``WALK_DEPTH`` is answered at the depth and order
+    that ``_plan`` chooses.
     ``newton_iterations`` is always 0; it stays only because the
     benchmark's tracer reads it.
     """
@@ -111,6 +139,72 @@ def _phi(h: Sequence[Decimal], x: Decimal, ctx: Context) -> Decimal:
     return ctx.add(ctx.add(ctx.divide(1, x), ctx.ln(x)), horner(h, x, ctx))
 
 
+def _cost(walk: int, order: int, precision: int) -> int:
+    """The modelled cost of the plan at (walk, order, precision), in orbit
+    bit-steps, with ``order`` the omitted-terms order at ``walk``: the walk
+    is about walk * bits(precision), and the rest ``_ORDER_COST`` * order**3."""
+    return walk * (10**precision).bit_length() + _ORDER_COST * order**3
+
+
+def _omitted_order(walk: int, budget: Fraction) -> int:
+    """The least order M >= 3 whose omitted terms alone, the term
+    (b + 1)/(b**(M+2) (M + 1)) of ``tail_bound`` with b = walk + 1, keep the
+    truncation bound at ``walk`` within ``budget``.  No lower order meets
+    the budget there, and finding it builds no telescope."""
+    base, order, power = walk + 1, 3, (walk + 1) ** 5
+    while (base + 1) * budget.denominator > budget.numerator * power * (order + 1):
+        order, power = order + 1, power * base
+    return order
+
+
+def _least_order(walk: int, budget: Fraction, order: int) -> tuple[int, CPoly]:
+    """(M', H): the least order M' >= ``order`` whose own truncation bound
+    at ``walk`` is at most ``budget``, and H = H_M'.
+
+    ``telescope`` builds an order only if the first coefficient of its
+    residual, [x**(M+2)] R = (half sum of G at M + 2), keeps that one term
+    of ``tail_bound``'s sum within budget; an order whose first term fails
+    fails the whole bound.  Between builds G is stepped on by the same half
+    sum, G_{M+1} = (g_{M+2} - [x**(M+2)] R)/(M + 1) with
+    g_{M+2} = (M + 1)/(M + 2), as ``telescope`` solves it, so the orders
+    that fail cost one half sum each.
+    """
+    while True:
+        H, R = telescope(_abel_summand(order), order)
+        if tail_bound(R, walk, order + 2) <= budget:
+            return order, H
+        G = list(H._numerators) + [0] * (order + 1 - len(H._numerators))
+        den, first = H._denominator, _half_sum(G, order + 2)
+        while True:
+            m = order + 1
+            G = [m * (m + 1) * n for n in G] + [m * den - (m + 1) * first]
+            den *= m * (m + 1)
+            order, first = m, _half_sum(G, m + 2)
+            if tail_bound(CPoly._over([0] * (m + 2) + [first], den), walk, m + 2) <= budget:
+                break
+
+
+def _plan(depth: int, order: int, precision: int) -> tuple[int, int, CPoly, Fraction]:
+    """(W, M', H, B): the request's own bound B at (depth, order,
+    precision), and the walk depth W and order M' that answer it, with
+    H = H_M'.
+
+    A request no deeper than ``WALK_DEPTH`` is walked as asked.  A deeper
+    one takes the depth W of ``_LADDER`` whose ``_cost`` at its
+    omitted-terms order is least, and there the least order M' whose own
+    bound at (W, M', precision) is at most B.  No telescope is built at a
+    depth that is not taken.
+    """
+    H, R = telescope(_abel_summand(order), order)
+    bound = 2 * tail_bound(R, depth, order + 2) + _rounding(depth, precision)
+    if depth <= WALK_DEPTH:
+        return depth, order, H, bound
+    budgets = {walk: (bound - _rounding(walk, precision)) / 2 for walk in _LADDER}
+    lows = {walk: _omitted_order(walk, budget) for walk, budget in budgets.items()}
+    walk = min(_LADDER, key=lambda w: _cost(w, lows[w], precision))
+    return (walk, *_least_order(walk, budgets[walk], lows[walk]), bound)
+
+
 def estimate_constant(depth: int = 10**6, order: int = 6, precision: int = 60) -> CriticalEstimate:
     """Estimate C = 2 (phi_M(alpha_depth) - depth), with M = ``order``.
 
@@ -121,7 +215,7 @@ def estimate_constant(depth: int = 10**6, order: int = 6, precision: int = 60) -
     ``MAX_PRECISION``.  The returned ``truncation_bound`` covers the
     truncation of H and the rounding at ``precision`` (see the module
     docstring), so a low precision widens the bound instead of being
-    refused.  A depth above ``WALK_DEPTH`` is answered by the walk-depth
+    refused.  A depth above ``WALK_DEPTH`` is answered by a shallower
     estimate within that bound, as the module docstring describes.
     """
     check_ranges(
@@ -129,24 +223,7 @@ def estimate_constant(depth: int = 10**6, order: int = 6, precision: int = 60) -
         ("order", order, 3, MAX_ORDER),
         ("precision", precision, 20, MAX_PRECISION),
     )
-    g = _abel_summand(order)
-    H, R = telescope(g, order)
-    bound = 2 * tail_bound(R, depth, g.degree + 1) + _rounding(depth, precision)
-    walk = min(depth, WALK_DEPTH)
-    if depth > walk:
-        # the least order whose own bound at the walk depth is at most
-        # ``bound``; no tail bound is below that of the omitted terms alone
-        budget = (bound - _rounding(walk, precision)) / 2
-        least = 3
-        while tail_bound(CPoly(), walk, least + 2) > budget:
-            least += 1
-        while True:
-            g = _abel_summand(least)
-            H, R = telescope(g, least)
-            if tail_bound(R, walk, g.degree + 1) <= budget:
-                break
-            least += 1
-
+    walk, _order, H, bound = _plan(depth, order, precision)
     ctx = Context(prec=precision)
     phi = _phi(H.decimals(ctx), logistic_point(walk, precision), ctx)
     return CriticalEstimate(

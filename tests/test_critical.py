@@ -10,16 +10,22 @@ import pytest
 import quadrec.critical as critical
 import quadrec.series_engine as series_engine
 from quadrec.critical import (
+    _LADDER,
     MAX_PRECISION,
     WALK_DEPTH,
     CriticalEstimate,
     _abel_summand,
+    _cost,
+    _least_order,
+    _omitted_order,
+    _plan,
+    _rounding,
     estimate_constant,
     logistic_constant,
     residual_order_check,
 )
 from quadrec.errors import DomainError
-from quadrec.numerics import PrecReal, horner
+from quadrec.numerics import CPoly, PrecReal, horner
 from quadrec.recurrence import MAX_DEPTH, classify, final_value, logistic_point
 from quadrec.series_engine import (
     MAX_ORDER,
@@ -189,32 +195,116 @@ def test_printed_bound_is_at_least_the_derived_bound(depth, order, precision):
     assert Fraction(estimate_constant(depth, order, precision).truncation_bound.value) >= derived
 
 
+def _request_bound(depth, order, precision):
+    _H, R = telescope(_abel_summand(order), order)
+    return 2 * tail_bound(R, depth, order + 2) + _rounding(depth, precision)
+
+
+def _walk_least_order(walk, bound, precision, start=3):
+    """The least order >= start whose own bound at (walk, order, precision)
+    is at most ``bound``, by building every telescope from ``start`` on."""
+    order = start
+    while _request_bound(walk, order, precision) > bound:
+        order += 1
+    return order
+
+
+def _omitted_least(walk, budget):
+    order = 3
+    while tail_bound(CPoly(), walk, order + 2) > budget:
+        order += 1
+    return order
+
+
 @pytest.mark.parametrize(
-    "depth, order, precision, least_order",
-    # the second is rounding-dominated: the walk's own rounding term is most
-    # of the request's bound, so it decides the order
-    [(10**6, 6, 60, 10), (WALK_DEPTH + 1, 6, 22, 4)],
+    "depth, order, precision, walk, least",
+    # the CLI default; a request whose own bound is almost all rounding
+    # term; and the caps
+    [(10**6, 6, 60, 1000, 14), (WALK_DEPTH + 1, 6, 22, 100, 6), (MAX_DEPTH, MAX_ORDER, MAX_PRECISION, 1000, 58)],
 )
 def test_deep_request_is_the_walk_depth_estimate_at_the_least_sufficient_order(
-    depth, order, precision, least_order
+    depth, order, precision, walk, least, monkeypatch
 ):
     deep = estimate_constant(depth, order, precision)
-    least = next(
-        m
-        for m in range(3, MAX_ORDER + 1)
-        if estimate_constant(WALK_DEPTH, m, precision).truncation_bound.value
-        <= deep.truncation_bound.value
-    )
-    assert least == least_order
-    walked = estimate_constant(WALK_DEPTH, least, precision)
-    assert deep.C.value.as_tuple() == walked.C.value.as_tuple()
+    bound = _request_bound(depth, order, precision)
+    planned_walk, planned_least, _H, planned_bound = _plan(depth, order, precision)
+    assert (planned_walk, planned_least, planned_bound) == (walk, least, bound)
+    # the plan's order is the least whose own bound at its depth is at most
+    # the request's, found by building every telescope from order 3 on
+    assert _walk_least_order(walk, bound, precision) == least
+    # the planned estimate, asked for as a request of its own (with the
+    # order cap lifted), gives the same C under its own, smaller bound
+    monkeypatch.setattr(critical, "MAX_ORDER", 200)
+    planned = estimate_constant(walk, least, precision)
+    assert deep.C.value.as_tuple() == planned.C.value.as_tuple()
+    assert _request_bound(walk, least, precision) <= bound
+    assert planned.truncation_bound.value <= deep.truncation_bound.value
+    # no other ladder depth has a lower modelled cost at its omitted-terms order
+    costs = {
+        w: _cost(w, _omitted_least(w, (bound - _rounding(w, precision)) / 2), precision)
+        for w in _LADDER
+    }
+    assert costs[walk] == min(costs.values())
+
+
+@pytest.mark.parametrize(
+    "walk, bound, precision",
+    [(100, Fraction(1, 10**30), 60), (1000, Fraction(3, 10**80), 100), (WALK_DEPTH, Fraction(1, 10**5), 20)],
+)
+def test_least_order_search_matches_building_every_order(walk, bound, precision, monkeypatch):
+    # the search skips an order on the first term of its residual alone;
+    # it must land where building every telescope from the omitted-terms
+    # order on lands, with the same series
+    budget = (bound - _rounding(walk, precision)) / 2
+    start = _omitted_order(walk, budget)
+    checks = []
+
+    def recording(R, at, omitted_from):
+        checks.append((R, at, omitted_from))
+        return tail_bound(R, at, omitted_from)
+
+    monkeypatch.setattr(critical, "tail_bound", recording)
+    least, H = _least_order(walk, budget, start)
+    assert least == _walk_least_order(walk, bound, precision, start)
+    assert H == telescope(_abel_summand(least), least)[0]
+    # every bound the search takes is that of an order's own residual, or of
+    # its first coefficient alone, stepped on exactly from the last build
+    skipped = 0
+    for R, at, omitted_from in checks:
+        order = omitted_from - 2
+        _H, full = telescope(_abel_summand(order), order)
+        assert at == walk and start <= order <= least
+        if R != full:
+            assert R == CPoly([0] * (order + 2) + [full.coeffs[order + 2]])
+            skipped += 1
+    assert (skipped > 0) == (least > start)
+
+
+def test_omitted_order_is_the_least_the_omitted_terms_allow():
+    # on each side of the budget at which order m's omitted terms just fit
+    for walk in _LADDER:
+        for m in (3, 10, 40, 70):
+            exact = tail_bound(CPoly(), walk, m + 2)
+            for budget, least in ((exact, m), (exact * (1 - Fraction(1, 10**9)), m + 1)):
+                assert _omitted_order(walk, budget) == _omitted_least(walk, budget) == least
 
 
 def test_abel_series_is_small_past_the_walk_depth(monkeypatch):
-    # the least request bound within the caps (the deepest request at the
-    # highest order) takes the highest order, past MAX_ORDER; evaluating
-    # phi there adds only a few rounding units if, for x <= 1/(W + 1),
-    # sum |h_k| x**k <= x at that order
+    # evaluating phi at the planned order adds only a few rounding units if,
+    # for x <= 1/(W + 1), sum |h_k| x**k <= x at that order: checked at every
+    # ladder depth, at the caps and at the CLI default
+    for depth, order, precision in [(MAX_DEPTH, MAX_ORDER, MAX_PRECISION), (10**6, 6, 60)]:
+        bound = _request_bound(depth, order, precision)
+        for walk in _LADDER:
+            budget = (bound - _rounding(walk, precision)) / 2
+            least, H = _least_order(walk, budget, _omitted_order(walk, budget))
+            x = Fraction(1, walk + 1)
+            assert sum(abs(h) * x**k for k, h in enumerate(H.coeffs)) <= x, (depth, walk, least)
+
+    # at the caps the order search builds at most one telescope per order
+    # it tries at the chosen depth, besides the request's own
+    walk, least, _H, bound = _plan(MAX_DEPTH, MAX_ORDER, MAX_PRECISION)
+    start = _omitted_least(walk, (bound - _rounding(walk, MAX_PRECISION)) / 2)
     orders = []
 
     def recording(g, order):
@@ -223,11 +313,34 @@ def test_abel_series_is_small_past_the_walk_depth(monkeypatch):
 
     monkeypatch.setattr(critical, "telescope", recording)
     est = estimate_constant(MAX_DEPTH, MAX_ORDER, MAX_PRECISION)
-    assert max(orders) == 40
+    assert orders[0] == MAX_ORDER and orders[-1] == least
+    assert len(orders) - 1 <= least - start + 1
+    assert len(set(orders[1:])) == len(orders) - 1
+    assert all(start <= m <= least for m in orders[1:])
     assert abs(est.C.value - C_REF) <= est.truncation_bound.value + C_REF_ERROR
-    H, _R = telescope(_abel_summand(max(orders)), max(orders))
-    x = Fraction(1, WALK_DEPTH + 1)
-    assert sum(abs(h) * x**k for k, h in enumerate(H.coeffs)) <= x
+
+
+@pytest.mark.parametrize(
+    "depth, order, precision",
+    [(10**6, 6, 60), (3 * 10**6, 12, 100), (MAX_DEPTH, MAX_ORDER, MAX_PRECISION)],
+)
+def test_two_walk_depths_agree_within_their_bounds(depth, order, precision, monkeypatch):
+    # two plans for one request, at disjoint walk depths, each at its own
+    # least order: they agree within the sum of their own bounds, and each
+    # lies within its bound of the reference
+    bound = _request_bound(depth, order, precision)
+    request = estimate_constant(depth, order, precision)
+    monkeypatch.setattr(critical, "MAX_ORDER", 200)
+    estimates = []
+    for walk in (100, WALK_DEPTH):
+        budget = (bound - _rounding(walk, precision)) / 2
+        least, _H = _least_order(walk, budget, _omitted_order(walk, budget))
+        est = estimate_constant(walk, least, precision)
+        assert est.truncation_bound.value <= request.truncation_bound.value
+        assert abs(est.C.value - C_REF) <= est.truncation_bound.value + C_REF_ERROR
+        estimates.append(est)
+    shallow, deep = estimates
+    assert abs(shallow.C.value - deep.C.value) <= shallow.truncation_bound.value + deep.truncation_bound.value
 
 
 # ---------------------------------------------------------------------------

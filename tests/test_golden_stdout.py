@@ -147,27 +147,27 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
 [
   {
     "k": 10,
-    "residual": "0.0056847016872893228832378934609332910695"
+    "residual": "0.0056847016872893228832378935321747133984"
   },
   {
     "k": 20,
-    "residual": "0.0006761554011435912305362571536169620366"
+    "residual": "0.0006761554011435912305362571893534840113"
   },
   {
     "k": 40,
-    "residual": "0.0000720429421982707947493979222548950540"
+    "residual": "0.0000720429421982707947493979339695776949"
   },
   {
     "k": 80,
-    "residual": "0.0000070609938304015055286867235891056343"
+    "residual": "0.0000070609938304015055286867269328179815"
   },
   {
     "k": 160,
-    "residual": "6.496646362280665171496711374652687E-7"
+    "residual": "6.496646362280665171496720337076500E-7"
   },
   {
     "k": 320,
-    "residual": "5.69648113389251677114076483333794E-8"
+    "residual": "5.69648113389251677114078809875219E-8"
   }
 ]
 """,

@@ -38,6 +38,7 @@ def test_scaling_study_runs_inside_its_bounds():
     assert "telescope build by order" in result.stdout
     assert "estimator error by depth and order" in result.stdout
     assert "(!) error above bound" not in result.stdout
+    assert "Abel plan of deep critical-c requests" in result.stdout
     assert "rate-constant walk depth by q (p = q/2)" in result.stdout
 
 
