@@ -13,9 +13,12 @@ the fixed-point orbit falls to 0 after about B ln 2/ln(1/q) steps, and
 later steps are cheap, so q = 4/5 runs fastest.
 
 The telescope table times one ``series_engine.telescope`` build of the Abel
-summand at the fixed orders 6, 16, 56 and 120; orders past the solver's
-limit are allowed there, as critical-c requests deeper than 10^4 use them
-(up to order 58 within the caps).
+summand at the fixed orders 6, 16, 56, 120 and 400; orders past the
+solver's limit are allowed there, as critical-c requests deeper than 10^4
+use them (up to order 58 within the caps), and order 400 is the one that
+1000 digits of C would take at depth 10^4.  Its last column is the best of
+three fixed-point evaluations (``CPoly.at``) of that H at the orbit point
+X_{10^4}/2^B of ``recurrence.logistic_point(10^4, 1100)``, B = 3681.
 
 The reference value for the error column is a depth-10^6 run, so shallow
 rows display their true error next to the bound they reported themselves.
@@ -47,7 +50,7 @@ from itertools import islice
 from quadrec.critical import MAX_PRECISION, _abel_summand, _plan, _rounding, estimate_constant
 from quadrec.numerics import rounded_up
 from quadrec.rate_constants import rate_constant
-from quadrec.recurrence import MAX_DEPTH, orbit_integers
+from quadrec.recurrence import MAX_DEPTH, logistic_point, orbit_integers
 from quadrec.series_engine import MAX_ORDER, solve_coefficients, tail_bound, telescope
 
 
@@ -100,12 +103,19 @@ def main() -> int:
 
     print()
     print("telescope build by order (Abel summand)")
-    print(f"{'order':>6} {'seconds':>9}")
-    for order in (6, 16, 56, 120):
+    print(f"{'order':>6} {'seconds':>9} {'at X_1e4 ms':>12}")
+    x, bits = logistic_point(10**4, 1100)
+    for order in (6, 16, 56, 120, 400):
         summand = _abel_summand(order)
         t0 = time.perf_counter()
-        telescope(summand, order)
-        print(f"{order:>6} {time.perf_counter() - t0:>9.5f}")
+        H, _R = telescope(summand, order)
+        build = time.perf_counter() - t0
+        seconds = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            H.at(x, bits)
+            seconds.append(time.perf_counter() - t0)
+        print(f"{order:>6} {build:>9.5f} {1000 * min(seconds):>12.3f}")
 
     reference = estimate_constant(10**6, 6, 60).C.value
     print()

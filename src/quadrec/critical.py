@@ -27,13 +27,16 @@ and covers both errors:
 * truncation: twice ``series_engine.tail_bound`` of R from k = N on, with
   the omitted terms of the series from x**(M+2) on;
 * rounding: alpha_N is ``recurrence.logistic_point``, the orbit in binary
-  fixed point with floored squares and one final rounding, off by less
-  than a relative 3/4 unit of its P-th digit.  The bound keeps the wider
-  budget of a relative N * 10**(1-P).
+  fixed point x = X/2**B with floored squares, above alpha_N by less than
+  a relative quarter unit of its P-th digit; 1/x and ln x take x rounded
+  once to P digits, half a unit more.  The bound keeps the wider budget
+  of a relative N * 10**(1-P).
   phi turns that into an absolute error of at most 1/alpha_N <= N + 3 +
-  ln N times as much (1/alpha_n = 2 + n + sum_{k<n} alpha_k/(1 - alpha_k)),
-  and evaluating phi_M adds a few rounding units of N.  In C units all of
-  it stays below 2 (N + 4)(N + 2 + bit_length(N)) 10**(1-P).
+  ln N times as much (1/alpha_n = 2 + n + sum_{k<n} alpha_k/(1 - alpha_k)).
+  H_M is evaluated at X/2**B itself in fixed point (``CPoly.at``), within
+  4 2**-B, far below one unit of 10**(1-P), and the Decimal steps of
+  phi_M add a few rounding units of N.  In C units all of it stays below
+  2 (N + 4)(N + 2 + bit_length(N)) 10**(1-P).
 
 A request deeper than ``WALK_DEPTH`` keeps its own bound B, computed as
 above at (N, M, P), and is answered by the shallower estimate
@@ -46,8 +49,9 @@ Gevrey-1, |h_n| ~ n!/(2 pi)**n (Sauzin, arXiv:1405.0356), so a shorter
 walk takes a higher order: at the caps M' is 129, 58 or 40 at W = 10**2,
 10**3 or 10**4, and the plan takes 10**3.  At x <= 1/(W + 1) the series
 part keeps sum |h_k| x**k <= x at each of these orders, and at those of
-the CLI default's request (a test checks both), so evaluating phi_M' adds
-only the few rounding units the rounding bullet allows.
+the CLI default's request (a test checks both), so the series adds less
+than x to phi_M', and its fixed-point value is within 4 2**-B whatever
+the size of its coefficients, as the rounding bullet allows.
 
 alpha_N comes from the logistic map itself: forming (1 - a_N)/2 would
 cancel about log10(N) digits.  The logistic tail constant is c = C/2, and
@@ -57,12 +61,12 @@ orbit.
 
 from __future__ import annotations
 
-from decimal import Context, Decimal
+from decimal import Context
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, check_ranges
-from .numerics import CPoly, PrecReal, horner, rounded_up
+from .numerics import CPoly, PrecReal, _divide, horner, rounded_up
 from .recurrence import MAX_DEPTH, classify, iterate_real, logistic_point
 from .series_engine import (
     MAX_ORDER,
@@ -132,11 +136,6 @@ def _abel_summand(order: int) -> CPoly:
 def _rounding(depth: int, precision: int) -> Fraction:
     """The rounding term of the bound at (depth, precision), in C units."""
     return Fraction(2 * (depth + 4) * (depth + 2 + depth.bit_length()), 10 ** (precision - 1))
-
-
-def _phi(h: Sequence[Decimal], x: Decimal, ctx: Context) -> Decimal:
-    """phi(x) = 1/x + ln x + H(x) on ``ctx``, with ``h`` the coefficients of H."""
-    return ctx.add(ctx.add(ctx.divide(1, x), ctx.ln(x)), horner(h, x, ctx))
 
 
 def _cost(walk: int, order: int, precision: int) -> int:
@@ -225,7 +224,10 @@ def estimate_constant(depth: int = 10**6, order: int = 6, precision: int = 60) -
     )
     walk, _order, H, bound = _plan(depth, order, precision)
     ctx = Context(prec=precision)
-    phi = _phi(H.decimals(ctx), logistic_point(walk, precision), ctx)
+    # phi = 1/x + ln x + H(x) at x = X/2**B, with H in fixed point
+    x, bits = logistic_point(walk, precision)
+    alpha, series = (_divide(n, 1 << bits, ctx) for n in (x, H.at(x, bits)[0]))
+    phi = ctx.add(ctx.add(ctx.divide(1, alpha), ctx.ln(alpha)), series)
     return CriticalEstimate(
         C=PrecReal(ctx.multiply(2, ctx.subtract(phi, walk)), precision),
         depth=depth,

@@ -16,12 +16,14 @@ Three kinds of numbers appear throughout the package:
   keeps every derived coefficient as a ``CPoly`` so that nothing is rounded
   before a caller asks for digits, and the orbit point ``x`` in
   ``series_engine.telescope``, whose polynomials G, g and R are ``CPoly``
-  too.
+  too.  Every polynomial in x is evaluated at an orbit point, which the
+  orbit kernel already holds as a binary integer X/2**B, by one
+  fixed-point Horner rule with a derived error count (``CPoly.at``).
 
 The module also owns the Euler--Mascheroni constant (110 verified digits)
-and the one Decimal Horner rule (``horner``) that every Decimal polynomial
-evaluation goes through, in C or in x (``CPoly.decimals`` rounds the
-coefficients it takes).  ``confirmed_value`` repeats a computation with 20
+and the Decimal Horner rule (``horner``), which only evaluates the
+expansion in C at a Decimal C (``CPoly.decimals`` rounds the coefficients
+it takes).  ``confirmed_value`` repeats a computation with 20
 extra guard digits and raises ``PrecisionError`` unless the two results
 agree to the requested width.  No library computation calls it: the rate
 constants, the tail sums and the critical constant each run once and derive
@@ -388,6 +390,30 @@ class CPoly:
             total = total * p + n * power
             power *= q
         return Fraction(total * q, self._denominator * power)
+
+    def at(self, x: int, bits: int) -> tuple[int, int]:
+        """(V, E) with 0 <= 2**B P(x/2**B) - V <= E <= 4, for B = ``bits``
+        and 0 <= x <= 2**(B-1): the value at an orbit point in binary fixed
+        point.
+
+        Horner's rule on integers: with c_t = n_t/den and D the degree,
+        V_D = floor(2**B c_D) and V_t = floor(V_{t+1} x/2**B) + floor(2**B c_t),
+        each coefficient and each product floored once.  With P_t the
+        polynomial sum_{s>=t} c_s y**(s-t) and y = x/2**B, the error
+        e_t = 2**B P_t(y) - V_t obeys e_t = e_{t+1} y + f + g, where f and g
+        are what the two floors drop, each in [0, 1) and 0 when its division
+        is exact.  So e_t >= 0, as y >= 0, and e_t <= E_t for the integers
+        E_t = ceil(E_{t+1} y) + [f > 0] + [g > 0], counted during the run.
+        At y <= 1/2, E_{t+1} <= 4 gives E_t <= 2 + 2, so every E_t <= 4;
+        and E = 0 when every floor is exact, as for P = x itself.
+        """
+        mask, value, error = (1 << bits) - 1, 0, 0
+        for n in reversed(self._numerators):
+            product = value * x
+            coefficient, rest = divmod(n << bits, self._denominator)
+            error = -(-error * x >> bits) + bool(product & mask) + bool(rest)
+            value = (product >> bits) + coefficient
+        return value, error
 
     def coeff_strings(self) -> list[str]:
         """Ascending coefficient strings, e.g. ``["-5", "3"]`` for 3*C - 5.

@@ -59,25 +59,24 @@ The rounding, at P = D + 40 working digits and u = 10**(1 - P)/2:
   E' = ceil(1/(1 - q)) and y_low a point at which both checks pass
   (``_walk_plan``).  Every ybar at or below y_low passes, and y_low <= T_0,
   so the stop test failed at K - 1 either above T_0 or at a ybar above
-  y_low.  So y_{K-1} > y_low/2 and y_K = f(y_{K-1}) > q y_low/4, the
-  kernel's error E 2**-B is below u y_K, and y_K, rounded once to P
-  digits, is within the relative e_K = 2.01 u.
-* tau_M's coefficients are rounded once each (``CPoly.decimals``), by u,
-  and Horner's rule (``numerics.horner``) evaluates tau_M(y)/y at the
-  computed y_K with one rounding per fused multiply-add, M - 1 of them,
-  and multiplies by y_K with one more.  With eta = sum_{n>=2} |tau_n| y**(n-1)
-  <= 0.26 at y_K and at the computed y_K, the computed tau_M(y)/y is off
-  from its exact value by at most (M - 1) u (1 + eta) + u eta for the
-  arithmetic and ((1 + e_K)**(M-1) - 1) eta for the error in y_K, to first
-  order; divided by 1 - eta >= 0.74 that is below
-  1.72 (M - 1) u + 0.36 u + 0.37 (M - 1) e_K = (2.47 (M - 1) + 0.36) u.
-* The multiply by the computed y_K adds e_K + u; 2r, its product and the
-  division round once each, and ``ctx.power`` raises q (1 + t), |t| <= u,
-  off from q**K by about K u, and squares at P + len(str(K)) + 2 digits
-  with one final rounding, so q_power is within (K + 3) u of q**K.  With the
-  second-order terms, C is within the relative bound (K + 3M + 7) u of
-  2r tau_M(y_K)/q**K: below 10**-(D+30) for K < 10**9 at M = 6, where the
-  walks within the caps take at most about 2*10**4 steps.
+  y_low.  So y_{K-1} > y_low/2 and y_K = f(y_{K-1}) > q y_low/4, which
+  gives 2**-B < u y_K/E': the kernel's point x_K = Y_K/2**B is within
+  E 2**-B < u y_K of y_K.
+* tau_M is evaluated at x_K itself, in binary fixed point
+  (``CPoly.at``; Y_K <= Y_0 = 2**(B-1)), within 4 2**-B < 4 u y_K.  Both
+  x_K and y_K lie at or below ybar, where
+  eta = sum_{n>=2} |tau_n| ybar**(n-1) <= 1/4, so tau_M(y_K) >= 3 y_K/4
+  and |tau_M'| <= 1 + M eta between them.  So the fixed-point value is
+  within (4 + M)/3 u + 16/3 u = (M + 20) u/3 of tau_M(y_K), relative.
+* Its one rounding to P digits adds u.  ``ctx.power`` raises q (1 + t),
+  |t| <= u, off from q**K by about K u, and squares at P + len(str(K)) + 2
+  digits with one final rounding, so q_power is within (K + 3) u of
+  q**K.  The division by q_power, which gives D(q) (``_Walk.D``), 2r and
+  their product round once each.  That is K + 7 + (M + 20)/3 units u to
+  first order, and with the second-order terms C is within the relative
+  bound (K + M + 14) u of 2r tau_M(y_K)/q**K: below 10**-(D+30) for
+  K < 10**9 at M = 6, where the walks within the caps take at most about
+  2*10**4 steps.
 
 Nothing is confirmed by a rerun.  Digits of these constants are
 conventionally reported *truncated* (round toward zero), and
@@ -92,7 +91,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .errors import RefusalError, check_ranges
-from .numerics import GUARD_DIGITS, PrecReal, _divide, horner, rounded_up
+from .numerics import GUARD_DIGITS, CPoly, PrecReal, _divide, rounded_up
 from .recurrence import MAX_DEPTH, Params, Regime, classify, orbit_error, orbit_integers
 from .series_engine import koenigs
 
@@ -187,15 +186,14 @@ def _stop_sums(checks: list[tuple[list[int], int]], n: int, b: int) -> list[int]
     return sums if all(s <= den << b * (len(c) - 1) for s, (c, den) in zip(sums, checks)) else []
 
 
-def _walk_plan(q: Fraction, digits: int) -> tuple[list[Decimal], list, int, int, int]:
-    """tau_M's coefficients, the two stop checks, the bound T_0 = t/2**s
-    below which the walk checks, as t and s, and the kernel's bits B.
+def _walk_plan(q: Fraction, digits: int) -> tuple[CPoly, list, int, int, int]:
+    """tau_M, the two stop checks, the bound T_0 = t/2**s below which the
+    walk checks, as t and s, and the kernel's bits B.
 
-    The coefficients are rounded once each at P = digits + 2*GUARD_DIGITS
-    (``CPoly.decimals``), the weights w_n = |rho_n|/(q - q**n), n > M,
-    upward at ``_BOUND_DIGITS`` by integer division (``_divide``): near
-    p = 10**-400 their integers have thousands of digits, which
-    ``Context.divide`` would convert in quadratic time.  From there on
+    The weights w_n = |rho_n|/(q - q**n), n > M, are rounded upward at
+    ``_BOUND_DIGITS`` by integer division (``_divide``): near p = 10**-400
+    their integers have thousands of digits, which ``Context.divide``
+    would convert in quadratic time.  From there on
     all is exact: the first check is sum_n w_n y**(n-1) <= 9*10**-(D+3)
     with the weights over one power of ten, the second
     sum_{n>=2} |tau_n| y**(n-1) <= 1/4 over tau's denominator.  T_0 lies
@@ -231,23 +229,21 @@ def _walk_plan(q: Fraction, digits: int) -> tuple[list[Decimal], list, int, int,
     # 2**B >= 8 E' 10**(P-1)/(q y_low), y_low = t/2**low, E' = ceil(d/(d - a)), as one ceiling
     need = 8 * -(-d // (d - a)) * 10 ** (precision - 1) * d << low
     bits = (-(-need // (a * t)) - 1).bit_length()
-    return tau.decimals(Context(prec=precision)), checks, t, shift, bits
+    return tau, checks, t, shift, bits
 
 
 class _Walk(NamedTuple):
     """Where the walk of one q stops, for every p with that q."""
 
-    y: Decimal  # y_K, rounded once from the kernel
     depth: int  # K
     bound: tuple[int, int]  # W(ybar)/q**K or above, as an unreduced quotient
-    q_power: Decimal  # q**K at the working precision
-    tau: Decimal  # tau_M(y_K) by Horner's rule
+    D: Decimal  # D(q) = tau_M(y_K)/q**K at the working precision
 
 
 def _walk(q: Fraction, digits: int) -> _Walk:
     """Walk the orbit of q at the plan's B bits until y_K passes the checks
     of the module docstring, with P = digits + 2*GUARD_DIGITS digits."""
-    coeffs, checks, t, shift, bits = _walk_plan(q, digits)
+    tau, checks, t, shift, bits = _walk_plan(q, digits)
     precision = digits + 2 * GUARD_DIGITS
     ctx = Context(prec=precision)
     # Y_K <= threshold exactly when Y_K/2**B <= T_0, and y_K <= ybar =
@@ -264,8 +260,7 @@ def _walk(q: Fraction, digits: int) -> _Walk:
     units, (q_num, q_den) = 2 * 10 ** (precision - 1), q_power.as_integer_ratio()
     top = sums[0] * (9 * y_bar * (units + k_walk + 3) * q_den)
     bound = top, 10 ** (digits + 3) * den * units * q_num << bits * len(weights)
-    y = _divide(y, 1 << bits, ctx)
-    return _Walk(y, k_walk, bound, q_power, horner(coeffs, y, ctx))
+    return _Walk(k_walk, bound, ctx.divide(_divide(tau.at(y, bits)[0], 1 << bits, ctx), q_power))
 
 
 def _checked(p, digits: int) -> Params:
@@ -287,14 +282,13 @@ def _checked(p, digits: int) -> Params:
 
 
 def _finish(params: Params, digits: int, walk: _Walk) -> RateConstantResult:
-    """C(p) = 2r tau_M(y_K)/q**K and its tail bound 2r q**-K W(ybar)."""
+    """C(p) = 2r D(q) and its tail bound 2r q**-K W(ybar)."""
     precision, r, (top, bottom) = digits + 2 * GUARD_DIGITS, params.r, walk.bound
-    ctx = Context(prec=precision)
-    value = ctx.multiply(PrecReal(2 * r, precision).value, walk.tau)
+    value = Context(prec=precision).multiply(PrecReal(2 * r, precision).value, walk.D)
     return RateConstantResult(
         p=params.p,
         q=params.q,
-        C=PrecReal(ctx.divide(value, walk.q_power), precision),
+        C=PrecReal(value, precision),
         factors_used=walk.depth,
         tail_bound=rounded_up(2 * r.numerator * top, r.denominator * bottom, _BOUND_DIGITS),
         digits=digits,
@@ -309,7 +303,7 @@ def rate_constant(p, digits: int = 15) -> RateConstantResult:
     ``MAX_DIGITS`` digits, each before any work.  The orbit kernel runs
     until y_K passes the checks of the module docstring; ``C`` is
     2r tau_M(y_K)/q**K at P = digits + 2*GUARD_DIGITS working digits,
-    within the relative rounding bound (K + 3M + 7) 10**(1 - P)/2 derived
+    within the relative rounding bound (K + M + 14) 10**(1 - P)/2 derived
     there, and ``tail_bound`` <= 10**-(digits + 2) covers the distance from
     2r tau_M(y_K)/q**K to C.  ``factors_used`` is the walk depth K.
     """

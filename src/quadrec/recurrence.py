@@ -46,8 +46,10 @@ until its Koenigs check passes, and its diagnostic carries the normalised
 residual beside the walk.
 
 The alpha_N of the critical constant is ``logistic_point``: the kernel at
-q = 1, rounded into a Decimal once at the end.  ``critical.estimate_constant``
-walks it at most 10**4 steps and answers a deeper request at that depth.
+q = 1, returned as its integer X_N over 2**B, where ``critical`` evaluates
+H_M in fixed point; only its 1/x and ln x round x to a Decimal.
+``critical.estimate_constant`` walks it at most 10**4 steps and answers a
+deeper request at that depth.
 The logistic tail sums and the divergence diagnostic read the same q = 1
 orbit as a stream of integers and add their floored summands as integers,
 so no term is ever converted to a Decimal.  ``logistic_decimals`` serves no
@@ -294,34 +296,23 @@ def logistic_decimals(precision: int) -> Iterator[Decimal]:
         alpha = ctx.multiply(alpha, ctx.subtract(1, alpha))
 
 
-def logistic_point(n: int, precision: int) -> Decimal:
-    """alpha_n alone, with relative error below 10**(1 - precision).
+def logistic_point(n: int, precision: int) -> tuple[int, int]:
+    """(X_n, B): alpha_n as the binary fixed point x_n = X_n/2**B, above it
+    by less than a relative 10**(1 - precision)/4.
 
     ``critical.estimate_constant`` walks at most n = 10**4 steps
     (``critical.WALK_DEPTH``) and answers a deeper request at that depth.
-    The orbit is ``orbit_integers`` at q = 1, X_n/2**B rounded once into
-    a ``precision``-digit Decimal, with 0 <= X_n/2**B - alpha_n < n 2**-B
-    (n >= 1; X_0/2**B = alpha_0 = 1/2).  The relative bound is derived as
-    follows.
-
-    * Relative error.  1/alpha_n = 2 + n + sum_{k<n} alpha_k/(1 - alpha_k)
-      is at most m = n + 3 + bit_length(n) (the sum is below 1 + ln n).
-      B = ceil((P - 1) log2 10) + 2 bit_length(2m) gives
-      2**B > 4 m**2 10**(P-1), so (x_n - alpha_n)/alpha_n < n m 2**-B,
-      which is below a quarter unit of the P-th digit, 10**(1-P)/4.
-    * The final division rounds once, by at most half a unit, so the
-      result is off by less than 3/4 unit plus a second-order term: inside
-      the budget n 10**(1-P) that ``critical`` assumes, for every n >= 1.
+    The orbit is ``orbit_integers`` at q = 1, with
+    0 <= x_n - alpha_n < n 2**-B (n >= 1; x_0 = alpha_0 = 1/2).
+    1/alpha_n = 2 + n + sum_{k<n} alpha_k/(1 - alpha_k) is at most
+    m = n + 3 + bit_length(n) (the sum is below 1 + ln n), and
+    B = ceil((P - 1) log2 10) + 2 bit_length(2m) gives
+    2**B > 4 m**2 10**(P-1), so (x_n - alpha_n)/alpha_n < n m 2**-B, below
+    a quarter unit of the P-th digit: inside the budget n 10**(1-P) that
+    ``critical`` assumes, for every n >= 1.
     """
-    x, bits = _logistic_fixed(n, precision)
-    return _divide(x, 1 << bits, Context(prec=precision))
-
-
-def _logistic_fixed(n: int, precision: int) -> tuple[int, int]:
-    """(X_n, B) of ``logistic_point``: 0 <= X_n/2**B - alpha_n < n 2**-B."""
     check_ranges(("depth", n, 0, MAX_DEPTH), ("precision", precision, 1, None))
     # 2**B >= 10**(P-1) * 4**bit_length(2m), m = n + 3 + bit_length(n)
-    bits = (10 ** (precision - 1) - 1).bit_length() + 2 * (
-        2 * (n + 3 + n.bit_length())
-    ).bit_length()
+    m = n + 3 + n.bit_length()
+    bits = (10 ** (precision - 1) - 1).bit_length() + 2 * (2 * m).bit_length()
     return next(islice(orbit_integers(Fraction(1), bits), n, None)), bits

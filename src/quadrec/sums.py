@@ -48,11 +48,12 @@ longer lowers it.  The worst bound over s_2..s_11 and the family sum at
 
 The direct part is one pass over the floored fixed-point orbit of
 ``recurrence.orbit_integers`` at q = 1: each summand is added as the
-integer floor(2**B g(x_k)) to one Python int, G(x_{N+1}) is evaluated exactly
-(``CPoly.__call__``, one integer sum over one denominator), and the total
-is rounded into a Decimal once.  The rounding of that pass is
-derived, not confirmed by a rerun (``_rounding_coefficient``), so the
-reported ``error_estimate`` is the tail bound plus the rounding bound.
+integer floor(2**B g(x_k)) to one Python int, G(x_{N+1}) is evaluated at
+the same X_{N+1}/2**B in fixed point (``CPoly.at``, low by at most
+E 2**-B with E <= 4 counted during the run), and the total is rounded
+into a Decimal once.  The rounding of that pass is derived, not
+confirmed by a rerun (``_rounding_coefficient`` and E), so the reported
+``error_estimate`` is the tail bound plus the rounding bound.
 """
 
 from __future__ import annotations
@@ -226,22 +227,25 @@ def _bits(coefficient: Fraction, precision: int) -> int:
     return (max(math.ceil(coefficient), DEPTH + 1) * 10**precision).bit_length()
 
 
-def _one_pass(s: _Summand, depth: int, bits: int) -> tuple[Fraction, Fraction, int]:
-    """(direct part, G(x_{N+1}), X_{N+1}) of the floored pass at B = ``bits``.
+def _one_pass(s: _Summand, depth: int, bits: int) -> tuple[int, int, int, int]:
+    """(direct part, tail, E, X_{N+1}) of the floored pass at B = ``bits``,
+    the first two as integers over 2**B.
 
-    The direct part sums k = 0..depth.  For s_1 its -1/k terms and the
-    harmonic number H_N of the tail are the same integers floor(2**B/k), so
-    they cancel exactly; the tail then holds G(x) + H_N, not yet ln x - gamma.
+    The direct part sums k = 0..depth.  The tail is G(x_{N+1}) in fixed
+    point (``CPoly.at``), low by at most E 2**-B, E <= 4.  For s_1 the
+    direct part's -1/k terms and the harmonic number H_N of the tail are
+    the same integers floor(2**B/k), so they cancel exactly; the tail then
+    holds G(x) + H_N, not yet ln x - gamma.
     """
     orbit = orbit_integers(Fraction(1), bits)
     direct = sum(s.floor(x, bits) for x in islice(orbit, depth + 1))
     x_last = next(orbit)
-    tail = s.G(Fraction(x_last, 1 << bits))
+    tail, error = s.G.at(x_last, bits)
     if s.harmonic:
         harmonic = sum((1 << bits) // k for k in range(1, depth + 1))
         direct -= harmonic
-        tail += Fraction(harmonic, 1 << bits)
-    return Fraction(direct, 1 << bits), tail, x_last
+        tail += harmonic
+    return direct, tail, error, x_last
 
 
 def _telescoped_sum(s: _Summand, digits: int) -> SumResult:
@@ -255,8 +259,9 @@ def _telescoped_sum(s: _Summand, digits: int) -> SumResult:
 
     For s_m with m >= 5 the part of the bound known before the pass, the
     tail bound plus K/2**B, is tested first.  The pass returns a total
-    within that part of s_m < 2**-m (1 + 2**(2-m)) (see ``power_sum``), and
-    rounding the total adds to the bound the most it can add to the sum.
+    within that part plus E 2**-B of s_m < 2**-m (1 + 2**(2-m)) (see
+    ``power_sum``), and E 2**-B and the rounding of the total each add to
+    the bound the most they can add to the sum.
     So once that part exceeds 10**-(digits+2) of s_m's bound plus itself,
     the check after the pass must refuse, and the pass is skipped.
     """
@@ -268,19 +273,19 @@ def _telescoped_sum(s: _Summand, digits: int) -> SumResult:
         largest = Fraction(2 ** (s.m - 2) + 1, 4 ** (s.m - 1)) + bound
         if bound * 10 ** (digits + 2) > largest:
             _refuse(rounded_up(bound.numerator, bound.denominator, precision), digits)
-    direct, tail, x_last = _one_pass(s, DEPTH, bits)
-    correction = PrecReal(tail, precision).value
+    direct, tail, error, x_last = _one_pass(s, DEPTH, bits)
+    total, bound = Fraction(direct + tail, 1 << bits), bound + Fraction(error, 1 << bits)
+    correction = PrecReal(Fraction(tail, 1 << bits), precision).value
     if s.harmonic:
         ctx = Context(prec=precision)
         # x/2**B = x 5**B/10**B, built exactly: str(int) stops at 4300 digits
         log = ctx.ln(_EXACT.scaleb(Decimal(x_last * 5**bits), -bits))
         gamma = euler_gamma(precision).value
-        tail += Fraction(log) - Fraction(gamma)
+        total += Fraction(log) - Fraction(gamma)
         bound += _unit(log, precision) / 2 + _unit(gamma, precision)
         # added from its P-digit parts, the correction keeps only the
         # decimals that the rounding of ln x leaves
         correction = ctx.subtract(ctx.add(correction, log), gamma)
-    total = direct + tail
     value = PrecReal(total, precision)
     bound += abs(Fraction(value.value) - total)
     error = rounded_up(bound.numerator, bound.denominator, precision)

@@ -151,7 +151,10 @@ def test_orbit_point_is_the_walk_up_to_the_walk_depth(n, monkeypatch):
 
     def recording(depth, precision):
         walked.append((depth, precision))
-        return logistic_point(depth, precision)
+        x, bits = logistic_point(depth, precision)
+        # the point lies where CPoly.at's bound holds, 0 <= X <= 2**(B-1)
+        assert 0 < x <= 1 << (bits - 1)
+        return x, bits
 
     monkeypatch.setattr(critical, "logistic_point", recording)
     for precision in (20, 60):

@@ -179,8 +179,8 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
   "m": 4,
   "value": "0.0689777061",
   "terms_summed": 1001,
-  "tail_correction": "3.2407381881550057579025106870980089463243324988822E-10",
-  "error_estimate": "3.3689816284972748418351927939695794319291863389679E-50"
+  "tail_correction": "3.2407381881550057579025106870980089463243324988663E-10",
+  "error_estimate": "3.3689822979413820914395196529266137062157630970811E-50"
 }
 """,
     ),
@@ -192,7 +192,7 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
   "value": "-1.602",
   "terms_summed": 1001,
   "tail_correction": "-0.0096337448411449084172269477262007865491853",
-  "error_estimate": "7.672284046577941178570115069646386148874441E-43"
+  "error_estimate": "7.672284461015966451482249147803185721508467E-43"
 }
 """,
     ),

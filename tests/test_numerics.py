@@ -11,7 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quadrec.critical import estimate_constant, logistic_constant, residual_order_check
+from quadrec.critical import (
+    _abel_summand,
+    estimate_constant,
+    logistic_constant,
+    residual_order_check,
+)
 from quadrec.errors import DomainError, PrecisionError, RefusalError
 from quadrec.numerics import (
     CPoly,
@@ -22,9 +27,14 @@ from quadrec.numerics import (
     horner,
     parse_rational,
 )
-from quadrec.recurrence import classify, iterate_real
-from quadrec.series_engine import eval_series_coeffs, solve_coefficients
-from quadrec.sums import bootstrap_check, harmonic_divergence_diagnostic, regularized_s1
+from quadrec.recurrence import classify, iterate_real, logistic_point
+from quadrec.series_engine import eval_series_coeffs, solve_coefficients, telescope
+from quadrec.sums import (
+    _power_summand,
+    bootstrap_check,
+    harmonic_divergence_diagnostic,
+    regularized_s1,
+)
 
 # ---------------------------------------------------------------------------
 # parse_rational
@@ -487,3 +497,58 @@ def test_cpoly_call_matches_fraction_horner(seed):
             assert poly(x) == _fraction_horner(poly, x)
     for x in points:
         assert CPoly()(x) == 0
+
+
+# ---------------------------------------------------------------------------
+# CPoly.at: the fixed-point value at an orbit point X/2**B
+# ---------------------------------------------------------------------------
+
+
+def _assert_within_count(poly, x, bits):
+    """0 <= 2**B P(X/2**B) - V <= E <= 4, with P(X/2**B) exact."""
+    value, error = poly.at(x, bits)
+    gap = 2**bits * poly(Fraction(x, 2**bits)) - value
+    assert 0 <= gap <= error <= 4
+
+
+@st.composite
+def _dyadic_cases(draw):
+    """A polynomial with signed coefficients over large denominators, of
+    degree 0..60, and a point X in [0, 2**(B-1)] with B in 2..600."""
+    degree = draw(st.integers(min_value=0, max_value=60))
+    numerators = st.integers(min_value=-(10**40), max_value=10**40)
+    denominators = st.integers(min_value=1, max_value=10**30)
+    coeffs = [Fraction(draw(numerators), draw(denominators)) for _ in range(degree + 1)]
+    bits = draw(st.integers(min_value=2, max_value=600))
+    return CPoly(coeffs), draw(st.integers(min_value=0, max_value=2 ** (bits - 1))), bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(_dyadic_cases())
+@example((CPoly([Fraction(-7, 3), Fraction(5, 11), Fraction(-1, 6)]), 2, 2))
+# the error reaches 2.014 where a floored count E x would allow 2: E rounds up
+@example((CPoly([Fraction(-38001, 8000), Fraction(-47001, 7000), Fraction(4999, 1000),
+                 Fraction(38999, 8000), Fraction(-16001, 4000)]), 4, 3))
+@example((CPoly([Fraction(10**30 + 1, 3**60)] * 61), 2**599, 600))
+def test_cpoly_at_is_within_its_counted_error(case):
+    _assert_within_count(*case)
+
+
+def test_cpoly_at_is_exact_where_every_floor_is():
+    # G = x, the s_2 telescope, keeps s_2 = 1/2 exact with no error term
+    assert _power_summand(2).G == CPoly.variable()
+    for bits in (2, 64, 601):
+        for x in (0, 1, 3, 2 ** (bits - 1)):
+            assert CPoly.variable().at(x, bits) == (x, 0)
+    # dyadic coefficients and products: 2**3 (3/4 - x/2 + x**2) at x = 1/2
+    assert CPoly([Fraction(3, 4), Fraction(-1, 2), 1]).at(4, 3) == (6, 0)
+    # one inexact product floor, floor(-1 * 3/8), is counted once
+    assert CPoly([Fraction(3, 4), Fraction(-1, 2), 1]).at(3, 3) == (5, 1)
+
+
+def test_cpoly_at_on_the_abel_telescope_at_the_walk_depth():
+    # H_80 at alpha_{10**4} as critical evaluates it: 70 digits of the point
+    H, _R = telescope(_abel_summand(80), 80)
+    x, bits = logistic_point(10**4, 70)
+    _assert_within_count(H, x, bits)
+    assert H.at(x, bits)[1] > 0

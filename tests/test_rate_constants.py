@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadrec.errors import DomainError, RefusalError
-from quadrec.numerics import GUARD_DIGITS, PrecReal, _divide, horner
+from quadrec.numerics import GUARD_DIGITS, PrecReal, _divide
 from quadrec.rate_constants import (
     ORDER,
     Q_MAX,
@@ -102,9 +102,9 @@ def _factor_count(q: Fraction, exponent: int) -> int:
 
 
 def _rounding_bound(walk: int, precision: int) -> Decimal:
-    """The relative rounding bound (K + 3M + 7) 10**(1 - P)/2 that
+    """The relative rounding bound (K + M + 14) 10**(1 - P)/2 that
     ``rate_constant`` derives for its walk of depth K at P working digits."""
-    return (walk + 3 * ORDER + 7) * Decimal(10) ** (1 - precision) / 2
+    return (walk + ORDER + 14) * Decimal(10) ** (1 - precision) / 2
 
 
 #: The table points at 15 and 50 digits, and both points with q = Q_MAX.
@@ -141,15 +141,16 @@ def test_rate_constant_is_the_direct_partial_product(p, digits):
 def _walk_value(p: Fraction, digits: int, walk: int, precision: int) -> Decimal:
     """2r tau_M(y_K)/q**K with every step of ``rate_constant``'s walk at
     ``precision``: the kernel's bits of the walk at ``digits``, with
-    4 bits more for each extra digit, keep y_K within u of that precision."""
+    4 bits more for each extra digit, keep y_K within u of that precision,
+    and tau_M is evaluated there in fixed point."""
     ctx = Context(prec=precision)
     params = classify(p)
     tau, _rho = koenigs(params.q, ORDER)
     bits = _walk_plan(params.q, digits)[-1] + 4 * (precision - digits - 2 * GUARD_DIGITS)
-    y = _divide(next(islice(orbit_integers(params.q, bits), walk, None)), 1 << bits, ctx)
+    value, _error = tau.at(next(islice(orbit_integers(params.q, bits), walk, None)), bits)
     q = PrecReal(params.q, precision).value
-    value = ctx.multiply(PrecReal(2 * params.r, precision).value, horner(tau.decimals(ctx), y, ctx))
-    return ctx.divide(value, ctx.power(q, walk))
+    d = ctx.divide(_divide(value, 1 << bits, ctx), ctx.power(q, walk))
+    return ctx.multiply(PrecReal(2 * params.r, precision).value, d)
 
 
 @pytest.mark.parametrize("p, digits", PRODUCT_CASES)
@@ -393,11 +394,11 @@ CONJUGATE_PS = [Fraction(*pq) for pq in [(4, 5), (3, 4), (2, 3), (3, 5), (501, 1
 def test_rate_constant_is_r_times_the_conjugate_constant(p, digits):
     # p and 1 - p walk the one orbit in y = p b/q (module docstring): the
     # same K, and C(p) = r C(1 - p).  Each computed C is within the
-    # relative bound d = (K + 3M + 7) 10**(1 - P)/2 of its exact walk
+    # relative bound d = (K + M + 14) 10**(1 - P)/2 of its exact walk
     # value X, so |X| <= |C|/(1 - d)
     high, low = rate_constant(p, digits), rate_constant(1 - p, digits)
     assert high.factors_used == low.factors_used
     K, r = high.factors_used, classify(p).r
-    d = Fraction(K + 3 * ORDER + 7, 2 * 10 ** (digits + 2 * GUARD_DIGITS - 1))
+    d = Fraction(K + ORDER + 14, 2 * 10 ** (digits + 2 * GUARD_DIGITS - 1))
     c_high, c_low = Fraction(high.C.value), Fraction(low.C.value)
     assert abs(c_high - r * c_low) <= d / (1 - d) * (abs(c_high) + r * abs(c_low))

@@ -18,7 +18,6 @@ from quadrec.recurrence import (
     MAX_DEPTH,
     Params,
     Regime,
-    _logistic_fixed,
     classify,
     final_value,
     iterate_exact,
@@ -322,15 +321,15 @@ def test_logistic_cap():
 @pytest.mark.parametrize("precision", [20, 35, 60, 100])
 def test_logistic_fixed_point_error_is_one_sided(precision):
     # exact check of 0 <= X_n/2**B - alpha_n < n 2**-B: the floored squares
-    # push the orbit up, and the slope of x - x**2 on [0, 1/2] keeps it there
+    # push the orbit up, and the slope of x - x**2 on [0, 1/2] keeps it there;
+    # B keeps that below a relative quarter unit of the P-th digit
     exact = logistic_iterate(20)
     for n, alpha in enumerate(exact):
-        x, bits = _logistic_fixed(n, precision)
+        x, bits = logistic_point(n, precision)
         error = Fraction(x, 2**bits) - alpha
         # messages name n alone: alpha_20 has a million-bit denominator
         assert 0 <= error < Fraction(max(n, 1), 2**bits), n
-        rounded = Fraction(logistic_point(n, precision))
-        assert abs(rounded - alpha) < Fraction(1, 10 ** (precision - 1)) * alpha, n
+        assert error < Fraction(1, 4 * 10 ** (precision - 1)) * alpha, n
 
 
 @pytest.mark.parametrize("bits", [3, 40, 200])
@@ -340,16 +339,18 @@ def test_the_kernel_at_q_one_is_the_floored_logistic_orbit(bits):
     for k, (x, alpha) in enumerate(zip(orbit_integers(Fraction(1), bits), exact)):
         error = Fraction(x, 2**bits) - alpha
         assert 0 <= error < Fraction(max(k, 1), 2**bits), k
-    x, bits = _logistic_fixed(1000, 40)
+    x, bits = logistic_point(1000, 40)
     assert next(islice(orbit_integers(Fraction(1), bits), 1000, None)) == x
     with pytest.raises(DomainError):
         next(orbit_integers(Fraction(1), 0))
 
 
 def _relative_error(n: int, precision: int) -> Fraction:
-    """|logistic_point - alpha_n| / alpha_n against a Decimal stream at 2P + 20."""
+    """|X_n/2**B - alpha_n| / alpha_n for (X_n, B) = ``logistic_point``,
+    against a Decimal stream at 2P + 20."""
     reference = Fraction(next(islice(logistic_decimals(2 * precision + 20), n, None)))
-    return abs(Fraction(logistic_point(n, precision)) - reference) / reference
+    x, bits = logistic_point(n, precision)
+    return abs(Fraction(x, 2**bits) - reference) / reference
 
 
 @pytest.mark.parametrize("n", [10**4, 10**5])

@@ -36,6 +36,7 @@ def test_scaling_study_runs_inside_its_bounds():
     assert result.returncode == 0, result.stderr
     assert "orbit kernel steps per second" in result.stdout
     assert "telescope build by order" in result.stdout
+    assert "order   seconds  at X_1e4 ms" in result.stdout
     assert "estimator error by depth and order" in result.stdout
     assert "(!) error above bound" not in result.stdout
     assert "Abel plan of deep critical-c requests" in result.stdout

@@ -396,14 +396,16 @@ def test_pass_replays_the_exact_orbit_within_its_rounding_term(name, bits, depth
     summand, g = _SUMMANDS[name]
     alphas = logistic_iterate(depth + 1)
     exact = sum((g(a) for a in alphas[:-1]), Fraction(0)) + _poly(summand.G.coeffs, alphas[-1])
-    direct, tail, x_last = _one_pass(summand, depth, bits)
-    gap = direct + tail - exact
+    direct, tail, error, x_last = _one_pass(summand, depth, bits)
+    assert 0 <= error <= 4
+    gap = Fraction(direct + tail, 2**bits) - exact
     log_gap = Fraction(0)
     if summand.harmonic:
         x = Fraction(x_last, 2**bits)
         log_gap = (x - alphas[-1]) / alphas[-1]
+    # the fixed-point G(x_{N+1}) lies at most E 2**-B below its exact value
     bound = _rounding_coefficient(summand, depth) / 2**bits
-    assert -bound <= gap and gap + log_gap <= bound
+    assert -bound - Fraction(error, 2**bits) <= gap and gap + log_gap <= bound
 
 
 _CAPPED = {
@@ -426,8 +428,8 @@ def test_capped_sums_agree_with_a_finer_pass(name):
     precision = result.value.precision
     coefficient = _rounding_coefficient(summand, DEPTH)
     bits = _bits(coefficient, precision) + 128
-    direct, tail, x_last = _one_pass(summand, DEPTH, bits)
-    finer = direct + tail
+    direct, tail, error, x_last = _one_pass(summand, DEPTH, bits)
+    finer = Fraction(direct + tail, 2**bits)
     slack = Fraction(1, 10 ** (precision + 30))
     if summand.harmonic:
         ctx = Context(prec=precision + 40)
@@ -438,7 +440,7 @@ def test_capped_sums_agree_with_a_finer_pass(name):
     )
     assert 0 <= rounding < Fraction(2, 10 ** (precision - 1))
     gap = abs(Fraction(result.value.value) - finer)
-    assert gap <= rounding + coefficient / 2**bits + slack
+    assert gap <= rounding + (coefficient + error) / 2**bits + slack
 
 
 # Values (rounded to 45 decimals) and error bounds (rounded up) of the sums
@@ -485,16 +487,17 @@ def _derived_bound(summand, digits):
     precision = digits + 2 * GUARD_DIGITS
     coefficient = _rounding_coefficient(summand, DEPTH)
     bits = _bits(coefficient, precision)
-    direct, tail, x_last = _one_pass(summand, DEPTH, bits)
-    bound = tail_bound(summand.R, DEPTH + 1, summand.omitted_from) + coefficient / 2**bits
+    direct, tail, error, x_last = _one_pass(summand, DEPTH, bits)
+    total = Fraction(direct + tail, 2**bits)
+    # the pass's rounding and the fixed-point G(x_{N+1})'s E
+    bound = tail_bound(summand.R, DEPTH + 1, summand.omitted_from) + (coefficient + error) / 2**bits
     if summand.harmonic:
         ctx = Context(prec=precision)
         log = ctx.ln(Decimal(f"{x_last * 5**bits}E-{bits}"))
         gamma = euler_gamma(precision).value
-        tail += Fraction(log) - Fraction(gamma)
+        total += Fraction(log) - Fraction(gamma)
         for value, units in ((log, Fraction(1, 2)), (gamma, 1)):
             bound += units * Fraction(10) ** (value.adjusted() + 1 - precision)
-    total = direct + tail
     return bound + abs(Fraction(PrecReal(total, precision).value) - total)
 
 
