@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Empirical scaling tables: solver cost vs order, orbit kernel steps per
-second, telescope build cost vs order, estimator error vs depth, the Abel
-plan of deep critical-constant requests, rate-constant walk depth vs q.
+second, telescope build cost vs order, the residual check's series at C
+by order, estimator error vs depth, the Abel plan of deep critical-constant
+requests, rate-constant walk depth vs q.
 
 Usage:
     python scripts/scaling_study.py [--max-order 14] [--max-depth-exp 5]
@@ -19,6 +20,12 @@ use them (up to order 58 within the caps), and order 400 is the one that
 1000 digits of C would take at depth 10^4.  Its last column is the best of
 three fixed-point evaluations (``CPoly.at``) of that H at the orbit point
 X_{10^4}/2^B of ``recurrence.logistic_point(10^4, 1100)``, B = 3681.
+
+The series table times ``critical.residual_order_check`` at orders 4, 12
+and 20 over residual-check's 11 default steps k = 10, 20, ..., 10240, with
+the C of a depth-10^5 estimate given, so that it is the walk to k = 10240,
+one exact substitution of C into the c[i][j] and one evaluation of the
+expansion per k; each time is the best of three in-process calls.
 
 The reference value for the error column is a depth-10^6 run, so shallow
 rows display their true error next to the bound they reported themselves.
@@ -47,7 +54,14 @@ import time
 from fractions import Fraction
 from itertools import islice
 
-from quadrec.critical import MAX_PRECISION, _abel_summand, _plan, _rounding, estimate_constant
+from quadrec.critical import (
+    MAX_PRECISION,
+    _abel_summand,
+    _plan,
+    _rounding,
+    estimate_constant,
+    residual_order_check,
+)
 from quadrec.numerics import rounded_up
 from quadrec.rate_constants import rate_constant
 from quadrec.recurrence import MAX_DEPTH, logistic_point, orbit_integers
@@ -116,6 +130,19 @@ def main() -> int:
             H.at(x, bits)
             seconds.append(time.perf_counter() - t0)
         print(f"{order:>6} {build:>9.5f} {1000 * min(seconds):>12.3f}")
+
+    print()
+    print("series at C by order (residual-check, 11 k's)")
+    print(f"{'order':>6} {'ms':>7}")
+    c_value = estimate_constant(10**5, 4, 40).C
+    ks = [10 * 2**n for n in range(11)]
+    for order in (4, 12, 20):
+        seconds = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            residual_order_check(order, ks, 40, c_value=c_value)
+            seconds.append(time.perf_counter() - t0)
+        print(f"{order:>6} {1000 * min(seconds):>7.2f}")
 
     reference = estimate_constant(10**6, 6, 60).C.value
     print()

@@ -66,7 +66,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, check_ranges
-from .numerics import CPoly, PrecReal, _divide, horner, rounded_up
+from .numerics import CPoly, PrecReal, _divide, rounded_up
 from .recurrence import MAX_DEPTH, classify, iterate_real, logistic_point
 from .series_engine import (
     MAX_ORDER,
@@ -265,9 +265,12 @@ def residual_order_check(
     so on a log-log plot against k the points fall near slope -(I+1) (up to
     the slowly varying log factor).  ``c_value`` defaults to a fresh
     moderate-depth estimate so the check never needs externally supplied
-    constants; that estimate works at order ``max(order, 4)``.  A sample
-    deeper than ``recurrence.MAX_DEPTH`` is refused before anything is
-    solved or estimated.
+    constants; that estimate works at order ``max(order, 4)``.  C, rounded
+    to ``precision`` digits, is substituted once, exactly, into every
+    c[i][j] (``CoefficientTable.substitute``), and each sample evaluates
+    the expansion at those values.  A sample deeper than
+    ``recurrence.MAX_DEPTH`` is refused before anything is solved or
+    estimated.
     """
     ks = sorted(set(int(k) for k in ks))
     if not ks:
@@ -278,11 +281,11 @@ def residual_order_check(
     table = solve_coefficients(max(order, 2))
     if c_value is None:
         c_value = estimate_constant(10**5, max(order, 4), max(precision, 40)).C
-    c = PrecReal(c_value, precision).value
+    values = table.substitute(Fraction(PrecReal(c_value, precision).value), order, precision)
     samples = iterate_real(classify(_CRITICAL_P), ks[-1], precision, sample_ks=ks)
     ctx = Context(prec=precision)
     residuals = []
     for s in samples:
-        series = horner(eval_series_coeffs(table, s.k, precision, order), c, ctx)
+        series = eval_series_coeffs(values, s.k, precision)
         residuals.append((s.k, PrecReal(ctx.subtract(s.a.value, series).copy_abs(), precision)))
     return residuals

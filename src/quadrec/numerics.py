@@ -20,12 +20,15 @@ Three kinds of numbers appear throughout the package:
   orbit kernel already holds as a binary integer X/2**B, by one
   fixed-point Horner rule with a derived error count (``CPoly.at``).
 
-The module also owns the Euler--Mascheroni constant (110 verified digits)
-and the Decimal Horner rule (``horner``), which only evaluates the
-expansion in C at a Decimal C (``CPoly.decimals`` rounds the coefficients
-it takes).  ``confirmed_value`` repeats a computation with 20
-extra guard digits and raises ``PrecisionError`` unless the two results
-agree to the requested width.  No library computation calls it: the rate
+The one other evaluator is exact: ``CPoly.__call__`` gives the
+``Fraction`` value at a rational point, and the expansion in C takes each
+coefficient at the given C that way, rounded once
+(``series_engine.CoefficientTable.substitute``).
+
+The module also owns the Euler--Mascheroni constant (110 verified
+digits).  ``confirmed_value`` repeats a computation with 20 extra guard
+digits and raises ``PrecisionError`` unless the two results agree to the
+requested width.  No library computation calls it: the rate
 constants, the tail sums and the critical constant each run once and derive
 their rounding bound; it remains only for the benchmark's tracer.
 """
@@ -36,7 +39,7 @@ import decimal
 import math
 from decimal import Context, Decimal
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence, TypeVar, Union
+from typing import Callable, Iterable, TypeVar, Union
 
 from .errors import DomainError, PrecisionError, check_ranges
 
@@ -225,15 +228,6 @@ def confirmed_value(compute: Callable[[int], T], digits: int, precision: int) ->
     return second
 
 
-def horner(coeffs: Sequence[Decimal], x: Decimal, ctx: Context) -> Decimal:
-    """sum_t coeffs[t] * x**t by Horner's rule, one fused multiply-add per
-    coefficient at the precision of ``ctx``."""
-    acc = Decimal(0)
-    for coefficient in reversed(coeffs):
-        acc = ctx.fma(acc, x, coefficient)
-    return acc
-
-
 class CPoly:
     """Dense polynomial in one formal symbol over the rationals.
 
@@ -287,11 +281,6 @@ class CPoly:
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(n, self._denominator) for n in self._numerators)
-
-    def decimals(self, ctx: Context) -> list[Decimal]:
-        """The coefficients in ascending order, each rounded once by ``ctx``
-        from its stored numerator (``_divide``)."""
-        return [_divide(n, self._denominator, ctx) for n in self._numerators]
 
     @property
     def degree(self) -> int:
@@ -382,7 +371,8 @@ class CPoly:
     def __call__(self, x):
         """The exact value at a rational ``x`` = p/q: Horner's rule on the
         integer sum_t n_t p**t q**(d - t), divided by the denominator times
-        q**d once."""
+        q**d once.  The package's one exact evaluator, beside the fixed-point
+        ``at``: the expansion in C takes each c[i][j] at C through it."""
         x = Fraction(x)
         p, q = x.numerator, x.denominator
         total, power = 0, 1

@@ -75,10 +75,11 @@ import math
 from decimal import Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from .errors import DomainError, EngineError, check_ranges
-from .numerics import CPoly
+from .numerics import CPoly, _divide
 
 Key = tuple[int, int]  # (i, j) indexes the monomial ln(k)**j / k**i
 
@@ -211,6 +212,14 @@ class CoefficientTable(NamedTuple):
         for i in range(1, self.max_order + 1):
             for j in range(i - 1, -1, -1):
                 yield i, j, self.entries.get((i, j), _ZERO)
+
+    def substitute(self, C: Fraction, order: int, precision: int) -> dict[Key, Decimal]:
+        """Every nonzero c[i][j] with i <= ``order`` at the rational ``C``:
+        the exact value ``CPoly.__call__`` gives, rounded once to
+        ``precision`` digits (``_divide``)."""
+        ctx = Context(prec=precision)
+        exact = {key: poly(C) for key, poly in self.entries.items() if key[0] <= order and poly}
+        return {key: _divide(v.numerator, v.denominator, ctx) for key, v in exact.items()}
 
     def as_series(self, order: int) -> AsymSeries:
         """The ansatz 1 + sum c[i][j] ln^j/k^i, truncated at ``order``."""
@@ -422,37 +431,21 @@ def fixed_point_defect(table: CoefficientTable, order: int | None = None) -> Asy
     return shift(series) - apply_map(series)
 
 
-def eval_series_coeffs(
-    table: CoefficientTable, k: int, precision: int, order: int
-) -> list[Decimal]:
-    """The expansion truncated at ``order``, at step k, as a polynomial in C.
-
-    Returns decimal coefficients g[0..d] with
-    ``a_k ~ g[0] + g[1]*C + g[2]*C**2 + ...``; the numeric weights
-    ln(k)**j / k**i are evaluated at the given working precision.
+def eval_series_coeffs(values: dict[Key, Decimal], k: int, precision: int) -> Decimal:
+    """The expansion 1 + sum v[i][j] ln(k)**j / k**i at step k, for the
+    coefficients v at a given C that ``CoefficientTable.substitute``
+    returns, each term rounded at ``precision`` digits.  k >= 2, so that
+    ln k is positive.
     """
-    check_ranges(("k", k, 2, None))  # ln k must be positive
+    check_ranges(("k", k, 2, None))
     ctx = Context(prec=precision)
-    ln_k = ctx.ln(Decimal(k))
-    max_j = max((j for (_i, j) in table.entries if _i <= order), default=0)
-    ln_pows = [Decimal(1)]
-    for _ in range(max_j):
-        ln_pows.append(ctx.multiply(ln_pows[-1], ln_k))
-    inv_k = ctx.divide(Decimal(1), Decimal(k))
-    inv_pows = [Decimal(1)]
-    for _ in range(order):
-        inv_pows.append(ctx.multiply(inv_pows[-1], inv_k))
-    degree = max((poly.degree for (i, _j), poly in table.entries.items() if i <= order), default=0)
-    coeffs = [Decimal(0)] * (degree + 1)
-    coeffs[0] = Decimal(1)
-    for (i, j), poly in sorted(table.entries.items()):
-        if i > order or poly.is_zero:
-            continue
-        weight = ctx.multiply(ln_pows[j], inv_pows[i])
-        for t, coefficient in enumerate(poly.decimals(ctx)):
-            if coefficient:
-                coeffs[t] = ctx.add(coeffs[t], ctx.multiply(coefficient, weight))
-    return coeffs
+    top = max((i for i, _j in values), default=0)
+    ln_pows = list(accumulate([ctx.ln(k)] * top, ctx.multiply, initial=Decimal(1)))
+    inv_pows = list(accumulate([ctx.divide(1, k)] * top, ctx.multiply, initial=Decimal(1)))
+    total = Decimal(1)
+    for (i, j), value in sorted(values.items()):
+        total = ctx.add(total, ctx.multiply(value, ctx.multiply(ln_pows[j], inv_pows[i])))
+    return total
 
 
 def _half_sum(G: list[int], m: int) -> int:

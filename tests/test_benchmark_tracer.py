@@ -43,6 +43,7 @@ def test_tracer_reads_the_results_of_traced_calls():
         "    ['critical-c', '--N', '1000', '--order', '3', '--precision', '30'],\n"
         "    ['s1', '--digits', '4'],\n"
         "    ['rate-constant', '--p', '2/5', '--digits', '5'],\n"
+        "    ['residual-check', '--N', '80', '--order', '2'],\n"
         "]\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [quadrec.cli.main(argv) for argv in argvs]\n"
@@ -57,8 +58,10 @@ def test_tracer_reads_the_results_of_traced_calls():
     assert result.returncode == 0, result.stderr
     report = json.loads(result.stdout)
     metrics = report["metrics"]
-    assert report["codes"] == [0, 0, 0]
-    assert metrics["critical.estimate_calls"] == 2
+    assert report["codes"] == [0, 0, 0, 0]
+    # residual-check estimates its own C, then evaluates the series once per k
+    assert metrics["critical.estimate_calls"] == 3
+    assert metrics["series_engine.eval_coeffs_calls"] == 4  # k = 10, 20, 40, 80
     assert math.isfinite(metrics["critical.truncation_bound_log10"])
     assert metrics["critical.truncation_bound_log10"] < 0
     assert metrics["rate_constants.factors"] > 0

@@ -25,10 +25,11 @@ from quadrec.critical import (
     residual_order_check,
 )
 from quadrec.errors import DomainError
-from quadrec.numerics import CPoly, PrecReal, horner
+from quadrec.numerics import CPoly, PrecReal
 from quadrec.recurrence import MAX_DEPTH, classify, final_value, logistic_point
 from quadrec.series_engine import (
     MAX_ORDER,
+    AsymSeries,
     eval_series_coeffs,
     fixed_point_defect,
     solve_coefficients,
@@ -118,9 +119,36 @@ def test_abel_constant_fits_the_matched_series():
     k = 10**4
     est = estimate_constant(k, 16, 80)
     a_k = final_value(classify("1/2"), k, 80).value
-    coeffs = eval_series_coeffs(solve_coefficients(16), k, 80, 16)
-    series = horner(coeffs, est.C.value, Context(prec=80))
+    values = solve_coefficients(16).substitute(Fraction(est.C.value), 16, 80)
+    series = eval_series_coeffs(values, k, 80)
     assert abs(a_k - series) < Decimal("1e-50")
+
+
+def test_abel_reversion_reproduces_the_solved_coefficients():
+    # a second route to c[i][j]: phi(x) = 1/x + ln x + H(x) = k + C/2 with
+    # x = y/(1 + v), y = 1/k and L = ln k reads v = y (C/2 + L + ln(1 + v) - H(x)),
+    # and each pass of that map fixes one more order of v; after M passes x,
+    # from the v of M - 1, is exact through order M, and so is a_k = 1 - 2x
+    order = 10
+    H, _R = telescope(_abel_summand(order), order)
+    one = AsymSeries(order, {(0, 0): CPoly.constant(1)})
+    y = AsymSeries(order, {(1, 0): CPoly.constant(1)})
+    c_plus_L = AsymSeries(order, {(0, 0): CPoly.variable() / 2, (0, 1): CPoly.constant(1)})
+    v = AsymSeries(order, {})
+    for _ in range(order):
+        # ln(1 + v) and 1/(1 + v) from the powers of v, which start at 1/k
+        log, inverse, power = AsymSeries(order, {}), one, one
+        for n in range(1, order + 1):
+            power = power * v
+            log = log + power * Fraction((-1) ** (n + 1), n)
+            inverse = inverse + power * (-1) ** n
+        x = y * inverse
+        H_x, power = AsymSeries(order, {}), one
+        for h in H.coeffs[1:]:
+            power = power * x
+            H_x = H_x + power * h
+        v = y * (c_plus_L + log - H_x)
+    assert (one - x * 2).terms == solve_coefficients(order).as_series(order).terms
 
 
 def test_estimate_refuses_insufficient_precision():
@@ -412,6 +440,25 @@ def test_solved_orders_are_looked_up_not_derived_again(monkeypatch):
         assert fixed_point_defect(table).terms == {}
 
 
+def test_residual_check_substitutes_c_once(monkeypatch, reference_estimate):
+    # C is fixed for the whole call: one exact substitution, then one
+    # evaluation of the expansion per step
+    calls = []
+    substitute = series_engine.CoefficientTable.substitute
+    evaluate = critical.eval_series_coeffs
+    monkeypatch.setattr(
+        series_engine.CoefficientTable,
+        "substitute",
+        lambda self, *args: calls.append("substitute") or substitute(self, *args),
+    )
+    monkeypatch.setattr(
+        critical, "eval_series_coeffs", lambda *args: calls.append("k") or evaluate(*args)
+    )
+    rows = residual_order_check(3, [10, 20, 40, 80], 40, c_value=reference_estimate.C)
+    assert len(rows) == 4
+    assert calls == ["substitute", "k", "k", "k", "k"]
+
+
 def test_residuals_decrease_with_depth(reference_estimate):
     rows = residual_order_check(
         2, [10, 40, 160, 640], 40, c_value=reference_estimate.C
@@ -424,8 +471,8 @@ def test_residual_matches_direct_series_comparison(table6, reference_estimate):
     rows = residual_order_check(3, [50], 40, c_value=reference_estimate.C)
     k, residual = rows[0]
     a_k = final_value(classify("1/2"), k, 40)
-    coeffs = eval_series_coeffs(table6, k, 60, 3)
-    series = horner(coeffs, reference_estimate.C.value, Context(prec=60))
+    values = table6.substitute(Fraction(reference_estimate.C.value), 3, 60)
+    series = eval_series_coeffs(values, k, 60)
     direct = abs(a_k.value - series)
     assert abs(residual.value - direct) < Decimal("1e-30")
 

@@ -151,7 +151,7 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
   },
   {
     "k": 20,
-    "residual": "0.0006761554011435912305362571893534840113"
+    "residual": "0.0006761554011435912305362571893534840112"
   },
   {
     "k": 40,
@@ -159,7 +159,7 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
   },
   {
     "k": 80,
-    "residual": "0.0000070609938304015055286867269328179815"
+    "residual": "0.0000070609938304015055286867269328179814"
   },
   {
     "k": 160,

@@ -24,7 +24,6 @@ from quadrec.numerics import (
     _divide,
     confirmed_value,
     euler_gamma,
-    horner,
     parse_rational,
 )
 from quadrec.recurrence import classify, iterate_real, logistic_point
@@ -204,16 +203,6 @@ def test_precreal_of_a_fraction_examples(value, precision, text):
     assert str(PrecReal(value, precision)) == text
 
 
-def test_horner_matches_exact_polynomial_value():
-    ctx = Context(prec=50)
-    coeffs = [Decimal(-5), Decimal(3), Decimal("0.25")]
-    assert horner(coeffs, Decimal(2), ctx) == Decimal(2)
-    assert horner([], Decimal(7), ctx) == 0
-    third = PrecReal(Fraction(1, 3), 50).value
-    exact = CPoly([Fraction(-5), Fraction(3), Fraction(1, 4)])(Fraction(third))
-    assert abs(Fraction(horner(coeffs, third, ctx)) - exact) < Fraction(1, 10**48)
-
-
 def test_library_glue_rounds_on_a_context_of_its_precision():
     # each value must carry its working precision P and equal the same
     # operations done on a Context(prec=P); an operation that slipped into
@@ -227,7 +216,8 @@ def test_library_glue_rounds_on_a_context_of_its_precision():
     table = solve_coefficients(3)
     c_value = PrecReal(estimate_constant(10**5, 4, 40).C, 40)
     samples = iterate_real(classify(Fraction(1, 2)), 20, 40, sample_ks=[10, 20])
-    series = [horner(eval_series_coeffs(table, s.k, 40, 3), c_value.value, ctx) for s in samples]
+    values = table.substitute(Fraction(c_value.value), 3, 40)
+    series = [eval_series_coeffs(values, s.k, 40) for s in samples]
     residuals = [ctx.subtract(s.a.value, v).copy_abs() for s, v in zip(samples, series)]
     checks.append((40, [r for _k, r in residual_order_check(3, [10, 20], 40)], residuals))
 

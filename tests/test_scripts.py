@@ -37,6 +37,7 @@ def test_scaling_study_runs_inside_its_bounds():
     assert "orbit kernel steps per second" in result.stdout
     assert "telescope build by order" in result.stdout
     assert "order   seconds  at X_1e4 ms" in result.stdout
+    assert "series at C by order (residual-check, 11 k's)" in result.stdout
     assert "estimator error by depth and order" in result.stdout
     assert "(!) error above bound" not in result.stdout
     assert "Abel plan of deep critical-c requests" in result.stdout

@@ -9,10 +9,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import quadrec.series_engine as series_engine
 from quadrec.errors import DomainError, EngineError
-from quadrec.numerics import CPoly, horner
+from quadrec.numerics import CPoly, PrecReal
 from quadrec.recurrence import classify, final_value
 from quadrec.series_engine import (
     AsymSeries,
@@ -382,14 +384,55 @@ def test_shift_of_solved_series_matches_shifted_orbit(table6):
 def test_eval_series_tracks_the_critical_orbit(table6, reference_estimate):
     params = classify(Fraction(1, 2))
     a_100 = final_value(params, 100, 40)
-    coeffs = eval_series_coeffs(table6, 100, 60, 6)
-    approx = horner(coeffs, reference_estimate.C.value, Context(prec=60))
+    values = table6.substitute(Fraction(reference_estimate.C.value), 6, 60)
+    approx = eval_series_coeffs(values, 100, 60)
     assert abs(a_100.value - approx) < Decimal("1e-7")
 
 
 def test_eval_series_requires_settled_logs(table6):
     with pytest.raises(DomainError):
-        eval_series_coeffs(table6, 1, 30, 4)
+        eval_series_coeffs(table6.substitute(Fraction(1), 4, 30), 1, 30)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.fractions(min_value=-10, max_value=10, max_denominator=10**45),
+    st.integers(2, 20),
+    st.integers(20, 80),
+)
+def test_substitute_rounds_each_exact_value_once(C, order, precision):
+    table = solve_coefficients(20)
+    values = table.substitute(C, order, precision)
+    assert set(values) == {(i, j) for (i, j), poly in table.entries.items() if i <= order and poly}
+    for key, value in values.items():
+        expected = PrecReal(table.entries[key](C), precision).value
+        assert str(value) == str(expected), key
+
+
+# C to 40 digits, as residual-check rounds it
+_C40 = Fraction(Decimal("3.535987572272308100887268813562264662155"))
+
+
+@pytest.mark.parametrize("order", [2, 3, 12, 20])
+def test_eval_series_coeffs_stays_inside_its_rounding_count(order):
+    # against exact c[i][j](C)/k**i times ln(k)**j at P + 40 digits.  The
+    # term v ln(k)**j / k**i passes through at most 2 (i + j + 1) roundings,
+    # each within half a unit of 10**(1-P) relative, and each of the n adds
+    # rounds a running sum in (0, 1) by at most half a unit of 10**-P
+    precision, table = 40, solve_coefficients(order)
+    values = table.substitute(_C40, order, precision)
+    wide = Context(prec=precision + 40)
+    for k in [10 * 2**n for n in range(11)]:
+        ln_k, reference, relative = wide.ln(k), Decimal(1), Decimal(0)
+        for i, j in values:
+            exact = PrecReal(table.entries[(i, j)](_C40) / k**i, precision + 40).value
+            term = wide.multiply(exact, wide.power(ln_k, j))
+            reference = wide.add(reference, term)
+            relative = wide.add(relative, wide.multiply(i + j + 1, term.copy_abs()))
+        bound = relative.scaleb(1 - precision) + Decimal(len(values)).scaleb(-precision) / 2
+        error = wide.subtract(eval_series_coeffs(values, k, precision), reference).copy_abs()
+        assert error <= bound, (k, error, bound)
+        assert 0 < reference < 1
 
 
 # ---------------------------------------------------------------------------

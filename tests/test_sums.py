@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from quadrec.critical import _abel_summand, estimate_constant
 from quadrec.errors import DomainError, ExactCapError, RefusalError
-from quadrec.numerics import GUARD_DIGITS, CPoly, PrecReal, euler_gamma, horner
+from quadrec.numerics import GUARD_DIGITS, CPoly, PrecReal, euler_gamma
 from quadrec.recurrence import MAX_DEPTH, logistic_decimals, logistic_iterate, orbit_integers
 from quadrec.series_engine import tail_bound, telescope
 from quadrec.sums import (
@@ -190,7 +190,7 @@ def _telescoped(alphas, n, term, G, with_log=False):
     for alpha in alphas[: n + 1]:
         partial = ctx.add(partial, term(alpha))
     x = alphas[n + 1]
-    tail = horner(G.decimals(ctx), x, ctx)
+    tail = PrecReal(G(Fraction(x)), _DEEP_PRECISION).value
     if with_log:
         tail = ctx.add(tail, ctx.ln(x))
     return ctx.add(partial, tail)
