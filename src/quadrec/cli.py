@@ -29,7 +29,7 @@ import time
 from decimal import Decimal
 from fractions import Fraction
 
-from .critical import estimate_constant, residual_order_check
+from .critical import RESIDUAL_PRECISION, estimate_constant, residual_order_check
 from .errors import DomainError, ExactCapError, QuadrecError, RefusalError, check_ranges
 from .numerics import _EXACT, GUARD_DIGITS, PrecReal, parse_rational
 from .rate_constants import MAX_DIGITS, rate_constant, rate_constant_table
@@ -194,11 +194,6 @@ def _cmd_critical(args):
     }
 
 
-#: Working precision of residual-check, the least at which
-#: ``residual_order_check`` estimates C.
-_RESIDUAL_PRECISION = 40
-
-
 def _cmd_residual_check(args):
     check_ranges(("N", args.N, 10, None))  # indices start at 10
     ks = []
@@ -208,7 +203,7 @@ def _cmd_residual_check(args):
         k *= 2
     return [
         {"k": k, "residual": str(res)}
-        for k, res in residual_order_check(args.order, ks, _RESIDUAL_PRECISION)
+        for k, res in residual_order_check(args.order, ks, RESIDUAL_PRECISION)
     ]
 
 

@@ -108,6 +108,10 @@ _ORDER_COST = 80
 #: 8e-144, and the rounding term at precision 200 is below 1e-184.
 MAX_PRECISION = 200
 
+#: The working precision of ``residual-check``, and the least at which
+#: ``residual_order_check`` estimates its own C.
+RESIDUAL_PRECISION = 40
+
 
 class CriticalEstimate(NamedTuple):
     """The constant C~ with the run parameters and error evidence.
@@ -265,7 +269,8 @@ def residual_order_check(
     so on a log-log plot against k the points fall near slope -(I+1) (up to
     the slowly varying log factor).  ``c_value`` defaults to a fresh
     moderate-depth estimate so the check never needs externally supplied
-    constants; that estimate works at order ``max(order, 4)``.  C, rounded
+    constants; that estimate works at order ``max(order, 4)`` and at least
+    ``RESIDUAL_PRECISION`` digits.  C, rounded
     to ``precision`` digits, is substituted once, exactly, into every
     c[i][j] (``CoefficientTable.substitute``), and each sample evaluates
     the expansion at those values.  A sample deeper than
@@ -280,7 +285,7 @@ def residual_order_check(
     )
     table = solve_coefficients(max(order, 2))
     if c_value is None:
-        c_value = estimate_constant(10**5, max(order, 4), max(precision, 40)).C
+        c_value = estimate_constant(10**5, max(order, 4), max(precision, RESIDUAL_PRECISION)).C
     values = table.substitute(Fraction(PrecReal(c_value, precision).value), order, precision)
     samples = iterate_real(classify(_CRITICAL_P), ks[-1], precision, sample_ks=ks)
     ctx = Context(prec=precision)

@@ -20,10 +20,13 @@ Three kinds of numbers appear throughout the package:
   orbit kernel already holds as a binary integer X/2**B, by one
   fixed-point Horner rule with a derived error count (``CPoly.at``).
 
-The one other evaluator is exact: ``CPoly.__call__`` gives the
-``Fraction`` value at a rational point, and the expansion in C takes each
-coefficient at the given C that way, rounded once
-(``series_engine.CoefficientTable.substitute``).
+The one other evaluator is exact: ``_int_horner`` gives a polynomial
+with integer coefficients at a rational p/q as the one integer
+sum_t c_t p**t q**(d - t), with no gcd.  Every exact polynomial value
+goes through it: ``CPoly.__call__`` (the reduced ``Fraction``), the
+expansion in C, which takes each coefficient at the given C and rounds it
+once (``series_engine.CoefficientTable.substitute``), the rate constants'
+stop test, ``series_engine.tail_bound`` and the sums' slope bound.
 
 The module also owns the Euler--Mascheroni constant (110 verified
 digits).  ``confirmed_value`` repeats a computation with 20 extra guard
@@ -39,7 +42,7 @@ import decimal
 import math
 from decimal import Context, Decimal
 from fractions import Fraction
-from typing import Callable, Iterable, TypeVar, Union
+from typing import Callable, Iterable, Sequence, TypeVar, Union
 
 from .errors import DomainError, PrecisionError, check_ranges
 
@@ -228,6 +231,17 @@ def confirmed_value(compute: Callable[[int], T], digits: int, precision: int) ->
     return second
 
 
+def _int_horner(coeffs: Sequence[int], p: int, q: int) -> int:
+    """sum_t coeffs[t] p**t q**(d - t) for d = len(coeffs) - 1 and q >= 1:
+    the polynomial at p/q times q**d, by Horner's rule on integers with no
+    gcd; 0 for no coefficients."""
+    total, power = 0, 1
+    for c in reversed(coeffs):
+        total = total * p + c * power
+        power *= q
+    return total
+
+
 class CPoly:
     """Dense polynomial in one formal symbol over the rationals.
 
@@ -369,17 +383,12 @@ class CPoly:
         return hash(self.coeffs)
 
     def __call__(self, x):
-        """The exact value at a rational ``x`` = p/q: Horner's rule on the
-        integer sum_t n_t p**t q**(d - t), divided by the denominator times
-        q**d once.  The package's one exact evaluator, beside the fixed-point
-        ``at``: the expansion in C takes each c[i][j] at C through it."""
+        """The exact value at a rational ``x`` = p/q, as a reduced
+        ``Fraction``: ``_int_horner`` of the numerators at p/q over the
+        denominator times q**d, 0 for the zero polynomial."""
         x = Fraction(x)
-        p, q = x.numerator, x.denominator
-        total, power = 0, 1
-        for n in reversed(self._numerators):
-            total = total * p + n * power
-            power *= q
-        return Fraction(total * q, self._denominator * power)
+        total = _int_horner(self._numerators, x.numerator, x.denominator)
+        return Fraction(total, self._denominator * x.denominator ** max(self.degree, 0))
 
     def at(self, x: int, bits: int) -> tuple[int, int]:
         """(V, E) with 0 <= 2**B P(x/2**B) - V <= E <= 4, for B = ``bits``

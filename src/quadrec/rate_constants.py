@@ -38,9 +38,9 @@ hold at the dyadic point ybar = (Y_K + E)/2**B, with E = min(K, ceil(1/(1 - q)))
 the kernel's error bound in units of 2**-B, so ybar >= y_K.  Both sums are
 evaluated exactly, each as one integer over one unreduced denominator (the
 weights over a power of ten, the tau_n over tau's denominator and ybar
-over 2**B), by Horner's rule with no gcd (``_stop_sums``).  Each is at
-least its lowest term, so no y_K above the roots of those two terms
-passes.  The checks start below the smaller root, T_0, which
+over 2**B), by the package's one integer Horner rule, with no gcd
+(``_stop_sums``).  Each is at least its lowest term, so no y_K above the
+roots of those two terms passes.  The checks start below the smaller root, T_0, which
 ``_walk_plan`` takes from an integer M-th root; until then the stop test
 compares integers only.
 
@@ -91,7 +91,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from .errors import RefusalError, check_ranges
-from .numerics import GUARD_DIGITS, CPoly, PrecReal, _divide, rounded_up
+from .numerics import GUARD_DIGITS, CPoly, PrecReal, _divide, _int_horner, rounded_up
 from .recurrence import MAX_DEPTH, Params, Regime, classify, orbit_error, orbit_integers
 from .series_engine import koenigs
 
@@ -113,6 +113,12 @@ TABLE_PS = (
 #: Contraction ratios above this are refused: the walk depth K grows like
 #: 1/(1 - q) and the constant itself degenerates as q -> 1.
 Q_MAX = Fraction(999, 1000)
+
+#: The one refusal of p = 1/2 by every function here.
+_CRITICAL_REFUSAL = (
+    "p = 1/2 is the critical point and has no geometric rate (the approach is "
+    "algebraic); use the critical-constant module instead"
+)
 
 #: The order M of the truncated Koenigs function tau_M.  A higher order
 #: walks fewer steps (the depth falls roughly like 1/M), a lower one costs
@@ -168,21 +174,12 @@ def _root(n: int, m: int) -> int:
     return t
 
 
-def _sum_at(coeffs: list[int], n: int, b: int) -> int:
-    """sum_j coeffs[j] (n/2**b)**j times 2**(b J), J = len(coeffs) - 1: the
-    polynomial at n/2**b over an unreduced power of two, by Horner's rule
-    on integers."""
-    acc = 0
-    for j, c in enumerate(reversed(coeffs)):
-        acc = acc * n + (c << b * j)
-    return acc
-
-
 def _stop_sums(checks: list[tuple[list[int], int]], n: int, b: int) -> list[int]:
     """Both stop checks at ybar = n/2**b, exactly and with no gcd: the sums
-    sum_j c_j ybar**j of ``checks`` (``_sum_at``) if each is at most its
-    den, and [] if one is not."""
-    sums = [_sum_at(c, n, b) for c, _ in checks]
+    sum_j c_j ybar**j of ``checks``, each times 2**(b J) with J its degree
+    (``numerics._int_horner``), if each is at most its den, and [] if
+    one is not."""
+    sums = [_int_horner(c, n, 1 << b) for c, _ in checks]
     return sums if all(s <= den << b * (len(c) - 1) for s, (c, den) in zip(sums, checks)) else []
 
 
@@ -269,10 +266,7 @@ def _checked(p, digits: int) -> Params:
     params = classify(p)
     check_ranges(("digits", digits, 1, MAX_DIGITS))
     if params.regime is Regime.CRITICAL:
-        raise RefusalError(
-            "p = 1/2 is the critical point: the approach is algebraic, not geometric; "
-            "use the critical-constant module instead"
-        )
+        raise RefusalError(_CRITICAL_REFUSAL)
     if params.q > Q_MAX:
         raise RefusalError(
             f"contraction ratio q = {params.q} exceeds {Q_MAX}; "
@@ -346,7 +340,7 @@ def convergence_diagnostic(p, kmax: int, precision: int) -> list[DiagnosticRow]:
     params = classify(p)
     check_ranges(("kmax", kmax, 0, MAX_DEPTH), ("precision", precision, 1, None))
     if params.regime is Regime.CRITICAL:
-        raise RefusalError("p = 1/2 has no geometric rate; use the critical-constant module")
+        raise RefusalError(_CRITICAL_REFUSAL)
     ctx = Context(prec=precision)
     q_dec = PrecReal(params.q, precision).value
     q_pow = Decimal(1)

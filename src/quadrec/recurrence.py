@@ -48,8 +48,9 @@ residual beside the walk.
 The alpha_N of the critical constant is ``logistic_point``: the kernel at
 q = 1, returned as its integer X_N over 2**B, where ``critical`` evaluates
 H_M in fixed point; only its 1/x and ln x round x to a Decimal.
-``critical.estimate_constant`` walks it at most 10**4 steps and answers a
-deeper request at that depth.
+``critical.estimate_constant`` walks it at most 10**4 steps: a deeper
+request is answered at the depth (10**2, 10**3 or 10**4) and the higher
+order that ``critical._plan`` picks to meet the request's own bound.
 The logistic tail sums and the divergence diagnostic read the same q = 1
 orbit as a stream of integers and add their floored summands as integers,
 so no term is ever converted to a Decimal.  ``logistic_decimals`` serves no
@@ -76,9 +77,11 @@ EXACT_STEP_CAP = 20
 #: about 4.3 s at p = 1/2 (1.5 s at p = 2/5), and the whole
 #: ``diverge-check --N 10**7`` about 2.2 s, with interpreter start, on a
 #: 2-core Intel Xeon with Python 3.11.  ``critical-c`` walks at most 10**4
-#: steps of its orbit (``critical.WALK_DEPTH``) and answers a deeper
-#: request there, within the request's own bound, so at 10**7 it takes
-#: about 0.1 s with interpreter start.
+#: steps of its orbit (``critical.WALK_DEPTH``): a deeper request is
+#: answered at the depth (10**2, 10**3 or 10**4) and the order that
+#: ``critical._plan`` picks within the request's own bound (the CLI default,
+#: 10**6 at order 6, at 10**3 and order 14), so at 10**7 it takes about
+#: 0.1 s with interpreter start.
 MAX_DEPTH = 10**7
 
 Value = Union[Fraction, PrecReal]
@@ -301,7 +304,8 @@ def logistic_point(n: int, precision: int) -> tuple[int, int]:
     by less than a relative 10**(1 - precision)/4.
 
     ``critical.estimate_constant`` walks at most n = 10**4 steps
-    (``critical.WALK_DEPTH``) and answers a deeper request at that depth.
+    (``critical.WALK_DEPTH``); a deeper request is answered at the depth
+    and order that ``critical._plan`` picks within its own bound.
     The orbit is ``orbit_integers`` at q = 1, with
     0 <= x_n - alpha_n < n 2**-B (n >= 1; x_0 = alpha_0 = 1/2).
     1/alpha_n = 2 + n + sum_{k<n} alpha_k/(1 - alpha_k) is at most

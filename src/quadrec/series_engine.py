@@ -79,7 +79,7 @@ from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from .errors import DomainError, EngineError, check_ranges
-from .numerics import CPoly, _divide
+from .numerics import CPoly, _divide, _int_horner
 
 Key = tuple[int, int]  # (i, j) indexes the monomial ln(k)**j / k**i
 
@@ -215,11 +215,15 @@ class CoefficientTable(NamedTuple):
 
     def substitute(self, C: Fraction, order: int, precision: int) -> dict[Key, Decimal]:
         """Every nonzero c[i][j] with i <= ``order`` at the rational ``C``:
-        the exact value ``CPoly.__call__`` gives, rounded once to
-        ``precision`` digits (``_divide``)."""
-        ctx = Context(prec=precision)
-        exact = {key: poly(C) for key, poly in self.entries.items() if key[0] <= order and poly}
-        return {key: _divide(v.numerator, v.denominator, ctx) for key, v in exact.items()}
+        the exact value, one integer (``_int_horner``) over den q**deg
+        for C = p/q, rounded once to ``precision`` digits (``_divide``),
+        with no gcd."""
+        ctx, p, q = Context(prec=precision), C.numerator, C.denominator
+        return {
+            key: _divide(_int_horner(c._numerators, p, q), c._denominator * q**c.degree, ctx)
+            for key, c in self.entries.items()
+            if key[0] <= order and c
+        }
 
     def as_series(self, order: int) -> AsymSeries:
         """The ansatz 1 + sum c[i][j] ln^j/k^i, truncated at ``order``."""
@@ -541,7 +545,8 @@ def tail_bound(R: CPoly, start: int, omitted_from: int | None = None) -> Fractio
     (k+1)(k+3) <= (k+2)**2), so with base = start + 1
     sum_{k>=start} alpha_k**d <= integral_base^inf t**-d dt = base**(1-d)/(d-1).
     R starts at x**2, and the terms are summed as one integer over
-    den(R) base**(deg - 1) lcm(1..deg - 1), with deg the degree of R.
+    den(R) base**(deg - 1) lcm(1..deg - 1), with deg the degree of R, by
+    the integer Horner rule at 1/base (``_int_horner``).
     ``omitted_from`` = L marks a summand whose series continues past its
     degree with coefficients of size at most 1, from x**L on; those terms
     add at most sum_{k>=start} alpha_k**L/(1 - alpha_k), with
@@ -551,9 +556,9 @@ def tail_bound(R: CPoly, start: int, omitted_from: int | None = None) -> Fractio
     if any(numerators[:2]):
         raise DomainError("the residual must start at x**2")
     scale = math.lcm(*range(1, top))
-    total = 0
-    for d in range(2, top + 1):  # Horner in base: the x**d term carries base**(top - d)
-        total = total * base + abs(numerators[d]) * (scale // (d - 1))
+    # the x**d term carries base**(top - d)
+    terms = [abs(n) * (scale // (d - 1)) for d, n in enumerate(numerators[2:], 2)]
+    total = _int_horner(terms, 1, base)
     bound = Fraction(total, R._denominator * base ** (top - 1) * scale) if total else Fraction(0)
     if omitted_from is not None:
         bound += Fraction(base + 1, base**omitted_from * (omitted_from - 1))

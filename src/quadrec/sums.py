@@ -66,7 +66,7 @@ from typing import Callable, NamedTuple, NoReturn
 
 from .critical import estimate_constant
 from .errors import RefusalError, check_ranges
-from .numerics import _EXACT, GUARD_DIGITS, CPoly, PrecReal, euler_gamma, rounded_up
+from .numerics import _EXACT, GUARD_DIGITS, CPoly, PrecReal, _int_horner, euler_gamma, rounded_up
 from .recurrence import MAX_DEPTH, logistic_iterate, orbit_integers
 from .series_engine import tail_bound, telescope
 
@@ -156,10 +156,10 @@ class _Summand(NamedTuple):
 
 def _slope(poly: CPoly) -> Fraction:
     """sum_n n |c_n| 2**(1-n): a bound on |P'| over [0, 1/2], summed as one
-    integer over the denominator times 2**(deg - 1)."""
-    top = poly.degree
-    total = sum(n * abs(c) << (top - n) for n, c in enumerate(poly._numerators) if n)
-    return Fraction(total, poly._denominator << (top - 1)) if total else Fraction(0)
+    integer over the denominator times 2**(deg - 1), by the integer Horner
+    rule at 1/2 (``_int_horner``)."""
+    total = _int_horner([n * abs(c) for n, c in enumerate(poly._numerators)], 1, 2)
+    return Fraction(total, poly._denominator << (poly.degree - 1)) if total else Fraction(0)
 
 
 def _power_summand(m: int) -> _Summand:

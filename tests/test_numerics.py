@@ -22,6 +22,7 @@ from quadrec.numerics import (
     CPoly,
     PrecReal,
     _divide,
+    _int_horner,
     confirmed_value,
     euler_gamma,
     parse_rational,
@@ -487,6 +488,17 @@ def test_cpoly_call_matches_fraction_horner(seed):
             assert poly(x) == _fraction_horner(poly, x)
     for x in points:
         assert CPoly()(x) == 0
+    # _int_horner itself on raw integers, unreduced: sum_t c_t p**t q**(d - t)
+    pairs = [(0, 1), (-3, 1), (5, 1), (-5, 7), (22, 7), (-1, 1 << 64), (6, 1 << 40)]
+    pairs += [(rng.getrandbits(300) - (1 << 299), 1 << 301), (rng.randint(-(10**9), 10**9), 10**9)]
+    lists = [[], [0], [0, 0, 0], [-7], [3, 0, -1], [0, 0, 5]]
+    for degree in (9, 40):
+        lists.append([rng.randint(-(10**12), 10**12) * (rng.random() < 0.8) for _ in range(degree)])
+    for coeffs in lists:
+        top = max(len(coeffs) - 1, 0)
+        for p, q in pairs:
+            expected = sum(Fraction(c) * Fraction(p, q) ** t for t, c in enumerate(coeffs)) * q**top
+            assert _int_horner(coeffs, p, q) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -243,10 +243,12 @@ def test_factor_count_survives_a_ratio_that_underflows_a_float(p):
 
 
 def test_rate_constant_refuses_critical_point():
-    with pytest.raises(RefusalError):
+    with pytest.raises(RefusalError, match="no geometric rate") as refusal:
         rate_constant(Fraction(1, 2))
-    with pytest.raises(RefusalError, match="no geometric rate"):
+    with pytest.raises(RefusalError, match="no geometric rate") as diagnostic:
         convergence_diagnostic(Fraction(1, 2), 10, 30)
+    # one refusal text for the same input
+    assert str(refusal.value) == str(diagnostic.value)
 
 
 @pytest.mark.parametrize("p", [Fraction(4999, 10000), Fraction(5001, 10000)])
