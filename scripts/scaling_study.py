@@ -2,7 +2,8 @@
 """Empirical scaling tables: solver cost vs order, orbit kernel steps per
 second, telescope build cost vs order, the residual check's series at C
 by order, estimator error vs depth, the Abel plan of deep critical-constant
-requests, rate-constant walk depth vs q.
+requests, the tail sums' order and time by walk depth, rate-constant walk
+depth vs q.
 
 Usage:
     python scripts/scaling_study.py [--max-order 14] [--max-depth-exp 5]
@@ -40,6 +41,14 @@ and for the caps, the walk depth W and order M' that ``critical._plan``
 chooses, the plan's own bound at (W, M', P), which is at most the
 request's, and the best of three in-process ``estimate_constant`` calls.
 
+The tail-sums table walks the sums' orbit W = 125, 250, 500 and 1000
+steps (``sums.DEPTH`` is 125) at the least telescope order M at which the
+tail bounds of s_3, s_8, s_1 and the family sum are each at most their
+bound at depth 1000 and order 16, the pair before (125, 29).  B is the
+largest of the four passes' bits at the digit caps (15 digits, 8 for s_1),
+and each time is the best of three in-process sums at the cap, each
+building its telescope as ``power_sum`` and the others do.
+
 The rate-constant table sets the Koenigs walk's depth (``factors_used``)
 against the factor count the partial product would need, the least K with
 q^K/(1 - q) <= 10^-(D+2), at p = q/2; its times are the best of three
@@ -51,6 +60,7 @@ from __future__ import annotations
 import argparse
 import math
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
 
@@ -62,7 +72,8 @@ from quadrec.critical import (
     estimate_constant,
     residual_order_check,
 )
-from quadrec.numerics import rounded_up
+from quadrec import sums
+from quadrec.numerics import GUARD_DIGITS, CPoly, rounded_up
 from quadrec.rate_constants import rate_constant
 from quadrec.recurrence import MAX_DEPTH, logistic_point, orbit_integers
 from quadrec.series_engine import MAX_ORDER, solve_coefficients, tail_bound, telescope
@@ -78,6 +89,36 @@ def _product_depth(q: Fraction, digits: int) -> int:
     while k > 1 and q ** (k - 1) <= target:
         k -= 1
     return k
+
+
+@contextmanager
+def _sums_at(depth: int, order: int):
+    """The sums module with DEPTH and ORDER set to (depth, order) in the block."""
+    names = ("DEPTH", "ORDER", "_FAMILY", "_LOG_REST")
+    saved = {name: getattr(sums, name) for name in names}
+    sums.DEPTH, sums.ORDER = depth, order
+    sums._FAMILY = CPoly([0, 0] + [1] * order)
+    sums._LOG_REST = CPoly([0, 0] + [Fraction(-1, n) for n in range(2, order + 2)])
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            setattr(sums, name, value)
+
+
+#: The tail-sums table's sums: (label, summand, digit cap).
+_TAIL_SUMS = (
+    ("s_3", lambda: sums._power_summand(3), sums.MAX_DIGITS_POWER),
+    ("s_8", lambda: sums._power_summand(8), sums.MAX_DIGITS_POWER),
+    ("s_1", sums._s1_summand, sums.MAX_DIGITS_S1),
+    ("family", sums._family_summand, sums.MAX_DIGITS_POWER),
+)
+
+
+def _tail_bounds(depth: int, order: int) -> list[Fraction]:
+    with _sums_at(depth, order):
+        summands = [summand() for _label, summand, _cap in _TAIL_SUMS]
+    return [tail_bound(s.R, depth + 1, s.omitted_from) for s in summands]
 
 
 def main() -> int:
@@ -181,6 +222,29 @@ def main() -> int:
             f"{label:>22} {depth:>9} {order:>3} {precision:>4} {walk:>6} {least:>4} "
             f"{rounded_up(own.numerator, own.denominator, 3):>11.2E} {1000 * min(seconds):>6.2f}"
         )
+
+    print()
+    print("tail sums by depth (least order within the depth-1000, order-16 tail bounds)")
+    print(f"{'W':>5} {'M':>3} {'B':>4}" + "".join(f" {label + ' ms':>9}" for label, *_ in _TAIL_SUMS))
+    targets = _tail_bounds(1000, 16)
+    for depth in (125, 250, 500, 1000):
+        order = 2
+        while any(b > t for b, t in zip(_tail_bounds(depth, order), targets)):
+            order += 1
+        with _sums_at(depth, order):
+            bits = max(
+                sums._bits(sums._rounding_coefficient(summand(), depth), cap + 2 * GUARD_DIGITS)
+                for _label, summand, cap in _TAIL_SUMS
+            )
+            row = f"{depth:>5} {order:>3} {bits:>4}"
+            for _label, summand, cap in _TAIL_SUMS:
+                seconds = []
+                for _ in range(3):
+                    t0 = time.perf_counter()
+                    sums._telescoped_sum(summand(), cap)
+                    seconds.append(time.perf_counter() - t0)
+                row += f" {1000 * min(seconds):>9.2f}"
+        print(row)
 
     print()
     print("rate-constant walk depth by q (p = q/2)")

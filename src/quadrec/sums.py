@@ -30,10 +30,10 @@ G(x) - G(x - x**2) = g(x) through x**(M+1); g, G and R below are
 where R = G(x) - G(x - x**2) - g(x) is exact and starts at x**(M+2).
 Since alpha_k <= 1/(k+2), the tail error is at most the derived bound
 sum_d |r_d| (N+2)**(1-d)/(d-1) (``series_engine.tail_bound``).  The depth
-N = DEPTH = 1000 and the order M = ORDER = 16 are fixed.  Each sum walks
+N = DEPTH = 125 and the order M = ORDER = 29 are fixed.  Each sum walks
 N + 1 floored steps, while each order adds only a little to one exact
 telescope per sum, so order buys digits more cheaply than depth.  At
-(1000, 16) every tail bound is below 3e-49, and the worst bound at the
+(125, 29) every tail bound is below 2e-54, and the worst bound at the
 digit caps is s_1's rounding at P = 48 digits; a deeper or higher pair no
 longer lowers it.  The worst bound over s_2..s_11 and the family sum at
 15 digits and s_1 at 8:
@@ -45,6 +45,16 @@ longer lowers it.  The worst bound over s_2..s_11 and the family sum at
     (1000, 16)    7.8e-48
     (500, 16)     3.3e-44
     (2000, 16)    7.5e-48
+    (125, 16)     4.8e-34
+    (125, 24)     6.5e-47
+    (250, 24)     7.8e-48
+    (125, 29)     6.5e-48
+    (125, 34)     6.6e-48
+
+The depth also fixes which digit counts serve m = MAX_POWER.  There G = 0
+and ``_bits`` takes B from (N + 2) 10**P, so the served counts follow the
+binary length of that product; N = 125 serves the counts that N = 1000
+served (see ``power_sum``), where N = 200, for one, would not.
 
 The direct part is one pass over the floored fixed-point orbit of
 ``recurrence.orbit_integers`` at q = 1: each summand is added as the
@@ -76,8 +86,8 @@ from .series_engine import solve_coefficients  # noqa: F401
 
 #: Orbit terms summed directly (k = 0..DEPTH) and the order of the
 #: telescoping polynomial G.
-DEPTH = 1000
-ORDER = 16
+DEPTH = 125
+ORDER = 29
 
 #: Digit caps of the sums, kept as the documented contract.
 MAX_DIGITS_POWER = 15
@@ -426,11 +436,17 @@ def bootstrap_check(digits: int) -> BootstrapReport:
 def harmonic_divergence_diagnostic(n: int) -> tuple[PrecReal, PrecReal]:
     """(sum_{k<=n} alpha_k, ln n + gamma + s_1): the divergence pattern.
 
-    The partial sums of the logistic orbit drift like the harmonic series;
-    their gap to the reference tends to 0 (empirically like ln(n)/n).  The
-    partial sum adds the floored orbit of ``orbit_integers`` at q = 1 as one
-    exact integer and rounds it once; ``_divergence_precision`` derives its
-    bits and the precision of both values.
+    The partial sums of the logistic orbit drift like the harmonic series.
+    By the definition of s_1 their gap to the reference is exactly
+
+        reference - partial = (ln n + gamma - H_n) + sum_{k>n} (alpha_k - 1/k),
+
+    with H_n the n-th harmonic number.  Both terms are negative
+    (alpha_k <= 1/(k+2)) and tend to 0, so the exact partial sum lies
+    above the reference.  The partial sum adds the floored orbit of
+    ``orbit_integers`` at q = 1 as one exact integer and rounds it once;
+    ``_divergence_precision`` derives its bits and the precision of both
+    values.
     """
     check_ranges(("depth", n, 100, MAX_DEPTH))
     precision, bits = _divergence_precision(n)

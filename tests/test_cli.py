@@ -360,7 +360,13 @@ def test_sums_defaults_to_the_exact_half_case(capsys):
     assert obj["value"] == "0.500000000000"
 
 
-@pytest.mark.parametrize("digits", [2, MAX_DIGITS_POWER])
+#: The digit counts at which ``sums --m MAX_POWER`` passes its relative check.
+SERVED_AT_MAX_POWER = (1, 4, 7, 10, 13)
+
+
+@pytest.mark.parametrize(
+    "digits", [d for d in range(1, MAX_DIGITS_POWER + 1) if d not in SERVED_AT_MAX_POWER]
+)
 def test_the_largest_power_is_refused_before_its_pass(capsys, monkeypatch, digits):
     # where the check after the pass must refuse, the orbit is never drawn
     import quadrec.sums as sums
@@ -374,7 +380,7 @@ def test_the_largest_power_is_refused_before_its_pass(capsys, monkeypatch, digit
     assert f"exceeds 10^-{digits + 2} of the sum" in err
 
 
-@pytest.mark.parametrize("digits", [1, 4])
+@pytest.mark.parametrize("digits", SERVED_AT_MAX_POWER)
 def test_the_largest_power_is_served_where_its_check_passes(capsys, digits):
     obj = run_json(capsys, "sums", "--m", str(MAX_POWER), "--digits", str(digits))
     assert obj["m"] == MAX_POWER

@@ -178,9 +178,9 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
 {
   "m": 4,
   "value": "0.0689777061",
-  "terms_summed": 1001,
-  "tail_correction": "3.2407381881550057579025106870980089463243324988663E-10",
-  "error_estimate": "3.3689822979413820914395196529266137062157630970811E-50"
+  "terms_summed": 126,
+  "tail_correction": "1.4361633139553643856964677395397503086145713711066E-7",
+  "error_estimate": "8.3026721690654533049773617165456212654997600127194E-51"
 }
 """,
     ),
@@ -190,9 +190,9 @@ c[5][0] = -1/8*C^4 + 13/12*C^3 - 15/4*C^2 + 35/6*C - 61/18
 {
   "m": 1,
   "value": "-1.602",
-  "terms_summed": 1001,
-  "tail_correction": "-0.0096337448411449084172269477262007865491853",
-  "error_estimate": "7.672284461015966451482249147803185721508467E-43"
+  "terms_summed": 126,
+  "tail_correction": "-0.0591990511963587203684582695345293525253783",
+  "error_estimate": "8.329470812804208301560711286665248096142774E-43"
 }
 """,
     ),

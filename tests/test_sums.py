@@ -375,7 +375,11 @@ _SUMMANDS = {
 
 
 def _poly(coeffs, x):
-    return sum((c * x**n for n, c in enumerate(coeffs)), Fraction(0))
+    # Horner's rule in exact Fractions, independent of CPoly
+    value = Fraction(0)
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
 
 
 @pytest.mark.parametrize("name", sorted(_SUMMANDS))
@@ -469,9 +473,64 @@ def test_sums_agree_with_a_deeper_lower_order_pass(name):
 
 @pytest.mark.parametrize("name", list(_CAPPED))
 def test_capped_bounds_keep_their_margin(name):
-    # DEPTH and ORDER give bounds of at most 7.8e-48 at the caps; a cut in
+    # DEPTH and ORDER give bounds of at most 6.6e-48 at the caps; a cut in
     # either that gives back most of that margin fails here
     assert _CAPPED[name][1]().error_estimate.value <= Decimal("1e-45")
+
+
+# Printed values at depth 1000 and order 16, the pair before (125, 29).  At
+# each digit count: the decimals of s_2, s_3, ... up to the last power that
+# prints a nonzero digit (every later m prints 0), and of the family sum.
+# m = MAX_POWER is refused at 8 and 15 digits and served at 1; every other
+# request on this grid is served.  Last, s_1 at 1..MAX_DIGITS_S1 digits.
+_DEPTH_1000_POWERS = {
+    1: ("5 2 1", "8"),
+    8: (
+        "50000000 15948885 06897771 03262241 01593411 00788462 00392345 00195728"
+        " 00097758 00048853 00024420 00012209 00006104 00003052 00001526 00000763"
+        " 00000381 00000191 00000095 00000048 00000024 00000012 00000006 00000003"
+        " 00000001 00000001",
+        "79274290",
+    ),
+    15: (
+        "500000000000000 159488853036113 068977706072225 032622409767106"
+        " 015934111084642 007884618832013 003923447888623 001957284874393"
+        " 000977578382655 000488530981700 000244202300975 000122085594851"
+        " 000061038951968 000030518522499 000015259024318 000007629453190"
+        " 000003814711902 000001907352286 000000953675229 000000476837386"
+        " 000000238418636 000000119209304 000000059604648 000000029802323"
+        " 000000014901161 000000007450581 000000003725290 000000001862645"
+        " 000000000931323 000000000465661 000000000232831 000000000116415"
+        " 000000000058208 000000000029104 000000000014552 000000000007276"
+        " 000000000003638 000000000001819 000000000000909 000000000000455"
+        " 000000000000227 000000000000114 000000000000057 000000000000028"
+        " 000000000000014 000000000000007 000000000000004 000000000000002"
+        " 000000000000001",
+        "792742904181309",
+    ),
+}
+_DEPTH_1000_S1 = "-1.6 -1.60 -1.602 -1.6020 -1.60196 -1.601965 -1.6019648 -1.60196478"
+
+
+@pytest.mark.parametrize("digits", sorted(_DEPTH_1000_POWERS))
+def test_power_sums_keep_their_depth_1000_outcomes(digits):
+    # the same requests are served, and they print the same digits
+    powers, family = _DEPTH_1000_POWERS[digits]
+    expected = ["0." + decimals for decimals in powers.split()]
+    expected += ["0." + "0" * digits] * (MAX_POWER - 2 - len(expected))
+    assert [power_sum(m, digits).value.digit_string(digits) for m in range(2, MAX_POWER)] == expected
+    if digits == 1:
+        assert power_sum(MAX_POWER, digits).value.digit_string(digits) == "0.0"
+    else:
+        with pytest.raises(RefusalError):
+            power_sum(MAX_POWER, digits)
+    assert sum_of_power_sums(digits).value.digit_string(digits) == "0." + family
+
+
+def test_s1_keeps_its_depth_1000_outcomes():
+    assert [
+        regularized_s1(digits).value.digit_string(digits) for digits in range(1, MAX_DIGITS_S1 + 1)
+    ] == _DEPTH_1000_S1.split()
 
 
 #: Every kind of sum: (summand, the sum at a digit count).
