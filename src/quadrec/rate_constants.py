@@ -85,13 +85,13 @@ conventionally reported *truncated* (round toward zero), and
 
 from __future__ import annotations
 
-from decimal import ROUND_CEILING, ROUND_DOWN, Context, Decimal
+from decimal import ROUND_DOWN, Context, Decimal
 from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
 from .errors import RefusalError, check_ranges
-from .numerics import GUARD_DIGITS, CPoly, PrecReal, _divide, _int_horner, rounded_up
+from .numerics import _EXACT, GUARD_DIGITS, CPoly, PrecReal, _divide, _int_horner, rounded_up
 from .recurrence import MAX_DEPTH, Params, Regime, classify, orbit_error, orbit_integers
 from .series_engine import koenigs
 
@@ -188,11 +188,12 @@ def _walk_plan(q: Fraction, digits: int) -> tuple[CPoly, list, int, int, int]:
     walk checks, as t and s, and the kernel's bits B.
 
     The weights w_n = |rho_n|/(q - q**n), n > M, are rounded upward at
-    ``_BOUND_DIGITS`` by integer division (``_divide``): near p = 10**-400
-    their integers have thousands of digits, which ``Context.divide``
-    would convert in quadratic time.  From there on
-    all is exact: the first check is sum_n w_n y**(n-1) <= 9*10**-(D+3)
-    with the weights over one power of ten, the second
+    ``_BOUND_DIGITS`` by ``rounded_up``: near p = 10**-400 their integers
+    have thousands of digits, which ``_divide`` takes by integer division
+    where ``Context.divide`` would convert them in quadratic time.  From
+    there on all is exact: the first check is
+    sum_n w_n y**(n-1) <= 9*10**-(D+3) with the weights over one power of
+    ten, the second
     sum_{n>=2} |tau_n| y**(n-1) <= 1/4 over tau's denominator.  T_0 lies
     above the smaller root of their lowest terms, w_{M+1} y**M and
     |tau_2| y, by less than 2**-62 relative, from an integer M-th root
@@ -201,18 +202,17 @@ def _walk_plan(q: Fraction, digits: int) -> tuple[CPoly, list, int, int, int]:
     """
     tau, rho = koenigs(q, ORDER)
     precision = digits + 2 * GUARD_DIGITS
-    up = Context(prec=_BOUND_DIGITS, rounding=ROUND_CEILING)
     # q = a/d gives q - q**n = a (d**(n-1) - a**(n-1))/d**n
     a, d = q.numerator, q.denominator
     w, a_power, d_power = [], a**ORDER, d**ORDER
     for n in range(ORDER + 1, 2 * ORDER + 1):
         gap = rho._denominator * a * (d_power - a_power)
-        w.append(_divide(abs(rho._numerators[n]) * d_power * d, gap, up))
+        w.append(rounded_up(abs(rho._numerators[n]) * d_power * d, gap, _BOUND_DIGITS).value)
         a_power, d_power = a_power * a, d_power * d
     # each check is sum_j c_j y**j <= den, as integers
     exponents = [x.as_tuple().exponent for x in w]
     scale = max(0, -min(exponents))
-    weights = [int(up.scaleb(x, -e)) * 10 ** (digits + 3 + e + scale) for x, e in zip(w, exponents)]
+    weights = [int(_EXACT.scaleb(x, -e)) * 10 ** (digits + 3 + e + scale) for x, e in zip(w, exponents)]
     eta = [0] + [4 * abs(c) for c in tau._numerators[2:]]
     checks = [([0] * ORDER + weights, 9 * 10**scale), (eta, tau._denominator)]
     # the roots of c_j y**j = den at j = M and 1, to 62 bits or more at 2**-s

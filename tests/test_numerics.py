@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import decimal
 import operator
 import random
-from decimal import ROUND_CEILING, ROUND_DOWN, ROUND_HALF_EVEN, ROUND_HALF_UP, Context, Decimal
+from decimal import ROUND_DOWN, Context, Decimal
 from fractions import Fraction
 
 import pytest
@@ -145,26 +146,62 @@ def _just_above(head_d_k):
     return head * 10**k * d + 1, d
 
 
+def _tie_pair(head_d_k):
+    # n/d = (10*head + 5)/10**k, passed unreduced: half-way between two
+    # values with the digits of head, at that many digits of precision
+    head, d, k = head_d_k
+    return (10 * head + 5) * d, d * 10**k, len(str(head))
+
+
+#: Every rounding that ``decimal`` defines.
+_ROUNDINGS = (
+    decimal.ROUND_CEILING,
+    decimal.ROUND_DOWN,
+    decimal.ROUND_FLOOR,
+    decimal.ROUND_HALF_DOWN,
+    decimal.ROUND_HALF_EVEN,
+    decimal.ROUND_HALF_UP,
+    decimal.ROUND_UP,
+    decimal.ROUND_05UP,
+)
+
+# divisors past 1024 bits alone, so that a tie takes the integer route
+_big_operands = st.tuples(st.integers(1100, 10**4), st.integers(0, 2**32)).map(_big_int)
+
+
+@pytest.mark.parametrize("rounding", _ROUNDINGS)
 @settings(max_examples=200, deadline=None)
 @given(
-    pair=st.one_of(
-        st.tuples(_operands, _operands),
-        st.tuples(st.integers(1, 10**40), _operands, st.integers(0, 60)).map(_exact_pair),
-        st.tuples(st.integers(1, 10**6), _operands, st.integers(0, 60)).map(_just_above),
+    case=st.one_of(
+        st.tuples(
+            st.one_of(
+                st.tuples(_operands, _operands),
+                st.tuples(st.integers(1, 10**40), _operands, st.integers(0, 60)).map(_exact_pair),
+                st.tuples(st.integers(1, 10**6), _operands, st.integers(0, 60)).map(_just_above),
+            ),
+            st.integers(1, 120),
+        ).map(lambda pair_precision: (*pair_precision[0], pair_precision[1])),
+        st.integers(1, 120)
+        .flatmap(
+            lambda digits: st.tuples(
+                st.integers(10 ** (digits - 1), 10**digits - 1), _big_operands, st.integers(0, 60)
+            )
+        )
+        .map(_tie_pair),
     ),
     sign=st.sampled_from([1, -1]),
-    precision=st.integers(1, 120),
 )
-def test_divide_rounds_toward_plus_infinity_as_context_divide(pair, sign, precision):
-    # the upward rounding of the integer route (operands past 1024 bits),
-    # and of Context.divide below it: same sign, digits and exponent
-    n, d = sign * pair[0], pair[1]
-    ctx = Context(prec=precision, rounding=ROUND_CEILING)
+def test_divide_rounds_as_context_divide(rounding, case, sign):
+    # the integer route (operands past 1024 bits), and Context.divide below
+    # it, under every rounding: same sign, digits and exponent
+    n, d, precision = case
+    n *= sign
+    ctx = Context(prec=precision, rounding=rounding)
     expected = ctx.divide(Decimal(n), Decimal(d))
     assert _divide(n, d, ctx).as_tuple() == expected.as_tuple()
 
 
-@pytest.mark.parametrize("rounding", [ROUND_HALF_EVEN, ROUND_CEILING])
+@pytest.mark.parametrize("rounding", _ROUNDINGS)
 @pytest.mark.parametrize(
     "n, d",
     [
@@ -181,11 +218,6 @@ def test_divide_carries_into_the_next_power_of_ten(n, d, rounding):
     for precision in range(1, 61):
         ctx = Context(prec=precision, rounding=rounding)
         assert str(_divide(n, d, ctx)) == str(ctx.divide(Decimal(n), Decimal(d)))
-
-
-def test_divide_refuses_a_rounding_it_does_not_implement():
-    with pytest.raises(ValueError):
-        _divide(3**1000, 7, Context(prec=5, rounding=ROUND_HALF_UP))
 
 
 @pytest.mark.parametrize(
