@@ -22,11 +22,15 @@ use them (up to order 58 within the caps), and order 400 is the one that
 three fixed-point evaluations (``CPoly.at``) of that H at the orbit point
 X_{10^4}/2^B of ``recurrence.logistic_point(10^4, 1100)``, B = 3681.
 
+The solver table times one ``series_engine.solve_coefficients`` call per
+order; every call derives its table from the seeds.
+
 The series table times ``critical.residual_order_check`` at orders 4, 12
 and 20 over residual-check's 11 default steps k = 10, 20, ..., 10240, with
-the C of a depth-10^5 estimate given, so that it is the walk to k = 10240,
-one exact substitution of C into the c[i][j] and one evaluation of the
-expansion per k; each time is the best of three in-process calls.
+the C of a depth-10^5 estimate given, so that it is the call's own solve
+of the c[i][j] to that order, the walk to k = 10240, one exact
+substitution of C into the c[i][j] and one evaluation of the expansion
+per k; each time is the best of three in-process calls.
 
 The reference value for the error column is a depth-10^6 run, so shallow
 rows display their true error next to the bound they reported themselves.
@@ -131,13 +135,10 @@ def main() -> int:
 
     print("solver cost by truncation order")
     print(f"{'order':>6} {'entries':>8} {'seconds':>8}")
-    # each order extends the table already derived, so the steps are summed:
-    # the column is the cost of deriving that order from scratch
-    elapsed = 0.0
     for order in range(4, args.max_order + 1, 2):
         t0 = time.perf_counter()
         table = solve_coefficients(order)
-        elapsed += time.perf_counter() - t0
+        elapsed = time.perf_counter() - t0
         entries = sum(1 for _ in table.iter_entries())
         print(f"{order:>6} {entries:>8} {elapsed:>8.3f}")
 

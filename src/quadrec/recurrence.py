@@ -188,8 +188,9 @@ def iterate_real(
 
     By default every step up to 10_000 is kept; deeper runs keep powers of
     two plus the endpoint, so memory stays O(log n).  Pass ``sample_ks``
-    for explicit indices.  y_k comes from ``orbit_integers`` at the least B
-    with 2**B > 4 E 10**P, E = ``orbit_error(q, max(n, 1))`` and
+    for explicit indices; the walk reads each sample off the orbit in
+    turn and stops at the last one.  y_k comes from ``orbit_integers`` at
+    the least B with 2**B > 4 E 10**P, E = ``orbit_error(q, max(n, 1))`` and
     P = ``precision``, and b_k = 2r Y_k/2**B and a_k = r - b_k are each
     rounded once to P digits from that exact rational; at k = 0 that gives
     b_0 = r and a_0 = 0 exactly.  Since r <= 1 the orbit's error moves
@@ -204,17 +205,16 @@ def iterate_real(
         wanted = sorted(set(int(k) for k in sample_ks))
         if wanted and (wanted[0] < 0 or wanted[-1] > n):
             raise DomainError("sample indices must lie in [0, n]")
-    wanted_set = frozenset(wanted)
     ctx = Context(prec=precision)
     bits = (4 * orbit_error(params.q, max(n, 1)) * 10**precision).bit_length()
     # b_k = 2r Y_k/2**B and a_k = r - b_k, over the one denominator den(r) 2**B
     numerator, scale = params.r.numerator, params.r.denominator << bits
-    samples = []
-    for k, y in enumerate(islice(orbit_integers(params.q, bits), n + 1)):
-        if k in wanted_set:
-            b = 2 * numerator * y
-            a = PrecReal(_divide((numerator << bits) - b, scale, ctx), precision)
-            samples.append(OrbitSample(k, a, PrecReal(_divide(b, scale, ctx), precision)))
+    orbit, samples = orbit_integers(params.q, bits), []
+    for last, k in zip([-1] + wanted, wanted):
+        y = next(islice(orbit, k - last - 1, None))  # Y_k, the steps between skipped
+        b = 2 * numerator * y
+        a = PrecReal(_divide((numerator << bits) - b, scale, ctx), precision)
+        samples.append(OrbitSample(k, a, PrecReal(_divide(b, scale, ctx), precision)))
     return samples
 
 

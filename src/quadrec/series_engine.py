@@ -36,7 +36,9 @@ Order 3 onward is derived, never transcribed: the solver raises
 the derivation.  The solver builds one level of the residual per order
 (``_residual_level``) and checks it once the order is solved; `shift` and
 `apply_map` build the whole residual, the independent route that
-`fixed_point_defect` takes.
+`fixed_point_defect` takes.  Every solve starts from the seeds: no table
+is kept between calls, only the integer shift weights (``_log_row``,
+``_shift_level``) are memoised.
 
 The solver works on integers end to end.  The shift weights are
 integers over m!, from one integer recurrence (``_log_row``).  A residual
@@ -245,13 +247,9 @@ _SEEDS: dict[Key, CPoly] = {
 
 #: The highest order ``solve_coefficients`` derives: the cost grows about
 #: 1.5x per two orders, and order 20 takes about 30 ms from a cold start,
-#: order 16 about 14 ms (medians of 10 fresh processes, 2-core Intel Xeon,
+#: order 16 about 13 ms (medians of 10 fresh processes, 2-core Intel Xeon,
 #: Python 3.11.7).
 MAX_ORDER = 20
-
-#: Every c[i][j] derived in this process, in derivation order (the seeds,
-#: then i ascending, j descending); a table is a prefix of the next order's.
-_DERIVED: dict[Key, CPoly] = dict(_SEEDS)
 
 
 def _residual_level(entries: dict[Key, CPoly], level: int) -> tuple[dict[int, list[int]], int]:
@@ -382,20 +380,18 @@ def solve_coefficients(max_order: int) -> CoefficientTable:
     -c[1][0] * c[i][j], whose numerator over D d**i is N_j d**j -- and
     requires every slot of the full level-(i+1) residual to vanish, the
     slot (i+1, i), which has no unknown, included.  So every level through
-    max_order + 1 is shown to vanish with one build per level.  The first
-    order of a solve also rebuilds level i (levels 1 to 3 from the seeds)
-    from the stored entries alone, so a corrupted prefix is caught.  A
-    nonzero slot raises ``EngineError``.  Orders already derived in this
-    process are looked up, not solved again; an order above ``MAX_ORDER``
-    raises ``RefusalError``.
+    max_order + 1 is shown to vanish with one build per level.  Every
+    call starts from the seeds, whose levels 1 to 3 must vanish first, and
+    keeps nothing between calls, so the entries come in one order (the
+    seeds, then i ascending, j descending) and a table is a prefix of the
+    next order's.  A nonzero slot raises ``EngineError``; an order above
+    ``MAX_ORDER`` raises ``RefusalError``.
     """
     check_ranges(("order", max_order, 2, MAX_ORDER))  # the expansion starts at order 2
-    entries = dict(_DERIVED)
-    start = next(reversed(entries))[0] + 1
-    for i in range(start, max_order + 1):
-        if i == start:
-            for level in range(1 if i == 3 else i, i + 1):
-                _require_zero(level, *_residual_level(entries, level), f"before solving order {i}")
+    entries = dict(_SEEDS)
+    for level in (1, 2, 3):
+        _require_zero(level, *_residual_level(entries, level), "at the seeds")
+    for i in range(3, max_order + 1):
         slots, D = _residual_level(entries, i + 1)
         d = i - 2
         solved, N = {}, []
@@ -415,9 +411,7 @@ def solve_coefficients(max_order: int) -> CoefficientTable:
             for t, x in enumerate(a):
                 _add_into(check.setdefault(j, []), -x, X, t)
         _require_zero(i + 1, check, e * D * d**i, f"after solving order {i}")
-    # published in one update, so an interrupted solve leaves no partial order
-    _DERIVED.update(entries)
-    return CoefficientTable(max_order, {k: v for k, v in entries.items() if k[0] <= max_order})
+    return CoefficientTable(max_order, entries)
 
 
 def fixed_point_defect(table: CoefficientTable, order: int | None = None) -> AsymSeries:

@@ -412,10 +412,9 @@ def test_residual_check_validates_inputs():
         residual_order_check(0, [10, 20], 40)
 
 
-def test_solved_orders_are_looked_up_not_derived_again(monkeypatch):
-    # holds whatever earlier tests solved: after order 12 is derived, every
-    # order up to it, and the residual check, are lookups in the one table
-    solve_coefficients(12)
+def test_every_solve_derives_from_the_seeds(monkeypatch, reference_estimate):
+    # no table is kept between calls: each solve checks levels 1-3 at the
+    # seeds and builds one more level per order, however often it is asked
     derived = []
     residual_level = series_engine._residual_level
     monkeypatch.setattr(
@@ -423,16 +422,16 @@ def test_solved_orders_are_looked_up_not_derived_again(monkeypatch):
         "_residual_level",
         lambda entries, level: derived.append(level) or residual_level(entries, level),
     )
-    tables = {order: solve_coefficients(order) for order in range(3, 13)}
-    rows = residual_order_check(3, [10, 20], 40)
-    assert derived == []
-    assert [k for k, _ in rows] == [10, 20]
-    # the spy sees a derivation: from the seeds alone, order 3 reads levels 1-4
-    monkeypatch.setattr(series_engine, "_DERIVED", dict(series_engine._SEEDS))
-    solve_coefficients(3)
+    for _ in range(2):
+        solve_coefficients(5)
+        assert derived == [1, 2, 3, 4, 5, 6]
+        derived.clear()
+    rows = residual_order_check(3, [10, 20], 40, c_value=reference_estimate.C)
     assert derived == [1, 2, 3, 4]
+    assert [k for k, _ in rows] == [10, 20]
     monkeypatch.undo()
-    for order, table in tables.items():
+    for order in range(3, 13):
+        table = solve_coefficients(order)
         fresh_solve_order = [(1, 0), (2, 1), (2, 0)] + [
             (i, j) for i in range(3, order + 1) for j in range(i - 1, -1, -1)
         ]

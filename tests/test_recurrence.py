@@ -208,6 +208,19 @@ def test_real_orbit_default_sampling_is_dense_then_logarithmic():
     assert all(a < b for a, b in zip(ks, ks[1:]))
 
 
+def _every_step(params, n, precision, wanted):
+    """(k, a_k, b_k) for the k in ``wanted``, testing every step of the
+    floored walk that ``iterate_real`` reads its samples from."""
+    bits = (4 * orbit_error(params.q, max(n, 1)) * 10**precision).bit_length()
+    rows = []
+    for k, y in enumerate(islice(orbit_integers(params.q, bits), n + 1)):
+        if k in wanted:
+            b = params.r * Fraction(2 * y, 1 << bits)
+            a = params.r - b
+            rows.append((k, PrecReal(a, precision).value, PrecReal(b, precision).value))
+    return rows
+
+
 def test_real_orbit_explicit_sample_ks():
     params = classify(Fraction(1, 3))
     orbit = iterate_real(params, 64, 25, sample_ks=[0, 8, 64])
@@ -217,6 +230,21 @@ def test_real_orbit_explicit_sample_ks():
     for outside in ([-1, 8], [8, 65]):
         with pytest.raises(DomainError, match="sample indices"):
             iterate_real(params, 64, 25, sample_ks=outside)
+    # dense, log-spaced, unsorted with a repeat, empty, the endpoint, n = 0
+    cases = [
+        (64, list(range(65))),
+        (64, [0, 1, 2, 4, 8, 16, 32, 64]),
+        (64, [64, 0, 8, 8]),
+        (64, []),
+        (64, [64]),
+        (0, [0]),
+        (0, None),
+    ]
+    for n, sample_ks in cases:
+        samples = iterate_real(params, n, 25, sample_ks=sample_ks)
+        wanted = range(n + 1) if sample_ks is None else set(sample_ks)
+        expected = _every_step(params, n, 25, wanted)
+        assert [(s.k, s.a.value, s.b.value) for s in samples] == expected, (n, sample_ks)
 
 
 #: (p, steps): one p for each q in {1, 4/5, 2/3, 999/1000, 2/10**400}, and
