@@ -24,7 +24,7 @@ from .errors import (
     QuadrecError,
     RefusalError,
 )
-from .numerics import CPoly, PrecReal, euler_gamma, parse_rational
+from .numerics import CPoly, PrecReal, euler_gamma
 from .rate_constants import (
     RateConstantResult,
     convergence_diagnostic,
@@ -97,7 +97,6 @@ __all__ = [
     "iterate_real",
     "logistic_constant",
     "logistic_iterate",
-    "parse_rational",
     "power_sum",
     "rate_constant",
     "rate_constant_table",

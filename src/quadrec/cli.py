@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .critical import RESIDUAL_PRECISION, estimate_constant, residual_order_check
 from .errors import DomainError, ExactCapError, QuadrecError, RefusalError, check_ranges
-from .numerics import _EXACT, GUARD_DIGITS, PrecReal, parse_rational
+from .numerics import _EXACT, GUARD_DIGITS, PrecReal
 from .rate_constants import MAX_DIGITS, rate_constant, rate_constant_table
 from .recurrence import classify, iterate_exact, iterate_real
 from .series_engine import solve_coefficients
@@ -108,7 +108,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_iterate(args):
-    params = classify(parse_rational(args.p))
+    params = classify(args.p)
     check_ranges(("depth", args.steps, 0, None), ("digits", args.digits, 1, MAX_DIGITS))
     if args.exact:
         return [{"k": s.k, "a": _exact_text(s.a)} for s in iterate_exact(params, args.steps)]
@@ -168,7 +168,7 @@ def _rate_row(result):
 
 
 def _cmd_rate_constant(args):
-    return _rate_row(rate_constant(parse_rational(args.p), args.digits))
+    return _rate_row(rate_constant(args.p, args.digits))
 
 
 def _cmd_table1(args):

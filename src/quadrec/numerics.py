@@ -71,14 +71,6 @@ Scalar = Union[int, Fraction, Decimal]
 T = TypeVar("T")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse ``"2/5"``, ``"0.4"`` or ``"3"`` into an exact rational."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DomainError(f"not a rational number: {text!r}") from exc
-
-
 def euler_gamma(precision: int) -> "PrecReal":
     """Euler--Mascheroni constant rounded to ``precision`` decimal digits.
 

@@ -113,8 +113,11 @@ class OrbitSample(NamedTuple):
 def classify(p) -> Params:
     """Validate ``p`` and return the regime, fixed point r and multiplier q.
 
-    ``p`` may be a ``Fraction``, an ``int``-free rational string such as
-    ``"2/5"``, or anything else ``Fraction`` accepts exactly.
+    This is the one parser of p, the CLI's ``--p`` text included.  ``p``
+    may be a ``Fraction``, an ``int``, a string such as ``"2/5"``,
+    ``"0.4"``, ``"1e-3"`` or ``" +3/5 "``, or anything else ``Fraction``
+    accepts exactly.  Anything else is a ``DomainError`` ("p must be
+    rational"), as is a p outside (0, 1).
     """
     try:
         p = Fraction(p)

@@ -17,8 +17,9 @@ from hypothesis import strategies as st
 
 from quadrec.cli import _exact_text, _int_text, main
 from quadrec.critical import MAX_PRECISION
+from quadrec.errors import DomainError
 from quadrec.rate_constants import MAX_DIGITS
-from quadrec.recurrence import MAX_DEPTH
+from quadrec.recurrence import MAX_DEPTH, classify
 from quadrec.series_engine import MAX_ORDER
 from quadrec.sums import MAX_DIGITS_BOOTSTRAP, MAX_DIGITS_POWER, MAX_DIGITS_S1, MAX_POWER
 
@@ -89,6 +90,15 @@ def test_iterate_rejects_bad_parameter(capsys):
     code, _out, err = run(capsys, "iterate", "--p", "3/2", "--steps", "3")
     assert code == 2
     assert err.strip()
+
+
+@pytest.mark.parametrize("p", ["abc", "1/0", ""])
+@pytest.mark.parametrize("command", [["iterate", "--steps", "3"], ["rate-constant"]], ids=" ".join)
+def test_a_malformed_p_reads_the_message_of_classify(capsys, command, p):
+    # classify is the one parser of --p, so the CLI prints its message
+    with pytest.raises(DomainError) as raised:
+        classify(p)
+    assert run(capsys, *command, f"--p={p}") == (2, "", f"error: {raised.value}\n")
 
 
 def test_iterate_exact_cap_exit_code(capsys):

@@ -26,7 +26,6 @@ from quadrec.numerics import (
     _int_horner,
     confirmed_value,
     euler_gamma,
-    parse_rational,
 )
 from quadrec.recurrence import classify, iterate_real, logistic_point
 from quadrec.series_engine import eval_series_coeffs, solve_coefficients, telescope
@@ -36,31 +35,6 @@ from quadrec.sums import (
     harmonic_divergence_diagnostic,
     regularized_s1,
 )
-
-# ---------------------------------------------------------------------------
-# parse_rational
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "text, expected",
-    [
-        ("2/5", Fraction(2, 5)),
-        ("0.4", Fraction(2, 5)),
-        ("3", Fraction(3)),
-        ("-1/4", Fraction(-1, 4)),
-        (" 7/8 ", Fraction(7, 8)),
-    ],
-)
-def test_parse_rational_accepts_fractions_and_decimals(text, expected):
-    assert parse_rational(text) == expected
-
-
-@pytest.mark.parametrize("text", ["", "abc", "1/0", "2//3", "0x10", "1e3e4"])
-def test_parse_rational_rejects_garbage(text):
-    with pytest.raises(DomainError):
-        parse_rational(text)
-
 
 # ---------------------------------------------------------------------------
 # PrecReal

@@ -49,13 +49,16 @@ def test_classify_examples(p, regime, r, q):
     assert params.q == q
 
 
-@pytest.mark.parametrize("p", [0, 1, Fraction(3, 2), -1, Fraction(-1, 4)])
+@pytest.mark.parametrize("p", [0, 1, Fraction(3, 2), -1, Fraction(-1, 4), 2, "3", "-1/4"])
 def test_classify_rejects_out_of_range(p):
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="p must satisfy 0 < p < 1"):
         classify(p)
 
 
-@pytest.mark.parametrize("p", ["two fifths", "1/0", None, float("nan")])
+@pytest.mark.parametrize(
+    "p",
+    ["two fifths", "1/0", None, float("nan"), "", "abc", "2//3", "0x10", "1e3e4"],
+)
 def test_classify_rejects_non_rationals(p):
     with pytest.raises(DomainError, match="p must be rational"):
         classify(p)
@@ -64,6 +67,20 @@ def test_classify_rejects_non_rationals(p):
 def test_classify_accepts_strings_and_floats_of_exact_halves():
     assert classify("2/5").p == Fraction(2, 5)
     assert classify("0.5").regime is Regime.CRITICAL
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("2/5", Fraction(2, 5)),
+        ("0.4", Fraction(2, 5)),
+        (" 7/8 ", Fraction(7, 8)),
+        ("1e-3", Fraction(1, 1000)),
+        ("+3/5", Fraction(3, 5)),
+    ],
+)
+def test_classify_reads_each_cli_spelling_of_p(text, expected):
+    assert classify(text).p == expected
 
 
 probabilities = st.fractions(
