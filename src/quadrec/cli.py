@@ -109,9 +109,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_iterate(args):
     params = classify(args.p)
-    check_ranges(("depth", args.steps, 0, None), ("digits", args.digits, 1, MAX_DIGITS))
     if args.exact:
         return [{"k": s.k, "a": _exact_text(s.a)} for s in iterate_exact(params, args.steps)]
+    check_ranges(("depth", args.steps, 0, None), ("digits", args.digits, 1, MAX_DIGITS))
     samples = iterate_real(params, args.steps, args.digits + GUARD_DIGITS)
     return [{"k": s.k, "a": s.a.digit_string(args.digits)} for s in samples]
 

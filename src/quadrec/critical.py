@@ -286,9 +286,9 @@ def residual_order_check(
     table = solve_coefficients(max(order, 2))
     if c_value is None:
         c_value = estimate_constant(10**5, max(order, 4), max(precision, RESIDUAL_PRECISION)).C
-    values = table.substitute(Fraction(PrecReal(c_value, precision).value), order, precision)
-    samples = iterate_real(classify(_CRITICAL_P), ks[-1], precision, sample_ks=ks)
     ctx = Context(prec=precision)
+    values = table.substitute(Fraction(ctx.plus(c_value.value)), order, precision)
+    samples = iterate_real(classify(_CRITICAL_P), ks[-1], precision, sample_ks=ks)
     residuals = []
     for s in samples:
         series = eval_series_coeffs(values, s.k, precision)

@@ -6,7 +6,9 @@ Three kinds of numbers appear throughout the package:
   ratio of integers by construction -- recurrence parameters, orbit values
   for small step counts, series coefficients;
 * ``PrecReal``, a ``Decimal`` rounded to P significant digits, with P kept
-  beside it, and its digit renderer.  It has no arithmetic of its own:
+  beside it, and its digit renderer.  It takes only a ``Decimal``: a
+  rational is rounded first, by ``_divide`` on the caller's Context.  It
+  has no arithmetic of its own:
   callers compute on ``value`` with the methods of a ``Context(prec=P)``
   that they name, so each result is rounded by that context and never by
   the thread's 28-digit default context;
@@ -79,7 +81,7 @@ def euler_gamma(precision: int) -> "PrecReal":
     digits.
     """
     check_ranges(("precision", precision, 1, _GAMMA_MAX_PRECISION))
-    return PrecReal(_EULER_GAMMA_110, precision)
+    return PrecReal(Decimal(_EULER_GAMMA_110), precision)
 
 
 def _divide(n: int, d: int, ctx: Context) -> Decimal:
@@ -139,9 +141,9 @@ class PrecReal:
     """A ``Decimal`` rounded to ``precision`` significant digits, and its
     digit renderer.
 
-    The constructor rounds once, by ``Context(prec=precision)``: a
-    ``Fraction`` through ``_divide``, an int, string, ``Decimal`` or the
-    ``value`` of a ``PrecReal`` through ``Context.plus``.  There is no
+    The constructor takes a ``Decimal`` only, and ``Context(prec=precision)``
+    rounds it once, so ``value`` never holds more than P digits.  A caller
+    rounds a rational with ``_divide`` on a ``Context`` it names.  There is no
     arithmetic here: a caller computes on ``value`` with the methods of a
     ``Context`` it names, and wraps the result.  Nor is there comparison:
     ``==`` and ``!=`` raise ``TypeError`` as ``<`` does, so a caller
@@ -151,19 +153,12 @@ class PrecReal:
 
     __slots__ = ("value", "precision")
 
-    def __init__(self, value, precision: int):
-        if isinstance(value, PrecReal):
-            value = value.value
+    def __init__(self, value: Decimal, precision: int):
         if not isinstance(precision, int) or precision < 1:
             raise DomainError(f"precision must be a positive integer, got {precision!r}")
-        ctx = Context(prec=precision)
-        if isinstance(value, Fraction):
-            dec = _divide(value.numerator, value.denominator, ctx)
-        elif isinstance(value, (int, str, Decimal)):
-            dec = ctx.plus(Decimal(value))
-        else:
+        if not isinstance(value, Decimal):
             raise DomainError(f"cannot build PrecReal from {type(value).__name__}")
-        self.value = dec
+        self.value = Context(prec=precision).plus(value)
         self.precision = precision
 
     def digit_string(self, digits: int, rounding: str = decimal.ROUND_HALF_EVEN) -> str:

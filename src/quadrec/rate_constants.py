@@ -252,7 +252,7 @@ def _walk(q: Fraction, digits: int) -> _Walk:
     # W(ybar) = ybar sum_n w_n ybar**(n-1), which is 9*10**-(D+3) times the
     # first check's sum over its den; 1/q**K <= (1 + (K + 3) u)/q_power,
     # u = 10**(1 - P)/2 (module docstring)
-    q_power = ctx.power(PrecReal(q, precision).value, k_walk)
+    q_power = ctx.power(_divide(q.numerator, q.denominator, ctx), k_walk)
     (weights, den), y_bar = checks[0], y + orbit_error(q, k_walk)
     units, (q_num, q_den) = 2 * 10 ** (precision - 1), q_power.as_integer_ratio()
     top = sums[0] * (9 * y_bar * (units + k_walk + 3) * q_den)
@@ -278,7 +278,8 @@ def _checked(p, digits: int) -> Params:
 def _finish(params: Params, digits: int, walk: _Walk) -> RateConstantResult:
     """C(p) = 2r D(q) and its tail bound 2r q**-K W(ybar)."""
     precision, r, (top, bottom) = digits + 2 * GUARD_DIGITS, params.r, walk.bound
-    value = Context(prec=precision).multiply(PrecReal(2 * r, precision).value, walk.D)
+    ctx = Context(prec=precision)
+    value = ctx.multiply(_divide(2 * r.numerator, r.denominator, ctx), walk.D)
     return RateConstantResult(
         p=params.p,
         q=params.q,
@@ -342,7 +343,7 @@ def convergence_diagnostic(p, kmax: int, precision: int) -> list[DiagnosticRow]:
     if params.regime is Regime.CRITICAL:
         raise RefusalError(_CRITICAL_REFUSAL)
     ctx = Context(prec=precision)
-    q_dec = PrecReal(params.q, precision).value
+    q_dec = _divide(params.q.numerator, params.q.denominator, ctx)
     q_pow = Decimal(1)
     bits = (2 * (kmax + 2) ** 2 * 10**precision).bit_length()
     two_r = 2 * params.r

@@ -76,7 +76,9 @@ from typing import Callable, NamedTuple, NoReturn
 
 from .critical import estimate_constant
 from .errors import RefusalError, check_ranges
-from .numerics import _EXACT, GUARD_DIGITS, CPoly, PrecReal, _int_horner, euler_gamma, rounded_up
+from .numerics import (
+    _EXACT, GUARD_DIGITS, CPoly, PrecReal, _divide, _int_horner, euler_gamma, rounded_up
+)
 from .recurrence import MAX_DEPTH, logistic_iterate, orbit_integers
 from .series_engine import tail_bound, telescope
 
@@ -243,19 +245,14 @@ def _one_pass(s: _Summand, depth: int, bits: int) -> tuple[int, int, int, int]:
 
     The direct part sums k = 0..depth.  The tail is G(x_{N+1}) in fixed
     point (``CPoly.at``), low by at most E 2**-B, E <= 4.  For s_1 the
-    direct part's -1/k terms and the harmonic number H_N of the tail are
-    the same integers floor(2**B/k), so they cancel exactly; the tail then
-    holds G(x) + H_N, not yet ln x - gamma.
+    direct part holds no -1/k terms and the tail no harmonic number H_N:
+    the two cancel in the total, so the pass leaves both out, and the tail
+    holds G(x), not yet ln x - gamma.
     """
     orbit = orbit_integers(Fraction(1), bits)
     direct = sum(s.floor(x, bits) for x in islice(orbit, depth + 1))
     x_last = next(orbit)
-    tail, error = s.G.at(x_last, bits)
-    if s.harmonic:
-        harmonic = sum((1 << bits) // k for k in range(1, depth + 1))
-        direct -= harmonic
-        tail += harmonic
-    return direct, tail, error, x_last
+    return (direct, *s.G.at(x_last, bits), x_last)
 
 
 def _telescoped_sum(s: _Summand, digits: int) -> SumResult:
@@ -282,12 +279,15 @@ def _telescoped_sum(s: _Summand, digits: int) -> SumResult:
     if s.m >= 5:
         largest = Fraction(2 ** (s.m - 2) + 1, 4 ** (s.m - 1)) + bound
         if bound * 10 ** (digits + 2) > largest:
-            _refuse(rounded_up(bound.numerator, bound.denominator, precision), digits)
+            _refuse(bound, digits)
     direct, tail, error, x_last = _one_pass(s, DEPTH, bits)
     total, bound = Fraction(direct + tail, 1 << bits), bound + Fraction(error, 1 << bits)
-    correction = PrecReal(Fraction(tail, 1 << bits), precision).value
+    ctx = Context(prec=precision)
+    # s_1's reported correction G_1(x) + H_N - gamma holds the harmonic
+    # number, as sum_{k<=N} floor(2**B/k), which cancels from the total
+    harmonic = sum((1 << bits) // k for k in range(1, DEPTH + 1)) if s.harmonic else 0
+    correction = _divide(tail + harmonic, 1 << bits, ctx)
     if s.harmonic:
-        ctx = Context(prec=precision)
         # x/2**B = x 5**B/10**B, built exactly: str(int) stops at 4300 digits
         log = ctx.ln(_EXACT.scaleb(Decimal(x_last * 5**bits), -bits))
         gamma = euler_gamma(precision).value
@@ -296,11 +296,11 @@ def _telescoped_sum(s: _Summand, digits: int) -> SumResult:
         # added from its P-digit parts, the correction keeps only the
         # decimals that the rounding of ln x leaves
         correction = ctx.subtract(ctx.add(correction, log), gamma)
-    value = PrecReal(total, precision)
+    value = PrecReal(_divide(total.numerator, total.denominator, ctx), precision)
     bound += abs(Fraction(value.value) - total)
     error = rounded_up(bound.numerator, bound.denominator, precision)
     if error.value > _EXACT.scaleb(value.value.copy_abs(), -(digits + 2)):
-        _refuse(error, digits)
+        _refuse(bound, digits)
     return SumResult(
         m=s.m,
         value=value,
@@ -310,10 +310,12 @@ def _telescoped_sum(s: _Summand, digits: int) -> SumResult:
     )
 
 
-def _refuse(error: PrecReal, digits: int) -> NoReturn:
-    """Refuse a sum whose bound ``error`` exceeds 10**-(digits+2) of it."""
+def _refuse(bound: Fraction, digits: int) -> NoReturn:
+    """Refuse a sum whose ``bound`` exceeds 10**-(digits+2) of it; the
+    message gives the bound rounded up to three digits, so never below it."""
+    shown = rounded_up(bound.numerator, bound.denominator, 3)
     raise RefusalError(
-        f"the error bound {error.value:E} exceeds 10^-{digits + 2} of the sum; "
+        f"the error bound {shown.value:E} exceeds 10^-{digits + 2} of the sum; "
         "request fewer digits"
     )
 
@@ -450,12 +452,12 @@ def harmonic_divergence_diagnostic(n: int) -> tuple[PrecReal, PrecReal]:
     """
     check_ranges(("depth", n, 100, MAX_DEPTH))
     precision, bits = _divergence_precision(n)
-    partial = Fraction(sum(islice(orbit_integers(Fraction(1), bits), n + 1)), 1 << bits)
-    s1 = regularized_s1(MAX_DIGITS_S1)
     ctx = Context(prec=precision)
+    walked = _divide(sum(islice(orbit_integers(Fraction(1), bits), n + 1)), 1 << bits, ctx)
+    s1 = regularized_s1(MAX_DIGITS_S1)
     reference = ctx.add(ctx.ln(n), euler_gamma(precision).value)
     reference = ctx.add(reference, ctx.plus(s1.value.value))
-    return PrecReal(partial, precision), PrecReal(reference, precision)
+    return PrecReal(walked, precision), PrecReal(reference, precision)
 
 
 def _divergence_precision(n: int) -> tuple[int, int]:

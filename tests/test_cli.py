@@ -101,6 +101,17 @@ def test_a_malformed_p_reads_the_message_of_classify(capsys, command, p):
     assert run(capsys, *command, f"--p={p}") == (2, "", f"error: {raised.value}\n")
 
 
+def test_iterate_exact_reads_no_digits(capsys):
+    # the exact orbit never rounds, so --digits is neither read nor checked
+    argv = ["iterate", "--p", "1/3", "--steps", "2", "--exact"]
+    default = run(capsys, *argv)
+    assert default[0] == 0
+    for digits in ("0", "51"):
+        assert run(capsys, *argv, "--digits", digits) == default
+    argv[argv.index("--steps") + 1] = "-1"
+    assert run(capsys, *argv, "--digits", "51") == (2, "", "error: depth must be at least 0\n")
+
+
 def test_iterate_exact_cap_exit_code(capsys):
     code, _out, err = run(capsys, "iterate", "--p", "1/2", "--steps", "40", "--exact")
     assert code == 3
@@ -388,6 +399,14 @@ def test_the_largest_power_is_refused_before_its_pass(capsys, monkeypatch, digit
     code, out, err = run(capsys, "sums", "--m", str(MAX_POWER), "--digits", str(digits))
     assert (code, out) == (4, "")
     assert f"exceeds 10^-{digits + 2} of the sum" in err
+
+
+def test_a_refused_sum_prints_its_bound_to_three_digits(capsys):
+    code, out, err = run(capsys, "sums", "--m", str(MAX_POWER), "--digits", "2")
+    assert (code, out) == (4, "")
+    assert err == (
+        "refused: the error bound 7.07E-43 exceeds 10^-4 of the sum; request fewer digits\n"
+    )
 
 
 @pytest.mark.parametrize("digits", SERVED_AT_MAX_POWER)

@@ -387,7 +387,7 @@ def test_logistic_constant_from_reference(reference_estimate):
 
 def test_logistic_constant_trivial_algebra():
     fake = CriticalEstimate(
-        C=PrecReal(2, 30),
+        C=PrecReal(Decimal(2), 30),
         depth=100,
         order=3,
         precision=30,

@@ -42,18 +42,30 @@ from quadrec.sums import (
 
 
 def test_precreal_carries_explicit_precision():
-    x = PrecReal(Fraction(1, 3), 30)
+    x = PrecReal(Context(prec=30).divide(1, 3), 30)
     assert x.precision == 30
     assert str(x.value).startswith("0.33333333333333333333333333333")
-    assert str(PrecReal(x, 5)) == "0.33333"
+    assert str(PrecReal(x.value, 5)) == "0.33333"
+    assert PrecReal(Decimal("0.123456"), 3).value == Decimal("0.123")
     with pytest.raises(TypeError):
-        PrecReal(x)  # the precision is always given
+        PrecReal(x.value)  # the precision is always given
+
+
+@pytest.mark.parametrize(
+    "value, precision",
+    [(Fraction(1, 3), 30), (1, 30), ("0.5", 30), (PrecReal(Decimal(1), 30), 5)],
+    ids=["Fraction", "int", "str", "PrecReal"],
+)
+def test_precreal_takes_only_a_decimal(value, precision):
+    # a caller rounds a rational with _divide on a Context it names
+    with pytest.raises(DomainError, match="cannot build PrecReal from"):
+        PrecReal(value, precision)
 
 
 @pytest.mark.parametrize("compare", [operator.eq, operator.ne, operator.lt])
 def test_precreal_does_not_compare(compare):
     # equal values would read unequal under identity; a caller compares .value
-    a, b = PrecReal(1, 30), PrecReal(1, 30)
+    a, b = PrecReal(Decimal(1), 30), PrecReal(Decimal(1), 30)
     with pytest.raises(TypeError):
         compare(a, b)
     with pytest.raises(TypeError):
@@ -63,7 +75,13 @@ def test_precreal_does_not_compare(compare):
 
 def test_precreal_is_unhashable():
     with pytest.raises(TypeError):
-        hash(PrecReal(1, 30))
+        hash(PrecReal(Decimal(1), 30))
+
+
+def _quotient(value: Fraction, precision: int) -> Decimal:
+    """``value`` rounded half-even to ``precision`` digits, as the library
+    rounds a rational: by ``_divide`` on a ``Context`` it names."""
+    return _divide(value.numerator, value.denominator, Context(prec=precision))
 
 
 def _big_int(bits_and_seed):
@@ -100,11 +118,12 @@ def _tie(head_exp_sign):
     precision=st.integers(1, 120),
 )
 def test_precreal_of_a_fraction_is_the_decimal_quotient(value, precision):
+    # a Fraction reaches a PrecReal through _divide on the caller's Context:
     # same digits, same rounding (half-even) and the same exponent, so an
     # exact quotient keeps the ideal exponent 0 ("0.25", "12", "1.0E+2")
     ctx = Context(prec=precision)
     expected = ctx.divide(Decimal(value.numerator), Decimal(value.denominator))
-    assert str(PrecReal(value, precision)) == str(expected)
+    assert str(PrecReal(_quotient(value, precision), precision)) == str(expected)
 
 
 def _exact_pair(head_d_e):
@@ -207,7 +226,7 @@ def test_divide_carries_into_the_next_power_of_ten(n, d, rounding):
     ],
 )
 def test_precreal_of_a_fraction_examples(value, precision, text):
-    assert str(PrecReal(value, precision)) == text
+    assert str(PrecReal(_quotient(value, precision), precision)) == text
 
 
 def test_library_glue_rounds_on_a_context_of_its_precision():
@@ -221,9 +240,9 @@ def test_library_glue_rounds_on_a_context_of_its_precision():
 
     ctx = Context(prec=40)
     table = solve_coefficients(3)
-    c_value = PrecReal(estimate_constant(10**5, 4, 40).C, 40)
+    c_value = ctx.plus(estimate_constant(10**5, 4, 40).C.value)
     samples = iterate_real(classify(Fraction(1, 2)), 20, 40, sample_ks=[10, 20])
-    values = table.substitute(Fraction(c_value.value), 3, 40)
+    values = table.substitute(Fraction(c_value), 3, 40)
     series = [eval_series_coeffs(values, s.k, 40) for s in samples]
     residuals = [ctx.subtract(s.a.value, v).copy_abs() for s, v in zip(samples, series)]
     checks.append((40, [r for _k, r in residual_order_check(3, [10, 20], 40)], residuals))
@@ -247,26 +266,26 @@ def test_library_glue_rounds_on_a_context_of_its_precision():
 
 
 def test_digit_string_rounds_half_even_by_default():
-    x = PrecReal(Fraction(1, 8), 30)  # 0.125 -> ties-to-even at 2 digits
+    x = PrecReal(Decimal("0.125"), 30)  # ties-to-even at 2 digits
     assert x.digit_string(2) == "0.12"
-    y = PrecReal(Fraction(3, 8), 30)  # 0.375 -> 0.38
+    y = PrecReal(Decimal("0.375"), 30)  # -> 0.38
     assert y.digit_string(2) == "0.38"
 
 
 def test_digit_string_truncation_mode():
-    x = PrecReal(Fraction(2, 3), 30)
+    x = PrecReal(_quotient(Fraction(2, 3), 30), 30)
     assert x.digit_string(5, rounding=ROUND_DOWN) == "0.66666"
     assert x.digit_string(5) == "0.66667"
 
 
 def test_digit_string_pads_zeros():
-    assert PrecReal(Fraction(1, 2), 20).digit_string(6) == "0.500000"
-    assert PrecReal(0, 20).digit_string(4) == "0.0000"
+    assert PrecReal(Decimal("0.5"), 20).digit_string(6) == "0.500000"
+    assert PrecReal(Decimal(0), 20).digit_string(4) == "0.0000"
 
 
 def test_digit_string_rejects_nonpositive_digits():
     with pytest.raises(DomainError):
-        PrecReal(1, 20).digit_string(0)
+        PrecReal(Decimal(1), 20).digit_string(0)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +324,7 @@ def test_confirmed_value_returns_higher_precision_run():
 def test_confirmed_value_detects_precision_drift():
     def unstable(precision):
         # pretends to converge to different values at different precisions
-        return PrecReal(1, precision) if precision < 50 else PrecReal(2, precision)
+        return PrecReal(Decimal(1 if precision < 50 else 2), precision)
 
     with pytest.raises(PrecisionError):
         confirmed_value(unstable, digits=10, precision=30)

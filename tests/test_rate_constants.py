@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadrec.errors import DomainError, RefusalError
-from quadrec.numerics import GUARD_DIGITS, PrecReal, _divide
+from quadrec.numerics import GUARD_DIGITS, _divide
 from quadrec.rate_constants import (
     ORDER,
     Q_MAX,
@@ -71,7 +71,7 @@ def test_factor_count_is_deterministic_and_symmetric_in_q():
 def test_tail_bound_is_certified_below_target():
     for row in rate_constant_table(15):
         bound = row.tail_bound
-        assert bound.value < PrecReal(Fraction(1, 10**15), bound.precision).value
+        assert bound.value < Decimal("1E-15")
         assert bound.value > 0
 
 
@@ -148,9 +148,9 @@ def _walk_value(p: Fraction, digits: int, walk: int, precision: int) -> Decimal:
     tau, _rho = koenigs(params.q, ORDER)
     bits = _walk_plan(params.q, digits)[-1] + 4 * (precision - digits - 2 * GUARD_DIGITS)
     value, _error = tau.at(next(islice(orbit_integers(params.q, bits), walk, None)), bits)
-    q = PrecReal(params.q, precision).value
+    q = _divide(params.q.numerator, params.q.denominator, ctx)
     d = ctx.divide(_divide(value, 1 << bits, ctx), ctx.power(q, walk))
-    return ctx.multiply(PrecReal(2 * params.r, precision).value, d)
+    return ctx.multiply(_divide(2 * params.r.numerator, params.r.denominator, ctx), d)
 
 
 @pytest.mark.parametrize("p, digits", PRODUCT_CASES)
@@ -201,6 +201,36 @@ def test_factor_count_is_the_least_that_meets_the_target(p, digits):
     assert all(a > b for a, b in zip(y_bars, y_bars[1:]))
     assert not passes(y_bars[k - 1], 1 + Fraction(1, 10**11))
     assert result.tail_bound.value <= Decimal(10) ** -(digits + 2)
+
+
+def test_the_plan_halves_t0_until_both_checks_pass(monkeypatch):
+    # with every root four times too large, T_0/2 fails a check and the plan
+    # halves twice more; B and every result stay as they were
+    import quadrec.rate_constants as rate_constants
+
+    cases = [
+        (Fraction(2, 5), 15),
+        (Fraction(499, 1000), 15),
+        (Fraction(3, 4), 50),
+        (Fraction(1, 5), 1),
+        (Fraction(501, 1000), 2),
+    ]
+
+    def shown(result):
+        return result.digit_string(), result.factors_used, result.tail_bound.value
+
+    expected = [shown(rate_constant(p, digits)) for p, digits in cases]
+    _tau, _checks, t, shift, bits = _walk_plan(Fraction(2, 5), 15)
+    root, stop_sums, lows = rate_constants._root, rate_constants._stop_sums, []
+    monkeypatch.setattr(rate_constants, "_root", lambda n, m: 4 * root(n, m))
+    monkeypatch.setattr(
+        rate_constants, "_stop_sums", lambda c, n, low: lows.append(low) or stop_sums(c, n, low)
+    )
+    _tau, _checks, wide_t, wide_shift, wide_bits = _walk_plan(Fraction(2, 5), 15)
+    assert (wide_t - 1, wide_shift, wide_bits) == (4 * (t - 1), shift, bits)
+    assert bits == 196
+    assert lows == [shift + 1, shift + 2, shift + 3]
+    assert [shown(rate_constant(p, digits)) for p, digits in cases] == expected
 
 
 @pytest.mark.parametrize(

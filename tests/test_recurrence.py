@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from decimal import Decimal
+from decimal import Context, Decimal
 from fractions import Fraction
 from itertools import islice
 
@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadrec.errors import DomainError, ExactCapError, RefusalError
-from quadrec.numerics import PrecReal
+from quadrec.numerics import _divide
 from quadrec.recurrence import (
     EXACT_STEP_CAP,
     MAX_DEPTH,
@@ -225,16 +225,21 @@ def test_real_orbit_default_sampling_is_dense_then_logarithmic():
     assert all(a < b for a, b in zip(ks, ks[1:]))
 
 
+def _rounded(value: Fraction, ctx: Context) -> Decimal:
+    """``value`` rounded on ``ctx``, as the library rounds a rational."""
+    return _divide(value.numerator, value.denominator, ctx)
+
+
 def _every_step(params, n, precision, wanted):
     """(k, a_k, b_k) for the k in ``wanted``, testing every step of the
     floored walk that ``iterate_real`` reads its samples from."""
     bits = (4 * orbit_error(params.q, max(n, 1)) * 10**precision).bit_length()
-    rows = []
+    ctx, rows = Context(prec=precision), []
     for k, y in enumerate(islice(orbit_integers(params.q, bits), n + 1)):
         if k in wanted:
             b = params.r * Fraction(2 * y, 1 << bits)
             a = params.r - b
-            rows.append((k, PrecReal(a, precision).value, PrecReal(b, precision).value))
+            rows.append((k, _rounded(a, ctx), _rounded(b, ctx)))
     return rows
 
 
@@ -243,7 +248,7 @@ def test_real_orbit_explicit_sample_ks():
     orbit = iterate_real(params, 64, 25, sample_ks=[0, 8, 64])
     assert [s.k for s in orbit] == [0, 8, 64]
     exact = iterate_exact(params, 8)[8].a
-    assert abs(orbit[1].a.value - PrecReal(exact, 25).value) < Decimal("1e-20")
+    assert abs(orbit[1].a.value - _rounded(exact, Context(prec=25))) < Decimal("1e-20")
     for outside in ([-1, 8], [8, 65]):
         with pytest.raises(DomainError, match="sample indices"):
             iterate_real(params, 64, 25, sample_ks=outside)
@@ -350,7 +355,7 @@ def test_logistic_is_half_complement_of_critical_orbit():
 def test_logistic_decimals_match_exact():
     exact = logistic_iterate(10)
     for e, r in zip(exact, logistic_decimals(30)):
-        assert abs(r - PrecReal(e, 30).value) < Decimal("1e-25")
+        assert abs(r - _rounded(e, Context(prec=30))) < Decimal("1e-25")
 
 
 def test_logistic_cap():

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from quadrec.critical import _abel_summand, estimate_constant
 from quadrec.errors import DomainError, ExactCapError, RefusalError
-from quadrec.numerics import GUARD_DIGITS, CPoly, PrecReal, euler_gamma
+from quadrec.numerics import GUARD_DIGITS, CPoly, _divide, euler_gamma
 from quadrec.recurrence import MAX_DEPTH, logistic_decimals, logistic_iterate, orbit_integers
 from quadrec.series_engine import tail_bound, telescope
 from quadrec.sums import (
@@ -171,6 +171,21 @@ def test_the_first_refused_power_fails_its_relative_check(digits):
         _telescoped_sum(summand._replace(m=4), digits)
 
 
+@pytest.mark.parametrize("m", [MAX_POWER + 1, 4], ids=["before the pass", "after the pass"])
+def test_a_refusal_prints_its_bound_rounded_up_to_three_digits(monkeypatch, m):
+    # the least three-digit number at or above the exact bound, on either path
+    import quadrec.sums as sums
+
+    bounds, refuse = [], sums._refuse
+    monkeypatch.setattr(sums, "_refuse", lambda bound, d: bounds.append(bound) or refuse(bound, d))
+    with pytest.raises(RefusalError) as raised:
+        _telescoped_sum(_power_summand(MAX_POWER + 1)._replace(m=m), 5)
+    shown = Decimal(str(raised.value).split()[3])
+    assert len(shown.as_tuple().digits) == 3
+    unit = Fraction(10) ** (shown.adjusted() - 2)
+    assert Fraction(shown) - unit < bounds[0] <= Fraction(shown)
+
+
 # the true sum is S_n + G(alpha_{n+1}) - sum_{k>n} R(alpha_k) at every n, so
 # moving the cut from N to 2N may shift the telescoped value by no more than
 # the bound reported at N; at precision 60 rounding adds less than 1e-50
@@ -190,7 +205,8 @@ def _telescoped(alphas, n, term, G, with_log=False):
     for alpha in alphas[: n + 1]:
         partial = ctx.add(partial, term(alpha))
     x = alphas[n + 1]
-    tail = PrecReal(G(Fraction(x)), _DEEP_PRECISION).value
+    tail = G(Fraction(x))
+    tail = _divide(tail.numerator, tail.denominator, ctx)
     if with_log:
         tail = ctx.add(tail, ctx.ln(x))
     return ctx.add(partial, tail)
@@ -557,7 +573,8 @@ def _derived_bound(summand, digits):
         total += Fraction(log) - Fraction(gamma)
         for value, units in ((log, Fraction(1, 2)), (gamma, 1)):
             bound += units * Fraction(10) ** (value.adjusted() + 1 - precision)
-    return bound + abs(Fraction(PrecReal(total, precision).value) - total)
+    rounded = _divide(total.numerator, total.denominator, Context(prec=precision))
+    return bound + abs(Fraction(rounded) - total)
 
 
 @pytest.mark.parametrize(
@@ -732,4 +749,4 @@ def test_divergence_integer_sum_within_its_bound(n):
     slack = Fraction(1, 10**50)
     assert -slack <= total - oracle < Fraction(n * (n + 1), 2 ** (bits + 1)) + slack
     partial, _ = harmonic_divergence_diagnostic(n)
-    assert partial.value == PrecReal(total, precision).value
+    assert partial.value == _divide(total.numerator, total.denominator, Context(prec=precision))
