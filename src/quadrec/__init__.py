@@ -20,7 +20,6 @@ from .errors import (
     DomainError,
     EngineError,
     ExactCapError,
-    PrecisionError,
     QuadrecError,
     RefusalError,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "OrbitSample",
     "Params",
     "PrecReal",
-    "PrecisionError",
     "QuadrecError",
     "RateConstantResult",
     "RefusalError",

@@ -26,12 +26,10 @@ import io
 import json
 import sys
 import time
-from decimal import Decimal
-from fractions import Fraction
 
 from .critical import RESIDUAL_PRECISION, estimate_constant, residual_order_check
 from .errors import DomainError, ExactCapError, QuadrecError, RefusalError, check_ranges
-from .numerics import _EXACT, GUARD_DIGITS, PrecReal
+from .numerics import GUARD_DIGITS, PrecReal, _exact_text
 from .rate_constants import MAX_DIGITS, rate_constant, rate_constant_table
 from .recurrence import classify, iterate_exact, iterate_real
 from .series_engine import solve_coefficients
@@ -110,57 +108,16 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_iterate(args):
     params = classify(args.p)
     if args.exact:
-        return [{"k": s.k, "a": _exact_text(s.a)} for s in iterate_exact(params, args.steps)]
+        samples = iterate_exact(params, args.steps)
+        return [{"k": s.k, "a": _exact_text(*s.a.as_integer_ratio())} for s in samples]
     check_ranges(("depth", args.steps, 0, None), ("digits", args.digits, 1, MAX_DIGITS))
     samples = iterate_real(params, args.steps, args.digits + GUARD_DIGITS)
     return [{"k": s.k, "a": s.a.digit_string(args.digits)} for s in samples]
 
 
-def _exact_text(value: Fraction) -> str:
-    """``str(value)`` with no limit on the digits of an integer (``str(int)``
-    stops at 4300 digits, a length exact orbits pass within 13 steps)."""
-    numerator = _int_text(value.numerator)
-    if value.denominator == 1:
-        return numerator
-    return f"{numerator}/{_int_text(value.denominator)}"
-
-
-#: Integers below 2**_SPLIT_BITS go through ``Decimal(int)`` directly.
-_SPLIT_BITS = 2048
-
-
-def _int_text(n: int) -> str:
-    """The decimal digits of ``n``, in subquadratic time.
-
-    ``Decimal(int)`` is quadratic in the length.  Split on the bits,
-    n = high * 2**h + low, convert both halves recursively, and recombine
-    in exact ``Decimal`` arithmetic, whose multiplication of long numbers
-    is subquadratic.
-    """
-    powers: dict[int, Decimal] = {}
-
-    def power(bits: int) -> Decimal:  # 2**bits, exactly
-        if bits not in powers:
-            if bits <= _SPLIT_BITS:
-                powers[bits] = Decimal(1 << bits)
-            else:
-                powers[bits] = _EXACT.multiply(power(bits // 2), power(bits - bits // 2))
-        return powers[bits]
-
-    def digits(m: int, bits: int) -> Decimal:  # 0 <= m < 2**bits
-        if bits <= _SPLIT_BITS:
-            return Decimal(m)
-        low_bits = bits // 2
-        high, low = m >> low_bits, m & ((1 << low_bits) - 1)
-        return _EXACT.fma(digits(high, bits - low_bits), power(low_bits), digits(low, low_bits))
-
-    text = str(digits(abs(n), n.bit_length()))
-    return f"-{text}" if n < 0 else text
-
-
 def _rate_row(result):
     return {
-        "p": str(result.p),
+        "p": _exact_text(*result.p.as_integer_ratio()),
         "C": result.digit_string(),
         "factors_used": result.factors_used,
         "tail_bound": str(result.tail_bound),

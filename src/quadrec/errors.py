@@ -19,10 +19,6 @@ rule for every module: a value below its least is a ``DomainError``
 ("depth 10000001 exceeds the limit of 10000000"), and within one check a
 malformed value is reported before a refused one.
 
-``PrecisionError`` is a refusal: two runs at different precisions failed to
-confirm the requested digits, so no value is reported.  Only
-``numerics.confirmed_value`` raises it, and no library computation calls
-``confirmed_value``: each derives its rounding bound in one pass.
 ``EngineError`` signals an internal inconsistency in the symbolic series
 engine (a matching slot that should be forced but is not); it is a bug
 indicator, not a user error, and deliberately maps to a plain failure.
@@ -45,10 +41,6 @@ class ExactCapError(QuadrecError):
 
 class RefusalError(QuadrecError):
     """Raised when a module declines to report a value it cannot certify."""
-
-
-class PrecisionError(RefusalError):
-    """Raised when independent reruns fail to confirm the requested digits."""
 
 
 class EngineError(QuadrecError):

@@ -30,9 +30,15 @@ expansion in C, which takes each coefficient at the given C and rounds it
 once (``series_engine.CoefficientTable.substitute``), the rate constants'
 stop test, ``series_engine.tail_bound`` and the sums' slope bound.
 
+Every exact rational the package writes -- an orbit value of
+``iterate --exact``, a coefficient c[i][j], a p or q in a message -- is
+written by one renderer, ``_exact_text``, as ``str(Fraction)`` writes it
+but for integers of any length: ``str(int)`` stops at the interpreter's
+int-string limit (4300 digits by default, settable down to 640).
+
 The module also owns the Euler--Mascheroni constant (110 verified
 digits).  ``confirmed_value`` repeats a computation with 20 extra guard
-digits and raises ``PrecisionError`` unless the two results agree to the
+digits and raises ``RefusalError`` unless the two results agree to the
 requested width.  No library computation calls it: the rate
 constants, the tail sums and the critical constant each run once and derive
 their rounding bound; it remains only for the benchmark's tracer.
@@ -46,7 +52,7 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence, TypeVar, Union
 
-from .errors import DomainError, PrecisionError, check_ranges
+from .errors import DomainError, RefusalError, check_ranges
 
 #: Guard digits on top of the requested digit count.  The rate constants and
 #: the tail sums run once at digits + 2*GUARD_DIGITS, where their derived
@@ -132,7 +138,9 @@ def rounded_up(numerator: int, denominator: int, precision: int) -> "PrecReal":
     +infinity to ``precision`` digits, so that a reported bound never lies
     below the bound derived for it.  The pair need not be in lowest terms:
     reducing one of thousands of bits would cost a gcd quadratic in its
-    length, as a ``Fraction`` does."""
+    length, as a ``Fraction`` does.  It builds the reported bounds; a
+    caller that wants only the rounded ``Decimal`` calls ``_divide`` on a
+    ceiling Context that it names."""
     up = Context(prec=precision, rounding=decimal.ROUND_CEILING)
     return PrecReal(_divide(numerator, denominator, up), precision)
 
@@ -195,14 +203,14 @@ def confirmed_value(compute: Callable[[int], T], digits: int, precision: int) ->
     ``compute`` returns a ``PrecReal``, or a result whose ``.value`` is one;
     the two values must agree to within one unit in the ``digits``-th
     decimal place; the higher-precision result is returned.  Disagreement
-    raises ``PrecisionError`` -- no value is ever reported on the strength
+    raises ``RefusalError`` -- no value is ever reported on the strength
     of a single run.
     """
     first = compute(precision)
     second = compute(precision + GUARD_DIGITS)
     gap = abs(first.value - second.value)
     if gap > Decimal(1).scaleb(-digits):
-        raise PrecisionError(
+        raise RefusalError(
             f"reruns at precisions {precision} and {precision + GUARD_DIGITS} "
             f"disagree beyond 10^-{digits} (gap {gap:E})"
         )
@@ -218,6 +226,51 @@ def _int_horner(coeffs: Sequence[int], p: int, q: int) -> int:
         total = total * p + c * power
         power *= q
     return total
+
+
+def _exact_text(numerator: int, denominator: int = 1) -> str:
+    """The one text of an exact rational, for a pair in lowest terms with
+    ``denominator`` > 0: "n", or "n/d" for d != 1, as ``str(Fraction)``
+    writes it, for integers of any length."""
+    text = _int_text(numerator)
+    return text if denominator == 1 else f"{text}/{_int_text(denominator)}"
+
+
+#: Integers of at most this many bits are written by ``str``: 2**2048 <
+#: 10**617, within the 640 digits that every int-string limit allows.
+_SPLIT_BITS = 2048
+
+
+def _int_text(n: int) -> str:
+    """The decimal digits of ``n``, in subquadratic time and past the
+    int-string limit.
+
+    ``Decimal(int)`` is quadratic in the length.  Split on the bits,
+    n = high * 2**h + low, convert both halves recursively, and recombine
+    in exact ``Decimal`` arithmetic, whose multiplication of long numbers
+    is subquadratic and whose text has no length limit.
+    """
+    if n.bit_length() <= _SPLIT_BITS:
+        return str(n)
+    powers: dict[int, Decimal] = {}
+
+    def power(bits: int) -> Decimal:  # 2**bits, exactly
+        if bits not in powers:
+            if bits <= _SPLIT_BITS:
+                powers[bits] = Decimal(1 << bits)
+            else:
+                powers[bits] = _EXACT.multiply(power(bits // 2), power(bits - bits // 2))
+        return powers[bits]
+
+    def digits(m: int, bits: int) -> Decimal:  # 0 <= m < 2**bits
+        if bits <= _SPLIT_BITS:
+            return Decimal(m)
+        low_bits = bits // 2
+        high, low = m >> low_bits, m & ((1 << low_bits) - 1)
+        return _EXACT.fma(digits(high, bits - low_bits), power(low_bits), digits(low, low_bits))
+
+    text = str(digits(abs(n), n.bit_length()))
+    return f"-{text}" if n < 0 else text
 
 
 class CPoly:
@@ -395,14 +448,13 @@ class CPoly:
     def coeff_strings(self) -> list[str]:
         """Ascending coefficient strings, e.g. ``["-5", "3"]`` for 3*C - 5.
 
-        Each is ``str`` of the reduced ``Fraction``, formed from the stored
-        pair with one gcd.
+        Each is the reduced coefficient, formed from the stored pair with
+        one gcd and written by ``_exact_text``.
         """
         strings = []
         for n in self._numerators:
             common = math.gcd(n, self._denominator)
-            d = self._denominator // common
-            strings.append(f"{n // common}/{d}" if d != 1 else str(n // common))
+            strings.append(_exact_text(n // common, self._denominator // common))
         return strings
 
     def format_str(self) -> str:
@@ -415,12 +467,10 @@ class CPoly:
             c = coeffs[power]
             if c == 0:
                 continue
-            mag = abs(c)
-            if power == 0:
-                body = str(mag)
-            else:
+            body = _exact_text(*abs(c).as_integer_ratio())
+            if power:
                 var = "C" if power == 1 else f"C^{power}"
-                body = var if mag == 1 else f"{mag}*{var}"
+                body = var if body == "1" else f"{body}*{var}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:

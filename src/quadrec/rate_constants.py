@@ -85,13 +85,15 @@ conventionally reported *truncated* (round toward zero), and
 
 from __future__ import annotations
 
-from decimal import ROUND_DOWN, Context, Decimal
+from decimal import ROUND_CEILING, ROUND_DOWN, Context, Decimal
 from fractions import Fraction
 from itertools import islice
 from typing import NamedTuple
 
 from .errors import RefusalError, check_ranges
-from .numerics import _EXACT, GUARD_DIGITS, CPoly, PrecReal, _divide, _int_horner, rounded_up
+from .numerics import (
+    _EXACT, GUARD_DIGITS, CPoly, PrecReal, _divide, _exact_text, _int_horner, rounded_up
+)
 from .recurrence import MAX_DEPTH, Params, Regime, classify, orbit_error, orbit_integers
 from .series_engine import koenigs
 
@@ -132,6 +134,15 @@ ORDER = 6
 #: Significant digits of the weights w_n and of the tail bounds, each
 #: rounded upward once.
 _BOUND_DIGITS = 12
+
+#: The larger bit length of q's numerator and denominator above which a
+#: request is refused: the plan and the walk form powers d**n of q's
+#: denominator d, so their cost grows about threefold with each doubling of
+#: q's size.  At 50 digits q of 4095 bits (p = 10**-1233) took 0.042 s,
+#: 8188 bits 0.125 s and 16380 bits 0.43 s, against 0.006 s at 1328 bits
+#: (p = 10**-400 or 1 - 10**-400; in process, best of 3, 2-core Intel Xeon,
+#: Python 3.11).
+MAX_Q_BITS = 4096
 
 #: Digit requests above this are refused, by ``rate_constant`` and so by the
 #: table, and by the CLI's ``iterate``: the walk depth and the working
@@ -188,10 +199,10 @@ def _walk_plan(q: Fraction, digits: int) -> tuple[CPoly, list, int, int, int]:
     walk checks, as t and s, and the kernel's bits B.
 
     The weights w_n = |rho_n|/(q - q**n), n > M, are rounded upward at
-    ``_BOUND_DIGITS`` by ``rounded_up``: near p = 10**-400 their integers
-    have thousands of digits, which ``_divide`` takes by integer division
-    where ``Context.divide`` would convert them in quadratic time.  From
-    there on all is exact: the first check is
+    ``_BOUND_DIGITS`` by ``_divide`` on a ceiling Context: near
+    p = 10**-400 their integers have thousands of digits, which ``_divide``
+    takes by integer division where ``Context.divide`` would convert them
+    in quadratic time.  From there on all is exact: the first check is
     sum_n w_n y**(n-1) <= 9*10**-(D+3) with the weights over one power of
     ten, the second
     sum_{n>=2} |tau_n| y**(n-1) <= 1/4 over tau's denominator.  T_0 lies
@@ -205,9 +216,10 @@ def _walk_plan(q: Fraction, digits: int) -> tuple[CPoly, list, int, int, int]:
     # q = a/d gives q - q**n = a (d**(n-1) - a**(n-1))/d**n
     a, d = q.numerator, q.denominator
     w, a_power, d_power = [], a**ORDER, d**ORDER
+    up = Context(prec=_BOUND_DIGITS, rounding=ROUND_CEILING)
     for n in range(ORDER + 1, 2 * ORDER + 1):
         gap = rho._denominator * a * (d_power - a_power)
-        w.append(rounded_up(abs(rho._numerators[n]) * d_power * d, gap, _BOUND_DIGITS).value)
+        w.append(_divide(abs(rho._numerators[n]) * d_power * d, gap, up))
         a_power, d_power = a_power * a, d_power * d
     # each check is sum_j c_j y**j <= den, as integers
     exponents = [x.as_tuple().exponent for x in w]
@@ -262,14 +274,15 @@ def _walk(q: Fraction, digits: int) -> _Walk:
 
 def _checked(p, digits: int) -> Params:
     """The parameters of p, refused before any work at the critical point,
-    past ``Q_MAX`` or past ``MAX_DIGITS`` digits."""
+    past ``Q_MAX``, past ``MAX_Q_BITS`` or past ``MAX_DIGITS`` digits."""
     params = classify(p)
-    check_ranges(("digits", digits, 1, MAX_DIGITS))
+    q_bits = max(params.q.numerator.bit_length(), params.q.denominator.bit_length())
+    check_ranges(("digits", digits, 1, MAX_DIGITS), ("q bits", q_bits, 1, MAX_Q_BITS))
     if params.regime is Regime.CRITICAL:
         raise RefusalError(_CRITICAL_REFUSAL)
     if params.q > Q_MAX:
         raise RefusalError(
-            f"contraction ratio q = {params.q} exceeds {Q_MAX}; "
+            f"contraction ratio q = {_exact_text(*params.q.as_integer_ratio())} exceeds {Q_MAX}; "
             "the walk converges too slowly to certify digits"
         )
     return params

@@ -66,7 +66,7 @@ from itertools import islice
 from typing import Iterator, NamedTuple, Sequence, Union
 
 from .errors import DomainError, ExactCapError, check_ranges
-from .numerics import PrecReal, _divide
+from .numerics import PrecReal, _divide, _exact_text
 
 #: Exact orbits are refused past this many steps, and wherever the bound on
 #: their denominators' bit length reaches 2**EXACT_STEP_CAP.
@@ -76,7 +76,12 @@ EXACT_STEP_CAP = 20
 #: first step.  At 10**7 steps the orbit of ``iterate --digits 50`` takes
 #: about 4.3 s at p = 1/2 (1.5 s at p = 2/5), and the whole
 #: ``diverge-check --N 10**7`` about 2.2 s, with interpreter start, on a
-#: 2-core Intel Xeon with Python 3.11.  ``critical-c`` walks at most 10**4
+#: 2-core Intel Xeon with Python 3.11.  A step costs more as q's numerator
+#: and denominator grow, so the 4.3 s holds for p = 1/2 only: on a faster
+#: day of that host the same call took 5.8 s at p = 1/2 - 10**-40, against
+#: 2.0 s at 1/2 and 0.66 s at 2/5, and 10**6 steps at 70 digits took 0.52,
+#: 1.55 and 11.2 s in process at p = 1/2 - 10**-40, 1/2 - 10**-400 and
+#: 1/2 - 10**-4000.  ``critical-c`` walks at most 10**4
 #: steps of its orbit (``critical.WALK_DEPTH``): a deeper request is
 #: answered at the depth (10**2, 10**3 or 10**4) and the order that
 #: ``critical._plan`` picks within the request's own bound (the CLI default,
@@ -124,7 +129,7 @@ def classify(p) -> Params:
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise DomainError(f"p must be rational, got {p!r}") from exc
     if not (0 < p < 1):
-        raise DomainError(f"p must satisfy 0 < p < 1, got {p}")
+        raise DomainError(f"p must satisfy 0 < p < 1, got {_exact_text(*p.as_integer_ratio())}")
     half = Fraction(1, 2)
     if p < half:
         regime, r = Regime.SUBCRITICAL, Fraction(1)
@@ -149,8 +154,8 @@ def iterate_exact(params: Params, n: int) -> list[OrbitSample]:
         (2**n - 1) * (params.p.denominator - 1).bit_length() >= 2**EXACT_STEP_CAP
     ):
         raise ExactCapError(
-            f"exact orbit of length {n} at p = {params.p} exceeds the cap of "
-            f"2**{EXACT_STEP_CAP} bits (denominators square every step); "
+            f"exact orbit of length {n} at p = {_exact_text(*params.p.as_integer_ratio())} "
+            f"exceeds the cap of 2**{EXACT_STEP_CAP} bits (denominators square every step); "
             "use a precision-tracked orbit"
         )
     one_minus_p, p, r = 1 - params.p, params.p, params.r

@@ -69,7 +69,7 @@ confirmed by a rerun (``_rounding_coefficient`` and E), so the reported
 from __future__ import annotations
 
 import math
-from decimal import Context, Decimal
+from decimal import ROUND_CEILING, Context, Decimal
 from fractions import Fraction
 from itertools import islice
 from typing import Callable, NamedTuple, NoReturn
@@ -313,9 +313,9 @@ def _telescoped_sum(s: _Summand, digits: int) -> SumResult:
 def _refuse(bound: Fraction, digits: int) -> NoReturn:
     """Refuse a sum whose ``bound`` exceeds 10**-(digits+2) of it; the
     message gives the bound rounded up to three digits, so never below it."""
-    shown = rounded_up(bound.numerator, bound.denominator, 3)
+    shown = _divide(bound.numerator, bound.denominator, Context(prec=3, rounding=ROUND_CEILING))
     raise RefusalError(
-        f"the error bound {shown.value:E} exceeds 10^-{digits + 2} of the sum; "
+        f"the error bound {shown:E} exceeds 10^-{digits + 2} of the sum; "
         "request fewer digits"
     )
 

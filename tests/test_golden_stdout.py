@@ -10,12 +10,18 @@ Each case, and two whose q and p are not short decimals, also runs inside
 a 3-digit thread context: every Decimal result is computed on a context
 that the library names, so stdout must not change and that context must
 round nothing.
+
+Each case, and two that write integers of hundreds or thousands of digits,
+also runs under the least int-string limit, 640 digits: every exact
+rational is written by one renderer with no length limit, so stdout must
+not change there either.
 """
 
 from __future__ import annotations
 
 import decimal
 import hashlib
+import sys
 
 import pytest
 
@@ -219,6 +225,25 @@ def test_stdout_ignores_the_thread_context(capsys, command):
     assert capsys.readouterr().out == expected
     # nothing was rounded there, not even below the printed digits
     assert not thread.flags[decimal.Rounded]
+
+
+#: Requests that write an integer of more than 640 digits, the least
+#: int-string limit an interpreter accepts: orbit values past 4300 digits,
+#: and a p and q of 701 digits.
+LONG_INTEGERS = ["iterate --p 1/2 --steps 14 --exact", "rate-constant --p 1e-700 --digits 2"]
+
+
+@pytest.mark.parametrize("command", [c for c, _ in GOLDEN] + LONG_INTEGERS)
+def test_stdout_ignores_the_int_string_limit(capsys, command):
+    assert main(command.split()) == 0
+    expected = capsys.readouterr().out
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert main(command.split()) == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert capsys.readouterr().out == expected
 
 
 #: sha256 of the stdout of ``derive --order 20 --format json``: the whole

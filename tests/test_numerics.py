@@ -5,6 +5,7 @@ from __future__ import annotations
 import decimal
 import operator
 import random
+import sys
 from decimal import ROUND_DOWN, Context, Decimal
 from fractions import Fraction
 
@@ -18,12 +19,14 @@ from quadrec.critical import (
     logistic_constant,
     residual_order_check,
 )
-from quadrec.errors import DomainError, PrecisionError, RefusalError
+from quadrec.errors import DomainError, RefusalError
 from quadrec.numerics import (
     CPoly,
     PrecReal,
     _divide,
+    _exact_text,
     _int_horner,
+    _int_text,
     confirmed_value,
     euler_gamma,
 )
@@ -326,7 +329,7 @@ def test_confirmed_value_detects_precision_drift():
         # pretends to converge to different values at different precisions
         return PrecReal(Decimal(1 if precision < 50 else 2), precision)
 
-    with pytest.raises(PrecisionError):
+    with pytest.raises(RefusalError, match="reruns at precisions 30 and 50 disagree"):
         confirmed_value(unstable, digits=10, precision=30)
 
 
@@ -399,6 +402,30 @@ def test_cpoly_coeff_strings_are_the_fraction_strings(coeffs, scale):
     # stored denominator that need not divide every numerator
     poly = CPoly(coeffs) / scale
     assert poly.coeff_strings() == [str(c) for c in poly.coeffs]
+
+
+def test_exact_text_matches_str_past_the_int_string_limit():
+    # the split-and-recombine rendering against str(int), with the limit lifted
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        rng = random.Random(7)
+        values = [3**40000, -(7**9000) + 1, 1 << 30000, (1 << 30000) - 1]
+        values += [rng.getrandbits(bits) for bits in (4096, 14500, 60001)]
+        for value in values:
+            assert len(str(value)) > 1200
+            assert _int_text(value) == str(value)
+        assert len(str(values[0])) > 4300
+        assert _exact_text(values[0], values[2]) == f"{values[0]}/{values[2]}"
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_long_coefficients_are_written_in_full():
+    # past the int-string limit, where str() of a Fraction raises ValueError
+    assert CPoly([Fraction(1, 10**5000)]).coeff_strings() == ["1/1" + "0" * 5000]
+    poly = CPoly([-(10**5000), Fraction(-(10**5000), 3)])
+    assert poly.format_str() == f"-1{'0' * 5000}/3*C - 1{'0' * 5000}"
 
 
 small_rationals = st.fractions(

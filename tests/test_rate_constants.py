@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from quadrec.errors import DomainError, RefusalError
 from quadrec.numerics import GUARD_DIGITS, _divide
 from quadrec.rate_constants import (
+    MAX_Q_BITS,
     ORDER,
     Q_MAX,
     TABLE_PS,
@@ -294,6 +295,15 @@ def test_rate_constant_accepts_multiplier_at_cutoff():
     result = rate_constant(p, digits=10)
     assert result.q == Q_MAX
     assert 0 < result.C.value < 1
+
+
+def test_rate_constant_refuses_a_q_past_its_size_cap():
+    # q = 2/10**1233 has 4095 bits and is served at the digit cap;
+    # q = 2/10**1234 has 4099 and is refused before any work
+    served = rate_constant(Fraction(1, 10**1233), 50)
+    assert max(served.q.numerator.bit_length(), served.q.denominator.bit_length()) <= MAX_Q_BITS
+    with pytest.raises(RefusalError, match=f"^q bits 4099 exceeds the limit of {MAX_Q_BITS}$"):
+        rate_constant(Fraction(1, 10**1234), 50)
 
 
 def test_rate_constant_rejects_bad_inputs():

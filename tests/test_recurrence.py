@@ -49,7 +49,12 @@ def test_classify_examples(p, regime, r, q):
     assert params.q == q
 
 
-@pytest.mark.parametrize("p", [0, 1, Fraction(3, 2), -1, Fraction(-1, 4), 2, "3", "-1/4"])
+@pytest.mark.parametrize(
+    "p",
+    [0, 1, Fraction(3, 2), -1, Fraction(-1, 4), 2, "3", "-1/4"]
+    # past the int-string limit, which str() of the Fraction would raise at
+    + [pytest.param(Fraction(10**5000), id="10^5000")],
+)
 def test_classify_rejects_out_of_range(p):
     with pytest.raises(DomainError, match="p must satisfy 0 < p < 1"):
         classify(p)
