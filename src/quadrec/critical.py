@@ -89,8 +89,9 @@ _CRITICAL_P = Fraction(1, 2)
 WALK_DEPTH = 10**4
 
 #: The walk depths ``_plan`` chooses from for a deeper request.  Within the
-#: caps its cost model takes 10**2 or 10**3; at the caps the cost of 10**4
-#: is 12% above that of 10**3, so 10**4 comes in only for smaller bounds.
+#: caps its cost model takes 10**3 or 10**2, and 10**4 only at depth 10**7,
+#: order 20 and precision 155 or 158-162, with M' 38 to 40; at the caps the
+#: cost of 10**4 is 12% above that of 10**3.
 _LADDER = (100, 1000, WALK_DEPTH)
 
 #: The measured cost, in orbit bit-steps, of the order search and the
@@ -99,7 +100,10 @@ _LADDER = (100, 1000, WALK_DEPTH)
 #: that cost within about a factor of 2 from order 30 on, where it decides
 #: between depths: a shallow depth takes a high order, and its search runs
 #: further past the omitted-terms order.  Below, a fixed cost of under 1 ms
-#: that no depth avoids dominates, and the walk term decides.
+#: that no depth avoids dominates, and the walk term decides.  The value was
+#: fitted to an earlier search that built a telescope at every order whose
+#: first residual term fit; it stays, because it decides W, and W decides
+#: the printed digits below the bound.
 _ORDER_COST = 80
 
 #: The highest precision ``estimate_constant`` accepts.  Past it no request
@@ -164,27 +168,24 @@ def _least_order(walk: int, budget: Fraction, order: int) -> tuple[int, CPoly]:
     """(M', H): the least order M' >= ``order`` whose own truncation bound
     at ``walk`` is at most ``budget``, and H = H_M'.
 
-    ``telescope`` builds an order only if the first coefficient of its
-    residual, [x**(M+2)] R = (half sum of G at M + 2), keeps that one term
-    of ``tail_bound``'s sum within budget; an order whose first term fails
-    fails the whole bound.  Between builds G is stepped on by the same half
-    sum, G_{M+1} = (g_{M+2} - [x**(M+2)] R)/(M + 1) with
-    g_{M+2} = (M + 1)/(M + 2), as ``telescope`` solves it, so the orders
-    that fail cost one half sum each.
+    One loop steps H_m up from H_0 = 0 by ``telescope``'s own recurrence,
+    G_m = (m/(m + 1) - first)/m, with first = [x**(m+1)] of H_(m-1)'s
+    residual, the half sum of G at m + 1.  G stays integers over one
+    denominator that gains the factor m (m + 1) per step.  From ``order``
+    on, each order is tested first by the first coefficient of its
+    residual alone: if that one term of ``tail_bound``'s sum is over
+    budget, so is the whole bound.  Only where it fits is the full residual
+    formed, the half sums at m + 2..2m, which are ``telescope``'s R at m.
     """
+    G, den, m = [0], 1, 0
     while True:
-        H, R = telescope(_abel_summand(order), order)
-        if tail_bound(R, walk, order + 2) <= budget:
-            return order, H
-        G = list(H._numerators) + [0] * (order + 1 - len(H._numerators))
-        den, first = H._denominator, _half_sum(G, order + 2)
-        while True:
-            m = order + 1
-            G = [m * (m + 1) * n for n in G] + [m * den - (m + 1) * first]
-            den *= m * (m + 1)
-            order, first = m, _half_sum(G, m + 2)
-            if tail_bound(CPoly._over([0] * (m + 2) + [first], den), walk, m + 2) <= budget:
-                break
+        first = _half_sum(G, m + 2)
+        if m >= order and tail_bound(CPoly._over([0] * (m + 2) + [first], den), walk, m + 2) <= budget:
+            R = CPoly._over([0] * (m + 2) + [_half_sum(G, k) for k in range(m + 2, 2 * m + 1)], den)
+            if tail_bound(R, walk, m + 2) <= budget:
+                return m, CPoly._over(G, den)
+        m += 1  # G_m = (m/(m + 1) - first/den)/m, over den m (m + 1)
+        G, den = [m * (m + 1) * n for n in G] + [m * den - (m + 1) * first], den * m * (m + 1)
 
 
 def _plan(depth: int, order: int, precision: int) -> tuple[int, int, CPoly, Fraction]:
@@ -195,8 +196,8 @@ def _plan(depth: int, order: int, precision: int) -> tuple[int, int, CPoly, Frac
     A request no deeper than ``WALK_DEPTH`` is walked as asked.  A deeper
     one takes the depth W of ``_LADDER`` whose ``_cost`` at its
     omitted-terms order is least, and there the least order M' whose own
-    bound at (W, M', precision) is at most B.  No telescope is built at a
-    depth that is not taken.
+    bound at (W, M', precision) is at most B.  The one telescope built is
+    the request's own: ``_least_order`` steps H_M' up without one.
     """
     H, R = telescope(_abel_summand(order), order)
     bound = 2 * tail_bound(R, depth, order + 2) + _rounding(depth, precision)

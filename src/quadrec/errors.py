@@ -58,4 +58,6 @@ def check_ranges(*limits: tuple[str, int, int, int | None]) -> None:
             raise DomainError(f"{name} must be at least {least}")
     for name, value, _least, cap in limits:
         if cap is not None and value > cap:
-            raise RefusalError(f"{name} {value} exceeds the limit of {cap}")
+            from .numerics import _exact_text  # numerics imports this module
+
+            raise RefusalError(f"{name} {_exact_text(value)} exceeds the limit of {cap}")

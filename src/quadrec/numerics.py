@@ -163,7 +163,8 @@ class PrecReal:
 
     def __init__(self, value: Decimal, precision: int):
         if not isinstance(precision, int) or precision < 1:
-            raise DomainError(f"precision must be a positive integer, got {precision!r}")
+            got = _exact_text(precision) if isinstance(precision, int) else repr(precision)
+            raise DomainError(f"precision must be a positive integer, got {got}")
         if not isinstance(value, Decimal):
             raise DomainError(f"cannot build PrecReal from {type(value).__name__}")
         self.value = Context(prec=precision).plus(value)

@@ -154,7 +154,7 @@ def iterate_exact(params: Params, n: int) -> list[OrbitSample]:
         (2**n - 1) * (params.p.denominator - 1).bit_length() >= 2**EXACT_STEP_CAP
     ):
         raise ExactCapError(
-            f"exact orbit of length {n} at p = {_exact_text(*params.p.as_integer_ratio())} "
+            f"exact orbit of length {_exact_text(n)} at p = {_exact_text(*params.p.as_integer_ratio())} "
             f"exceeds the cap of 2**{EXACT_STEP_CAP} bits (denominators square every step); "
             "use a precision-tracked orbit"
         )

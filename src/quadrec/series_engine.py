@@ -37,8 +37,8 @@ the derivation.  The solver builds one level of the residual per order
 (``_residual_level``) and checks it once the order is solved; `shift` and
 `apply_map` build the whole residual, the independent route that
 `fixed_point_defect` takes.  Every solve starts from the seeds: no table
-is kept between calls, only the integer shift weights (``_log_row``,
-``_shift_level``) are memoised.
+is kept between calls, only the rows of integer shift weights
+(``_log_row``, each built from the one before it) are memoised.
 
 The solver works on integers end to end.  The shift weights are
 integers over m!, from one integer recurrence (``_log_row``).  A residual
@@ -164,7 +164,6 @@ def _weights(j: int, row: tuple[int, ...]) -> list[tuple[int, int]]:
     return [(j - t, math.comb(j, t) * row[t]) for t in range(min(j, len(row) - 1), -1, -1) if row[t]]
 
 
-@lru_cache(maxsize=None)
 def _shift_level(i: int, j: int, level: int) -> tuple[tuple[int, int], ...]:
     """The level-``level`` part of ln(k+1)**j / (k+1)**i over the (ln k, 1/k) basis.
 

@@ -251,7 +251,13 @@ def _omitted_least(walk, budget):
     "depth, order, precision, walk, least",
     # the CLI default; a request whose own bound is almost all rounding
     # term; and the caps
-    [(10**6, 6, 60, 1000, 14), (WALK_DEPTH + 1, 6, 22, 100, 6), (MAX_DEPTH, MAX_ORDER, MAX_PRECISION, 1000, 58)],
+    [
+        (10**6, 6, 60, 1000, 14),
+        (WALK_DEPTH + 1, 6, 22, 100, 6),
+        (MAX_DEPTH, MAX_ORDER, MAX_PRECISION, 1000, 58),
+        # one of the few requests within the caps that the plan walks at 10**4
+        (MAX_DEPTH, MAX_ORDER, 160, WALK_DEPTH, 40),
+    ],
 )
 def test_deep_request_is_the_walk_depth_estimate_at_the_least_sufficient_order(
     depth, order, precision, walk, least, monkeypatch
@@ -278,14 +284,28 @@ def test_deep_request_is_the_walk_depth_estimate_at_the_least_sufficient_order(
     assert costs[walk] == min(costs.values())
 
 
+def _first_fits_full_fails(walk, order, precision):
+    """A request bound whose budget at (walk, precision) lies halfway between
+    the bound of order's first residual term alone and its full bound."""
+    _H, R = telescope(_abel_summand(order), order)
+    first = tail_bound(CPoly([0] * (order + 2) + [R.coeffs[order + 2]]), walk, order + 2)
+    return first + tail_bound(R, walk, order + 2) + _rounding(walk, precision)
+
+
 @pytest.mark.parametrize(
     "walk, bound, precision",
-    [(100, Fraction(1, 10**30), 60), (1000, Fraction(3, 10**80), 100), (WALK_DEPTH, Fraction(1, 10**5), 20)],
+    [
+        (100, Fraction(1, 10**30), 60),
+        (1000, Fraction(3, 10**80), 100),
+        (WALK_DEPTH, Fraction(1, 10**5), 20),
+        # order 20's first residual term fits and its full residual does not
+        (100, _first_fits_full_fails(100, 20, 60), 60),
+    ],
 )
 def test_least_order_search_matches_building_every_order(walk, bound, precision, monkeypatch):
-    # the search skips an order on the first term of its residual alone;
-    # it must land where building every telescope from the omitted-terms
-    # order on lands, with the same series
+    # the search tests an order on the first term of its residual alone; it
+    # must land where building every telescope from the omitted-terms order
+    # on lands, with the same series
     budget = (bound - _rounding(walk, precision)) / 2
     start = _omitted_order(walk, budget)
     checks = []
@@ -299,16 +319,24 @@ def test_least_order_search_matches_building_every_order(walk, bound, precision,
     assert least == _walk_least_order(walk, bound, precision, start)
     assert H == telescope(_abel_summand(least), least)[0]
     # every bound the search takes is that of an order's own residual, or of
-    # its first coefficient alone, stepped on exactly from the last build
-    skipped = 0
+    # its first coefficient alone, stepped up exactly from H_0 = 0
+    kinds = []
     for R, at, omitted_from in checks:
         order = omitted_from - 2
         _H, full = telescope(_abel_summand(order), order)
-        assert at == walk and start <= order <= least
-        if R != full:
+        assert at == walk
+        if R == full:
+            kinds.append(("full", order))
+        else:
             assert R == CPoly([0] * (order + 2) + [full.coeffs[order + 2]])
-            skipped += 1
-    assert (skipped > 0) == (least > start)
+            kinds.append(("first", order, tail_bound(R, walk, omitted_from) <= budget))
+    # one first-coefficient check per order from start to least, in order
+    assert [kind[1] for kind in kinds if kind[0] == "first"] == list(range(start, least + 1))
+    # a full residual only right after its order's first coefficient fit
+    for before, kind in zip(kinds, kinds[1:]):
+        if kind[0] == "full":
+            assert before == ("first", kind[1], True)
+    assert kinds[0][0] == "first" and kinds[-1] == ("full", least)
 
 
 def test_omitted_order_is_the_least_the_omitted_terms_allow():
@@ -332,10 +360,8 @@ def test_abel_series_is_small_past_the_walk_depth(monkeypatch):
             x = Fraction(1, walk + 1)
             assert sum(abs(h) * x**k for k, h in enumerate(H.coeffs)) <= x, (depth, walk, least)
 
-    # at the caps the order search builds at most one telescope per order
-    # it tries at the chosen depth, besides the request's own
-    walk, least, _H, bound = _plan(MAX_DEPTH, MAX_ORDER, MAX_PRECISION)
-    start = _omitted_least(walk, (bound - _rounding(walk, MAX_PRECISION)) / 2)
+    # at the caps the planned estimate builds one telescope, the request's
+    # own; the order search steps its series without one
     orders = []
 
     def recording(g, order):
@@ -344,10 +370,7 @@ def test_abel_series_is_small_past_the_walk_depth(monkeypatch):
 
     monkeypatch.setattr(critical, "telescope", recording)
     est = estimate_constant(MAX_DEPTH, MAX_ORDER, MAX_PRECISION)
-    assert orders[0] == MAX_ORDER and orders[-1] == least
-    assert len(orders) - 1 <= least - start + 1
-    assert len(set(orders[1:])) == len(orders) - 1
-    assert all(start <= m <= least for m in orders[1:])
+    assert orders == [MAX_ORDER]
     assert abs(est.C.value - C_REF) <= est.truncation_bound.value + C_REF_ERROR
 
 

@@ -19,7 +19,7 @@ from quadrec.critical import (
     logistic_constant,
     residual_order_check,
 )
-from quadrec.errors import DomainError, RefusalError
+from quadrec.errors import DomainError, RefusalError, check_ranges
 from quadrec.numerics import (
     CPoly,
     PrecReal,
@@ -426,6 +426,17 @@ def test_long_coefficients_are_written_in_full():
     assert CPoly([Fraction(1, 10**5000)]).coeff_strings() == ["1/1" + "0" * 5000]
     poly = CPoly([-(10**5000), Fraction(-(10**5000), 3)])
     assert poly.format_str() == f"-1{'0' * 5000}/3*C - 1{'0' * 5000}"
+
+
+def test_long_request_integers_are_written_in_full_in_messages():
+    # a limit's value and PrecReal's precision, past the int-string limit
+    long = 10**5000
+    with pytest.raises(RefusalError, match=f"^depth 1{'0' * 5000} exceeds the limit of 10$"):
+        check_ranges(("depth", long, 0, 10))
+    with pytest.raises(DomainError, match="^depth must be at least 0$"):
+        check_ranges(("depth", -long, 0, 10))
+    with pytest.raises(DomainError, match=f"got -1{'0' * 5000}$"):
+        PrecReal(Decimal(1), -long)
 
 
 small_rationals = st.fractions(

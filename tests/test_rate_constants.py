@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from quadrec.errors import DomainError, RefusalError
 from quadrec.numerics import GUARD_DIGITS, _divide
 from quadrec.rate_constants import (
+    MAX_DIGITS,
     MAX_Q_BITS,
     ORDER,
     Q_MAX,
@@ -304,6 +305,12 @@ def test_rate_constant_refuses_a_q_past_its_size_cap():
     assert max(served.q.numerator.bit_length(), served.q.denominator.bit_length()) <= MAX_Q_BITS
     with pytest.raises(RefusalError, match=f"^q bits 4099 exceeds the limit of {MAX_Q_BITS}$"):
         rate_constant(Fraction(1, 10**1234), 50)
+
+
+def test_a_long_digit_count_is_refused_with_its_digits_in_full():
+    # past the int-string limit, where an f-string of the int raises ValueError
+    with pytest.raises(RefusalError, match=f"^digits 1{'0' * 5000} exceeds the limit of {MAX_DIGITS}$"):
+        rate_constant("2/5", 10**5000)
 
 
 def test_rate_constant_rejects_bad_inputs():

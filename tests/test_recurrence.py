@@ -155,6 +155,12 @@ def test_exact_orbit_cap_and_domain():
         iterate_exact(params, -1)
 
 
+def test_a_long_exact_orbit_is_refused_with_its_length_in_full():
+    # past the int-string limit, where an f-string of the int raises ValueError
+    with pytest.raises(ExactCapError, match=f"^exact orbit of length 1{'0' * 5000} at p = 1/2 "):
+        iterate_exact(classify("1/2"), 10**5000)
+
+
 @pytest.mark.parametrize(
     "p, largest",
     [
